@@ -10,9 +10,8 @@ state) that do not depend on the inputs of the complementary parties.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,8 +21,9 @@ from cqboxes.quantum import (
     PartyStructure,
     StateVector,
     _haar_matrix,
-    partial_trace,
+    partial_trace_array,
     trace_distance,
+    trace_norm,
 )
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "cq_box_distance",
     "mix_boxes",
 ]
-
-
-def _input_product(sizes: Sequence[int]) -> list[tuple[int, ...]]:
-    return [tuple(t) for t in itertools.product(*(range(s) for s in sizes))]
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class CouplingBox:
             raise ValueError("marginal is not a probability distribution")
         n = q.shape[0]
         fixed: dict[tuple[int, ...], np.ndarray] = {}
-        for key in _input_product(self.input_sizes):
+        for key in np.ndindex(*self.input_sizes):
             if key not in self.bijections:
                 raise ValueError(f"missing bijection for input {key}")
             pi = np.array(self.bijections[key], dtype=int)
@@ -190,7 +186,7 @@ class CQBox:
     def __post_init__(self) -> None:
         if len(self.input_sizes) != len(self.structure.parties):
             raise ValueError("one classical input per party required")
-        keys = _input_product(self.input_sizes)
+        keys = list(np.ndindex(*self.input_sizes))
         missing = [k for k in keys if k not in self.outputs]
         if missing:
             raise ValueError(f"outputs missing for inputs {missing}")
@@ -211,7 +207,7 @@ class CQBox:
 
     @property
     def inputs(self) -> list[tuple[int, ...]]:
-        return _input_product(self.input_sizes)
+        return list(np.ndindex(*self.input_sizes))
 
     def output(self, inputs: Sequence[int]) -> DensityMatrix:
         return self.outputs[tuple(inputs)]
@@ -289,10 +285,6 @@ def haar_coupling(
     )
 
 
-def _tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.sum(np.abs(p - q)))
-
-
 def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for r in range(1, k):
@@ -300,87 +292,84 @@ def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
-    """Check that every proper subgroup's output marginal, given its own
-    inputs, is independent of the complementary parties' inputs."""
-    k = box.parties
-    labels = tuple(chr(ord("A") + i) for i in range(k))
+def _subgroup_sweep(
+    input_sizes: tuple[int, ...],
+    labels: Sequence[str],
+    marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tol: float,
+) -> NoSignallingReport:
+    """No-signalling check shared by both box kinds.
+
+    ``marginal(subgroup, complement)`` returns the subgroup's view (output
+    marginal or reduced state) for every input setting, input axes first
+    in party order.  ``distance`` maps two equal-shaped stacks of views to
+    their distances.  Witnesses come per subgroup, own inputs in product
+    order, then outside pairs in ``itertools.combinations`` order.
+    """
+    k = len(input_sizes)
     worst = 0.0
     witnesses: list[Witness] = []
     for subgroup in _proper_subgroups(k):
         complement = tuple(i for i in range(k) if i not in subgroup)
-        # marginal over the complement's outputs, axes: all inputs + subgroup outputs
-        marg = box.table.sum(axis=tuple(k + i for i in complement))
-        for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
-            dists = []
-            for outside in itertools.product(
-                *(range(box.input_sizes[i]) for i in complement)
-            ):
-                idx = [0] * k
-                for pos, i in enumerate(subgroup):
-                    idx[i] = own[pos]
-                for pos, i in enumerate(complement):
-                    idx[i] = outside[pos]
-                dists.append((outside, marg[tuple(idx)].ravel()))
-            for (o1, p1), (o2, p2) in itertools.combinations(dists, 2):
-                d = _tv_distance(p1, p2)
-                worst = max(worst, d)
-                if d > tol:
-                    witnesses.append(
-                        Witness(
-                            subgroup=tuple(labels[i] for i in subgroup),
-                            subgroup_inputs=own,
-                            outside_inputs=(o1, o2),
-                            violation=d,
-                        )
-                    )
+        own = list(np.ndindex(*(input_sizes[i] for i in subgroup)))
+        outside = list(np.ndindex(*(input_sizes[i] for i in complement)))
+        views = marginal(subgroup, complement)
+        views = views.transpose(subgroup + complement + tuple(range(k, views.ndim)))
+        # rows: own input settings; columns: outside input settings
+        views = views.reshape((len(own), len(outside)) + views.shape[k:])
+        first, second = np.triu_indices(len(outside), 1)
+        dists = distance(views[:, first], views[:, second])
+        worst = max(worst, float(dists.max(initial=0.0)))
+        for row, pair in zip(*np.nonzero(dists > tol)):
+            witnesses.append(
+                Witness(
+                    subgroup=tuple(labels[i] for i in subgroup),
+                    subgroup_inputs=own[row],
+                    outside_inputs=(outside[first[pair]], outside[second[pair]]),
+                    violation=float(dists[row, pair]),
+                )
+            )
     return NoSignallingReport(
         passed=worst <= tol,
         worst_violation=worst,
         witnesses=tuple(witnesses),
         tolerance=tol,
     )
+
+
+def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
+    """Check that every proper subgroup's output marginal, given its own
+    inputs, is independent of the complementary parties' inputs."""
+    k = box.parties
+    sizes = tuple(box.input_sizes)
+
+    def marginal(subgroup, complement):
+        # sum out the complement's outputs, flatten the subgroup's
+        marg = box.table.sum(axis=tuple(k + i for i in complement))
+        return marg.reshape(sizes + (-1,))
+
+    def total_variation(p, q):
+        return 0.5 * np.sum(np.abs(p - q), axis=-1)
+
+    labels = tuple(chr(ord("A") + i) for i in range(k))
+    return _subgroup_sweep(sizes, labels, marginal, total_variation, tol)
 
 
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     """Check that every proper subgroup's reduced state, given its own
     inputs, is independent (in trace distance) of the outside inputs."""
-    k = len(box.input_sizes)
-    labels = box.structure.labels
-    worst = 0.0
-    witnesses: list[Witness] = []
-    for subgroup in _proper_subgroups(k):
-        keep = [labels[i] for i in subgroup]
-        complement = tuple(i for i in range(k) if i not in subgroup)
-        for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
-            reduced = []
-            for outside in itertools.product(
-                *(range(box.input_sizes[i]) for i in complement)
-            ):
-                idx = [0] * k
-                for pos, i in enumerate(subgroup):
-                    idx[i] = own[pos]
-                for pos, i in enumerate(complement):
-                    idx[i] = outside[pos]
-                reduced.append((outside, partial_trace(box.output(idx), keep)))
-            for (o1, r1), (o2, r2) in itertools.combinations(reduced, 2):
-                d = trace_distance(r1, r2)
-                worst = max(worst, d)
-                if d > tol:
-                    witnesses.append(
-                        Witness(
-                            subgroup=tuple(keep),
-                            subgroup_inputs=own,
-                            outside_inputs=(o1, o2),
-                            violation=d,
-                        )
-                    )
-    return NoSignallingReport(
-        passed=worst <= tol,
-        worst_violation=worst,
-        witnesses=tuple(witnesses),
-        tolerance=tol,
-    )
+    sizes, structure = tuple(box.input_sizes), box.structure
+    stack = np.array([box.outputs[key].matrix for key in box.inputs])
+    stack = stack.reshape(sizes + (structure.total_dim,) * 2)
+
+    def marginal(subgroup, _complement):
+        return partial_trace_array(stack, structure.dims, subgroup)
+
+    def trace_dist(p, q):
+        return 0.5 * trace_norm(p - q)
+
+    return _subgroup_sweep(sizes, structure.labels, marginal, trace_dist, tol)
 
 
 def induced_ccbox(

@@ -6,7 +6,7 @@ Reports go to stdout as JSON with sorted keys, so a command is
 byte-identical across runs given the same flags and seed; timing goes to
 stderr.  Exit codes: 0 success, 1 a check failed (signalling found,
 distance above tolerance, bound not confirmed), 2 bad usage or malformed
-input, 3 finished with a budget warning.
+input, 3 finished with a budget warning, 4 internal error.
 """
 from __future__ import annotations
 
@@ -465,10 +465,6 @@ def _add_globals(parser: argparse.ArgumentParser, defaults: bool) -> None:
     parser.add_argument(
         "--seed", type=int, default=0 if defaults else suppress, help="random seed"
     )
-    parser.add_argument(
-        "--threads", type=int, default=1 if defaults else suppress,
-        help="worker threads (accepted for compatibility; execution is sequential)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,8 +555,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()
@@ -569,9 +563,9 @@ def main(argv=None) -> int:
     except (BoxDocumentError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 4
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

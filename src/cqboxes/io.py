@@ -153,11 +153,10 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
             except ValueError as exc:
                 raise BoxDocumentError(f"output '{name}' is invalid: {exc}") from exc
         try:
-            if not matrices:
-                return CQBox.from_pure(input_sizes, states)
             outputs = {key: state.density() for key, state in states.items()}
             outputs.update(matrices)
-            return CQBox(input_sizes, structure, outputs)
+            # exact vectors back pure_output only when every output is pure
+            return CQBox(input_sizes, structure, outputs, _pure=None if matrices else states)
         except ValueError as exc:
             raise BoxDocumentError(f"invalid quantum box: {exc}") from exc
     raise BoxDocumentError(f"unknown box kind '{kind}' (expected 'cc' or 'cq')")

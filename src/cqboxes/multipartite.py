@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -306,12 +307,8 @@ def ghz_phase_strategy(m: int, n: int) -> Strategy:
     """
     if n < 2:
         raise ValueError(f"denominator must be at least 2, got {n}")
-    m = m % n
-    if m == 0:
-        m_red, n_red = 0, 2
-    else:
-        g = math.gcd(m, n)
-        m_red, n_red = m // g, n // g
+    phase = Fraction(m % n, n)  # m = 0 still needs the binary box
+    m_red, n_red = phase.numerator, max(phase.denominator, 2)
 
     def party(sign: int) -> Callable[[int, int], np.ndarray]:
         def apply(_inp: int, out: int) -> np.ndarray:

@@ -28,9 +28,11 @@ __all__ = [
     "SchmidtForm",
     "tensor",
     "partial_trace",
+    "partial_trace_array",
     "apply_local",
     "fidelity",
     "trace_distance",
+    "trace_norm",
     "basis_state",
     "bell_state",
     "phi_plus",
@@ -223,6 +225,22 @@ def tensor(states: Sequence[StateLike]) -> StateLike:
     return DensityMatrix(mat, structure)
 
 
+def partial_trace_array(
+    matrices: np.ndarray, dims: Sequence[int], keep: Sequence[int]
+) -> np.ndarray:
+    """Partial trace of each matrix in a stack of shape (..., D, D) laid out
+    over party dimensions ``dims``, keeping the sorted party indices ``keep``."""
+    dims = tuple(dims)
+    batch = matrices.shape[:-2]
+    t = matrices.reshape(batch + dims + dims)
+    remaining = len(dims)
+    for j in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=len(batch) + j, axis2=len(batch) + j + remaining)
+        remaining -= 1
+    d = math.prod(dims[i] for i in keep)
+    return t.reshape(batch + (d, d))
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix on the parties in ``keep`` (original order kept)."""
     keep = list(keep)
@@ -230,15 +248,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
         raise ValueError("keep must name at least one party")
     structure = rho.structure
     keep_idx = sorted(structure.index_of(label) for label in keep)
-    dims = structure.dims
-    k = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    remaining = k
-    for j in sorted(set(range(k)) - set(keep_idx), reverse=True):
-        t = np.trace(t, axis1=j, axis2=j + remaining)
-        remaining -= 1
     sub = structure.subset([structure.labels[i] for i in keep_idx])
-    return DensityMatrix(t.reshape(sub.total_dim, sub.total_dim), sub)
+    return DensityMatrix(partial_trace_array(rho.matrix, structure.dims, keep_idx), sub)
 
 
 def _apply_axis(tensor_arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -300,7 +311,12 @@ def trace_distance(p: StateLike, q: StateLike) -> float:
     """Trace distance (half the trace norm of the difference) in [0, 1]."""
     _check_same_structure(p, q)
     delta = _as_density(p).matrix - _as_density(q).matrix
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
+    return float(0.5 * trace_norm(delta))
+
+
+def trace_norm(matrices: np.ndarray) -> np.ndarray:
+    """Trace norm of each Hermitian matrix in a stack of shape (..., D, D)."""
+    return np.sum(np.abs(np.linalg.eigvalsh(matrices)), axis=-1)
 
 
 def basis_state(structure: PartyStructure, levels: Sequence[int]) -> StateVector:

@@ -119,10 +119,6 @@ def _full_operator(mats: Sequence[np.ndarray]) -> np.ndarray:
     return full
 
 
-def _input_keys(sizes: Sequence[int]) -> list[tuple[int, ...]]:
-    return [tuple(t) for t in itertools.product(*(range(s) for s in sizes))]
-
-
 def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox:
     """The quantum-output box the strategy realises.
 
@@ -147,7 +143,7 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
     dims = structure.dims
     pure_shared = isinstance(strategy.shared, StateVector)
     outputs = {}
-    for key in _input_keys(table_box.input_sizes):
+    for key in np.ndindex(*table_box.input_sizes):
         mat = np.zeros((structure.total_dim,) * 2, dtype=complex)
         block = table_box.table[key]
         for out_key in np.argwhere(block > 0):
@@ -181,7 +177,7 @@ def sample_states(
     structure = strategy.shared.structure
     dims = structure.dims
     result: dict[tuple[int, ...], list[StateVector]] = {}
-    for key in _input_keys(coupling.input_sizes):
+    for key in np.ndindex(*coupling.input_sizes):
         states = []
         for base in bases:
             u_a, u_b = coupling.sample_pair(key, base)
@@ -229,7 +225,7 @@ def unitary_family_box(
     get = targets if callable(targets) else (lambda key: targets[key])
     phi = phi_plus(n)
     states = {}
-    for key in _input_keys(input_sizes):
+    for key in np.ndindex(*input_sizes):
         mat = _matrix_of(get(key))
         amp = (mat @ phi.amplitudes.reshape(n, n)).reshape(-1)
         states[key] = StateVector(amp, phi.structure)
@@ -276,12 +272,8 @@ def rational_phase_strategy(m: int, n: int, alpha: complex, beta: complex) -> St
     """
     if n < 2:
         raise ValueError(f"denominator must be at least 2, got {n}")
-    m = m % n
-    if m == 0:
-        m_red, n_red = 0, 2
-    else:
-        g = math.gcd(m, n)
-        m_red, n_red = m // g, n // g
+    phase = Fraction(m % n, n)  # m = 0 still needs the binary box
+    m_red, n_red = phase.numerator, max(phase.denominator, 2)
 
     def alice(_x: int, a: int) -> np.ndarray:
         return np.diag([1.0, np.exp(2j * math.pi * a * m_red / n_red)])

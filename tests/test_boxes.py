@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqboxes.boxes import (
     CCBox,
     CouplingBox,
     CQBox,
+    NoSignallingReport,
+    Witness,
     cc_no_signalling,
     chsh_value,
     coupling_to_ccbox,
@@ -22,7 +27,9 @@ from cqboxes.boxes import (
     mod_box,
     pr_box,
 )
+from cqboxes.io import load_box
 from cqboxes.quantum import (
+    TOLERANCE,
     DensityMatrix,
     PartyStructure,
     StateVector,
@@ -349,3 +356,164 @@ class TestMixBoxes:
         a = correlated_bell_box()
         with pytest.raises(ValueError):
             mix_boxes([(0.6, a), (0.6, a)])
+
+
+# Reference no-signalling checks: one Python loop per subgroup, own input
+# setting and outside input pair.  The array sweep behind cc_no_signalling
+# and cq_no_signalling must reproduce them exactly.
+
+
+def _reference_subgroups(k: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+    for r in range(1, k):
+        out.extend(itertools.combinations(range(k), r))
+    return out
+
+
+def reference_cc_no_signalling(box: CCBox, tol: float) -> NoSignallingReport:
+    k = box.parties
+    labels = tuple(chr(ord("A") + i) for i in range(k))
+    worst = 0.0
+    witnesses: list[Witness] = []
+    for subgroup in _reference_subgroups(k):
+        complement = tuple(i for i in range(k) if i not in subgroup)
+        marg = box.table.sum(axis=tuple(k + i for i in complement))
+        for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
+            dists = []
+            for outside in itertools.product(
+                *(range(box.input_sizes[i]) for i in complement)
+            ):
+                idx = [0] * k
+                for pos, i in enumerate(subgroup):
+                    idx[i] = own[pos]
+                for pos, i in enumerate(complement):
+                    idx[i] = outside[pos]
+                dists.append((outside, marg[tuple(idx)].ravel()))
+            for (o1, p1), (o2, p2) in itertools.combinations(dists, 2):
+                d = float(0.5 * np.sum(np.abs(p1 - p2)))
+                worst = max(worst, d)
+                if d > tol:
+                    witnesses.append(
+                        Witness(tuple(labels[i] for i in subgroup), own, (o1, o2), d)
+                    )
+    return NoSignallingReport(worst <= tol, worst, tuple(witnesses), tol)
+
+
+def reference_cq_no_signalling(box: CQBox, tol: float) -> NoSignallingReport:
+    k = len(box.input_sizes)
+    labels = box.structure.labels
+    worst = 0.0
+    witnesses: list[Witness] = []
+    for subgroup in _reference_subgroups(k):
+        keep = [labels[i] for i in subgroup]
+        complement = tuple(i for i in range(k) if i not in subgroup)
+        for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
+            reduced = []
+            for outside in itertools.product(
+                *(range(box.input_sizes[i]) for i in complement)
+            ):
+                idx = [0] * k
+                for pos, i in enumerate(subgroup):
+                    idx[i] = own[pos]
+                for pos, i in enumerate(complement):
+                    idx[i] = outside[pos]
+                reduced.append((outside, partial_trace(box.output(idx), keep)))
+            for (o1, r1), (o2, r2) in itertools.combinations(reduced, 2):
+                d = trace_distance(r1, r2)
+                worst = max(worst, d)
+                if d > tol:
+                    witnesses.append(Witness(tuple(keep), own, (o1, o2), d))
+    return NoSignallingReport(worst <= tol, worst, tuple(witnesses), tol)
+
+
+def assert_same_report(report: NoSignallingReport, reference: NoSignallingReport) -> None:
+    assert report.passed == reference.passed
+    assert report.worst_violation == reference.worst_violation
+    assert report.witnesses == reference.witnesses
+    assert report.tolerance == reference.tolerance
+
+
+def check_against_reference(box, tol: float) -> None:
+    if isinstance(box, CCBox):
+        assert_same_report(cc_no_signalling(box, tol=tol), reference_cc_no_signalling(box, tol))
+    else:
+        assert_same_report(cq_no_signalling(box, tol=tol), reference_cq_no_signalling(box, tol))
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BOX_FIXTURES = sorted(
+    path.name for path in FIXTURES.glob("*.json") if '"kind"' in path.read_text()
+)
+TOLERANCES = (0.0, 1e-12, TOLERANCE, 1e-3, 0.2, 1.0)
+
+
+def _random_density(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def sizes_and_rng(draw):
+    """Input sizes 1-3 and local output sizes (or dimensions) 1-2 for
+    2-3 parties, a seeded generator, and whether to build a local box."""
+    k = draw(st.integers(2, 3))
+    inputs = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    outputs = tuple(draw(st.integers(1, 2)) for _ in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return inputs, outputs, rng, draw(st.booleans())
+
+
+@st.composite
+def cc_tables(draw) -> CCBox:
+    inputs, outputs, rng, local = draw(sizes_and_rng())
+    k = len(inputs)
+    if local:  # product of per-party conditionals: non-signalling up to rounding
+        table = np.ones(inputs + outputs)
+        for j in range(k):
+            cond = rng.random((inputs[j], outputs[j]))
+            shape = [1] * (2 * k)
+            shape[j], shape[k + j] = inputs[j], outputs[j]
+            table = table * (cond / cond.sum(axis=1, keepdims=True)).reshape(shape)
+    else:
+        table = rng.random(inputs + outputs)
+        sums = table.reshape(inputs + (-1,)).sum(axis=-1)
+        table = table / sums.reshape(inputs + (1,) * k)
+    return CCBox(inputs, outputs, table)
+
+
+@st.composite
+def cq_boxes(draw) -> CQBox:
+    inputs, dims, rng, local = draw(sizes_and_rng())
+    structure = PartyStructure(tuple(zip("ABC", dims)))
+    if local:  # product of per-party states chosen by each party's own input
+        states = [[_random_density(rng, d) for _ in range(n)] for n, d in zip(inputs, dims)]
+    outputs = {}
+    for key in itertools.product(*(range(n) for n in inputs)):
+        if local:
+            mat = np.array([[1.0]], dtype=complex)
+            for j, x in enumerate(key):
+                mat = np.kron(mat, states[j][x])
+        else:
+            mat = _random_density(rng, structure.total_dim)
+        outputs[key] = DensityMatrix(mat, structure)
+    return CQBox(inputs, structure, outputs)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("name", BOX_FIXTURES)
+    def test_fixtures(self, name):
+        box = load_box(FIXTURES / name)
+        for tol in TOLERANCES:
+            check_against_reference(box, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(box=cc_tables(), tol=st.sampled_from(TOLERANCES))
+    def test_random_cc_tables(self, box, tol):
+        check_against_reference(box, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(box=cq_boxes(), tol=st.sampled_from(TOLERANCES))
+    def test_random_cq_boxes(self, box, tol):
+        check_against_reference(box, tol)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from cqboxes import cli
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
@@ -367,12 +368,17 @@ class TestContract:
     def test_bad_flag_value_exits_2(self, capsys):
         assert main(["bound", "--n", "three", "--kmax", "1"]) == 2
 
-    def test_threads_accepted_but_validated(self, capsys, tmp_path):
+    def test_internal_error_exits_4(self, capsys, monkeypatch, tmp_path):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", crash)
         path = tmp_path / "pr.json"
         save_box(pr_box(), path)
-        assert main(["--threads", "4", "verify", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["--threads", "0", "verify", str(path)]) == 2
+        code, report, err = run(capsys, "verify", str(path))
+        assert code == 4
+        assert report is None
+        assert "internal error" in err and "boom" in err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

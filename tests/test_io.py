@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, mod_box, pr_box
+from cqboxes.cli import main
 from cqboxes.io import (
     BoxDocumentError,
     box_to_document,
@@ -156,6 +157,16 @@ class TestValidation:
         doc["outputs"]["0,0"]["amplitudes"] = [[2.0, 0.0], [0, 0], [0, 0], [0, 0]]
         with pytest.raises(BoxDocumentError, match="0,0"):
             document_to_box(doc)
+
+    def test_empty_outputs_name_missing_inputs(self, capsys, tmp_path):
+        doc = box_to_document(pure_phase_box())
+        doc["outputs"] = {}
+        with pytest.raises(BoxDocumentError, match=r"missing for inputs \[\(0, 0\), \(0, 1\)"):
+            document_to_box(doc)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "outputs missing for inputs" in capsys.readouterr().err
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoxDocumentError, match="cannot read"):
