@@ -33,8 +33,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from cqboxes.boxes import CouplingBox
-from cqboxes.quantum import TOLERANCE, fidelity
-from cqboxes.synthesis import Strategy, _two_level_state, phase_family_box, simulate
+from cqboxes.quantum import TOLERANCE, fidelity, two_level_state, wrap_angle
+from cqboxes.synthesis import Strategy, phase_family_box, simulate
 
 __all__ = [
     "PhaseStrategySpec",
@@ -85,7 +85,7 @@ def spec_to_strategy(spec: PhaseStrategySpec, alpha: float, beta: float) -> Stra
     def bob(y: int, b: int) -> np.ndarray:
         return np.diag([1.0, np.exp(1j * spec.bob_phases[y, b])])
 
-    return Strategy(ccbox=coupling, shared=_two_level_state(alpha, beta), party_maps=(alice, bob))
+    return Strategy(ccbox=coupling, shared=two_level_state(alpha, beta), party_maps=(alice, bob))
 
 
 def phase_strategy_fidelity(
@@ -146,13 +146,9 @@ class BoundCheck:
     reach: float
 
 
-def _wrap(angle: float) -> float:
-    return (angle + math.pi) % (2 * math.pi) - math.pi
-
-
 def _cycle_gap(theta: float, length: int) -> float:
     """Distance of L theta from the nearest multiple of 2 pi."""
-    return abs(_wrap(length * theta))
+    return abs(wrap_angle(length * theta))
 
 
 def _certificate(n_outputs: int, length: int, theta: float) -> PhaseStrategySpec:
@@ -163,7 +159,7 @@ def _certificate(n_outputs: int, length: int, theta: float) -> PhaseStrategySpec
     modulo 2 pi; every one of the 4 L cosine arguments then equals chi up
     to sign.
     """
-    chi = -_wrap(length * theta) / (4 * length)
+    chi = -wrap_angle(length * theta) / (4 * length)
     a0 = np.zeros(n_outputs)
     for j in range(1, length):
         a0[j] = a0[j - 1] + 4 * chi + theta

@@ -10,6 +10,7 @@ state) that do not depend on the inputs of the complementary parties.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -20,7 +21,8 @@ from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
-    _haar_matrix,
+    haar_matrix,
+    kron_all,
     partial_trace_array,
     trace_distance,
     trace_norm,
@@ -36,7 +38,6 @@ __all__ = [
     "pr_box",
     "mod_box",
     "coupling_to_ccbox",
-    "haar_coupling",
     "cc_no_signalling",
     "cq_no_signalling",
     "induced_ccbox",
@@ -44,6 +45,20 @@ __all__ = [
     "cq_box_distance",
     "mix_boxes",
 ]
+
+
+def _positive_sizes(sizes: object, field: str) -> tuple[int, ...]:
+    """``sizes`` as a non-empty tuple of ints of at least 1; ValueError
+    naming ``field`` otherwise."""
+    try:
+        values = tuple(sizes)
+    except TypeError:
+        values = ()
+    if not values or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in values
+    ):
+        raise ValueError(f"{field} must be a non-empty list of positive integers, got {sizes!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,8 @@ class CCBox:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "input_sizes", _positive_sizes(self.input_sizes, "input_sizes"))
+        object.__setattr__(self, "output_sizes", _positive_sizes(self.output_sizes, "output_sizes"))
         if len(self.input_sizes) != len(self.output_sizes):
             raise ValueError("one output alphabet per party required")
         tab = np.array(self.table, dtype=float)
@@ -150,7 +167,7 @@ class HaarCouplingBox:
         v = np.zeros((self.dim, self.dim), dtype=complex)
         offset = 0
         for d in self.block_dims:
-            v[offset : offset + d, offset : offset + d] = _haar_matrix(d, rng)
+            v[offset : offset + d, offset : offset + d] = haar_matrix(d, rng)
             offset += d
         return v
 
@@ -184,15 +201,24 @@ class CQBox:
     )
 
     def __post_init__(self) -> None:
-        if len(self.input_sizes) != len(self.structure.parties):
+        sizes = _positive_sizes(self.input_sizes, "input_sizes")
+        object.__setattr__(self, "input_sizes", sizes)
+        if len(sizes) != len(self.structure.parties):
             raise ValueError("one classical input per party required")
-        keys = list(np.ndindex(*self.input_sizes))
-        missing = [k for k in keys if k not in self.outputs]
-        if missing:
-            raise ValueError(f"outputs missing for inputs {missing}")
-        for key in keys:
-            if self.outputs[key].structure.dims != self.structure.dims:
+        dims = self.structure.dims
+        for key, output in self.outputs.items():
+            if not (isinstance(key, tuple) and len(key) == len(sizes)
+                    and all(0 <= v < n for v, n in zip(key, sizes))):
+                raise ValueError(f"output key {key!r} is outside the input range {sizes}")
+            if output.structure.dims != dims:
                 raise ValueError(f"output at {key} has mismatched party structure")
+        # every key is in range, so a full count means no input is missing
+        absent = math.prod(sizes) - len(self.outputs)
+        if absent:
+            missing = (k for k in np.ndindex(*sizes) if k not in self.outputs)
+            first = list(itertools.islice(missing, 4))
+            more = f" and {absent - len(first)} more" if absent > len(first) else ""
+            raise ValueError(f"outputs missing for inputs {first}{more}")
         object.__setattr__(self, "outputs", dict(self.outputs))
 
     @classmethod
@@ -246,16 +272,20 @@ def pr_box() -> CCBox:
     return mod_box(2)
 
 
-def mod_box(n: int) -> CCBox:
-    """Two-party box over outputs 0..n-1 with uniform weight 1/n on the
-    pairs satisfying (a - b) mod n = x * y, binary inputs."""
+def mod_box(n: int, parties: int = 2) -> CCBox:
+    """Box over outputs 0..n-1 and binary inputs with uniform weight on the
+    output tuples satisfying (a_1 - a_2 - ... - a_k) mod n = x_1 x_2 ... x_k:
+    (a - b) mod n = x y for two parties, (a - b - c) mod n = x y z for three."""
     if n < 2:
         raise ValueError(f"output alphabet must have at least 2 symbols, got {n}")
-    table = np.zeros((2, 2, n, n))
-    for x, y, a, b in itertools.product(range(2), range(2), range(n), range(n)):
-        if (a - b) % n == x * y:
-            table[x, y, a, b] = 1.0 / n
-    return CCBox((2, 2), (n, n), table)
+    if parties < 2:
+        raise ValueError(f"at least 2 parties required, got {parties}")
+    table = np.zeros((2,) * parties + (n,) * parties)
+    rest = np.ix_(*[range(n)] * (parties - 1))  # outputs of parties 2..k
+    for inputs in itertools.product(range(2), repeat=parties):
+        first = (sum(rest) + math.prod(inputs)) % n
+        table[inputs + (first,) + rest] = 1.0 / n ** (parties - 1)
+    return CCBox((2,) * parties, (n,) * parties, table)
 
 
 def coupling_to_ccbox(coupling: CouplingBox) -> CCBox:
@@ -267,22 +297,6 @@ def coupling_to_ccbox(coupling: CouplingBox) -> CCBox:
         for b in range(n):
             table[key + (int(pi[b]), b)] = coupling.marginal[b]
     return CCBox(tuple(sizes), (n, n), table)
-
-
-def haar_coupling(
-    n: int,
-    relabel: Callable[[tuple[int, ...]], np.ndarray],
-    input_sizes: Sequence[int] = (2, 2),
-    block_dims: Sequence[int] = (),
-) -> HaarCouplingBox:
-    """Coupling box whose shared marginal is the (block) Haar measure and
-    whose pairing hands Alice relabel(inputs) @ conj(V) when Bob holds V."""
-    return HaarCouplingBox(
-        dim=n,
-        input_sizes=tuple(input_sizes),
-        relabel=relabel,
-        block_dims=tuple(block_dims),
-    )
 
 
 def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
@@ -394,9 +408,7 @@ def induced_ccbox(
                 raise ValueError(f"basis for party {j} has wrong shape")
     table = np.zeros(tuple(box.input_sizes) + dims)
     for key in box.inputs:
-        frame = np.array([[1.0]], dtype=complex)
-        for j in range(k):
-            frame = np.kron(frame, np.asarray(measurements[j][key[j]], dtype=complex))
+        frame = kron_all([np.asarray(measurements[j][key[j]], dtype=complex) for j in range(k)])
         rotated = frame.conj().T @ box.output(key).matrix @ frame
         probs = np.clip(np.real(np.diagonal(rotated)), 0.0, None)
         table[key] = probs.reshape(dims)

@@ -121,11 +121,10 @@ def _parse_weights(text: str) -> list[float]:
 def _parse_phases(text: str) -> dict[tuple[int, int, int], Fraction]:
     try:
         raw = json.loads(text)
-        assert isinstance(raw, dict)
-    except (json.JSONDecodeError, AssertionError) as exc:
-        raise ValueError(
-            "--phases must be a JSON object like {\"1,1,0\": \"1/4\"}"
-        ) from exc
+    except json.JSONDecodeError:
+        raw = None
+    if not isinstance(raw, dict):
+        raise ValueError("--phases must be a JSON object like {\"1,1,0\": \"1/4\"}")
     phases = {}
     for key, value in raw.items():
         try:
@@ -152,15 +151,6 @@ def _nonmax_target(weights: list[float], phases: dict) -> CQBox:
     return CQBox.from_pure((2, 2), states)
 
 
-def _load_cq_target(path: str | None, context: str) -> CQBox:
-    if not path:
-        raise ValueError(f"{context} requires --target")
-    box = load_box(path)
-    if not isinstance(box, CQBox):
-        raise ValueError(f"{context} needs a quantum-output target box")
-    return box
-
-
 def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
     """Read off T with |psi> = (T x 1)|phi+_n| for each input, rejecting
     outputs that are not maximally entangled."""
@@ -177,120 +167,148 @@ def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
     return targets, n
 
 
-def _build_synth(args) -> dict:
-    """Strategy, analytic target, distance tolerance and report extras
-    for one construction."""
-    name = args.construction
-    built: dict = {"tolerance": 1e-9, "parameters": {}, "certificate": None, "files": ()}
-    if name == "bit-flip":
-        built["strategy"] = bit_flip_strategy()
-        built["target"] = CQBox.from_pure(
-            (2, 2),
-            {
-                (x, y): bell_state(x * y)
-                for x, y in itertools.product(range(2), range(2))
-            },
-        )
-    elif name == "sign-flip":
-        built["strategy"] = sign_flip_strategy(args.alpha, args.beta)
-        built["target"] = phase_family_box(
-            lambda x, y: math.pi * x * y, args.alpha, args.beta
-        )
-        built["parameters"] = {"alpha": args.alpha, "beta": args.beta}
-    elif name == "phase":
-        built["strategy"] = rational_phase_strategy(args.m, args.n, args.alpha, args.beta)
-        built["target"] = phase_family_box(
+def _target_file(args) -> tuple[CQBox, dict]:
+    """Load --target as a quantum-output box, with the report fields that
+    record it as the construction's parameter and input file."""
+    if not args.target:
+        raise ValueError(f"{args.construction} requires --target")
+    box = load_box(args.target)
+    if not isinstance(box, CQBox):
+        raise ValueError(f"{args.construction} needs a quantum-output target box")
+    return box, {"target": box, "parameters": {"target": args.target}, "files": (args.target,)}
+
+
+def _bit_flip(args) -> dict:
+    target = CQBox.from_pure(
+        (2, 2),
+        {(x, y): bell_state(x * y) for x, y in itertools.product(range(2), range(2))},
+    )
+    return {"strategy": bit_flip_strategy(), "target": target}
+
+
+def _sign_flip(args) -> dict:
+    return {
+        "strategy": sign_flip_strategy(args.alpha, args.beta),
+        "target": phase_family_box(lambda x, y: math.pi * x * y, args.alpha, args.beta),
+        "parameters": {"alpha": args.alpha, "beta": args.beta},
+    }
+
+
+def _phase(args) -> dict:
+    return {
+        "strategy": rational_phase_strategy(args.m, args.n, args.alpha, args.beta),
+        "target": phase_family_box(
             lambda x, y: 2 * math.pi * args.m * x * y / args.n, args.alpha, args.beta
-        )
-        built["parameters"] = {
-            "m": args.m, "n": args.n, "alpha": args.alpha, "beta": args.beta,
-        }
-    elif name == "irrational-phase":
-        strategy, bound = irrational_phase_strategy(
-            args.theta, args.n, args.alpha, args.beta
-        )
-        built["strategy"] = strategy
-        built["target"] = phase_family_box(
+        ),
+        "parameters": {"m": args.m, "n": args.n, "alpha": args.alpha, "beta": args.beta},
+    }
+
+
+def _irrational_phase(args) -> dict:
+    strategy, bound = irrational_phase_strategy(args.theta, args.n, args.alpha, args.beta)
+    return {
+        "strategy": strategy,
+        "target": phase_family_box(
             lambda x, y: 2 * math.pi * args.theta * x * y, args.alpha, args.beta
-        )
+        ),
         # bound limits the infidelity; for pure states the trace distance
         # is sqrt(1 - fidelity)
-        built["tolerance"] = min(1.0, math.sqrt(bound))
-        built["parameters"] = {
-            "theta": args.theta, "n": args.n, "alpha": args.alpha, "beta": args.beta,
-        }
-        built["certificate"] = {
+        "tolerance": min(1.0, math.sqrt(bound)),
+        "parameters": {"theta": args.theta, "n": args.n, "alpha": args.alpha, "beta": args.beta},
+        "certificate": {
             "error_bound": bound,
             "numerator": round(args.n * args.theta),
             "denominator": args.n,
+        },
+    }
+
+
+def _max_entangled(args) -> dict:
+    if args.target:
+        target, built = _target_file(args)
+        targets, n = _unitaries_from_box(target)
+    else:
+        n = args.n
+        rng = np.random.default_rng(args.seed)
+        targets = {
+            key: haar_unitary(n, rng).matrix for key in itertools.product(range(2), range(2))
         }
-    elif name == "max-entangled":
-        if args.target:
-            target_box = _load_cq_target(args.target, name)
-            targets, n = _unitaries_from_box(target_box)
-            built["parameters"] = {"target": args.target}
-            built["files"] = (args.target,)
-        else:
-            n = args.n
-            rng = np.random.default_rng(args.seed)
-            targets = {
-                key: haar_unitary(n, rng).matrix
-                for key in itertools.product(range(2), range(2))
-            }
-            target_box = unitary_family_box(targets, n)
-            built["parameters"] = {"n": n}
-        built["strategy"] = max_entangled_strategy(
-            targets, n, target_box.input_sizes
-        )
-        built["target"] = target_box
-    elif name == "eight-output":
-        strategy = eight_output_strategy()
-        built["strategy"] = strategy
-        built["target"] = unitary_family_box(eight_output_targets(), 2, (2, 3))
-        built["certificate"] = {
-            "pairings": {
-                ",".join(map(str, key)): bijection.tolist()
-                for key, bijection in sorted(strategy.ccbox.bijections.items())
-            }
-        }
-    elif name == "nonmax-pure":
-        weights = _parse_weights(args.weights)
-        phases = _parse_phases(args.phases)
-        built["strategy"] = nonmax_pure_strategy(weights, phases)
-        built["target"] = _nonmax_target(weights, phases)
-        built["parameters"] = {
+        target = unitary_family_box(targets, n)
+        built = {"target": target, "parameters": {"n": n}}
+    return {**built, "strategy": max_entangled_strategy(targets, n, target.input_sizes)}
+
+
+def _eight_output(args) -> dict:
+    strategy = eight_output_strategy()
+    pairings = sorted(strategy.ccbox.bijections.items())
+    return {
+        "strategy": strategy,
+        "target": unitary_family_box(eight_output_targets(), 2, (2, 3)),
+        "certificate": {
+            "pairings": {",".join(map(str, key)): pi.tolist() for key, pi in pairings}
+        },
+    }
+
+
+def _nonmax_pure(args) -> dict:
+    weights = _parse_weights(args.weights)
+    phases = _parse_phases(args.phases)
+    return {
+        "strategy": nonmax_pure_strategy(weights, phases),
+        "target": _nonmax_target(weights, phases),
+        "parameters": {
             "weights": weights,
             "phases": {",".join(map(str, k)): str(v) for k, v in sorted(phases.items())},
-        }
-    elif name == "general-pure":
-        target_box = _load_cq_target(args.target, name)
-        built["strategy"] = general_pure_strategy(target_box)
-        built["target"] = target_box
-        built["parameters"] = {"target": args.target}
-        built["files"] = (args.target,)
-    elif name == "mixed-disordered":
-        target_box = _load_cq_target(args.target, name)
-        schedule, strategies = mixed_disordered_strategy(target_box)
-        built["strategy"] = (schedule, strategies)
-        built["target"] = target_box
-        built["tolerance"] = 1e-8
-        built["parameters"] = {"target": args.target}
-        built["files"] = (args.target,)
-        built["certificate"] = {
+        },
+    }
+
+
+def _general_pure(args) -> dict:
+    target, built = _target_file(args)
+    return {**built, "strategy": general_pure_strategy(target)}
+
+
+def _mixed_disordered(args) -> dict:
+    target, built = _target_file(args)
+    schedule, strategies = mixed_disordered_strategy(target)
+    return {
+        **built,
+        "strategy": (schedule, strategies),
+        "tolerance": 1e-8,
+        "certificate": {
             "intervals": len(schedule.intervals),
             "interval_weights": list(schedule.weights),
-        }
-    elif name == "ghz-phase":
-        built["strategy"] = ghz_phase_strategy(args.m, args.n)
-        built["target"] = ghz_phase_box(2 * math.pi * args.m / args.n)
-        built["parameters"] = {"m": args.m, "n": args.n}
-    else:
-        raise ValueError(f"unknown construction '{name}'")
-    return built
+        },
+    }
+
+
+def _ghz_phase(args) -> dict:
+    return {
+        "strategy": ghz_phase_strategy(args.m, args.n),
+        "target": ghz_phase_box(2 * math.pi * args.m / args.n),
+        "parameters": {"m": args.m, "n": args.n},
+    }
+
+
+# construction name -> builder; a builder returns the strategy and the
+# analytic target, plus the report fields that differ from _SYNTH_DEFAULTS
+_CONSTRUCTIONS = {
+    "bit-flip": _bit_flip,
+    "sign-flip": _sign_flip,
+    "phase": _phase,
+    "irrational-phase": _irrational_phase,
+    "max-entangled": _max_entangled,
+    "eight-output": _eight_output,
+    "nonmax-pure": _nonmax_pure,
+    "general-pure": _general_pure,
+    "mixed-disordered": _mixed_disordered,
+    "ghz-phase": _ghz_phase,
+}
+_SYNTH_DEFAULTS = {"tolerance": 1e-9, "parameters": {}, "certificate": None, "files": ()}
 
 
 def _cmd_synth(args) -> tuple[dict, int]:
-    built = _build_synth(args)
+    built = {**_SYNTH_DEFAULTS, **_CONSTRUCTIONS[args.construction](args)}
     strategy = built["strategy"]
     if isinstance(strategy, tuple):  # mixed-disordered: one strategy per interval
         schedule, strategies = strategy
@@ -486,21 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser(
         "synth", parents=[common], help="synthesise a family and compare it to its analytic target"
     )
-    synth.add_argument(
-        "construction",
-        choices=[
-            "bit-flip",
-            "sign-flip",
-            "phase",
-            "irrational-phase",
-            "max-entangled",
-            "eight-output",
-            "nonmax-pure",
-            "general-pure",
-            "mixed-disordered",
-            "ghz-phase",
-        ],
-    )
+    synth.add_argument("construction", choices=list(_CONSTRUCTIONS))
     synth.add_argument("--alpha", type=float, default=1 / math.sqrt(2))
     synth.add_argument("--beta", type=float, default=1 / math.sqrt(2))
     synth.add_argument("--m", type=int, default=1, help="phase numerator")

@@ -114,15 +114,15 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         raise BoxDocumentError("field 'metadata' must be an object")
     kind = _require(doc, "kind")
     if kind == "cc":
-        input_sizes = tuple(_require(doc, "input_sizes"))
-        output_sizes = tuple(_require(doc, "output_sizes"))
+        input_sizes = _require(doc, "input_sizes")
+        output_sizes = _require(doc, "output_sizes")
         table = np.asarray(_require(doc, "table"), dtype=float)
         try:
             return CCBox(input_sizes, output_sizes, table)
         except ValueError as exc:
             raise BoxDocumentError(f"invalid classical box table: {exc}") from exc
     if kind == "cq":
-        input_sizes = tuple(_require(doc, "input_sizes"))
+        input_sizes = _require(doc, "input_sizes")
         parties = _require(doc, "parties")
         try:
             labels = tuple(str(p["label"]) for p in parties)

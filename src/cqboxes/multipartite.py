@@ -12,21 +12,20 @@ numerically.
 GHZ phase families (|000> + e^{i theta x y z} |111>)/sqrt2 behave in the
 opposite way: they are non-signalling for every theta, and realising the
 three-input product phase requires a genuinely correlated classical box,
-built here from a three-party modular constraint.
+the three-party modular box.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from cqboxes.boxes import CCBox, CQBox, cq_no_signalling
-from cqboxes.quantum import PartyStructure, StateVector
-from cqboxes.synthesis import Strategy
+from cqboxes.boxes import CQBox, cq_no_signalling
+from cqboxes.quantum import PartyStructure, StateVector, wrap_angle
+from cqboxes.synthesis import Strategy, modular_phase_strategy
 
 __all__ = [
     "PhaseAssignment",
@@ -35,14 +34,9 @@ __all__ = [
     "w_phase_box",
     "is_local_equivalent",
     "w_phase_theorem_check",
-    "ghz_mod_box",
     "ghz_phase_box",
     "ghz_phase_strategy",
 ]
-
-
-def _wrap(angles: np.ndarray) -> np.ndarray:
-    return (np.asarray(angles, dtype=float) + math.pi) % (2 * math.pi) - math.pi
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,13 @@ def is_local_equivalent(
     d_ab = assignment.alpha - assignment.beta
     d_ac = assignment.alpha - assignment.gamma
 
-    a = np.array([0.0, _wrap(d_ab[1, 0, 0] - d_ab[0, 0, 0]).item()])
+    a = np.array([0.0, wrap_angle(d_ab[1, 0, 0] - d_ab[0, 0, 0]).item()])
     b = np.array([-d_ab[0, 0, 0], -d_ab[0, 1, 0]])
     c = np.array([-d_ac[0, 0, 0], -d_ac[0, 0, 1]])
 
     xs, ys, zs = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-    residual_ab = _wrap(d_ab - (a[xs] - b[ys]))
-    residual_ac = _wrap(d_ac - (a[xs] - c[zs]))
+    residual_ab = wrap_angle(d_ab - (a[xs] - b[ys]))
+    residual_ac = wrap_angle(d_ac - (a[xs] - c[zs]))
     worst = max(np.max(np.abs(residual_ab)), np.max(np.abs(residual_ac)))
     if worst > tol:
         return None
@@ -227,12 +221,8 @@ def w_phase_theorem_check(
         range(3), range(6), deltas, (False, True)
     ):
         subset = _monomials_for(ket)[monomial]
-        grids = [np.zeros((2, 2, 2)) for _ in range(3)]
-        if dressed:
-            xs, ys, zs = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-            grids[0] = grids[0] + dressing[0][xs]
-            grids[1] = grids[1] + dressing[1][ys]
-            grids[2] = grids[2] + dressing[2][zs]
+        local = _local_assignment(*(dressing if dressed else np.zeros((3, 2))))
+        grids = [local.alpha, local.beta, local.gamma]
         bump = np.ones((2, 2, 2))
         coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
         for variable in subset:
@@ -271,19 +261,6 @@ def w_phase_theorem_check(
     )
 
 
-def ghz_mod_box(n: int) -> CCBox:
-    """Three-party box over outputs 0..n-1 with uniform weight 1/n^2 on
-    triples satisfying (a - b - c) mod n = x y z, binary inputs."""
-    if n < 2:
-        raise ValueError(f"output alphabet must have at least 2 symbols, got {n}")
-    table = np.zeros((2, 2, 2, n, n, n))
-    for x, y, z in itertools.product(range(2), repeat=3):
-        for b, c in itertools.product(range(n), range(n)):
-            a = (b + c + x * y * z) % n
-            table[x, y, z, a, b, c] = 1.0 / n**2
-    return CCBox((2, 2, 2), (n, n, n), table)
-
-
 def ghz_phase_box(theta: float) -> CQBox:
     """The family (|000> + e^{i theta x y z} |111>)/sqrt2, non-signalling
     for every theta since all proper reductions are input-independent."""
@@ -305,23 +282,8 @@ def ghz_phase_strategy(m: int, n: int) -> Strategy:
     Charlie retard theirs, so the product state phase telescopes to the
     target on |111> and cancels elsewhere.
     """
-    if n < 2:
-        raise ValueError(f"denominator must be at least 2, got {n}")
-    phase = Fraction(m % n, n)  # m = 0 still needs the binary box
-    m_red, n_red = phase.numerator, max(phase.denominator, 2)
-
-    def party(sign: int) -> Callable[[int, int], np.ndarray]:
-        def apply(_inp: int, out: int) -> np.ndarray:
-            return np.diag([1.0, np.exp(sign * 2j * math.pi * out * m_red / n_red)])
-
-        return apply
-
     shared = StateVector(
         np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / math.sqrt(2),
         PartyStructure.qubits("ABC"),
     )
-    return Strategy(
-        ccbox=ghz_mod_box(n_red),
-        shared=shared,
-        party_maps=(party(+1), party(-1), party(-1)),
-    )
+    return modular_phase_strategy(m, n, shared)

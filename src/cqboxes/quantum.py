@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,9 +27,13 @@ __all__ = [
     "DensityMatrix",
     "UnitaryOperator",
     "SchmidtForm",
+    "PAULI",
+    "as_matrix",
+    "kron_all",
     "tensor",
     "partial_trace",
     "partial_trace_array",
+    "apply_axis",
     "apply_local",
     "fidelity",
     "trace_distance",
@@ -36,11 +41,14 @@ __all__ = [
     "basis_state",
     "bell_state",
     "phi_plus",
+    "two_level_state",
     "w_state",
     "pauli_x",
     "pauli_z_power",
     "phase_diag",
     "su2",
+    "wrap_angle",
+    "haar_matrix",
     "haar_unitary",
     "schmidt",
     "check_uu_star_invariance",
@@ -160,10 +168,6 @@ class UnitaryOperator:
         if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > TOLERANCE:
             raise ValueError("matrix is not unitary within tolerance")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SchmidtForm:
@@ -195,8 +199,15 @@ def _as_density(state: StateLike) -> DensityMatrix:
     return state.density() if isinstance(state, StateVector) else state
 
 
-def _unitary_matrix(u: UnitaryOperator | np.ndarray) -> np.ndarray:
-    return u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
+def as_matrix(obj: object) -> np.ndarray:
+    """Complex array of a plain array or of a wrapper with a ``matrix``
+    attribute, such as ``UnitaryOperator``."""
+    return np.asarray(getattr(obj, "matrix", obj), dtype=complex)
+
+
+def kron_all(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the arrays, first one most significant."""
+    return reduce(np.kron, arrays)
 
 
 def tensor(states: Sequence[StateLike]) -> StateLike:
@@ -215,14 +226,8 @@ def tensor(states: Sequence[StateLike]) -> StateLike:
             f"composite dimension {structure.total_dim} exceeds cap {MAX_TENSOR_DIM}"
         )
     if isinstance(states[0], StateVector):
-        amp = states[0].amplitudes
-        for s in states[1:]:
-            amp = np.kron(amp, s.amplitudes)
-        return StateVector(amp, structure)
-    mat = states[0].matrix
-    for s in states[1:]:
-        mat = np.kron(mat, s.matrix)
-    return DensityMatrix(mat, structure)
+        return StateVector(kron_all([s.amplitudes for s in states]), structure)
+    return DensityMatrix(kron_all([s.matrix for s in states]), structure)
 
 
 def partial_trace_array(
@@ -252,14 +257,15 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(partial_trace_array(rho.matrix, structure.dims, keep_idx), sub)
 
 
-def _apply_axis(tensor_arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+def apply_axis(tensor_arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Apply ``mat`` to one axis of a tensor, leaving the axis order."""
     moved = np.tensordot(mat, tensor_arr, axes=([1], [axis]))
     return np.moveaxis(moved, 0, axis)
 
 
 def apply_local(state: StateLike, party: str, u: UnitaryOperator | np.ndarray) -> StateLike:
     """Apply a unitary to one party of a pure or mixed state."""
-    mat = _unitary_matrix(u)
+    mat = as_matrix(u)
     structure = state.structure
     j = structure.index_of(party)
     dims = structure.dims
@@ -269,12 +275,12 @@ def apply_local(state: StateLike, party: str, u: UnitaryOperator | np.ndarray) -
         )
     if isinstance(state, StateVector):
         t = state.amplitudes.reshape(dims)
-        t = _apply_axis(t, mat, j)
+        t = apply_axis(t, mat, j)
         return StateVector(t.reshape(-1), structure)
     k = len(dims)
     t = state.matrix.reshape(dims + dims)
-    t = _apply_axis(t, mat, j)
-    t = _apply_axis(t, mat.conj(), j + k)
+    t = apply_axis(t, mat, j)
+    t = apply_axis(t, mat.conj(), j + k)
     d = structure.total_dim
     return DensityMatrix(t.reshape(d, d), structure)
 
@@ -354,6 +360,15 @@ def phi_plus(n: int) -> StateVector:
     return StateVector(amp, PartyStructure.pair(n))
 
 
+def two_level_state(alpha: complex, beta: complex) -> StateVector:
+    """alpha |00> + beta |11> on two qubits."""
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TOLERANCE:
+        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+    return StateVector(
+        np.array([alpha, 0, 0, beta], dtype=complex), PartyStructure.pair(2)
+    )
+
+
 def w_state() -> StateVector:
     """Three-qubit state (|100>+|010>+|001>)/sqrt3."""
     amp = np.zeros(8, dtype=complex)
@@ -375,7 +390,8 @@ def phase_diag(angles: Sequence[float]) -> UnitaryOperator:
     return UnitaryOperator(np.diag(np.exp(1j * np.asarray(angles, dtype=float))))
 
 
-_PAULI = (
+# Pauli X, Y, Z
+PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
@@ -388,13 +404,19 @@ def su2(axis: Sequence[float], angle: float) -> UnitaryOperator:
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > TOLERANCE:
         raise ValueError(f"axis must be a unit 3-vector, got {axis}")
-    nsigma = n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
+    nsigma = n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
     return UnitaryOperator(
         math.cos(angle / 2) * np.eye(2, dtype=complex) - 1j * math.sin(angle / 2) * nsigma
     )
 
 
-def _haar_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+def wrap_angle(angles: object) -> np.ndarray:
+    """Angles (radians) wrapped into [-pi, pi)."""
+    return (np.asarray(angles, dtype=float) + math.pi) % (2 * math.pi) - math.pi
+
+
+def haar_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x n unitary as a plain array, unvalidated."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -409,7 +431,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> UnitaryOperator:
     under left and right multiplication by fixed unitaries.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return UnitaryOperator(_haar_matrix(n, rng))
+    return UnitaryOperator(haar_matrix(n, rng))
 
 
 def schmidt(state: StateVector, degeneracy_tol: float = 1e-7) -> SchmidtForm:
@@ -442,7 +464,7 @@ def schmidt(state: StateVector, degeneracy_tol: float = 1e-7) -> SchmidtForm:
 
 def check_uu_star_invariance(u: UnitaryOperator | np.ndarray, n: int) -> float:
     """Norm of (U x conj(U)) |phi+_n> - |phi+_n>; zero for any unitary U."""
-    mat = _unitary_matrix(u)
+    mat = as_matrix(u)
     if mat.shape != (n, n):
         raise ValueError(f"expected an {n} x {n} unitary, got shape {mat.shape}")
     phi = phi_plus(n).amplitudes

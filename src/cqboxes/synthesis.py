@@ -37,18 +37,21 @@ from cqboxes.boxes import (
     pr_box,
 )
 from cqboxes.quantum import (
+    PAULI,
     TOLERANCE,
     DensityMatrix,
     PartyStructure,
     StateVector,
     UnitaryOperator,
-    _apply_axis,
+    apply_axis,
+    as_matrix,
     bell_state,
     partial_trace,
     pauli_x,
     pauli_z_power,
     phi_plus,
     schmidt,
+    two_level_state,
 )
 
 __all__ = [
@@ -60,6 +63,7 @@ __all__ = [
     "unitary_family_box",
     "bit_flip_strategy",
     "sign_flip_strategy",
+    "modular_phase_strategy",
     "rational_phase_strategy",
     "irrational_phase_strategy",
     "max_entangled_strategy",
@@ -74,14 +78,9 @@ __all__ = [
 PartyMap = Callable[[int, object], np.ndarray]
 
 
-def _matrix_of(obj: object) -> np.ndarray:
-    """Accept plain arrays and UnitaryOperator-like wrappers alike."""
-    return np.asarray(getattr(obj, "matrix", obj), dtype=complex)
-
-
 @dataclass(frozen=True)
 class Strategy:
-    """Classical box + shared state + output-conditioned local unitaries.
+    """Classical box + shared pure state + output-conditioned local unitaries.
 
     ``party_maps[j]`` receives (input symbol, output symbol) and returns
     the unitary party j applies.  For finite boxes the output symbol is an
@@ -90,10 +89,12 @@ class Strategy:
     """
 
     ccbox: CCBox | CouplingBox | HaarCouplingBox
-    shared: StateVector | DensityMatrix
+    shared: StateVector
     party_maps: tuple[PartyMap, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shared, StateVector):
+            raise TypeError(f"shared state must be a StateVector, got {type(self.shared).__name__}")
         parties = len(self.ccbox.input_sizes)
         if len(self.party_maps) != parties:
             raise ValueError(f"expected {parties} party maps, got {len(self.party_maps)}")
@@ -108,15 +109,8 @@ class Strategy:
 def _apply_each_party(amp: np.ndarray, dims: tuple[int, ...], mats: Sequence[np.ndarray]) -> np.ndarray:
     t = amp.reshape(dims)
     for j, m in enumerate(mats):
-        t = _apply_axis(t, np.asarray(m, dtype=complex), j)
+        t = apply_axis(t, np.asarray(m, dtype=complex), j)
     return t.reshape(-1)
-
-
-def _full_operator(mats: Sequence[np.ndarray]) -> np.ndarray:
-    full = np.array([[1.0]], dtype=complex)
-    for m in mats:
-        full = np.kron(full, np.asarray(m, dtype=complex))
-    return full
 
 
 def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox:
@@ -141,7 +135,6 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
     table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
     structure = strategy.shared.structure
     dims = structure.dims
-    pure_shared = isinstance(strategy.shared, StateVector)
     outputs = {}
     for key in np.ndindex(*table_box.input_sizes):
         mat = np.zeros((structure.total_dim,) * 2, dtype=complex)
@@ -151,12 +144,8 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
             mats = [
                 strategy.party_maps[j](key[j], int(out_key[j])) for j in range(len(dims))
             ]
-            if pure_shared:
-                vec = _apply_each_party(strategy.shared.amplitudes, dims, mats)
-                mat += p * np.outer(vec, vec.conj())
-            else:
-                full = _full_operator(mats)
-                mat += p * (full @ strategy.shared.matrix @ full.conj().T)
+            vec = _apply_each_party(strategy.shared.amplitudes, dims, mats)
+            mat += p * np.outer(vec, vec.conj())
         outputs[key] = DensityMatrix(mat, structure)
     return CQBox(strategy.input_sizes, structure, outputs)
 
@@ -168,8 +157,6 @@ def sample_states(
     coupling = strategy.ccbox
     if not isinstance(coupling, HaarCouplingBox):
         raise TypeError("sample_states applies only to Haar-coupling strategies")
-    if not isinstance(strategy.shared, StateVector):
-        raise TypeError("Haar-coupling strategies require a pure shared state")
     if samples < 1:
         raise ValueError("at least one sample required")
     rng = np.random.default_rng(seed)
@@ -195,14 +182,6 @@ def _passthrough(_inp: int, out: object) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def _two_level_state(alpha: complex, beta: complex) -> StateVector:
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TOLERANCE:
-        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    return StateVector(
-        np.array([alpha, 0, 0, beta], dtype=complex), PartyStructure.pair(2)
-    )
-
-
 def phase_family_box(
     phase: Callable[[int, int], float], alpha: complex, beta: complex
 ) -> CQBox:
@@ -226,7 +205,7 @@ def unitary_family_box(
     phi = phi_plus(n)
     states = {}
     for key in np.ndindex(*input_sizes):
-        mat = _matrix_of(get(key))
+        mat = as_matrix(get(key))
         amp = (mat @ phi.amplitudes.reshape(n, n)).reshape(-1)
         states[key] = StateVector(amp, phi.structure)
     return CQBox.from_pure(tuple(input_sizes), states)
@@ -262,30 +241,42 @@ def sign_flip_strategy(alpha: complex, beta: complex) -> Strategy:
     return rational_phase_strategy(1, 2, alpha, beta)
 
 
-def rational_phase_strategy(m: int, n: int, alpha: complex, beta: complex) -> Strategy:
-    """Realise alpha |00> + beta e^{i 2 pi (m/n) x y} |11> exactly.
+def modular_phase_strategy(m: int, n: int, shared: StateVector) -> Strategy:
+    """Put the phase 2 pi (m/n) x_1 ... x_k on the |1...1> term of a shared
+    k-qubit state alpha |0...0> + beta |1...1>.
 
-    Uses the n-output box with (a - b) mod n = x y; Alice applies
-    diag(1, e^{i 2 pi a m / n}), Bob diag(1, e^{-i 2 pi b m / n}).  The
-    fraction m/n is reduced first, so resources match the reduced
-    denominator.
+    Uses the n-output modular box with (a_1 - a_2 - ... - a_k) mod n =
+    x_1 ... x_k; party 1 applies diag(1, e^{i 2 pi a_1 m / n}), every
+    other party diag(1, e^{-i 2 pi a_j m / n}), so the phases telescope to
+    the target on |1...1>.  The fraction m/n is reduced first, so
+    resources match the reduced denominator.
     """
     if n < 2:
         raise ValueError(f"denominator must be at least 2, got {n}")
     phase = Fraction(m % n, n)  # m = 0 still needs the binary box
     m_red, n_red = phase.numerator, max(phase.denominator, 2)
 
-    def alice(_x: int, a: int) -> np.ndarray:
-        return np.diag([1.0, np.exp(2j * math.pi * a * m_red / n_red)])
+    def party(sign: int) -> PartyMap:
+        def apply(_inp: int, out: int) -> np.ndarray:
+            return np.diag([1.0, np.exp(sign * 2j * math.pi * out * m_red / n_red)])
 
-    def bob(_y: int, b: int) -> np.ndarray:
-        return np.diag([1.0, np.exp(-2j * math.pi * b * m_red / n_red)])
+        return apply
 
+    parties = len(shared.structure.parties)
     return Strategy(
-        ccbox=mod_box(n_red),
-        shared=_two_level_state(alpha, beta),
-        party_maps=(alice, bob),
+        ccbox=mod_box(n_red, parties),
+        shared=shared,
+        party_maps=(party(+1),) + (party(-1),) * (parties - 1),
     )
+
+
+def rational_phase_strategy(m: int, n: int, alpha: complex, beta: complex) -> Strategy:
+    """Realise alpha |00> + beta e^{i 2 pi (m/n) x y} |11> exactly.
+
+    Uses the n-output box with (a - b) mod n = x y; Alice applies
+    diag(1, e^{i 2 pi a m / n}), Bob diag(1, e^{-i 2 pi b m / n}).
+    """
+    return modular_phase_strategy(m, n, two_level_state(alpha, beta))
 
 
 def irrational_phase_strategy(
@@ -324,7 +315,7 @@ def max_entangled_strategy(
     get = targets if callable(targets) else (lambda key: targets[key])
 
     def relabel(key: tuple[int, ...]) -> np.ndarray:
-        mat = _matrix_of(get(key))
+        mat = as_matrix(get(key))
         if mat.shape != (n, n):
             raise ValueError(f"target for input {key} must be {n} x {n}, got {mat.shape}")
         return mat
@@ -470,9 +461,7 @@ def nonmax_pure_strategy(
         get_phase(1, 1, i) - get_phase(1, 0, i) - get_phase(0, 1, i) + get_phase(0, 0, i)
         for i in range(n)
     ]
-    denominator = 1
-    for t in interaction:
-        denominator = denominator * t.denominator // math.gcd(denominator, t.denominator)
+    denominator = math.lcm(*(t.denominator for t in interaction))
     steps = [int(t * denominator) for t in interaction]
 
     local_a = local_a or (lambda _x: np.eye(n, dtype=complex))
@@ -482,14 +471,14 @@ def nonmax_pure_strategy(
         turns = [
             a * steps[i] / denominator + float(get_phase(x, 0, i)) for i in range(n)
         ]
-        return _matrix_of(local_a(x)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
+        return as_matrix(local_a(x)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
 
     def bob(y: int, b: int) -> np.ndarray:
         turns = [
             -b * steps[i] / denominator + float(get_phase(0, y, i) - get_phase(0, 0, i))
             for i in range(n)
         ]
-        return _matrix_of(local_b(y)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
+        return as_matrix(local_b(y)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
 
     if denominator == 1:
         table = np.full((2, 2, 1, 1), 1.0)
@@ -590,18 +579,12 @@ def general_pure_strategy(targets: CQBox, tol: float = TOLERANCE) -> Strategy:
     return Strategy(ccbox=coupling, shared=reference, party_maps=(alice, bob))
 
 
-_PAULI_XYZ = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 # Bell state i equals (B_i x 1)|phi+> for these local unitaries
 _BELL_LOCALS = (
     np.eye(2, dtype=complex),
-    _PAULI_XYZ[0],
-    _PAULI_XYZ[2],
-    _PAULI_XYZ[2] @ _PAULI_XYZ[0],
+    PAULI[0],
+    PAULI[2],
+    PAULI[2] @ PAULI[0],
 )
 
 
@@ -610,14 +593,14 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
 
     x, y, z, w = Rotation.from_matrix(rot).as_quat()
     return w * np.eye(2, dtype=complex) - 1j * (
-        x * _PAULI_XYZ[0] + y * _PAULI_XYZ[1] + z * _PAULI_XYZ[2]
+        x * PAULI[0] + y * PAULI[1] + z * PAULI[2]
     )
 
 
 def _correlation_matrix(rho: np.ndarray) -> np.ndarray:
     t = np.empty((3, 3))
     for i, j in itertools.product(range(3), range(3)):
-        t[i, j] = np.real(np.trace(rho @ np.kron(_PAULI_XYZ[i], _PAULI_XYZ[j])))
+        t[i, j] = np.real(np.trace(rho @ np.kron(PAULI[i], PAULI[j])))
     return t
 
 

@@ -14,6 +14,7 @@ from cqboxes.boxes import (
     CCBox,
     CouplingBox,
     CQBox,
+    HaarCouplingBox,
     NoSignallingReport,
     Witness,
     cc_no_signalling,
@@ -21,7 +22,6 @@ from cqboxes.boxes import (
     coupling_to_ccbox,
     cq_box_distance,
     cq_no_signalling,
-    haar_coupling,
     induced_ccbox,
     mix_boxes,
     mod_box,
@@ -74,9 +74,23 @@ class TestCCBoxTables:
         assert box.probability((1, 1), (3, 1)) == pytest.approx(0.0, abs=1e-15)
         assert box.probability((0, 1), (3, 3)) == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mod_box_matches_entry_loops(self, n):
+        two = np.zeros((2, 2, n, n))
+        for x, y, a, b in itertools.product(range(2), range(2), range(n), range(n)):
+            if (a - b) % n == x * y:
+                two[x, y, a, b] = 1.0 / n
+        three = np.zeros((2, 2, 2, n, n, n))
+        for x, y, z, b, c in itertools.product(range(2), range(2), range(2), range(n), range(n)):
+            three[x, y, z, (b + c + x * y * z) % n, b, c] = 1.0 / n**2
+        assert np.array_equal(mod_box(n).table, two)
+        assert np.array_equal(mod_box(n, parties=3).table, three)
+
     def test_mod_box_rejects_small_alphabet(self):
         with pytest.raises(ValueError):
             mod_box(1)
+        with pytest.raises(ValueError, match="parties"):
+            mod_box(3, parties=1)
 
     def test_table_validation(self):
         bad = np.zeros((2, 2, 2, 2))
@@ -87,6 +101,10 @@ class TestCCBoxTables:
         neg[0, 0, 1, 1] = 0.75
         with pytest.raises(ValueError):
             CCBox((2, 2), (2, 2), neg)
+        with pytest.raises(ValueError, match="input_sizes"):
+            CCBox((0, 2), (2, 2), np.zeros((0, 2, 2, 2)))
+        with pytest.raises(ValueError, match="output_sizes"):
+            CCBox((2, 2), (2, 1.5), bad)
 
     def test_constructors_pass_no_signalling_tightly(self):
         for box in (pr_box(), mod_box(3), mod_box(5)):
@@ -145,7 +163,7 @@ class TestCouplingBox:
 class TestHaarCoupling:
     def test_pair_relation(self):
         target = haar_unitary(3, 5).matrix
-        coupling = haar_coupling(3, lambda key: target if key == (1, 1) else np.eye(3))
+        coupling = HaarCouplingBox(3, (2, 2), lambda key: target if key == (1, 1) else np.eye(3))
         rng = np.random.default_rng(0)
         base = coupling.draw_base(rng)
         u_a, u_b = coupling.sample_pair((1, 1), base)
@@ -155,7 +173,7 @@ class TestHaarCoupling:
         np.testing.assert_allclose(u_a0, base.conj(), atol=1e-14)
 
     def test_block_structure(self):
-        coupling = haar_coupling(4, lambda key: np.eye(4), block_dims=(2, 2))
+        coupling = HaarCouplingBox(4, (2, 2), lambda key: np.eye(4), block_dims=(2, 2))
         base = coupling.draw_base(np.random.default_rng(1))
         np.testing.assert_allclose(base[:2, 2:], 0, atol=1e-15)
         np.testing.assert_allclose(base[2:, :2], 0, atol=1e-15)
@@ -163,7 +181,7 @@ class TestHaarCoupling:
             np.testing.assert_allclose(block @ block.conj().T, np.eye(2), atol=1e-12)
 
     def test_base_stream_input_independent(self):
-        coupling = haar_coupling(2, lambda key: np.eye(2))
+        coupling = HaarCouplingBox(2, (2, 2), lambda key: np.eye(2))
         base1 = coupling.draw_base(np.random.default_rng(9))
         base2 = coupling.draw_base(np.random.default_rng(9))
         np.testing.assert_array_equal(base1, base2)
@@ -325,6 +343,13 @@ class TestCQBoxType:
     def test_missing_input_rejected(self):
         with pytest.raises(ValueError):
             CQBox((2, 2), AB, {(0, 0): bell_state(0).density()})
+
+    def test_sizes_and_keys_validated(self):
+        outputs = {key: bell_state(0).density() for key in itertools.product(range(2), range(2))}
+        with pytest.raises(ValueError, match="input_sizes"):
+            CQBox((0, 2), AB, {})
+        with pytest.raises(ValueError, match=r"output key \(2, 0\)"):
+            CQBox((2, 2), AB, {**outputs, (2, 0): bell_state(0).density()})
 
     def test_pure_output_roundtrip(self):
         box = correlated_bell_box()

@@ -12,7 +12,7 @@ from cqboxes import cli
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
-from cqboxes.quantum import DensityMatrix, PartyStructure, bell_state
+from cqboxes.quantum import DensityMatrix, PartyStructure, basis_state, bell_state
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -344,6 +344,55 @@ class TestWPhase:
         code, report, err = run(capsys, "wphase", "--mode", "single", str(path))
         assert code == 2
         assert "gamma" in err or "assignment" in err
+
+
+def _files(tmp_path) -> dict[str, str]:
+    """Input files for the usage-error cases, by placeholder name."""
+    assignment = tmp_path / "assignment.json"
+    assignment.write_text(json.dumps(assignment_doc(*[lambda x, y, z: 0.0] * 3)))
+    bad_json = tmp_path / "broken.json"
+    bad_json.write_text("{not json")
+    cc_doc = tmp_path / "pr.json"
+    save_box(pr_box(), cc_doc)
+    unequal = tmp_path / "unequal.json"
+    structure = PartyStructure.pair(2, 3)
+    save_box(
+        CQBox.from_pure(
+            (2, 2),
+            {key: basis_state(structure, (0, 0)) for key in itertools.product(range(2), range(2))},
+        ),
+        unequal,
+    )
+    return {
+        "{assignment}": str(assignment),
+        "{missing}": str(tmp_path / "absent.json"),
+        "{bad_json}": str(bad_json),
+        "{cc_doc}": str(cc_doc),
+        "{unequal}": str(unequal),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "nonmax-pure", "--weights", "0.8,x"], "--weights"),
+        (["synth", "nonmax-pure", "--phases", "[1]"], "--phases must be a JSON object"),
+        (["synth", "nonmax-pure", "--phases", '{"1,1,0": "x"}'], "bad phase entry '1,1,0'"),
+        (["synth", "nonmax-pure", "--phases", '{"1,1": "1/4"}'], "phase key '1,1'"),
+        (["bound", "--n", "2", "--kmax", "0"], "--kmax"),
+        (["wphase", "--mode", "theorem", "{assignment}"], "theorem mode takes no assignment"),
+        (["wphase", "--mode", "single", "{missing}"], "cannot read assignment"),
+        (["wphase", "--mode", "single", "{bad_json}"], "is not valid JSON"),
+        (["synth", "general-pure", "--target", "{cc_doc}"], "quantum-output target"),
+        (["synth", "max-entangled", "--target", "{unequal}"], "equal dimension"),
+    ],
+)
+def test_input_errors_exit_2(capsys, tmp_path, argv, message):
+    files = _files(tmp_path)
+    code, report, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert code == 2
+    assert report is None
+    assert message in err
 
 
 class TestContract:

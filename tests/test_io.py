@@ -1,9 +1,12 @@
 """Tests for box document serialisation."""
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from cqboxes.quantum import DensityMatrix, PartyStructure, bell_state
 from cqboxes.synthesis import rational_phase_strategy, simulate
 
 AB = PartyStructure.qubits("AB")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pure_phase_box() -> CQBox:
@@ -168,6 +172,51 @@ class TestValidation:
         assert main(["verify", str(path)]) == 2
         assert "outputs missing for inputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("cq", "input_sizes", [0, 2]),
+            ("cq", "input_sizes", [-1, 2]),
+            ("cq", "input_sizes", [2.5, 2]),
+            ("cq", "input_sizes", 2),
+            ("cq", "input_sizes", []),
+            ("cc", "input_sizes", [0, 2]),
+            ("cc", "output_sizes", [2, -1]),
+        ],
+    )
+    def test_bad_sizes_name_the_field(self, capsys, tmp_path, kind, field, value):
+        doc = box_to_document(pure_phase_box() if kind == "cq" else pr_box())
+        doc[field] = value
+        if kind == "cq":
+            doc["outputs"] = {}
+        with pytest.raises(BoxDocumentError, match=field):
+            document_to_box(doc)
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert f"{field} must be a non-empty list of positive integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key", [("2,0", "(2, 0)"), ("0", "(0,)")])
+    def test_output_key_outside_input_range(self, capsys, tmp_path, name, key):
+        doc = box_to_document(pure_phase_box())
+        doc["outputs"][name] = doc["outputs"]["0,0"]
+        with pytest.raises(BoxDocumentError, match=re.escape(f"output key {key} is outside")):
+            document_to_box(doc)
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "outside the input range" in capsys.readouterr().err
+
+    def test_huge_empty_box_names_first_missing_inputs(self):
+        doc = box_to_document(pure_phase_box())
+        doc["input_sizes"] = [100000, 100000]
+        doc["outputs"] = {}
+        with pytest.raises(BoxDocumentError) as info:
+            document_to_box(doc)
+        assert str(info.value).endswith(
+            "outputs missing for inputs [(0, 0), (0, 1), (0, 2), (0, 3)] and 9999999996 more"
+        )
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoxDocumentError, match="cannot read"):
             load_box(tmp_path / "absent.json")
@@ -197,3 +246,18 @@ class TestValidation:
         doc["metadata"] = "pr"
         with pytest.raises(BoxDocumentError, match="'metadata'"):
             document_to_box(doc)
+
+
+def test_goldens_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", ROOT / "scripts" / "make_goldens.py"
+    )
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    monkeypatch.setattr(make_goldens, "FIXTURES", tmp_path)
+    make_goldens.main()
+    fixtures = ROOT / "fixtures"
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in fixtures.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (fixtures / name).read_bytes(), name

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cqboxes.boxes import cc_no_signalling, cq_box_distance, cq_no_signalling
+from cqboxes.boxes import cc_no_signalling, cq_box_distance, cq_no_signalling, mod_box
 from cqboxes.multipartite import (
     PhaseAssignment,
-    ghz_mod_box,
     ghz_phase_box,
     ghz_phase_strategy,
     is_local_equivalent,
@@ -131,8 +130,8 @@ class TestGhz:
             assert cq_no_signalling(ghz_phase_box(theta)).passed
 
     def test_classical_driver_is_non_signalling(self):
-        assert cc_no_signalling(ghz_mod_box(2)).passed
-        assert cc_no_signalling(ghz_mod_box(3)).passed
+        assert cc_no_signalling(mod_box(2, parties=3)).passed
+        assert cc_no_signalling(mod_box(3, parties=3)).passed
 
     def test_strategy_realises_the_family_exactly(self):
         for m, n in [(1, 2), (1, 3), (2, 3)]:

@@ -578,6 +578,14 @@ class TestStrategyValidation:
                 party_maps=(lambda x, a: np.eye(2),),
             )
 
+    def test_shared_state_must_be_pure(self):
+        with pytest.raises(TypeError, match="StateVector"):
+            Strategy(
+                ccbox=pr_box(),
+                shared=bell_state(0).density(),
+                party_maps=(lambda x, a: np.eye(2),) * 2,
+            )
+
     def test_sample_states_requires_a_coupling_sampler(self):
         strategy = bit_flip_strategy()
         with pytest.raises(TypeError):
