@@ -17,11 +17,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from cqboxes.quantum import (
+    MAX_TABLE_ENTRIES,
     TOLERANCE,
     DensityMatrix,
     PartyStructure,
     StateVector,
-    haar_matrix,
+    haar_from_normals,
     kron_all,
     partial_trace_array,
     trace_distance,
@@ -162,19 +163,23 @@ class HaarCouplingBox:
         if sum(blocks) != self.dim:
             raise ValueError(f"block dimensions {blocks} do not sum to {self.dim}")
 
-    def draw_base(self, rng: np.random.Generator) -> np.ndarray:
-        """One block-diagonal Haar sample for Bob (input-independent)."""
-        v = np.zeros((self.dim, self.dim), dtype=complex)
-        offset = 0
+    def draw_base(self, rng: np.random.Generator, size: int | tuple[int, ...] = ()) -> np.ndarray:
+        """Block-diagonal Haar samples for Bob (input-independent) over the
+        leading shape ``size``; a stack of S equals S single draws, bit for bit."""
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        normals = rng.standard_normal(shape + (sum(2 * d * d for d in self.block_dims),))
+        v = np.zeros(shape + (self.dim, self.dim), dtype=complex)
+        offset = start = 0
         for d in self.block_dims:
-            v[offset : offset + d, offset : offset + d] = haar_matrix(d, rng)
-            offset += d
+            block = slice(offset, offset + d)
+            v[..., block, block] = haar_from_normals(normals[..., start : start + 2 * d * d], d)
+            offset, start = offset + d, start + 2 * d * d
         return v
 
     def sample_pair(
         self, inputs: tuple[int, ...], base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(Alice unitary, Bob unitary) for one base draw under ``inputs``."""
+        """(Alice unitary, Bob unitary) for a base draw or a stack of them."""
         u_a = np.asarray(self.relabel(inputs), dtype=complex) @ base.conj()
         u_b = base
         if self.frame_a is not None:
@@ -280,6 +285,11 @@ def mod_box(n: int, parties: int = 2) -> CCBox:
         raise ValueError(f"output alphabet must have at least 2 symbols, got {n}")
     if parties < 2:
         raise ValueError(f"at least 2 parties required, got {parties}")
+    if (2 * n) ** parties > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"output alphabet n = {n} needs a table of (2n)^{parties} entries, "
+            f"above the cap of {MAX_TABLE_ENTRIES}"
+        )
     table = np.zeros((2,) * parties + (n,) * parties)
     rest = np.ix_(*[range(n)] * (parties - 1))  # outputs of parties 2..k
     for inputs in itertools.product(range(2), repeat=parties):

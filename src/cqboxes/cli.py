@@ -40,7 +40,9 @@ from cqboxes.multipartite import (
     w_phase_box,
     w_phase_theorem_check,
 )
-from cqboxes.quantum import PartyStructure, StateVector, TOLERANCE, bell_state, haar_unitary
+from cqboxes.quantum import (
+    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, StateVector, bell_state, haar_unitary,
+)
 from cqboxes.synthesis import (
     bit_flip_strategy,
     eight_output_strategy,
@@ -229,6 +231,8 @@ def _max_entangled(args) -> dict:
         targets, n = _unitaries_from_box(target)
     else:
         n = args.n
+        if n < 1 or n * n > MAX_TENSOR_DIM:
+            raise ValueError(f"--n {n} must give a joint dimension n^2 from 1 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
         targets = {
             key: haar_unitary(n, rng).matrix for key in itertools.product(range(2), range(2))
@@ -445,6 +449,8 @@ def _cmd_wphase(args) -> tuple[dict, int]:
 
     if args.assignment:
         raise ValueError("theorem mode takes no assignment file")
+    if args.random_samples < 0:
+        raise ValueError(f"--random-samples must be non-negative, got {args.random_samples}")
     grid = [float(v) for v in args.grid.split(",")] if args.grid else None
     record = {
         "grid": grid, "random_samples": args.random_samples,

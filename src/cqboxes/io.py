@@ -116,10 +116,10 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
     if kind == "cc":
         input_sizes = _require(doc, "input_sizes")
         output_sizes = _require(doc, "output_sizes")
-        table = np.asarray(_require(doc, "table"), dtype=float)
+        table = _require(doc, "table")
         try:
-            return CCBox(input_sizes, output_sizes, table)
-        except ValueError as exc:
+            return CCBox(input_sizes, output_sizes, np.asarray(table, dtype=float))
+        except (TypeError, ValueError) as exc:
             raise BoxDocumentError(f"invalid classical box table: {exc}") from exc
     if kind == "cq":
         input_sizes = _require(doc, "input_sizes")

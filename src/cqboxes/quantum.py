@@ -18,10 +18,12 @@ import numpy as np
 
 TOLERANCE = 1e-9
 MAX_TENSOR_DIM = 4096
+MAX_TABLE_ENTRIES = 2**22  # largest classical probability table built, 32 MB of floats
 
 __all__ = [
     "TOLERANCE",
     "MAX_TENSOR_DIM",
+    "MAX_TABLE_ENTRIES",
     "PartyStructure",
     "StateVector",
     "DensityMatrix",
@@ -48,7 +50,7 @@ __all__ = [
     "phase_diag",
     "su2",
     "wrap_angle",
-    "haar_matrix",
+    "haar_from_normals",
     "haar_unitary",
     "schmidt",
     "check_uu_star_invariance",
@@ -415,12 +417,14 @@ def wrap_angle(angles: object) -> np.ndarray:
     return (np.asarray(angles, dtype=float) + math.pi) % (2 * math.pi) - math.pi
 
 
-def haar_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary as a plain array, unvalidated."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_from_normals(normals: np.ndarray, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitaries as plain arrays, unvalidated, from the
+    2 n^2 standard normals per matrix on the last axis of ``normals`` (real
+    parts of the Ginibre matrix in row-major order, then imaginary parts)."""
+    z = normals[..., : n * n] + 1j * normals[..., n * n :]
+    q, r = np.linalg.qr(z.reshape(normals.shape[:-1] + (n, n)) / math.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(n: int, seed: int | np.random.Generator) -> UnitaryOperator:
@@ -431,7 +435,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> UnitaryOperator:
     under left and right multiplication by fixed unitaries.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return UnitaryOperator(haar_matrix(n, rng))
+    return UnitaryOperator(haar_from_normals(rng.standard_normal(2 * n * n), n))
 
 
 def schmidt(state: StateVector, degeneracy_tol: float = 1e-7) -> SchmidtForm:

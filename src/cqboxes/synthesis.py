@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -84,8 +84,9 @@ class Strategy:
 
     ``party_maps[j]`` receives (input symbol, output symbol) and returns
     the unitary party j applies.  For finite boxes the output symbol is an
-    integer; for Haar couplings it is the sampled unitary itself, and the
-    map composes any input-local dressing around it.
+    integer; for Haar couplings it is a stack of sampled unitaries, shape
+    ``(S, n, n)``, and the map composes any input-local dressing around
+    each of them (under ``@`` broadcasting).
     """
 
     ccbox: CCBox | CouplingBox | HaarCouplingBox
@@ -113,6 +114,43 @@ def _apply_each_party(amp: np.ndarray, dims: tuple[int, ...], mats: Sequence[np.
     return t.reshape(-1)
 
 
+# complex entries per chunk array of Haar-coupling samples (256 KB): bounds
+# peak memory whatever the sample count; larger chunks measured no faster
+_CHUNK_ENTRIES = 2**14
+
+
+def _sampled_vectors(
+    strategy: Strategy, samples: int, seed: int
+) -> Iterator[dict[tuple[int, ...], np.ndarray]]:
+    """Per chunk of coupling draws, each input's ``(chunk, D)`` stack of
+    sampled state vectors.  Chunks are drawn in order from one stream,
+    so the samples do not depend on the chunk size."""
+    coupling = strategy.ccbox
+    if not isinstance(coupling, HaarCouplingBox):
+        raise TypeError("sample_states applies only to Haar-coupling strategies")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    structure = strategy.shared.structure
+    shared = strategy.shared.amplitudes.reshape(structure.dims)
+    alice, bob = strategy.party_maps
+    chunk = max(1, _CHUNK_ENTRIES // structure.total_dim)
+    for start in range(0, samples, chunk):
+        bases = coupling.draw_base(rng, min(chunk, samples - start))
+        vectors = {}
+        for key in np.ndindex(*coupling.input_sizes):
+            u_a, u_b = coupling.sample_pair(key, bases)
+            # (U_a x U_b) vec(M) = vec(U_a M U_b^T)
+            vecs = alice(key[0], u_a) @ shared @ np.swapaxes(bob(key[1], u_b), -1, -2)
+            vecs = vecs.reshape(len(bases), -1)
+            norms = np.linalg.norm(vecs, axis=1)
+            off = norms[np.abs(norms - 1.0) > TOLERANCE]
+            if off.size:
+                raise ValueError(f"state vector norm {off[0]} deviates from 1 beyond tolerance")
+            vectors[key] = vecs
+        yield vectors
+
+
 def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox:
     """The quantum-output box the strategy realises.
 
@@ -120,20 +158,17 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
     return the empirical mixture over ``samples`` seeded draws, with
     Bob's sample stream drawn once so that it cannot depend on inputs.
     """
+    structure = strategy.shared.structure
     if isinstance(strategy.ccbox, HaarCouplingBox):
-        per_input = sample_states(strategy, samples=samples, seed=seed)
-        structure = strategy.shared.structure
-        outputs = {}
-        for key, states in per_input.items():
-            mat = np.zeros((structure.total_dim,) * 2, dtype=complex)
-            for s in states:
-                mat += np.outer(s.amplitudes, s.amplitudes.conj())
-            outputs[key] = DensityMatrix(mat / len(states), structure)
+        mats: dict[tuple[int, ...], np.ndarray] = {}
+        for chunk in _sampled_vectors(strategy, samples, seed):
+            for key, vecs in chunk.items():
+                mats[key] = mats.get(key, 0) + vecs.T @ vecs.conj()
+        outputs = {key: DensityMatrix(mat / samples, structure) for key, mat in mats.items()}
         return CQBox(strategy.input_sizes, structure, outputs)
 
     ccbox = strategy.ccbox
     table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
-    structure = strategy.shared.structure
     dims = structure.dims
     outputs = {}
     for key in np.ndindex(*table_box.input_sizes):
@@ -154,27 +189,11 @@ def sample_states(
     strategy: Strategy, *, samples: int = 1000, seed: int = 0
 ) -> dict[tuple[int, ...], list[StateVector]]:
     """Per-input list of the pure states produced by each coupling draw."""
-    coupling = strategy.ccbox
-    if not isinstance(coupling, HaarCouplingBox):
-        raise TypeError("sample_states applies only to Haar-coupling strategies")
-    if samples < 1:
-        raise ValueError("at least one sample required")
-    rng = np.random.default_rng(seed)
-    bases = [coupling.draw_base(rng) for _ in range(samples)]
     structure = strategy.shared.structure
-    dims = structure.dims
     result: dict[tuple[int, ...], list[StateVector]] = {}
-    for key in np.ndindex(*coupling.input_sizes):
-        states = []
-        for base in bases:
-            u_a, u_b = coupling.sample_pair(key, base)
-            mats = (
-                strategy.party_maps[0](key[0], u_a),
-                strategy.party_maps[1](key[1], u_b),
-            )
-            vec = _apply_each_party(strategy.shared.amplitudes, dims, mats)
-            states.append(StateVector(vec, structure))
-        result[key] = states
+    for chunk in _sampled_vectors(strategy, samples, seed):
+        for key, vecs in chunk.items():
+            result.setdefault(key, []).extend(StateVector(vec, structure) for vec in vecs)
     return result
 
 

@@ -385,6 +385,13 @@ def _files(tmp_path) -> dict[str, str]:
         (["wphase", "--mode", "single", "{bad_json}"], "is not valid JSON"),
         (["synth", "general-pure", "--target", "{cc_doc}"], "quantum-output target"),
         (["synth", "max-entangled", "--target", "{unequal}"], "equal dimension"),
+        (["synth", "phase", "--n", "10000000"], "n = 10000000"),
+        (["synth", "irrational-phase", "--theta", "0.1234567", "--n", "10000000"], "n = 10000000"),
+        (["synth", "ghz-phase", "--n", "81"], "n = 81"),
+        (["synth", "max-entangled", "--n", "65"], "--n 65"),
+        (["synth", "max-entangled", "--n", "0"], "--n 0"),
+        (["synth", "max-entangled", "--samples", "0"], "samples must be at least 1"),
+        (["wphase", "--mode", "theorem", "--random-samples", "-3"], "--random-samples"),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):

@@ -128,6 +128,13 @@ class TestValidation:
         with pytest.raises(BoxDocumentError, match="table"):
             document_to_box(doc)
 
+    def test_cc_ragged_table_names_the_field(self):
+        doc = box_to_document(pr_box())
+        for bad in ([[1, 2], [3]], [["a", "b"]], {"0": 1}):
+            doc["table"] = bad
+            with pytest.raises(BoxDocumentError, match="invalid classical box table"):
+                document_to_box(doc)
+
     def test_cq_bad_parties(self):
         doc = box_to_document(pure_phase_box())
         doc["parties"] = [{"label": "A"}, {"label": "B"}]

@@ -1,13 +1,16 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from cqboxes import synthesis
 from cqboxes.boxes import (
     CQBox,
+    HaarCouplingBox,
     chsh_value,
     cq_box_distance,
     cq_no_signalling,
@@ -15,10 +18,12 @@ from cqboxes.boxes import (
     mix_boxes,
     pr_box,
 )
+from cqboxes.io import load_box
 from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
+    apply_axis,
     bell_state,
     fidelity,
     haar_unitary,
@@ -48,6 +53,7 @@ from cqboxes.synthesis import (
     unitary_family_box,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -590,3 +596,153 @@ class TestStrategyValidation:
         strategy = bit_flip_strategy()
         with pytest.raises(TypeError):
             sample_states(strategy, samples=3)
+
+
+def reference_draw(coupling: HaarCouplingBox, rng: np.random.Generator) -> np.ndarray:
+    """One block-diagonal base drawn block by block, one Haar unitary each."""
+    v = np.zeros((coupling.dim, coupling.dim), dtype=complex)
+    offset = 0
+    for d in coupling.block_dims:
+        v[offset : offset + d, offset : offset + d] = haar_unitary(d, rng).matrix
+        offset += d
+    return v
+
+
+def reference_sample_vectors(strategy: Strategy, samples: int, seed: int) -> dict:
+    """The per-sample loop the batched sampler replaced: one base draw,
+    one call of each party map and one local application per sample and
+    input, as a ``(samples, D)`` array per input."""
+    coupling = strategy.ccbox
+    rng = np.random.default_rng(seed)
+    bases = [coupling.draw_base(rng) for _ in range(samples)]
+    dims = strategy.shared.structure.dims
+    result = {}
+    for key in np.ndindex(*coupling.input_sizes):
+        vecs = []
+        for base in bases:
+            u_a, u_b = coupling.sample_pair(key, base)
+            mats = (strategy.party_maps[0](key[0], u_a), strategy.party_maps[1](key[1], u_b))
+            t = strategy.shared.amplitudes.reshape(dims)
+            for axis, mat in enumerate(mats):
+                t = apply_axis(t, np.asarray(mat, dtype=complex), axis)
+            vecs.append(t.reshape(-1))
+        result[key] = np.array(vecs)
+    return result
+
+
+def reference_mixtures(strategy: Strategy, samples: int, seed: int) -> dict:
+    mixtures = {}
+    for key, vecs in reference_sample_vectors(strategy, samples, seed).items():
+        mat = np.zeros((vecs.shape[1],) * 2, dtype=complex)
+        for vec in vecs:
+            mat += np.outer(vec, vec.conj())
+        mixtures[key] = mat / samples
+    return mixtures
+
+
+def block_family() -> CQBox:
+    """Pure family over Schmidt coefficients sqrt(0.35, 0.35, 0.2, 0.1),
+    whose coupling part at (1, 1) is block-diagonal over blocks (2, 1, 1)."""
+    d = np.sqrt([0.35, 0.35, 0.2, 0.1])
+    w = np.zeros((4, 4), dtype=complex)
+    w[:2, :2] = haar_unitary(2, 75).matrix
+    w[2, 2], w[3, 3] = np.exp(0.4j), np.exp(-1.1j)
+    dress_a = {0: np.eye(4, dtype=complex), 1: haar_unitary(4, 76).matrix}
+    dress_b = {0: np.eye(4, dtype=complex), 1: haar_unitary(4, 77).matrix}
+    states = {}
+    for x, y in itertools.product(range(2), range(2)):
+        core = w if (x, y) == (1, 1) else np.eye(4, dtype=complex)
+        mat = dress_a[x] @ core @ np.diag(d) @ dress_b[y].T
+        states[(x, y)] = StateVector(mat.reshape(-1), PartyStructure.pair(4))
+    return CQBox.from_pure((2, 2), states)
+
+
+def sampled_strategies() -> list[tuple[str, Strategy]]:
+    cases = []
+    for n in range(2, 9):
+        rng = np.random.default_rng(40 + n)
+        targets = {key: haar_unitary(n, rng) for key in itertools.product(range(2), range(2))}
+        cases.append((f"max-entangled n={n}", max_entangled_strategy(targets, n)))
+    two_block = load_box(FIXTURES / "two_block_family.json")
+    cases.append(("general-pure two_block_family", general_pure_strategy(two_block)))
+    cases.append(("general-pure blocks (2, 1, 1)", general_pure_strategy(block_family())))
+    _, strategies = mixed_disordered_strategy(TestMixedDisordered().family())
+    cases.extend((f"mixed-disordered interval {i}", s) for i, s in enumerate(strategies))
+    return cases
+
+
+SAMPLED = sampled_strategies()
+
+
+class TestBatchedSamplerMatchesReference:
+    @pytest.mark.parametrize("dim, blocks", [(3, ()), (4, (2, 1, 1)), (4, (2, 2))])
+    def test_stacked_draws_equal_sequential_draws(self, dim, blocks):
+        coupling = HaarCouplingBox(dim, (2, 2), lambda key: np.eye(dim), block_dims=blocks)
+        rng = np.random.default_rng(12)
+        sequential = np.array([coupling.draw_base(rng) for _ in range(50)])
+        rng = np.random.default_rng(12)
+        assert np.array_equal(sequential, [reference_draw(coupling, rng) for _ in range(50)])
+        rng = np.random.default_rng(12)
+        stacked = np.concatenate([coupling.draw_base(rng, (20,)), coupling.draw_base(rng, 30)])
+        assert stacked.shape == (50, dim, dim)
+        assert np.array_equal(stacked, sequential)
+        assert coupling.draw_base(np.random.default_rng(3), (2, 5)).shape == (2, 5, dim, dim)
+
+    @pytest.mark.parametrize("name, strategy", SAMPLED, ids=[name for name, _ in SAMPLED])
+    def test_sample_states_match_the_loop(self, name, strategy):
+        reference = reference_sample_vectors(strategy, 40, 5)
+        batched = sample_states(strategy, samples=40, seed=5)
+        assert batched.keys() == reference.keys()
+        for key, states in batched.items():
+            amps = np.array([state.amplitudes for state in states])
+            assert amps.shape == reference[key].shape
+            assert np.max(np.abs(amps - reference[key])) <= 1e-13
+
+    @pytest.mark.parametrize("name, strategy", SAMPLED, ids=[name for name, _ in SAMPLED])
+    def test_simulate_matches_the_loop(self, name, strategy):
+        reference = reference_mixtures(strategy, 200, 9)
+        box = simulate(strategy, samples=200, seed=9)
+        for key in box.inputs:
+            assert np.max(np.abs(box.output(key).matrix - reference[key])) <= 1e-12
+
+    def test_chunks_cross_boundaries(self, monkeypatch):
+        _, strategy = SAMPLED[1]  # max-entangled n = 3, joint dimension 9
+        whole = simulate(strategy, samples=23, seed=4)
+        states = sample_states(strategy, samples=23, seed=4)
+        monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 9 * 5)  # chunks of 5, 5, 5, 5, 3
+        chunked = simulate(strategy, samples=23, seed=4)
+        reference = reference_mixtures(strategy, 23, 4)
+        for key in whole.inputs:
+            assert np.max(np.abs(chunked.output(key).matrix - whole.output(key).matrix)) <= 1e-13
+            assert np.max(np.abs(chunked.output(key).matrix - reference[key])) <= 1e-12
+        for key, chunked_states in sample_states(strategy, samples=23, seed=4).items():
+            assert [s.amplitudes.tobytes() for s in chunked_states] == [
+                s.amplitudes.tobytes() for s in states[key]
+            ]
+        monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 1)  # one sample per chunk
+        single = simulate(strategy, samples=23, seed=4)
+        for key in whole.inputs:
+            assert np.max(np.abs(single.output(key).matrix - reference[key])) <= 1e-12
+
+    def test_relabel_shape_error_still_raised(self):
+        targets = {key: np.eye(3) for key in itertools.product(range(2), range(2))}
+        strategy = max_entangled_strategy(targets, 2)
+        for run in (sample_states, simulate):
+            with pytest.raises(ValueError, match="must be 2 x 2"):
+                run(strategy, samples=3)
+
+    def test_non_unitary_party_map_fails_the_norm_check(self):
+        _, good = SAMPLED[0]
+        strategy = Strategy(
+            ccbox=good.ccbox,
+            shared=good.shared,
+            party_maps=(lambda x, out: 2 * out, good.party_maps[1]),
+        )
+        for run in (sample_states, simulate):
+            with pytest.raises(ValueError, match="norm .* deviates from 1"):
+                run(strategy, samples=3)
+
+    def test_sample_count_must_be_positive(self):
+        _, strategy = SAMPLED[0]
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            simulate(strategy, samples=0)
