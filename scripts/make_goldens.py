@@ -111,7 +111,7 @@ def mixed_disordered_family() -> CQBox:
     for key, weights in mixes.items():
         mat = sum(w * bell_state(i).density().matrix for i, w in enumerate(weights))
         outputs[key] = DensityMatrix(mat, structure)
-    return CQBox((2, 2), structure, outputs)
+    return CQBox.from_outputs((2, 2), structure, outputs)
 
 
 def table_assignment() -> dict:

@@ -22,10 +22,13 @@ from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
+    as_matrix,
+    capped_dim,
     haar_from_normals,
+    invalid_density,
+    invalid_vector,
     kron_all,
     partial_trace_array,
-    trace_distance,
     trace_norm,
 )
 
@@ -189,42 +192,89 @@ class HaarCouplingBox:
         return u_a, u_b
 
 
+def _in_range(key: object, sizes: tuple[int, ...]) -> bool:
+    shaped = isinstance(key, tuple) and len(key) == len(sizes)
+    return shaped and all(0 <= v < n for v, n in zip(key, sizes))
+
+
+def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.ndarray:
+    """``out``, a stack of outputs, made read-only once ``fault`` passes it."""
+    if out.shape != shape:
+        raise ValueError(f"output stack shape {out.shape} does not match {shape}")
+    if bad := fault(out):
+        key, reason = bad
+        raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {reason}")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class CQBox:
     """Classical-input box whose output is a joint quantum state.
 
-    ``outputs`` maps every input tuple (one input per party) to a density
-    matrix over the shared party structure; rank-one matrices represent
-    pure outputs.
+    ``matrices`` stacks one density matrix over the shared party structure
+    per input tuple, shape ``input_sizes + (D, D)``.  ``amplitudes``, shape
+    ``input_sizes + (D,)``, is set only when every output is pure; give one
+    of the two (matrices are derived from amplitudes).  Mappings from input
+    tuples to states go through ``from_outputs`` or ``from_pure``.
     """
 
     input_sizes: tuple[int, ...]
     structure: PartyStructure
-    outputs: Mapping[tuple[int, ...], DensityMatrix]
-    _pure: Mapping[tuple[int, ...], StateVector] | None = field(
-        default=None, repr=False, compare=False
-    )
+    matrices: np.ndarray | None = None
+    amplitudes: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         sizes = _positive_sizes(self.input_sizes, "input_sizes")
         object.__setattr__(self, "input_sizes", sizes)
         if len(sizes) != len(self.structure.parties):
             raise ValueError("one classical input per party required")
-        dims = self.structure.dims
-        for key, output in self.outputs.items():
-            if not (isinstance(key, tuple) and len(key) == len(sizes)
-                    and all(0 <= v < n for v, n in zip(key, sizes))):
+        d = capped_dim(self.structure)
+        if (self.matrices is None) == (self.amplitudes is None):
+            raise ValueError("a C-Q box needs exactly one of matrices and amplitudes")
+        # copy what the caller passed, so that the box cannot change under it
+        if self.amplitudes is not None:
+            amps = _checked(np.array(self.amplitudes, dtype=complex), sizes + (d,), invalid_vector)
+            object.__setattr__(self, "amplitudes", amps)
+            matrices = amps[..., :, None] * amps[..., None, :].conj()
+        else:
+            matrices = np.array(self.matrices, dtype=complex)
+        object.__setattr__(self, "matrices", _checked(matrices, sizes + (d, d), invalid_density))
+
+    @classmethod
+    def from_outputs(
+        cls,
+        input_sizes: Sequence[int],
+        structure: PartyStructure,
+        outputs: Mapping[tuple[int, ...], StateVector | DensityMatrix | np.ndarray],
+    ) -> "CQBox":
+        """Box from a mapping of every input tuple to a density matrix or, for
+        a pure output, a state vector (objects or arrays; all vectors keep amplitudes)."""
+        sizes = _positive_sizes(input_sizes, "input_sizes")
+        for key in outputs:
+            if not _in_range(key, sizes):
                 raise ValueError(f"output key {key!r} is outside the input range {sizes}")
-            if output.structure.dims != dims:
-                raise ValueError(f"output at {key} has mismatched party structure")
         # every key is in range, so a full count means no input is missing
-        absent = math.prod(sizes) - len(self.outputs)
+        absent = math.prod(sizes) - len(outputs)
         if absent:
-            missing = (k for k in np.ndindex(*sizes) if k not in self.outputs)
+            missing = (k for k in np.ndindex(*sizes) if k not in outputs)
             first = list(itertools.islice(missing, 4))
             more = f" and {absent - len(first)} more" if absent > len(first) else ""
             raise ValueError(f"outputs missing for inputs {first}{more}")
-        object.__setattr__(self, "outputs", dict(self.outputs))
+        d = capped_dim(structure)
+        arrays = []
+        for key in np.ndindex(*sizes):
+            out = outputs[key]
+            if getattr(out, "structure", structure).dims != structure.dims:
+                raise ValueError(f"output at {key} has mismatched party structure")
+            # a StateVector's amplitudes, a DensityMatrix's matrix, or the array
+            arrays.append(as_matrix(getattr(out, "amplitudes", out)))
+            if (shape := arrays[-1].shape) not in ((d,), (d, d)):
+                raise ValueError(f"output at {key} has shape {shape}, not ({d},) or ({d}, {d})")
+        if all(a.ndim == 1 for a in arrays):
+            return cls(sizes, structure, amplitudes=np.reshape(arrays, sizes + (d,)))
+        mats = [np.outer(a, a.conj()) if a.ndim == 1 else a for a in arrays]
+        return cls(sizes, structure, np.reshape(mats, sizes + (d, d)))
 
     @classmethod
     def from_pure(
@@ -232,23 +282,27 @@ class CQBox:
         input_sizes: Sequence[int],
         states: Mapping[tuple[int, ...], StateVector],
     ) -> "CQBox":
-        structure = next(iter(states.values())).structure
-        outputs = {key: state.density() for key, state in states.items()}
-        return cls(tuple(input_sizes), structure, outputs, _pure=dict(states))
+        return cls.from_outputs(input_sizes, next(iter(states.values())).structure, states)
 
     @property
     def inputs(self) -> list[tuple[int, ...]]:
         return list(np.ndindex(*self.input_sizes))
 
+    def _key(self, inputs: Sequence[int]) -> tuple[int, ...]:
+        key = tuple(inputs)
+        if not _in_range(key, self.input_sizes):
+            raise KeyError(f"no output for inputs {key}; input sizes are {self.input_sizes}")
+        return key
+
     def output(self, inputs: Sequence[int]) -> DensityMatrix:
-        return self.outputs[tuple(inputs)]
+        return DensityMatrix(self.matrices[self._key(inputs)], self.structure)
 
     def pure_output(self, inputs: Sequence[int], tol: float = 1e-7) -> StateVector:
         """The output state as a vector; fails if the output is mixed."""
-        key = tuple(inputs)
-        if self._pure is not None and key in self._pure:
-            return self._pure[key]
-        vals, vecs = np.linalg.eigh(self.outputs[key].matrix)
+        key = self._key(inputs)
+        if self.amplitudes is not None:
+            return StateVector(self.amplitudes[key], self.structure)
+        vals, vecs = np.linalg.eigh(self.matrices[key])
         if vals[-1] < 1 - tol:
             raise ValueError(f"output at {key} is mixed (top eigenvalue {vals[-1]})")
         return StateVector(vecs[:, -1], self.structure)
@@ -304,8 +358,7 @@ def coupling_to_ccbox(coupling: CouplingBox) -> CCBox:
     sizes = coupling.input_sizes
     table = np.zeros(tuple(sizes) + (n, n))
     for key, pi in coupling.bijections.items():
-        for b in range(n):
-            table[key + (int(pi[b]), b)] = coupling.marginal[b]
+        table[key + (pi, np.arange(n))] = coupling.marginal
     return CCBox(tuple(sizes), (n, n), table)
 
 
@@ -383,17 +436,14 @@ def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     """Check that every proper subgroup's reduced state, given its own
     inputs, is independent (in trace distance) of the outside inputs."""
-    sizes, structure = tuple(box.input_sizes), box.structure
-    stack = np.array([box.outputs[key].matrix for key in box.inputs])
-    stack = stack.reshape(sizes + (structure.total_dim,) * 2)
-
-    def marginal(subgroup, _complement):
-        return partial_trace_array(stack, structure.dims, subgroup)
-
-    def trace_dist(p, q):
-        return 0.5 * trace_norm(p - q)
-
-    return _subgroup_sweep(sizes, structure.labels, marginal, trace_dist, tol)
+    dims = box.structure.dims
+    return _subgroup_sweep(
+        box.input_sizes,
+        box.structure.labels,
+        lambda subgroup, _complement: partial_trace_array(box.matrices, dims, subgroup),
+        lambda p, q: 0.5 * trace_norm(p - q),
+        tol,
+    )
 
 
 def induced_ccbox(
@@ -419,7 +469,7 @@ def induced_ccbox(
     table = np.zeros(tuple(box.input_sizes) + dims)
     for key in box.inputs:
         frame = kron_all([np.asarray(measurements[j][key[j]], dtype=complex) for j in range(k)])
-        rotated = frame.conj().T @ box.output(key).matrix @ frame
+        rotated = frame.conj().T @ box.matrices[key] @ frame
         probs = np.clip(np.real(np.diagonal(rotated)), 0.0, None)
         table[key] = probs.reshape(dims)
     return CCBox(tuple(box.input_sizes), dims, table)
@@ -438,23 +488,27 @@ def cq_box_distance(box_a: CQBox, box_b: CQBox) -> float:
     """Largest trace distance between the two boxes' outputs over inputs."""
     if box_a.input_sizes != box_b.input_sizes or box_a.structure.dims != box_b.structure.dims:
         raise ValueError("boxes must share input alphabets and party structure")
-    return max(
-        trace_distance(box_a.output(key), box_b.output(key)) for key in box_a.inputs
-    )
+    return float(np.max(0.5 * trace_norm(box_a.matrices - box_b.matrices)))
 
 
 def mix_boxes(weighted: Sequence[tuple[float, CQBox]]) -> CQBox:
-    """Convex mixture of C-Q boxes with matching structure."""
+    """Convex mixture of C-Q boxes with matching input sizes and party dims."""
     if not weighted:
         raise ValueError("mixture requires at least one component")
     weights = np.array([w for w, _ in weighted], dtype=float)
     if np.min(weights) < -TOLERANCE or abs(weights.sum() - 1.0) > TOLERANCE:
         raise ValueError("mixture weights must form a probability distribution")
     first = weighted[0][1]
-    outputs = {}
-    for key in first.inputs:
-        mat = np.zeros((first.structure.total_dim,) * 2, dtype=complex)
-        for w, box in weighted:
-            mat += w * box.output(key).matrix
-        outputs[key] = DensityMatrix(mat, first.structure)
-    return CQBox(first.input_sizes, first.structure, outputs)
+    for i, (_, box) in enumerate(weighted):
+        for name, value, expected in (
+            ("input_sizes", box.input_sizes, first.input_sizes),
+            ("party dims", box.structure.dims, first.structure.dims),
+        ):
+            if value != expected:
+                raise ValueError(
+                    f"mixture component {i} has {name} {value}, component 0 has {expected}"
+                )
+    mats = np.zeros(first.matrices.shape, dtype=complex)
+    for w, box in weighted:
+        mats += w * box.matrices
+    return CQBox(first.input_sizes, first.structure, mats)

@@ -11,6 +11,7 @@ input, 3 finished with a budget warning, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -41,7 +42,7 @@ from cqboxes.multipartite import (
     w_phase_theorem_check,
 )
 from cqboxes.quantum import (
-    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, StateVector, bell_state, haar_unitary,
+    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, bell_state, haar_unitary,
 )
 from cqboxes.synthesis import (
     bit_flip_strategy,
@@ -71,15 +72,6 @@ def _digest(record: dict, files: tuple[str, ...] = ()) -> str:
     return h.hexdigest()[:16]
 
 
-def _witness_entry(witness) -> dict:
-    return {
-        "subgroup": list(witness.subgroup),
-        "subgroup_inputs": list(witness.subgroup_inputs),
-        "outside_inputs": [list(w) for w in witness.outside_inputs],
-        "violation": witness.violation,
-    }
-
-
 def _verify_report(box, tol: float) -> tuple[dict, bool]:
     if isinstance(box, CCBox):
         kind, report = "cc", cc_no_signalling(box, tol=tol)
@@ -92,7 +84,7 @@ def _verify_report(box, tol: float) -> tuple[dict, bool]:
             "tolerance": report.tolerance,
             "passed": report.passed,
             "worst_violation": report.worst_violation,
-            "witnesses": [_witness_entry(w) for w in worst],
+            "witnesses": [dataclasses.asdict(w) for w in worst],
         },
         report.passed,
     )
@@ -142,15 +134,13 @@ def _parse_phases(text: str) -> dict[tuple[int, int, int], Fraction]:
 
 def _nonmax_target(weights: list[float], phases: dict) -> CQBox:
     levels = len(weights)
-    structure = PartyStructure.pair(levels)
-    states = {}
+    amps = np.zeros((2, 2, levels, levels), dtype=complex)
     for x, y in itertools.product(range(2), range(2)):
-        diag = [
+        amps[x, y] = np.diag([
             math.sqrt(w) * np.exp(2j * math.pi * float(phases.get((x, y, i), 0)))
             for i, w in enumerate(weights)
-        ]
-        states[(x, y)] = StateVector(np.diag(diag).reshape(-1), structure)
-    return CQBox.from_pure((2, 2), states)
+        ])
+    return CQBox((2, 2), PartyStructure.pair(levels), amplitudes=amps.reshape(2, 2, -1))
 
 
 def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
@@ -417,11 +407,7 @@ def _load_assignment(path: str) -> PhaseAssignment:
         raise ValueError(f"'{path}' is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not {"alpha", "beta", "gamma"} <= set(doc):
         raise ValueError("assignment must be an object with 'alpha', 'beta', 'gamma'")
-    return PhaseAssignment(
-        np.asarray(doc["alpha"], dtype=float),
-        np.asarray(doc["beta"], dtype=float),
-        np.asarray(doc["gamma"], dtype=float),
-    )
+    return PhaseAssignment(doc["alpha"], doc["beta"], doc["gamma"])
 
 
 def _cmd_wphase(args) -> tuple[dict, int]:
@@ -465,15 +451,7 @@ def _cmd_wphase(args) -> tuple[dict, int]:
         "mode": "theorem",
         "seed": args.seed,
         "digest": _digest(record),
-        "local_cases": result.local_cases,
-        "local_all_non_signalling": result.local_all_non_signalling,
-        "local_all_decomposable": result.local_all_decomposable,
-        "perturbed_cases": result.perturbed_cases,
-        "perturbed_all_signalling": result.perturbed_all_signalling,
-        "perturbed_none_decomposable": result.perturbed_none_decomposable,
-        "worst_violation_mismatch": result.worst_violation_mismatch,
-        "random_cases": result.random_cases,
-        "random_equivalence_holds": result.random_equivalence_holds,
+        **dataclasses.asdict(result),
         "equivalence_holds": result.equivalence_holds,
     }
     return report, 0 if result.equivalence_holds else 1

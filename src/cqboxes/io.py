@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from cqboxes.boxes import CCBox, CQBox
-from cqboxes.quantum import DensityMatrix, PartyStructure, StateVector
+from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure
 
 __all__ = [
     "BoxDocumentError",
@@ -32,9 +32,7 @@ class BoxDocumentError(ValueError):
 
 
 def _encode_complex(values: np.ndarray) -> list:
-    if values.ndim == 1:
-        return [[float(v.real), float(v.imag)] for v in values]
-    return [_encode_complex(row) for row in values]
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _decode_complex(data: object, field: str) -> np.ndarray:
@@ -77,13 +75,11 @@ def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
             try:
                 state = box.pure_output(key)
             except ValueError:
-                outputs[name] = {"matrix": _encode_complex(box.output(key).matrix)}
+                outputs[name] = {"matrix": _encode_complex(box.matrices[key])}
             else:
                 amp = state.amplitudes
                 pivot = amp[int(np.argmax(np.abs(amp)))]
-                outputs[name] = {
-                    "amplitudes": _encode_complex(amp * (abs(pivot) / pivot))
-                }
+                outputs[name] = {"amplitudes": _encode_complex(amp * (abs(pivot) / pivot))}
         return {
             "format": 1,
             "kind": "cq",
@@ -132,31 +128,28 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
                 "field 'parties' must list objects with 'label' and 'dim'"
             ) from exc
         structure = PartyStructure(tuple(zip(labels, dims)))
+        if structure.total_dim > MAX_TENSOR_DIM:
+            raise BoxDocumentError(
+                f"field 'parties' gives joint dimension {structure.total_dim}, "
+                f"above the cap of {MAX_TENSOR_DIM}"
+            )
         raw = _require(doc, "outputs")
         if not isinstance(raw, dict):
             raise BoxDocumentError("field 'outputs' must be an object keyed by inputs")
-        states: dict[tuple[int, ...], StateVector] = {}
-        matrices: dict[tuple[int, ...], DensityMatrix] = {}
+        outputs: dict[tuple[int, ...], np.ndarray] = {}
         for name, entry in raw.items():
             key = _parse_key(name, "outputs")
             if not isinstance(entry, dict) or ("amplitudes" in entry) == ("matrix" in entry):
                 raise BoxDocumentError(
                     f"output '{name}' must provide exactly one of 'amplitudes' or 'matrix'"
                 )
-            try:
-                if "amplitudes" in entry:
-                    amp = _decode_complex(entry["amplitudes"], f"outputs['{name}'].amplitudes")
-                    states[key] = StateVector(amp, structure)
-                else:
-                    mat = _decode_complex(entry["matrix"], f"outputs['{name}'].matrix")
-                    matrices[key] = DensityMatrix(mat, structure)
-            except ValueError as exc:
-                raise BoxDocumentError(f"output '{name}' is invalid: {exc}") from exc
+            payload = "amplitudes" if "amplitudes" in entry else "matrix"
+            value = _decode_complex(entry[payload], f"outputs['{name}'].{payload}")
+            # a vector is a pure state and a matrix a density matrix, so the
+            # payload fixes the rank of the array
+            outputs[key] = value.ravel() if payload == "amplitudes" else np.atleast_2d(value)
         try:
-            outputs = {key: state.density() for key, state in states.items()}
-            outputs.update(matrices)
-            # exact vectors back pure_output only when every output is pure
-            return CQBox(input_sizes, structure, outputs, _pure=None if matrices else states)
+            return CQBox.from_outputs(input_sizes, structure, outputs)
         except ValueError as exc:
             raise BoxDocumentError(f"invalid quantum box: {exc}") from exc
     raise BoxDocumentError(f"unknown box kind '{kind}' (expected 'cc' or 'cq')")

@@ -66,26 +66,19 @@ class PhaseAssignment:
         beta: Callable[[int, int, int], float],
         gamma: Callable[[int, int, int], float],
     ) -> "PhaseAssignment":
-        grids = []
-        for fn in (alpha, beta, gamma):
-            grid = np.zeros((2, 2, 2))
-            for x, y, z in itertools.product(range(2), repeat=3):
-                grid[x, y, z] = fn(x, y, z)
-            grids.append(grid)
-        return cls(*grids)
+        return cls(*(
+            [[[fn(x, y, z) for z in range(2)] for y in range(2)] for x in range(2)]
+            for fn in (alpha, beta, gamma)
+        ))
 
 
 def w_phase_box(assignment: PhaseAssignment) -> CQBox:
     """The family (e^{i alpha}|100> + e^{i beta}|010> + e^{i gamma}|001>)/sqrt3."""
-    structure = PartyStructure.qubits("ABC")
-    states = {}
-    for key in itertools.product(range(2), repeat=3):
-        amp = np.zeros(8, dtype=complex)
-        amp[4] = np.exp(1j * assignment.alpha[key])
-        amp[2] = np.exp(1j * assignment.beta[key])
-        amp[1] = np.exp(1j * assignment.gamma[key])
-        states[key] = StateVector(amp / math.sqrt(3), structure)
-    return CQBox.from_pure((2, 2, 2), states)
+    amps = np.zeros((2, 2, 2, 8), dtype=complex)
+    amps[..., 4] = np.exp(1j * assignment.alpha)
+    amps[..., 2] = np.exp(1j * assignment.beta)
+    amps[..., 1] = np.exp(1j * assignment.gamma)
+    return CQBox((2, 2, 2), PartyStructure.qubits("ABC"), amplitudes=amps / math.sqrt(3))
 
 
 @dataclass(frozen=True)
@@ -142,12 +135,12 @@ def _monomials_for(ket_variable: int) -> list[tuple[int, ...]]:
     """Variable subsets whose product perturbs the given ket's phase
     non-locally: every nonempty subset not contained in the ket's own
     input variable."""
-    subsets = []
-    for r in range(1, 4):
-        for combo in itertools.combinations(range(3), r):
-            if combo != (ket_variable,):
-                subsets.append(combo)
-    return subsets
+    return [
+        combo
+        for r in range(1, 4)
+        for combo in itertools.combinations(range(3), r)
+        if combo != (ket_variable,)
+    ]
 
 
 @dataclass(frozen=True)
@@ -194,84 +187,60 @@ def w_phase_theorem_check(
     assignments are checked for agreement between the two predicates.
     """
     rng = np.random.default_rng(seed)
+    local = [
+        _local_assignment(v[0:2], v[2:4], v[4:6], rng.uniform(-math.pi, math.pi, size=(2, 2, 2)))
+        for v in itertools.product(grid_values, repeat=6)
+    ]
 
-    local_cases = 0
-    local_ns = True
-    local_dec = True
-    for values in itertools.product(grid_values, repeat=6):
-        a, b, c = values[0:2], values[2:4], values[4:6]
-        g = rng.uniform(-math.pi, math.pi, size=(2, 2, 2))
-        assignment = _local_assignment(a, b, c, g)
-        local_cases += 1
-        if is_local_equivalent(assignment, tol) is None:
-            local_dec = False
-        if not cq_no_signalling(w_phase_box(assignment), tol=tol).passed:
-            local_ns = False
-
-    perturbed_cases = 0
-    perturbed_sig = True
-    perturbed_dec = True
-    worst_mismatch = 0.0
-    dressing = (
-        np.array([0.0, 1.234]),
-        np.array([0.0, 0.777]),
-        np.array([0.0, -0.5]),
-    )
+    dressing = (np.array([0.0, 1.234]), np.array([0.0, 0.777]), np.array([0.0, -0.5]))
+    coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+    perturbed, predicted = [], []
     for ket, monomial, delta, dressed in itertools.product(
         range(3), range(6), deltas, (False, True)
     ):
-        subset = _monomials_for(ket)[monomial]
-        local = _local_assignment(*(dressing if dressed else np.zeros((3, 2))))
-        grids = [local.alpha, local.beta, local.gamma]
+        base = _local_assignment(*(dressing if dressed else np.zeros((3, 2))))
+        grids = [base.alpha, base.beta, base.gamma]
         bump = np.ones((2, 2, 2))
-        coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-        for variable in subset:
+        for variable in _monomials_for(ket)[monomial]:
             bump = bump * coords[variable]
         grids[ket] = grids[ket] + delta * bump
-        assignment = PhaseAssignment(*grids)
-        perturbed_cases += 1
-        if is_local_equivalent(assignment, tol) is not None:
-            perturbed_dec = False
-        report = cq_no_signalling(w_phase_box(assignment), tol=tol)
-        if report.passed:
-            perturbed_sig = False
-        predicted = 2 * abs(math.sin(delta / 2)) / 3
-        worst_mismatch = max(worst_mismatch, abs(report.worst_violation - predicted))
+        perturbed.append(PhaseAssignment(*grids))
+        predicted.append(2 * abs(math.sin(delta / 2)) / 3)
+    reports = [cq_no_signalling(w_phase_box(a), tol=tol) for a in perturbed]
 
-    random_ok = True
-    for _ in range(random_samples):
-        assignment = PhaseAssignment(
-            *(rng.uniform(-math.pi, math.pi, size=(2, 2, 2)) for _ in range(3))
-        )
-        decomposable = is_local_equivalent(assignment, tol) is not None
-        passed = cq_no_signalling(w_phase_box(assignment), tol=1e-7).passed
-        if decomposable != passed:
-            random_ok = False
+    randoms = [
+        PhaseAssignment(*(rng.uniform(-math.pi, math.pi, size=(2, 2, 2)) for _ in range(3)))
+        for _ in range(random_samples)
+    ]
 
+    def decomposable(assignment: PhaseAssignment) -> bool:
+        return is_local_equivalent(assignment, tol) is not None
+
+    def non_signalling(assignment: PhaseAssignment, check_tol: float = tol) -> bool:
+        return cq_no_signalling(w_phase_box(assignment), tol=check_tol).passed
+
+    mismatches = (abs(r.worst_violation - p) for r, p in zip(reports, predicted))
     return WPhaseTheoremReport(
-        local_cases=local_cases,
-        local_all_non_signalling=local_ns,
-        local_all_decomposable=local_dec,
-        perturbed_cases=perturbed_cases,
-        perturbed_all_signalling=perturbed_sig,
-        perturbed_none_decomposable=perturbed_dec,
-        worst_violation_mismatch=worst_mismatch,
+        local_cases=len(local),
+        local_all_non_signalling=all(map(non_signalling, local)),
+        local_all_decomposable=all(map(decomposable, local)),
+        perturbed_cases=len(perturbed),
+        perturbed_all_signalling=not any(r.passed for r in reports),
+        perturbed_none_decomposable=not any(map(decomposable, perturbed)),
+        worst_violation_mismatch=max(mismatches, default=0.0),
         random_cases=random_samples,
-        random_equivalence_holds=random_ok,
+        random_equivalence_holds=all(decomposable(a) == non_signalling(a, 1e-7) for a in randoms),
     )
 
 
 def ghz_phase_box(theta: float) -> CQBox:
     """The family (|000> + e^{i theta x y z} |111>)/sqrt2, non-signalling
     for every theta since all proper reductions are input-independent."""
-    structure = PartyStructure.qubits("ABC")
-    states = {}
-    for key in itertools.product(range(2), repeat=3):
-        amp = np.zeros(8, dtype=complex)
-        amp[0] = 1.0
-        amp[7] = np.exp(1j * theta * key[0] * key[1] * key[2])
-        states[key] = StateVector(amp / math.sqrt(2), structure)
-    return CQBox.from_pure((2, 2, 2), states)
+    amps = np.zeros((2, 2, 2, 8), dtype=complex)
+    amps[..., 0] = 1.0
+    for key in np.ndindex(2, 2, 2):
+        amps[key + (7,)] = np.exp(1j * theta * key[0] * key[1] * key[2])
+    return CQBox((2, 2, 2), PartyStructure.qubits("ABC"), amplitudes=amps / math.sqrt(2))
 
 
 def ghz_phase_strategy(m: int, n: int) -> Strategy:

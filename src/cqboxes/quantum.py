@@ -17,14 +17,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 TOLERANCE = 1e-9
-MAX_TENSOR_DIM = 4096
+MAX_TENSOR_DIM = 1024  # largest joint dimension of a state or box, 16 MB per matrix
 MAX_TABLE_ENTRIES = 2**22  # largest classical probability table built, 32 MB of floats
+Fault = tuple[tuple[int, ...], str]  # stack index of an invalid state, and the reason
 
 __all__ = [
     "TOLERANCE",
     "MAX_TENSOR_DIM",
     "MAX_TABLE_ENTRIES",
     "PartyStructure",
+    "capped_dim",
+    "invalid_vector",
+    "invalid_density",
     "StateVector",
     "DensityMatrix",
     "UnitaryOperator",
@@ -95,7 +99,7 @@ class PartyStructure:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.parties else 1
+        return math.prod(self.dims)
 
     def index_of(self, label: str) -> int:
         for i, (name, _) in enumerate(self.parties):
@@ -109,6 +113,46 @@ class PartyStructure:
     def subset(self, keep: Sequence[str]) -> "PartyStructure":
         keep_idx = sorted(self.index_of(label) for label in keep)
         return PartyStructure(tuple(self.parties[i] for i in keep_idx))
+
+
+def capped_dim(structure: PartyStructure) -> int:
+    """Joint dimension of ``structure``; ValueError above ``MAX_TENSOR_DIM``."""
+    if structure.total_dim > MAX_TENSOR_DIM:
+        raise ValueError(f"joint dimension {structure.total_dim} exceeds cap {MAX_TENSOR_DIM}")
+    return structure.total_dim
+
+
+def _first_fault(*checks) -> Fault | None:
+    """(index, reason) of the first stack entry that fails a check, naming the
+    first check it fails; a check is (failed mask, values, message template)."""
+    failed = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if not failed.any():
+        return None
+    index = np.unravel_index(int(np.argmax(failed.ravel())), failed.shape)
+    value, message = next((value, message) for mask, value, message in checks if mask[index])
+    return tuple(int(i) for i in index), message.format(value[index])
+
+
+def invalid_vector(amplitudes: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
+    """(index, reason) of the first non-unit vector of a stack ``(..., D)``, or None."""
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    return _first_fault(
+        (np.abs(norms - 1.0) > tol, norms, "state vector norm {} deviates from 1 beyond tolerance")
+    )
+
+
+def invalid_density(matrices: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
+    """(index, reason) of the first matrix of a stack ``(..., D, D)`` that is
+    not Hermitian, of unit trace and positive semidefinite, or None."""
+    skew = np.conj(np.swapaxes(matrices, -1, -2))  # one temporary stack, reused
+    skew = np.max(np.abs(np.subtract(matrices, skew, out=skew)), axis=(-2, -1))
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    lowest = np.min(np.linalg.eigvalsh(matrices), axis=-1)
+    return _first_fault(
+        (skew > tol, skew, "density matrix is not Hermitian within tolerance"),
+        (np.abs(trace.real - 1.0) > tol, trace, "density matrix trace {} deviates from 1"),
+        (lowest < -tol, lowest, "density matrix has a negative eigenvalue beyond tolerance"),
+    )
 
 
 @dataclass(frozen=True)
@@ -126,9 +170,8 @@ class StateVector:
                 f"amplitude length {amp.shape[0]} does not match "
                 f"structure dimension {self.structure.total_dim}"
             )
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > TOLERANCE:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond tolerance")
+        if fault := invalid_vector(amp):
+            raise ValueError(fault[1])
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.structure)
@@ -147,12 +190,8 @@ class DensityMatrix:
         d = self.structure.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match structure dimension {d}")
-        if np.max(np.abs(mat - mat.conj().T)) > TOLERANCE:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > TOLERANCE:
-            raise ValueError(f"density matrix trace {np.trace(mat)} deviates from 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -TOLERANCE:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        if fault := invalid_density(mat):
+            raise ValueError(fault[1])
 
 
 @dataclass(frozen=True)
@@ -187,11 +226,8 @@ class SchmidtForm:
     structure: PartyStructure
 
     def reconstruct(self) -> np.ndarray:
-        d_a, d_b = self.structure.dims
-        mat = np.zeros((d_a, d_b), dtype=complex)
-        for i, c in enumerate(self.coefficients):
-            mat += c * np.outer(self.left_basis[:, i], self.right_basis[:, i])
-        return mat.reshape(-1)
+        r = len(self.coefficients)
+        return ((self.left_basis[:, :r] * self.coefficients) @ self.right_basis[:, :r].T).ravel()
 
 
 StateLike = StateVector | DensityMatrix
@@ -223,10 +259,7 @@ def tensor(states: Sequence[StateLike]) -> StateLike:
     for s in states:
         parties.extend(s.structure.parties)
     structure = PartyStructure(tuple(parties))
-    if structure.total_dim > MAX_TENSOR_DIM:
-        raise ValueError(
-            f"composite dimension {structure.total_dim} exceeds cap {MAX_TENSOR_DIM}"
-        )
+    capped_dim(structure)
     if isinstance(states[0], StateVector):
         return StateVector(kron_all([s.amplitudes for s in states]), structure)
     return DensityMatrix(kron_all([s.matrix for s in states]), structure)
@@ -445,15 +478,8 @@ def schmidt(state: StateVector, degeneracy_tol: float = 1e-7) -> SchmidtForm:
         raise ValueError(f"Schmidt decomposition requires exactly 2 parties, got {len(dims)}")
     mat = state.amplitudes.reshape(dims)
     left, coeffs, right_h = np.linalg.svd(mat, full_matrices=True)
-    blocks: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, len(coeffs)):
-        if abs(coeffs[i] - coeffs[i - 1]) <= degeneracy_tol:
-            current.append(i)
-        else:
-            blocks.append(tuple(current))
-            current = [i]
-    blocks.append(tuple(current))
+    cuts = np.flatnonzero(np.abs(np.diff(coeffs)) > degeneracy_tol) + 1
+    blocks = [tuple(int(i) for i in block) for block in np.split(np.arange(len(coeffs)), cuts)]
     form = SchmidtForm(
         coefficients=_frozen(coeffs, dtype=float),
         left_basis=_frozen(left),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -46,6 +46,8 @@ from cqboxes.quantum import (
     apply_axis,
     as_matrix,
     bell_state,
+    capped_dim,
+    invalid_vector,
     partial_trace,
     pauli_x,
     pauli_z_power,
@@ -143,10 +145,8 @@ def _sampled_vectors(
             # (U_a x U_b) vec(M) = vec(U_a M U_b^T)
             vecs = alice(key[0], u_a) @ shared @ np.swapaxes(bob(key[1], u_b), -1, -2)
             vecs = vecs.reshape(len(bases), -1)
-            norms = np.linalg.norm(vecs, axis=1)
-            off = norms[np.abs(norms - 1.0) > TOLERANCE]
-            if off.size:
-                raise ValueError(f"state vector norm {off[0]} deviates from 1 beyond tolerance")
+            if fault := invalid_vector(vecs):
+                raise ValueError(fault[1])
             vectors[key] = vecs
         yield vectors
 
@@ -159,30 +159,28 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
     Bob's sample stream drawn once so that it cannot depend on inputs.
     """
     structure = strategy.shared.structure
+    d = capped_dim(structure)
+    mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
     if isinstance(strategy.ccbox, HaarCouplingBox):
-        mats: dict[tuple[int, ...], np.ndarray] = {}
         for chunk in _sampled_vectors(strategy, samples, seed):
             for key, vecs in chunk.items():
-                mats[key] = mats.get(key, 0) + vecs.T @ vecs.conj()
-        outputs = {key: DensityMatrix(mat / samples, structure) for key, mat in mats.items()}
-        return CQBox(strategy.input_sizes, structure, outputs)
+                mats[key] += vecs.T @ vecs.conj()
+        mats /= samples
+        return CQBox(strategy.input_sizes, structure, mats)
 
     ccbox = strategy.ccbox
     table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
     dims = structure.dims
-    outputs = {}
     for key in np.ndindex(*table_box.input_sizes):
-        mat = np.zeros((structure.total_dim,) * 2, dtype=complex)
         block = table_box.table[key]
         for out_key in np.argwhere(block > 0):
             p = block[tuple(out_key)]
-            mats = [
+            maps = [
                 strategy.party_maps[j](key[j], int(out_key[j])) for j in range(len(dims))
             ]
-            vec = _apply_each_party(strategy.shared.amplitudes, dims, mats)
-            mat += p * np.outer(vec, vec.conj())
-        outputs[key] = DensityMatrix(mat, structure)
-    return CQBox(strategy.input_sizes, structure, outputs)
+            vec = _apply_each_party(strategy.shared.amplitudes, dims, maps)
+            mats[key] += p * np.outer(vec, vec.conj())
+    return CQBox(strategy.input_sizes, structure, mats)
 
 
 def sample_states(
@@ -205,13 +203,10 @@ def phase_family_box(
     phase: Callable[[int, int], float], alpha: complex, beta: complex
 ) -> CQBox:
     """Target family alpha |00> + beta e^{i phase(x, y)} |11> over binary inputs."""
-    states = {}
+    amps = np.zeros((2, 2, 4), dtype=complex)
     for x, y in itertools.product(range(2), range(2)):
-        states[(x, y)] = StateVector(
-            np.array([alpha, 0, 0, beta * np.exp(1j * phase(x, y))]),
-            PartyStructure.pair(2),
-        )
-    return CQBox.from_pure((2, 2), states)
+        amps[x, y] = [alpha, 0, 0, beta * np.exp(1j * phase(x, y))]
+    return CQBox((2, 2), PartyStructure.pair(2), amplitudes=amps)
 
 
 def unitary_family_box(
@@ -222,12 +217,10 @@ def unitary_family_box(
     """Target family (T^{inputs} x 1) |phi+_n> for unitaries T^{inputs}."""
     get = targets if callable(targets) else (lambda key: targets[key])
     phi = phi_plus(n)
-    states = {}
+    amps = np.zeros(tuple(input_sizes) + (n * n,), dtype=complex)
     for key in np.ndindex(*input_sizes):
-        mat = as_matrix(get(key))
-        amp = (mat @ phi.amplitudes.reshape(n, n)).reshape(-1)
-        states[key] = StateVector(amp, phi.structure)
-    return CQBox.from_pure(tuple(input_sizes), states)
+        amps[key] = (as_matrix(get(key)) @ phi.amplitudes.reshape(n, n)).reshape(-1)
+    return CQBox(tuple(input_sizes), phi.structure, amplitudes=amps)
 
 
 def bit_flip_strategy() -> Strategy:
@@ -393,15 +386,8 @@ def _derive_pairing(
 def eight_output_targets() -> dict[tuple[int, int], np.ndarray]:
     """Local target unitaries for the two-input/three-input family:
     identity except T^{1,1} = sqrt(Z) and T^{1,2} = X."""
-    eye = np.eye(2, dtype=complex)
-    return {
-        (0, 0): eye,
-        (0, 1): eye,
-        (0, 2): eye,
-        (1, 0): eye,
-        (1, 1): pauli_z_power(0.5).matrix,
-        (1, 2): pauli_x().matrix,
-    }
+    targets = {key: np.eye(2, dtype=complex) for key in np.ndindex(2, 3)}
+    return {**targets, (1, 1): pauli_z_power(0.5).matrix, (1, 2): pauli_x().matrix}
 
 
 def eight_output_strategy() -> Strategy:
@@ -769,23 +755,15 @@ def mixed_disordered_strategy(box: CQBox) -> tuple[MixtureSchedule, list[Strateg
         locals_uv[key] = (u.matrix, v.matrix)
         families[key] = tuple((float(w), i) for i, w in enumerate(weights))
 
-    schedule = mixture_align(families)
-
-    pure_states: dict[tuple[int, ...], tuple[StateVector, ...]] = {}
     phi = phi_plus(2)
-    for key, (u, v) in locals_uv.items():
-        states = []
-        for i in range(4):
-            mat = u @ _BELL_LOCALS[i] @ v.T
-            states.append(
-                StateVector((mat @ phi.amplitudes.reshape(2, 2)).reshape(-1), phi.structure)
-            )
-        pure_states[key] = tuple(states)
-    schedule = MixtureSchedule(
-        intervals=schedule.intervals,
-        families=schedule.families,
-        pure_states=pure_states,
-    )
+    pure_states = {
+        key: tuple(
+            StateVector((u @ local @ v.T @ phi.amplitudes.reshape(2, 2)).reshape(-1), phi.structure)
+            for local in _BELL_LOCALS
+        )
+        for key, (u, v) in locals_uv.items()
+    }
+    schedule = replace(mixture_align(families), pure_states=pure_states)
 
     strategies = []
     for _, assignment in schedule.intervals:

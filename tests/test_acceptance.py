@@ -130,7 +130,7 @@ def _random_disordered_family(rng: np.random.Generator) -> CQBox:
         local = np.kron(haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix)
         rho = sum(w * p for w, p in zip(weights, projectors))
         outputs[key] = DensityMatrix(local @ rho @ local.conj().T, structure)
-    return CQBox((2, 2), structure, outputs)
+    return CQBox.from_outputs((2, 2), structure, outputs)
 
 
 def test_criterion_1_haar_invariance_identity(capsys):
@@ -323,7 +323,7 @@ def test_criterion_4_irrational_phase_approximation(capsys):
         strategy, bound = irrational_phase_strategy(theta, n)
         box = simulate(strategy, seed=5)
         worst = min(
-            fidelity(box.outputs[key], target.outputs[key]) for key in target.outputs
+            fidelity(box.output(key), target.output(key)) for key in target.inputs
         )
         assert worst >= 1.0 - bound, f"n={n}: fidelity {worst} below 1 - {bound}"
         assert worst >= previous, f"n={n}: fidelity decreased"
@@ -381,7 +381,7 @@ def test_criterion_6_disordered_mixtures(capsys):
     for family in range(10):
         box = _random_disordered_family(rng)
 
-        for key, state in box.outputs.items():
+        for key, state in zip(box.inputs, map(box.output, box.inputs)):
             left, right, weights = bell_canonical_form(state)
             local = np.kron(left.matrix, right.matrix)
             rho = sum(w * p for w, p in zip(weights, projectors))
@@ -407,7 +407,7 @@ def test_criterion_6_disordered_mixtures(capsys):
         for _, assignment in schedule.intervals:
             column = CQBox.from_pure(
                 box.input_sizes,
-                {key: schedule.pure_states[key][assignment[key]] for key in box.outputs},
+                {key: schedule.pure_states[key][assignment[key]] for key in box.inputs},
             )
             assert cq_no_signalling(column, tol=1e-9).passed
 

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from cqboxes.boxes import (
     pr_box,
 )
 from cqboxes.io import load_box
+from cqboxes.multipartite import PhaseAssignment, ghz_phase_box, w_phase_box
 from cqboxes.quantum import (
     TOLERANCE,
     DensityMatrix,
@@ -37,11 +40,13 @@ from cqboxes.quantum import (
     basis_state,
     bell_state,
     haar_unitary,
+    kron_all,
     partial_trace,
     pauli_x,
     trace_distance,
     w_state,
 )
+from cqboxes.synthesis import phase_family_box, unitary_family_box
 
 AB = PartyStructure.qubits("AB")
 
@@ -258,7 +263,7 @@ class TestCQNoSignalling:
     def test_invariant_under_fixed_local_unitary(self):
         box = correlated_bell_box()
         u = haar_unitary(2, 123)
-        rotated = CQBox(
+        rotated = CQBox.from_outputs(
             box.input_sizes,
             box.structure,
             {key: apply_local(box.output(key), "A", u) for key in box.inputs},
@@ -342,14 +347,44 @@ class TestCQBoxDistance:
 class TestCQBoxType:
     def test_missing_input_rejected(self):
         with pytest.raises(ValueError):
-            CQBox((2, 2), AB, {(0, 0): bell_state(0).density()})
+            CQBox.from_outputs((2, 2), AB, {(0, 0): bell_state(0).density()})
 
     def test_sizes_and_keys_validated(self):
         outputs = {key: bell_state(0).density() for key in itertools.product(range(2), range(2))}
         with pytest.raises(ValueError, match="input_sizes"):
-            CQBox((0, 2), AB, {})
+            CQBox.from_outputs((0, 2), AB, {})
         with pytest.raises(ValueError, match=r"output key \(2, 0\)"):
-            CQBox((2, 2), AB, {**outputs, (2, 0): bell_state(0).density()})
+            CQBox.from_outputs((2, 2), AB, {**outputs, (2, 0): bell_state(0).density()})
+
+    def test_joint_dimension_capped_before_allocation(self):
+        big = PartyStructure.pair(33)
+        with pytest.raises(ValueError, match="joint dimension 1089"):
+            CQBox.from_outputs((1, 1), big, {(0, 0): np.eye(1089)[0]})
+        with pytest.raises(ValueError, match="joint dimension 1089"):
+            CQBox((1, 1), big, amplitudes=np.zeros((1, 1, 1089)))
+
+    def test_stack_fields_validated_once(self):
+        box = correlated_bell_box()
+        assert box.matrices.shape == (2, 2, 4, 4) and box.amplitudes.shape == (2, 2, 4)
+        assert not box.matrices.flags.writeable and not box.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="exactly one of matrices and amplitudes"):
+            CQBox((2, 2), AB)
+        bad = np.array(box.matrices)
+        bad[1, 0] = np.diag([0.5, 0.5, 0.5, -0.5])
+        with pytest.raises(ValueError, match="output at input 1,0 is invalid: density matrix"):
+            CQBox((2, 2), AB, bad)
+        amps = np.array(box.amplitudes)
+        amps[0, 1] *= 2
+        with pytest.raises(ValueError, match="output at input 0,1 is invalid: state vector norm"):
+            CQBox((2, 2), AB, amplitudes=amps)
+
+    def test_out_of_range_inputs_rejected(self):
+        box = correlated_bell_box()
+        for key in [(2, 0), (-1, 0), (0,), (0, 0, 0)]:
+            with pytest.raises(KeyError, match=re.escape(f"no output for inputs {key}")):
+                box.output(key)
+            with pytest.raises(KeyError):
+                box.pure_output(key)
 
     def test_pure_output_roundtrip(self):
         box = correlated_bell_box()
@@ -358,12 +393,12 @@ class TestCQBoxType:
 
     def test_pure_output_rejects_mixed(self):
         mixed = DensityMatrix(np.eye(4) / 4, AB)
-        box = CQBox((2, 2), AB, {key: mixed for key in pr_box_inputs()})
+        box = CQBox.from_outputs((2, 2), AB, {key: mixed for key in pr_box_inputs()})
         with pytest.raises(ValueError):
             box.pure_output((0, 0))
 
     def test_pure_output_extracts_from_rank_one_matrix(self):
-        box = CQBox((2, 2), AB, {key: bell_state(2).density() for key in pr_box_inputs()})
+        box = CQBox.from_outputs((2, 2), AB, {key: bell_state(2).density() for key in pr_box_inputs()})
         v = box.pure_output((0, 1))
         overlap = abs(np.vdot(v.amplitudes, bell_state(2).amplitudes)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -381,6 +416,21 @@ class TestMixBoxes:
         a = correlated_bell_box()
         with pytest.raises(ValueError):
             mix_boxes([(0.6, a), (0.6, a)])
+
+    def test_mismatched_components_rejected(self):
+        phase = phase_family_box(lambda x, y: x * y, 0.8, 0.6)
+        wide = unitary_family_box(lambda key: np.eye(2), 2, (2, 3))
+        qutrits = unitary_family_box(lambda key: np.eye(3), 3)
+        narrow = CQBox.from_pure((1, 2), {(0, y): bell_state(0) for y in range(2)})
+        cases = [
+            ([phase, wide], "component 1 has input_sizes (2, 3)"),
+            ([wide, phase], "component 1 has input_sizes (2, 2)"),
+            ([phase, qutrits], "component 1 has party dims (3, 3)"),
+            ([phase, narrow], "component 1 has input_sizes (1, 2)"),
+        ]
+        for boxes, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                mix_boxes([(0.5, box) for box in boxes])
 
 
 # Reference no-signalling checks: one Python loop per subgroup, own input
@@ -523,7 +573,7 @@ def cq_boxes(draw) -> CQBox:
         else:
             mat = _random_density(rng, structure.total_dim)
         outputs[key] = DensityMatrix(mat, structure)
-    return CQBox(inputs, structure, outputs)
+    return CQBox.from_outputs(inputs, structure, outputs)
 
 
 class TestSweepMatchesReference:
@@ -542,3 +592,181 @@ class TestSweepMatchesReference:
     @given(box=cq_boxes(), tol=st.sampled_from(TOLERANCES))
     def test_random_cq_boxes(self, box, tol):
         check_against_reference(box, tol)
+
+
+# Reference C-Q box code from before the array storage: one validated
+# DensityMatrix per input key, and Python loops over the keys for the
+# distance, the mixture, the induced table and the W-phase family.  The
+# stack-backed CQBox and its kernels must reproduce them exactly.
+
+
+def reference_outputs(outputs: dict, structure: PartyStructure) -> dict:
+    """Input key -> DensityMatrix, as the dict-backed box stored it."""
+    return {
+        key: out.density() if isinstance(out, StateVector) else DensityMatrix(out, structure)
+        for key, out in outputs.items()
+    }
+
+
+def reference_document_outputs(doc: dict) -> dict:
+    structure = PartyStructure(tuple((p["label"], p["dim"]) for p in doc["parties"]))
+    outputs = {}
+    for name, entry in doc["outputs"].items():
+        key = tuple(int(v) for v in name.split(","))
+        if "amplitudes" in entry:
+            arr = np.asarray(entry["amplitudes"], dtype=float)
+            outputs[key] = StateVector(arr[..., 0] + 1j * arr[..., 1], structure)
+        else:
+            arr = np.asarray(entry["matrix"], dtype=float)
+            outputs[key] = arr[..., 0] + 1j * arr[..., 1]
+    return reference_outputs(outputs, structure)
+
+
+def reference_distance(a: dict, b: dict) -> float:
+    return max(trace_distance(a[key], b[key]) for key in a)
+
+
+def reference_mix(weighted: list, structure: PartyStructure) -> dict:
+    first = weighted[0][1]
+    mixed = {}
+    for key in first:
+        mat = np.zeros((structure.total_dim,) * 2, dtype=complex)
+        for w, outputs in weighted:
+            mat += w * outputs[key].matrix
+        mixed[key] = DensityMatrix(mat, structure)
+    return mixed
+
+
+def reference_induced(outputs: dict, sizes: tuple, dims: tuple, measurements: list) -> np.ndarray:
+    table = np.zeros(sizes + dims)
+    for key, rho in outputs.items():
+        frame = kron_all(
+            [np.asarray(measurements[j][key[j]], dtype=complex) for j in range(len(dims))]
+        )
+        rotated = frame.conj().T @ rho.matrix @ frame
+        table[key] = np.clip(np.real(np.diagonal(rotated)), 0.0, None).reshape(dims)
+    return table
+
+
+def reference_w_phase_outputs(assignment: PhaseAssignment) -> dict:
+    structure = PartyStructure.qubits("ABC")
+    states = {}
+    for key in itertools.product(range(2), repeat=3):
+        amp = np.zeros(8, dtype=complex)
+        amp[4] = np.exp(1j * assignment.alpha[key])
+        amp[2] = np.exp(1j * assignment.beta[key])
+        amp[1] = np.exp(1j * assignment.gamma[key])
+        states[key] = StateVector(amp / math.sqrt(3), structure)
+    return states
+
+
+def assert_stack_matches(box: CQBox, outputs: dict) -> None:
+    assert sorted(outputs) == box.inputs
+    for key, rho in outputs.items():
+        assert np.array_equal(box.matrices[key], rho.matrix), key
+
+
+def assert_kernels_match(box: CQBox, other: CQBox, outputs: dict, other_outputs: dict, rng) -> None:
+    """Distance, mixture and induced table of the stack-backed boxes equal
+    the per-key reference on the same outputs, bit for bit."""
+    assert cq_box_distance(box, other) == reference_distance(outputs, other_outputs)
+    # three components, so that the summation order shows in the rounding
+    mixed = mix_boxes([(0.2, box), (0.5, other), (0.3, box)])
+    expected = reference_mix([(0.2, outputs), (0.5, other_outputs), (0.3, outputs)], box.structure)
+    assert_stack_matches(mixed, expected)
+    measurements = [
+        [haar_unitary(d, rng).matrix for _ in range(n)]
+        for n, d in zip(box.input_sizes, box.structure.dims)
+    ]
+    expected = reference_induced(outputs, box.input_sizes, box.structure.dims, measurements)
+    assert np.array_equal(induced_ccbox(box, measurements).table, expected)
+
+
+def _dephased(box: CQBox) -> tuple[CQBox, dict]:
+    """A second box on the same inputs: each output mixed with the
+    maximally mixed state, weight 1/4."""
+    d = box.structure.total_dim
+    outputs = {key: 0.75 * box.matrices[key] + 0.25 * np.eye(d) / d for key in box.inputs}
+    return CQBox.from_outputs(box.input_sizes, box.structure, outputs), reference_outputs(
+        outputs, box.structure
+    )
+
+
+CQ_FIXTURES = [name for name in BOX_FIXTURES if '"cq"' in (FIXTURES / name).read_text()]
+
+
+class TestStackMatchesReference:
+    @pytest.mark.parametrize("name", BOX_FIXTURES)
+    def test_fixtures(self, name):
+        doc = json.loads((FIXTURES / name).read_text())
+        box = load_box(FIXTURES / name)
+        if doc["kind"] == "cc":
+            assert not isinstance(box, CQBox)
+            return
+        outputs = reference_document_outputs(doc)
+        assert_stack_matches(box, outputs)
+        other, other_outputs = _dephased(box)
+        assert_kernels_match(box, other, outputs, other_outputs, np.random.default_rng(7))
+
+    def test_every_cq_fixture_is_covered(self):
+        assert len(CQ_FIXTURES) >= 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_boxes(self, data):
+        k = data.draw(st.integers(2, 3))
+        sizes = tuple(data.draw(st.integers(1, 3)) for _ in range(k))
+        dims = tuple(data.draw(st.integers(1, 3)) for _ in range(k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        structure = PartyStructure(tuple(zip("ABC", dims)))
+        d = structure.total_dim
+
+        def draw_outputs(pure: bool) -> dict:
+            outputs = {}
+            for key in np.ndindex(*sizes):
+                if pure:
+                    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    outputs[key] = StateVector(z / np.linalg.norm(z), structure)
+                else:
+                    outputs[key] = _random_density(rng, d)
+            return outputs
+
+        raw = draw_outputs(data.draw(st.booleans()))
+        other_raw = draw_outputs(data.draw(st.booleans()))
+        box = CQBox.from_outputs(sizes, structure, raw)
+        other = CQBox.from_outputs(sizes, structure, other_raw)
+        outputs = reference_outputs(raw, structure)
+        other_outputs = reference_outputs(other_raw, structure)
+        assert_stack_matches(box, outputs)
+        assert_stack_matches(other, other_outputs)
+        pure = all(isinstance(v, StateVector) for v in raw.values())
+        assert (box.amplitudes is not None) == pure
+        if pure:
+            for key, state in raw.items():
+                assert np.array_equal(box.amplitudes[key], state.amplitudes)
+        assert_kernels_match(box, other, outputs, other_outputs, rng)
+
+    @settings(max_examples=100, deadline=None)
+    @given(phases=st.lists(
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=24, max_size=24
+    ))
+    def test_w_phase_box(self, phases):
+        grids = np.reshape(phases, (3, 2, 2, 2))
+        assignment = PhaseAssignment(*grids)
+        box = w_phase_box(assignment)
+        states = reference_w_phase_outputs(assignment)
+        assert_stack_matches(box, {key: state.density() for key, state in states.items()})
+        for key, state in states.items():
+            assert np.array_equal(box.amplitudes[key], state.amplitudes)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -2.5, math.pi])
+    def test_ghz_phase_box(self, theta):
+        structure = PartyStructure.qubits("ABC")
+        box = ghz_phase_box(theta)
+        for key in box.inputs:
+            amp = np.zeros(8, dtype=complex)
+            amp[0] = 1.0
+            amp[7] = np.exp(1j * theta * key[0] * key[1] * key[2])
+            state = StateVector(amp / math.sqrt(2), structure)
+            assert np.array_equal(box.amplitudes[key], state.amplitudes)
+            assert np.array_equal(box.matrices[key], state.density().matrix)

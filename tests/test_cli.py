@@ -44,7 +44,7 @@ def disordered_box() -> CQBox:
             w * bell_state(i).density().matrix for i, w in enumerate(weights)
         )
         outputs[key] = DensityMatrix(mat, structure)
-    return CQBox((2, 2), structure, outputs)
+    return CQBox.from_outputs((2, 2), structure, outputs)
 
 
 def assignment_doc(fn_a, fn_b, fn_c) -> dict:
@@ -392,6 +392,7 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "max-entangled", "--n", "0"], "--n 0"),
         (["synth", "max-entangled", "--samples", "0"], "samples must be at least 1"),
         (["wphase", "--mode", "theorem", "--random-samples", "-3"], "--random-samples"),
+        (["synth", "max-entangled", "--n", "33"], "--n 33"),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, mod_box, pr_box
 from cqboxes.cli import main
@@ -40,7 +42,7 @@ def mixed_box() -> CQBox:
         (x, y): half if x * y else bell_state(0).density()
         for x, y in itertools.product(range(2), range(2))
     }
-    return CQBox((2, 2), AB, outputs)
+    return CQBox.from_outputs((2, 2), AB, outputs)
 
 
 class TestRoundTrips:
@@ -224,6 +226,16 @@ class TestValidation:
             "outputs missing for inputs [(0, 0), (0, 1), (0, 2), (0, 3)] and 9999999996 more"
         )
 
+    def test_parties_above_dimension_cap(self, capsys, tmp_path):
+        doc = box_to_document(pure_phase_box())
+        doc["parties"] = [{"label": "A", "dim": 33}, {"label": "B", "dim": 33}]
+        with pytest.raises(BoxDocumentError, match="field 'parties' gives joint dimension 1089"):
+            document_to_box(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert "'parties'" in capsys.readouterr().err
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoxDocumentError, match="cannot read"):
             load_box(tmp_path / "absent.json")
@@ -253,6 +265,62 @@ class TestValidation:
         doc["metadata"] = "pr"
         with pytest.raises(BoxDocumentError, match="'metadata'"):
             document_to_box(doc)
+
+
+@st.composite
+def random_boxes(draw) -> CQBox:
+    """2-3 parties of dims 1-3 with 1-2 inputs each; every output pure,
+    every output mixed, or a random blend of the two."""
+    k = draw(st.integers(2, 3))
+    sizes = tuple(draw(st.integers(1, 2)) for _ in range(k))
+    structure = PartyStructure(tuple(zip("ABC", (draw(st.integers(1, 3)) for _ in range(k)))))
+    kinds = draw(st.sampled_from(["pure", "mixed", "blend"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = structure.total_dim
+    outputs = {}
+    for key in np.ndindex(*sizes):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if kinds == "pure" or (kinds == "blend" and rng.random() < 0.5):
+            outputs[key] = z[0] / np.linalg.norm(z[0])
+        else:
+            rho = z @ z.conj().T
+            outputs[key] = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    return CQBox.from_outputs(sizes, structure, outputs)
+
+
+def _rewritten(box: CQBox) -> tuple[str, str, CQBox]:
+    first = json.dumps(box_to_document(box), sort_keys=True)
+    loaded = document_to_box(json.loads(first))
+    return first, json.dumps(box_to_document(loaded), sort_keys=True), loaded
+
+
+@settings(max_examples=100, deadline=None)
+@given(box=random_boxes())
+def test_io_round_trip(box):
+    first, second, loaded = _rewritten(box)
+    assert np.max(np.abs(loaded.matrices - box.matrices)) <= 1e-15
+    before, after = json.loads(first), json.loads(second)
+    assert before.keys() == after.keys()
+    assert {k: v for k, v in before.items() if k != "outputs"} == {
+        k: v for k, v in after.items() if k != "outputs"
+    }
+    for name, entry in before["outputs"].items():
+        again = after["outputs"][name]
+        assert entry.keys() == again.keys()
+        if "matrix" in entry:
+            assert entry == again
+        else:
+            assert np.max(np.abs(np.subtract(entry["amplitudes"], again["amplitudes"]))) <= 1e-15
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="each save re-applies the global-phase fix to pure amplitudes, "
+    "which moves them by rounding, so a pure document is not a fixed point of load and save",
+)
+def test_pure_document_is_a_fixed_point():
+    first, second, _ = _rewritten(pure_phase_box())
+    assert first == second
 
 
 def test_goldens_regenerate_byte_for_byte(tmp_path, monkeypatch, capsys):

@@ -5,17 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from cqboxes import synthesis
 from cqboxes.boxes import (
+    CCBox,
     CQBox,
     HaarCouplingBox,
     chsh_value,
+    cc_no_signalling,
     cq_box_distance,
     cq_no_signalling,
     induced_ccbox,
     mix_boxes,
+    mod_box,
     pr_box,
 )
 from cqboxes.io import load_box
@@ -532,7 +537,7 @@ class TestMixedDisordered:
             (1, 0): bell_mixture([0.7, 0.0, 0.0, 0.3]),
             (1, 1): DensityMatrix(rotated, structure),
         }
-        return CQBox((2, 2), structure, outputs)
+        return CQBox.from_outputs((2, 2), structure, outputs)
 
     def test_interval_mixture_recombines_to_the_box(self):
         box = self.family()
@@ -746,3 +751,44 @@ class TestBatchedSamplerMatchesReference:
         _, strategy = SAMPLED[0]
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             simulate(strategy, samples=0)
+
+
+@st.composite
+def non_signalling_strategies(draw) -> Strategy:
+    """A random non-signalling classical box, a convex mixture of product
+    boxes and the modular box, driving random output-conditioned local
+    unitaries on a random shared pure state."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    components = draw(st.integers(1, 3))
+    weights = rng.dirichlet(np.ones(components + 1))
+    table = weights[0] * mod_box(n, parties=k).table
+    for w in weights[1:]:
+        product = np.ones((2,) * k + (n,) * k)
+        for j in range(k):
+            cond = rng.random((2, n))
+            shape = [1] * (2 * k)
+            shape[j], shape[k + j] = 2, n
+            product = product * (cond / cond.sum(axis=1, keepdims=True)).reshape(shape)
+        table = table + w * product
+    ccbox = CCBox((2,) * k, (n,) * k, table)
+    structure = PartyStructure(tuple(zip("ABC", dims)))
+    z = rng.standard_normal(structure.total_dim) + 1j * rng.standard_normal(structure.total_dim)
+    shared = StateVector(z / np.linalg.norm(z), structure)
+    unitaries = [
+        [[haar_unitary(d, rng).matrix for _ in range(n)] for _ in range(2)] for d in dims
+    ]
+    maps = tuple(
+        (lambda x, a, table=table_j: table[x][a]) for table_j in unitaries
+    )
+    return Strategy(ccbox=ccbox, shared=shared, party_maps=maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=non_signalling_strategies())
+def test_core_lemma_non_signalling_box_gives_non_signalling_cq_box(strategy):
+    assert cc_no_signalling(strategy.ccbox).passed
+    report = cq_no_signalling(simulate(strategy))
+    assert report.passed, report.worst_violation
