@@ -64,6 +64,28 @@ MAX_WITNESSES = 10
 BOUND_ALPHABET_CAP = 4
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a float flag: refuses NaN and infinities."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    return [_finite_float(part) for part in text.split(",")] if text else []
+
+
 def _digest(record: dict, files: tuple[str, ...] = ()) -> str:
     """Short content hash over the command's parameters and input files."""
     h = hashlib.sha256(json.dumps(record, sort_keys=True).encode())
@@ -351,6 +373,10 @@ def _cmd_bound(args) -> tuple[dict, int]:
     kmax = args.kmax if args.kmax is not None else args.n
     if kmax < 1:
         raise ValueError("--kmax must be at least 1")
+    if args.restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
+    if args.budget < 0:
+        raise ValueError(f"--budget must be non-negative, got {args.budget}")
     record = {
         "n": args.n, "kmax": kmax, "m": args.m,
         "alpha": args.alpha, "beta": args.beta,
@@ -437,7 +463,7 @@ def _cmd_wphase(args) -> tuple[dict, int]:
         raise ValueError("theorem mode takes no assignment file")
     if args.random_samples < 0:
         raise ValueError(f"--random-samples must be non-negative, got {args.random_samples}")
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else None
+    grid = args.grid or None  # an empty --grid keeps the default grid
     record = {
         "grid": grid, "random_samples": args.random_samples,
         "seed": args.seed, "tol": args.tol,
@@ -461,7 +487,7 @@ def _add_globals(parser: argparse.ArgumentParser, defaults: bool) -> None:
     """Global flags, valid both before and after the subcommand."""
     suppress = argparse.SUPPRESS
     parser.add_argument(
-        "--tol", type=float, default=TOLERANCE if defaults else suppress,
+        "--tol", type=_tolerance, default=TOLERANCE if defaults else suppress,
         help="numerical tolerance",
     )
     parser.add_argument(
@@ -489,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
         "synth", parents=[common], help="synthesise a family and compare it to its analytic target"
     )
     synth.add_argument("construction", choices=list(_CONSTRUCTIONS))
-    synth.add_argument("--alpha", type=float, default=1 / math.sqrt(2))
-    synth.add_argument("--beta", type=float, default=1 / math.sqrt(2))
+    synth.add_argument("--alpha", type=_finite_float, default=1 / math.sqrt(2))
+    synth.add_argument("--beta", type=_finite_float, default=1 / math.sqrt(2))
     synth.add_argument("--m", type=int, default=1, help="phase numerator")
     synth.add_argument("--n", type=int, default=2, help="phase denominator / local dimension")
-    synth.add_argument("--theta", type=float, default=0.5, help="phase in turns of 2 pi")
+    synth.add_argument("--theta", type=_finite_float, default=0.5, help="phase in turns of 2 pi")
     synth.add_argument("--weights", default="0.8,0.2", help="comma-separated level weights")
     synth.add_argument(
         "--phases", default="{}", help='JSON object of exact phases, e.g. {"1,1,0": "1/4"}'
@@ -511,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--n", type=int, required=True, help="phase denominator (at most 4)")
     bound.add_argument("--kmax", type=int, help="largest alphabet in the frontier (default n)")
     bound.add_argument("--m", type=int, default=1, help="phase numerator")
-    bound.add_argument("--alpha", type=float, default=0.8)
-    bound.add_argument("--beta", type=float, default=0.6)
+    bound.add_argument("--alpha", type=_finite_float, default=0.8)
+    bound.add_argument("--beta", type=_finite_float, default=0.6)
     bound.add_argument(
         "--budget", type=int, default=64,
         help="total ascent restarts available for confirmations",
@@ -525,10 +551,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the whole theorem or test one assignment file",
     )
     wphase.add_argument("assignment", nargs="?", help="phase assignment JSON (single mode)")
-    wphase.add_argument("--grid", help="comma-separated per-party phase grid values")
+    wphase.add_argument(
+        "--grid", type=_finite_floats, help="comma-separated per-party phase grid values"
+    )
     wphase.add_argument("--random-samples", type=int, default=40)
 
     return parser
+
+
+def _render(report: dict) -> str:
+    """The report as strict JSON; a NaN or infinity in it is a program fault."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"report is not valid JSON: {exc}") from exc
 
 
 _HANDLERS = {
@@ -548,13 +584,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         report, code = _HANDLERS[args.command](args)
+        text = _render(report)
     except (BoxDocumentError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

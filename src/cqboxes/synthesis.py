@@ -43,7 +43,6 @@ from cqboxes.quantum import (
     PartyStructure,
     StateVector,
     UnitaryOperator,
-    apply_axis,
     as_matrix,
     bell_state,
     capped_dim,
@@ -86,9 +85,12 @@ class Strategy:
 
     ``party_maps[j]`` receives (input symbol, output symbol) and returns
     the unitary party j applies.  For finite boxes the output symbol is an
-    integer; for Haar couplings it is a stack of sampled unitaries, shape
-    ``(S, n, n)``, and the map composes any input-local dressing around
-    each of them (under ``@`` broadcasting).
+    integer and each map is called once per output symbol per input, so
+    it must be a pure function of the two.  For Haar couplings it is a
+    stack of sampled unitaries, shape ``(S, n, n)``, and the map returns
+    the matching stack, composing any input-local dressing around each
+    draw (under ``@`` broadcasting).  Both kinds feed one weighted stack
+    of state vectors per input, which ``simulate`` sums.
     """
 
     ccbox: CCBox | CouplingBox | HaarCouplingBox
@@ -109,46 +111,55 @@ class Strategy:
         return tuple(self.ccbox.input_sizes)
 
 
-def _apply_each_party(amp: np.ndarray, dims: tuple[int, ...], mats: Sequence[np.ndarray]) -> np.ndarray:
-    t = amp.reshape(dims)
-    for j, m in enumerate(mats):
-        t = apply_axis(t, np.asarray(m, dtype=complex), j)
-    return t.reshape(-1)
-
-
-# complex entries per chunk array of Haar-coupling samples (256 KB): bounds
-# peak memory whatever the sample count; larger chunks measured no faster
+# complex entries per chunk array of vectors or unitary stacks (256 KB):
+# bounds peak memory whatever the support size or sample count; larger
+# chunks measured no faster
 _CHUNK_ENTRIES = 2**14
 
 
-def _sampled_vectors(
-    strategy: Strategy, samples: int, seed: int
-) -> Iterator[dict[tuple[int, ...], np.ndarray]]:
-    """Per chunk of coupling draws, each input's ``(chunk, D)`` stack of
-    sampled state vectors.  Chunks are drawn in order from one stream,
-    so the samples do not depend on the chunk size."""
-    coupling = strategy.ccbox
-    if not isinstance(coupling, HaarCouplingBox):
-        raise TypeError("sample_states applies only to Haar-coupling strategies")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    structure = strategy.shared.structure
-    shared = strategy.shared.amplitudes.reshape(structure.dims)
-    alice, bob = strategy.party_maps
-    chunk = max(1, _CHUNK_ENTRIES // structure.total_dim)
-    for start in range(0, samples, chunk):
-        bases = coupling.draw_base(rng, min(chunk, samples - start))
-        vectors = {}
-        for key in np.ndindex(*coupling.input_sizes):
-            u_a, u_b = coupling.sample_pair(key, bases)
-            # (U_a x U_b) vec(M) = vec(U_a M U_b^T)
-            vecs = alice(key[0], u_a) @ shared @ np.swapaxes(bob(key[1], u_b), -1, -2)
-            vecs = vecs.reshape(len(bases), -1)
-            if fault := invalid_vector(vecs):
-                raise ValueError(fault[1])
-            vectors[key] = vecs
-        yield vectors
+def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
+    """Per input, chunks of (each party's ``(S, d_j, d_j)`` unitary stack,
+    ``(S,)`` weights): a finite box's support at that input with its table
+    weights, or ``samples`` seeded Haar draws of weight 1/samples, drawn
+    in chunks from one stream that every input shares."""
+    ccbox, maps = strategy.ccbox, strategy.party_maps
+    dims = strategy.shared.structure.dims
+    chunk = max(1, _CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
+    if isinstance(ccbox, HaarCouplingBox):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        rng = np.random.default_rng(seed)
+        for start in range(0, samples, chunk):
+            bases = ccbox.draw_base(rng, min(chunk, samples - start))
+            for key in np.ndindex(*ccbox.input_sizes):
+                pair = ccbox.sample_pair(key, bases)
+                stacks = [f(x, u) for f, x, u in zip(maps, key, pair)]
+                yield key, stacks, np.full(len(bases), 1 / samples)
+        return
+    table = (coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox).table
+    for key in np.ndindex(*ccbox.input_sizes):
+        per_symbol = [
+            np.array([f(x, out) for out in range(n)], dtype=complex)
+            for f, x, n in zip(maps, key, table.shape[len(key) :])
+        ]
+        support = np.nonzero(table[key] > 0)
+        for start in range(0, len(support[0]), chunk):
+            rows = tuple(outs[start : start + chunk] for outs in support)
+            yield key, [m[r] for m, r in zip(per_symbol, rows)], table[key][rows]
+
+
+def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
+    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights):
+    party j's unitary stack applied to axis j of the shared state."""
+    dims = strategy.shared.structure.dims
+    for key, stacks, weights in _weighted_unitaries(strategy, samples, seed):
+        t = strategy.shared.amplitudes.reshape(1, -1)
+        for j, m in enumerate(stacks):
+            t = m[:, None] @ t.reshape(len(t), math.prod(dims[:j]), dims[j], -1)
+        vecs = t.reshape(len(t), -1)
+        if fault := invalid_vector(vecs):
+            raise ValueError(fault[1])
+        yield key, vecs, weights
 
 
 def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox:
@@ -161,25 +172,8 @@ def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox
     structure = strategy.shared.structure
     d = capped_dim(structure)
     mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
-    if isinstance(strategy.ccbox, HaarCouplingBox):
-        for chunk in _sampled_vectors(strategy, samples, seed):
-            for key, vecs in chunk.items():
-                mats[key] += vecs.T @ vecs.conj()
-        mats /= samples
-        return CQBox(strategy.input_sizes, structure, mats)
-
-    ccbox = strategy.ccbox
-    table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
-    dims = structure.dims
-    for key in np.ndindex(*table_box.input_sizes):
-        block = table_box.table[key]
-        for out_key in np.argwhere(block > 0):
-            p = block[tuple(out_key)]
-            maps = [
-                strategy.party_maps[j](key[j], int(out_key[j])) for j in range(len(dims))
-            ]
-            vec = _apply_each_party(strategy.shared.amplitudes, dims, maps)
-            mats[key] += p * np.outer(vec, vec.conj())
+    for key, vecs, weights in _weighted_vectors(strategy, samples, seed):
+        mats[key] += (vecs.T * weights) @ vecs.conj()
     return CQBox(strategy.input_sizes, structure, mats)
 
 
@@ -187,11 +181,12 @@ def sample_states(
     strategy: Strategy, *, samples: int = 1000, seed: int = 0
 ) -> dict[tuple[int, ...], list[StateVector]]:
     """Per-input list of the pure states produced by each coupling draw."""
+    if not isinstance(strategy.ccbox, HaarCouplingBox):
+        raise TypeError("sample_states applies only to Haar-coupling strategies")
     structure = strategy.shared.structure
     result: dict[tuple[int, ...], list[StateVector]] = {}
-    for chunk in _sampled_vectors(strategy, samples, seed):
-        for key, vecs in chunk.items():
-            result.setdefault(key, []).extend(StateVector(vec, structure) for vec in vecs)
+    for key, vecs, _ in _weighted_vectors(strategy, samples, seed):
+        result.setdefault(key, []).extend(StateVector(vec, structure) for vec in vecs)
     return result
 
 
@@ -307,6 +302,8 @@ def irrational_phase_strategy(
     """
     if n < 2:
         raise ValueError(f"output count must be at least 2, got {n}")
+    if not math.isfinite(n * theta):
+        raise ValueError(f"theta = {theta} times n = {n} is not a finite number of turns")
     m = round(n * theta)
     delta = 2 * math.pi * abs(theta - m / n)
     bound = min(1.0, 2 * (abs(alpha) * abs(beta)) ** 2 * (1 - math.cos(delta)) + 1e-12)

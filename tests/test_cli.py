@@ -393,6 +393,20 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "max-entangled", "--samples", "0"], "samples must be at least 1"),
         (["wphase", "--mode", "theorem", "--random-samples", "-3"], "--random-samples"),
         (["synth", "max-entangled", "--n", "33"], "--n 33"),
+        (["verify", "{cc_doc}", "--tol", "nan"], "argument --tol"),
+        (["verify", "{cc_doc}", "--tol", "inf"], "argument --tol"),
+        (["verify", "{cc_doc}", "--tol", "-1"], "argument --tol: must be non-negative"),
+        (["--tol", "nan", "verify", "{cc_doc}"], "argument --tol"),
+        (["bound", "--n", "3", "--alpha", "nan"], "argument --alpha"),
+        (["bound", "--n", "3", "--beta", "-inf"], "argument --beta"),
+        (["synth", "irrational-phase", "--theta", "inf", "--n", "4"], "argument --theta"),
+        (["synth", "irrational-phase", "--theta", "1e308", "--n", "4"], "theta = 1e+308"),
+        (["synth", "sign-flip", "--alpha", "nan"], "argument --alpha"),
+        (["wphase", "--grid", "nan"], "argument --grid"),
+        (["wphase", "--grid", "0,1,inf"], "argument --grid"),
+        (["bound", "--n", "3", "--restarts", "0"], "--restarts must be at least 1"),
+        (["bound", "--n", "3", "--restarts", "-2"], "--restarts must be at least 1"),
+        (["bound", "--n", "3", "--budget", "-1"], "--budget must be non-negative"),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
@@ -436,6 +450,13 @@ class TestContract:
         assert code == 4
         assert report is None
         assert "internal error" in err and "boom" in err
+
+    def test_non_finite_report_value_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "bound", lambda args: ({"value": math.nan}, 0))
+        code, report, err = run(capsys, "bound", "--n", "2")
+        assert code == 4
+        assert report is None
+        assert "internal error" in err and "not valid JSON" in err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqboxes.boxes import cc_no_signalling, cq_box_distance, cq_no_signalling, mod_box
 from cqboxes.multipartite import (
     PhaseAssignment,
+    _monomials_for,
     ghz_phase_box,
     ghz_phase_strategy,
     is_local_equivalent,
@@ -164,3 +167,28 @@ class TestValidation:
             PhaseAssignment(
                 alpha=np.zeros((2, 2)), beta=np.zeros((2, 2, 2)), gamma=np.zeros((2, 2, 2))
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ket=st.integers(0, 2),
+    monomial=st.integers(0, 5),
+    delta=st.floats(0.05, 2 * math.pi - 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_w_phase_perturbation_is_caught(ket, monomial, delta, seed):
+    """A random local assignment (per-party phases and a free global phase)
+    whose ket phase is bumped by delta times a non-local monomial signals
+    with worst violation 2 |sin(delta / 2)| / 3."""
+    rng = np.random.default_rng(seed)
+    local = rng.uniform(-math.pi, math.pi, size=(3, 2))
+    g = rng.uniform(-math.pi, math.pi, size=(2, 2, 2))
+    coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+    grids = [local[j][coords[j]] + g for j in range(3)]
+    bump = np.ones((2, 2, 2))
+    for variable in _monomials_for(ket)[monomial]:
+        bump = bump * coords[variable]
+    grids[ket] = grids[ket] + delta * bump
+    report = cq_no_signalling(w_phase_box(PhaseAssignment(*grids)))
+    assert not report.passed
+    assert abs(report.worst_violation - 2 * abs(math.sin(delta / 2)) / 3) <= 1e-12

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from cqboxes import synthesis
+from cqboxes.bounds import best_fidelity, spec_to_strategy
 from cqboxes.boxes import (
     CCBox,
+    CouplingBox,
     CQBox,
     HaarCouplingBox,
     chsh_value,
     cc_no_signalling,
     cq_box_distance,
+    coupling_to_ccbox,
     cq_no_signalling,
     induced_ccbox,
     mix_boxes,
@@ -24,6 +27,7 @@ from cqboxes.boxes import (
     pr_box,
 )
 from cqboxes.io import load_box
+from cqboxes.multipartite import ghz_phase_strategy
 from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
@@ -792,3 +796,156 @@ def test_core_lemma_non_signalling_box_gives_non_signalling_cq_box(strategy):
     assert cc_no_signalling(strategy.ccbox).passed
     report = cq_no_signalling(simulate(strategy))
     assert report.passed, report.worst_violation
+
+
+def reference_finite_simulate(strategy: Strategy) -> np.ndarray:
+    """The per-entry loop the stacked finite kernel replaced: per positive
+    table entry, one call of each party map, one local application per
+    party and one weighted outer product, summed in support order."""
+    ccbox = strategy.ccbox
+    table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
+    dims = strategy.shared.structure.dims
+    d = strategy.shared.structure.total_dim
+    mats = np.zeros(tuple(table_box.input_sizes) + (d, d), dtype=complex)
+    for key in np.ndindex(*table_box.input_sizes):
+        block = table_box.table[key]
+        for out_key in np.argwhere(block > 0):
+            t = strategy.shared.amplitudes.reshape(dims)
+            for j in range(len(dims)):
+                mat = strategy.party_maps[j](key[j], int(out_key[j]))
+                t = apply_axis(t, np.asarray(mat, dtype=complex), j)
+            vec = t.reshape(-1)
+            mats[key] += block[tuple(out_key)] * np.outer(vec, vec.conj())
+    return mats
+
+
+def finite_strategies() -> list[tuple[str, Strategy]]:
+    q_a, q_b = haar_unitary(3, 41).matrix, haar_unitary(3, 42).matrix
+    phases = {(1, 1, 0): Fraction(1, 4), (1, 1, 2): Fraction(1, 3), (0, 1, 1): Fraction(1, 6)}
+    cases = [
+        ("bit-flip", bit_flip_strategy()),
+        ("sign-flip", sign_flip_strategy(0.6, 0.8)),
+        ("rational-phase 2/3", rational_phase_strategy(2, 3, 0.8, 0.6)),
+        ("rational-phase 3/7", rational_phase_strategy(3, 7, 1 / math.sqrt(2), 1 / math.sqrt(2))),
+        ("irrational-phase", irrational_phase_strategy(math.sqrt(2) - 1, 16, 0.6, 0.8)[0]),
+        ("eight-output", eight_output_strategy()),
+        ("nonmax-pure", nonmax_pure_strategy([0.5, 0.3, 0.2], phases)),
+        (
+            "nonmax-pure dressed",
+            nonmax_pure_strategy(
+                [0.5, 0.3, 0.2],
+                phases,
+                lambda x: q_a if x else np.eye(3),
+                lambda y: q_b if y else np.eye(3),
+            ),
+        ),
+        ("nonmax-pure local only", nonmax_pure_strategy([0.7, 0.3], {(1, 0, 1): Fraction(1, 3)})),
+        ("ghz-phase 1/2", ghz_phase_strategy(1, 2)),
+        ("ghz-phase 2/7", ghz_phase_strategy(2, 7)),
+    ]
+    for n, k in [(2, 1), (3, 2), (4, 3), (5, 2), (5, 5)]:
+        spec = best_fidelity(n, k).certificate
+        cases.append((f"bound certificate n={n} k={k}", spec_to_strategy(spec, 0.8, 0.6)))
+    return cases
+
+
+FINITE = finite_strategies()
+
+
+@st.composite
+def finite_strategies_with_zeros(draw) -> Strategy:
+    """A random (not necessarily non-signalling) table with zero entries,
+    2-3 parties of local dimension 1-3, and a random unitary per party,
+    input and output symbol."""
+    k = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    inputs = tuple(draw(st.integers(1, 2)) for _ in range(k))
+    outputs = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.random(inputs + (math.prod(outputs),))
+    flat[rng.random(flat.shape) < 0.5] = 0.0
+    flat[..., rng.integers(flat.shape[-1])] += 0.1  # every input keeps some support
+    table = (flat / flat.sum(axis=-1, keepdims=True)).reshape(inputs + outputs)
+    structure = PartyStructure(tuple(zip("ABC", dims)))
+    z = rng.standard_normal(structure.total_dim) + 1j * rng.standard_normal(structure.total_dim)
+    unitaries = [
+        [[haar_unitary(d, rng).matrix for _ in range(n_out)] for _ in range(n_in)]
+        for d, n_in, n_out in zip(dims, inputs, outputs)
+    ]
+    return Strategy(
+        ccbox=CCBox(inputs, outputs, table),
+        shared=StateVector(z / np.linalg.norm(z), structure),
+        party_maps=tuple((lambda x, a, u=u_j: u[x][a]) for u_j in unitaries),
+    )
+
+
+class TestStackedFiniteMatchesReference:
+    @pytest.mark.parametrize("name, strategy", FINITE, ids=[name for name, _ in FINITE])
+    def test_constructions_match_the_loop(self, name, strategy):
+        box = simulate(strategy)
+        assert np.max(np.abs(box.matrices - reference_finite_simulate(strategy))) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategy=finite_strategies_with_zeros())
+    def test_random_tables_match_the_loop(self, strategy):
+        box = simulate(strategy)
+        assert np.max(np.abs(box.matrices - reference_finite_simulate(strategy))) <= 1e-13
+
+    def test_support_crosses_chunk_boundaries(self, monkeypatch):
+        strategy = ghz_phase_strategy(2, 7)  # 49 support entries per input
+        reference = reference_finite_simulate(strategy)
+        for entries in (8 * 10, 1):  # chunks of 10 entries, then of one entry
+            monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", entries)
+            assert np.max(np.abs(simulate(strategy).matrices - reference)) <= 1e-13
+
+    def test_each_party_map_is_called_once_per_symbol_and_input(self):
+        calls = []
+        flip = pauli_x().matrix
+
+        def conditional_flip(x: int, out: int) -> np.ndarray:
+            calls.append((x, out))
+            return flip if out else np.eye(2)
+
+        simulate(Strategy(pr_box(), bell_state(0), (conditional_flip, conditional_flip)))
+        # 4 inputs x 2 parties x 2 output symbols
+        assert sorted(calls) == sorted([(x, out) for x in range(2) for out in range(2)] * 4)
+
+    def test_non_unitary_party_map_fails_the_norm_check(self):
+        maps = (lambda x, a: 2 * np.eye(2), lambda y, b: np.eye(2))
+        strategy = Strategy(pr_box(), bell_state(0), maps)
+        with pytest.raises(ValueError, match="norm .* deviates from 1"):
+            simulate(strategy)
+
+
+@st.composite
+def schmidt_dressed_families(draw) -> CQBox:
+    """A random non-signalling pure family (U^x x V^y)(W^{x,y} x 1) sum_i d_i |ii>:
+    Schmidt coefficients d in equal-coefficient blocks, input-local
+    dressings U^x, V^y and block-diagonal couplings W^{x,y}."""
+    blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(blocks)
+    inputs = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # distinct block coefficients, at least 0.1 apart before normalising
+    levels = np.sort(rng.permutation(np.arange(1, 9))[: len(blocks)])[::-1] * 0.1
+    coeffs = np.repeat(levels, blocks)
+    coeffs = coeffs / np.linalg.norm(coeffs)
+    dress_a = [haar_unitary(n, rng).matrix for _ in range(inputs[0])]
+    dress_b = [haar_unitary(n, rng).matrix for _ in range(inputs[1])]
+    states = {}
+    for x, y in itertools.product(range(inputs[0]), range(inputs[1])):
+        w = np.zeros((n, n), dtype=complex)
+        offset = 0
+        for size in blocks:
+            w[offset : offset + size, offset : offset + size] = haar_unitary(size, rng).matrix
+            offset += size
+        mat = dress_a[x] @ w @ np.diag(coeffs) @ dress_b[y].T
+        states[(x, y)] = StateVector(mat.reshape(-1), PartyStructure.pair(n))
+    return CQBox.from_pure(inputs, states)
+
+
+@settings(max_examples=25, deadline=None)
+@given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
+def test_schmidt_dressed_families_round_trip_through_general_pure(box, seed):
+    simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
+    assert np.max(np.abs(simulated.matrices - box.matrices)) <= 1e-9
