@@ -57,6 +57,33 @@ def _parse_key(text: str, field: str) -> tuple[int, ...]:
         ) from exc
 
 
+# largest entry change, 4 ulp of 1, that writing a stored matrix as amplitudes may cost
+_REBUILD_TOL = 4 * np.finfo(float).eps
+
+
+def _pure_amplitudes(box: CQBox, key: tuple[int, ...]) -> np.ndarray | None:
+    """Amplitudes to write for one output, with the largest one real and
+    positive, or None when the output must be written as a matrix.
+
+    A box that stores amplitudes gives them.  For a stored matrix the
+    candidate is its pivot column over the root of the pivot, which is exact
+    for a rank-one matrix up to rounding; it is used only when its outer
+    product, the matrix the loader rebuilds, is within ``_REBUILD_TOL`` of
+    the stored one, so a nearly pure output is not rounded to a pure one."""
+    if box.amplitudes is not None:
+        amp = box.amplitudes[key]
+        pivot = amp[int(np.argmax(np.abs(amp)))]
+        return amp * (abs(pivot) / pivot)
+    m = box.matrices[key]
+    p = int(np.argmax(m.diagonal().real))
+    root = np.sqrt(m[p, p].real)
+    amp = m[:, p] / root
+    amp[p] = root  # drop the rounding in the pivot's imaginary part
+    if np.max(np.abs(np.outer(amp, amp.conj()) - m)) > _REBUILD_TOL:
+        return None
+    return amp
+
+
 def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
     extra = {"metadata": dict(metadata)} if metadata else {}
     if isinstance(box, CCBox):
@@ -72,14 +99,11 @@ def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
         outputs = {}
         for key in box.inputs:
             name = _key_string(key)
-            try:
-                state = box.pure_output(key)
-            except ValueError:
+            amp = _pure_amplitudes(box, key)
+            if amp is None:
                 outputs[name] = {"matrix": _encode_complex(box.matrices[key])}
             else:
-                amp = state.amplitudes
-                pivot = amp[int(np.argmax(np.abs(amp)))]
-                outputs[name] = {"amplitudes": _encode_complex(amp * (abs(pivot) / pivot))}
+                outputs[name] = {"amplitudes": _encode_complex(amp)}
         return {
             "format": 1,
             "kind": "cq",

@@ -313,11 +313,6 @@ def test_io_round_trip(box):
             assert np.max(np.abs(np.subtract(entry["amplitudes"], again["amplitudes"]))) <= 1e-15
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="each save re-applies the global-phase fix to pure amplitudes, "
-    "which moves them by rounding, so a pure document is not a fixed point of load and save",
-)
 def test_pure_document_is_a_fixed_point():
     first, second, _ = _rewritten(pure_phase_box())
     assert first == second
