@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "coupling_to_ccbox",
     "cc_no_signalling",
     "cq_no_signalling",
+    "family_worst_violation",
     "induced_ccbox",
     "chsh_value",
     "cq_box_distance",
@@ -208,6 +209,16 @@ def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.nda
     return out
 
 
+def _validated_pure(
+    amplitudes: np.ndarray, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the amplitude stack ``shape`` = ``(..., D)`` and its density
+    matrices, checked by ``invalid_vector`` and then ``invalid_density``."""
+    amps = _checked(np.array(amplitudes, dtype=complex), shape, invalid_vector)
+    matrices = amps[..., :, None] * amps[..., None, :].conj()
+    return amps, _checked(matrices, shape + shape[-1:], invalid_density)
+
+
 @dataclass(frozen=True)
 class CQBox:
     """Classical-input box whose output is a joint quantum state.
@@ -234,12 +245,11 @@ class CQBox:
             raise ValueError("a C-Q box needs exactly one of matrices and amplitudes")
         # copy what the caller passed, so that the box cannot change under it
         if self.amplitudes is not None:
-            amps = _checked(np.array(self.amplitudes, dtype=complex), sizes + (d,), invalid_vector)
+            amps, matrices = _validated_pure(self.amplitudes, sizes + (d,))
             object.__setattr__(self, "amplitudes", amps)
-            matrices = amps[..., :, None] * amps[..., None, :].conj()
         else:
-            matrices = np.array(self.matrices, dtype=complex)
-        object.__setattr__(self, "matrices", _checked(matrices, sizes + (d, d), invalid_density))
+            matrices = _checked(np.array(self.matrices, dtype=complex), sizes + (d, d), invalid_density)
+        object.__setattr__(self, "matrices", matrices)
 
     @classmethod
     def from_outputs(
@@ -371,33 +381,52 @@ def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
 
 def _subgroup_sweep(
     input_sizes: tuple[int, ...],
+    marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
+    """No-signalling distances of a family of boxes, shared by both box kinds.
+
+    ``marginal(subgroup, complement)`` returns the subgroup's view (output
+    marginal or reduced state) for every family member and input setting,
+    shape ``(F,) + input_sizes + view``.  ``distance`` maps two
+    equal-shaped stacks of views to their distances.  Yields, per proper
+    subgroup, ``(subgroup, complement, first, second, dists)``: ``dists``
+    has shape ``(F, own settings, outside pairs)``, own settings in product
+    order, and pair j compares outside settings ``first[j]`` and
+    ``second[j]`` in ``itertools.combinations`` order.
+    """
+    k = len(input_sizes)
+    for subgroup in _proper_subgroups(k):
+        complement = tuple(i for i in range(k) if i not in subgroup)
+        views = marginal(subgroup, complement)
+        order = tuple(1 + i for i in subgroup + complement)
+        views = views.transpose((0,) + order + tuple(range(k + 1, views.ndim)))
+        # rows: own input settings; columns: outside input settings
+        own = math.prod(input_sizes[i] for i in subgroup)
+        outside = math.prod(input_sizes[i] for i in complement)
+        views = views.reshape((len(views), own, outside) + views.shape[k + 1 :])
+        first, second = np.triu_indices(outside, 1)
+        yield subgroup, complement, first, second, distance(views[:, :, first], views[:, :, second])
+
+
+def _report(
+    input_sizes: tuple[int, ...],
     labels: Sequence[str],
     marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
 ) -> NoSignallingReport:
-    """No-signalling check shared by both box kinds.
-
-    ``marginal(subgroup, complement)`` returns the subgroup's view (output
-    marginal or reduced state) for every input setting, input axes first
-    in party order.  ``distance`` maps two equal-shaped stacks of views to
-    their distances.  Witnesses come per subgroup, own inputs in product
-    order, then outside pairs in ``itertools.combinations`` order.
-    """
-    k = len(input_sizes)
+    """One box's sweep (a family of one) with its witnesses: per subgroup,
+    own inputs in product order, then outside pairs in combinations order."""
     worst = 0.0
     witnesses: list[Witness] = []
-    for subgroup in _proper_subgroups(k):
-        complement = tuple(i for i in range(k) if i not in subgroup)
+    for subgroup, complement, first, second, dists in _subgroup_sweep(
+        input_sizes, marginal, distance
+    ):
+        dists = dists[0]
+        worst = max(worst, float(dists.max(initial=0.0)))
         own = list(np.ndindex(*(input_sizes[i] for i in subgroup)))
         outside = list(np.ndindex(*(input_sizes[i] for i in complement)))
-        views = marginal(subgroup, complement)
-        views = views.transpose(subgroup + complement + tuple(range(k, views.ndim)))
-        # rows: own input settings; columns: outside input settings
-        views = views.reshape((len(own), len(outside)) + views.shape[k:])
-        first, second = np.triu_indices(len(outside), 1)
-        dists = distance(views[:, first], views[:, second])
-        worst = max(worst, float(dists.max(initial=0.0)))
         for row, pair in zip(*np.nonzero(dists > tol)):
             witnesses.append(
                 Witness(
@@ -415,6 +444,10 @@ def _subgroup_sweep(
     )
 
 
+def _trace_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return 0.5 * trace_norm(p - q)
+
+
 def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
     """Check that every proper subgroup's output marginal, given its own
     inputs, is independent of the complementary parties' inputs."""
@@ -424,26 +457,55 @@ def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
     def marginal(subgroup, complement):
         # sum out the complement's outputs, flatten the subgroup's
         marg = box.table.sum(axis=tuple(k + i for i in complement))
-        return marg.reshape(sizes + (-1,))
+        return marg.reshape((1,) + sizes + (-1,))
 
     def total_variation(p, q):
         return 0.5 * np.sum(np.abs(p - q), axis=-1)
 
     labels = tuple(chr(ord("A") + i) for i in range(k))
-    return _subgroup_sweep(sizes, labels, marginal, total_variation, tol)
+    return _report(sizes, labels, marginal, total_variation, tol)
 
 
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     """Check that every proper subgroup's reduced state, given its own
     inputs, is independent (in trace distance) of the outside inputs."""
     dims = box.structure.dims
-    return _subgroup_sweep(
+    matrices = box.matrices[None]
+    return _report(
         box.input_sizes,
         box.structure.labels,
-        lambda subgroup, _complement: partial_trace_array(box.matrices, dims, subgroup),
-        lambda p, q: 0.5 * trace_norm(p - q),
+        lambda subgroup, _complement: partial_trace_array(matrices, dims, subgroup),
+        _trace_distances,
         tol,
     )
+
+
+def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) -> np.ndarray:
+    """Worst no-signalling violation of each pure-output C-Q box in a family.
+
+    ``amplitudes`` stacks the boxes' output vectors, shape
+    ``(F,) + input_sizes + (D,)`` with one input axis per party of
+    ``structure``.  The stack is validated as ``CQBox`` validates one box,
+    then swept once per proper subgroup for the whole family.  Entry f
+    equals ``cq_no_signalling(box_f).worst_violation`` bit for bit.
+    """
+    amps = np.asarray(amplitudes)
+    if amps.ndim != len(structure.parties) + 2:
+        raise ValueError(
+            f"family stack shape {amps.shape} needs a family axis, "
+            f"{len(structure.parties)} input axes and a vector axis"
+        )
+    sizes = _positive_sizes(amps.shape[1:-1], "input_sizes")
+    _, matrices = _validated_pure(amps, amps.shape[:1] + sizes + (capped_dim(structure),))
+    worst = np.zeros(len(matrices))
+    for *_, dists in _subgroup_sweep(
+        sizes,
+        lambda subgroup, _complement: partial_trace_array(matrices, structure.dims, subgroup),
+        _trace_distances,
+    ):
+        # fmax skips a NaN distance as the single-box max(worst, ...) does
+        worst = np.fmax(worst, dists.max(axis=(1, 2), initial=0.0))
+    return worst
 
 
 def induced_ccbox(

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -62,6 +63,8 @@ from cqboxes.synthesis import (
 
 MAX_WITNESSES = 10
 BOUND_ALPHABET_CAP = 4
+BOUND_KMAX_CAP = 64  # every row with k >= n already has value 1
+THEOREM_FAMILY_CAP = 2**18  # families per side of a theorem sweep: --grid of at most 8 values
 
 
 def _finite_float(text: str) -> float:
@@ -373,6 +376,8 @@ def _cmd_bound(args) -> tuple[dict, int]:
     kmax = args.kmax if args.kmax is not None else args.n
     if kmax < 1:
         raise ValueError("--kmax must be at least 1")
+    if kmax > BOUND_KMAX_CAP:
+        raise ValueError(f"--kmax {kmax} is above the cap of {BOUND_KMAX_CAP}")
     if args.restarts < 1:
         raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
     if args.budget < 0:
@@ -463,7 +468,16 @@ def _cmd_wphase(args) -> tuple[dict, int]:
         raise ValueError("theorem mode takes no assignment file")
     if args.random_samples < 0:
         raise ValueError(f"--random-samples must be non-negative, got {args.random_samples}")
+    if args.random_samples > THEOREM_FAMILY_CAP:
+        raise ValueError(
+            f"--random-samples {args.random_samples} is above the cap of {THEOREM_FAMILY_CAP}"
+        )
     grid = args.grid or None  # an empty --grid keeps the default grid
+    if grid is not None and len(grid) ** 6 > THEOREM_FAMILY_CAP:
+        raise ValueError(
+            f"--grid of {len(grid)} values makes {len(grid)}^6 local families, "
+            f"above the cap of {THEOREM_FAMILY_CAP}"
+        )
     record = {
         "grid": grid, "random_samples": args.random_samples,
         "seed": args.seed, "tol": args.tol,
@@ -472,15 +486,35 @@ def _cmd_wphase(args) -> tuple[dict, int]:
     if grid is not None:
         kwargs["grid_values"] = grid
     result = w_phase_theorem_check(**kwargs)
+    fields = dataclasses.asdict(result)
+    counterexamples = fields.pop("counterexamples")
     report = {
         "command": "wphase",
         "mode": "theorem",
         "seed": args.seed,
         "digest": _digest(record),
-        **dataclasses.asdict(result),
+        **fields,
         "equivalence_holds": result.equivalence_holds,
     }
+    if counterexamples:  # failing clause -> its first assignment, as an assignment file
+        report["counterexamples"] = {
+            clause: {name: phases.tolist() for name, phases in assignment.items()}
+            for clause, assignment in counterexamples.items()
+        }
     return report, 0 if result.equivalence_holds else 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads a negative number in exponent form, or a
+    comma-separated list of numbers led by a negative one, as a value
+    (``--alpha -6e-1``, ``--grid -1e-3,2``) rather than as an option;
+    subparsers are made of the same class."""
+
+    _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"^-{self._NUMBER}(,[-+]?{self._NUMBER})*$")
 
 
 def _add_globals(parser: argparse.ArgumentParser, defaults: bool) -> None:
@@ -496,12 +530,12 @@ def _add_globals(parser: argparse.ArgumentParser, defaults: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqboxes",
         description="Simulate and verify classical-input quantum-output boxes.",
     )
     _add_globals(parser, defaults=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _add_globals(common, defaults=False)
     sub = parser.add_subparsers(dest="command", required=True)
 

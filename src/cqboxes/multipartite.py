@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from cqboxes.boxes import CQBox, cq_no_signalling
+from cqboxes.boxes import CQBox, family_worst_violation
 from cqboxes.quantum import PartyStructure, StateVector, wrap_angle
 from cqboxes.synthesis import Strategy, modular_phase_strategy
 
@@ -72,13 +72,35 @@ class PhaseAssignment:
         ))
 
 
+_W_STRUCTURE = PartyStructure.qubits("ABC")
+_XS, _YS, _ZS = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+# complex entries of one chunk's (F, 2, 2, 2, 8, 8) density-matrix stack in
+# the theorem sweep, 16 families: larger chunks ran at most 6% faster on 2
+# cores but raised the peak memory of 2-value grid sweeps further above the
+# per-box sweep's (chunks of 16: +0.5 MB, of 32: +0.9 MB, of 256: +2.7 MB)
+_CHUNK_ENTRIES = 2**13
+_CHUNK_FAMILIES = _CHUNK_ENTRIES // (8 * 8 * 8)
+
+
+def _as_family(assignment: PhaseAssignment) -> np.ndarray:
+    """The assignment as a family of one, shape (1, 3, 2, 2, 2)."""
+    return np.stack([assignment.alpha, assignment.beta, assignment.gamma])[None]
+
+
+def _w_phase_amplitudes(phases: np.ndarray) -> np.ndarray:
+    """Output vectors (F, 2, 2, 2, 8) of the W-phase families with phases
+    (F, 3, 2, 2, 2): alpha on |100>, beta on |010>, gamma on |001>."""
+    amps = np.zeros(phases.shape[:1] + (2, 2, 2, 8), dtype=complex)
+    amps[..., 4] = np.exp(1j * phases[:, 0])
+    amps[..., 2] = np.exp(1j * phases[:, 1])
+    amps[..., 1] = np.exp(1j * phases[:, 2])
+    return amps / math.sqrt(3)
+
+
 def w_phase_box(assignment: PhaseAssignment) -> CQBox:
     """The family (e^{i alpha}|100> + e^{i beta}|010> + e^{i gamma}|001>)/sqrt3."""
-    amps = np.zeros((2, 2, 2, 8), dtype=complex)
-    amps[..., 4] = np.exp(1j * assignment.alpha)
-    amps[..., 2] = np.exp(1j * assignment.beta)
-    amps[..., 1] = np.exp(1j * assignment.gamma)
-    return CQBox((2, 2, 2), PartyStructure.qubits("ABC"), amplitudes=amps / math.sqrt(3))
+    amps = _w_phase_amplitudes(_as_family(assignment))[0]
+    return CQBox((2, 2, 2), _W_STRUCTURE, amplitudes=amps)
 
 
 @dataclass(frozen=True)
@@ -89,6 +111,23 @@ class WPhaseDecomposition:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+
+def _local_fit(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-party phases a, b, c (each (F, 2)) read off the phase differences
+    of each family in (F, 3, 2, 2, 2), and each family's largest residual."""
+    d_ab = phases[:, 0] - phases[:, 1]
+    d_ac = phases[:, 0] - phases[:, 2]
+    zero = np.zeros(len(phases))
+    a = np.stack([zero, wrap_angle(d_ab[:, 1, 0, 0] - d_ab[:, 0, 0, 0])], axis=-1)
+    b = np.stack([-d_ab[:, 0, 0, 0], -d_ab[:, 0, 1, 0]], axis=-1)
+    c = np.stack([-d_ac[:, 0, 0, 0], -d_ac[:, 0, 0, 1]], axis=-1)
+    residual_ab = wrap_angle(d_ab - (a[:, _XS] - b[:, _YS]))
+    residual_ac = wrap_angle(d_ac - (a[:, _XS] - c[:, _ZS]))
+    worst = np.maximum(
+        np.max(np.abs(residual_ab), axis=(1, 2, 3)), np.max(np.abs(residual_ac), axis=(1, 2, 3))
+    )
+    return a, b, c, worst
 
 
 def is_local_equivalent(
@@ -103,31 +142,18 @@ def is_local_equivalent(
     a(x), b(y), c(z) are read off from single-variable slices.  Returns
     None when the residuals exceed ``tol``.
     """
-    d_ab = assignment.alpha - assignment.beta
-    d_ac = assignment.alpha - assignment.gamma
-
-    a = np.array([0.0, wrap_angle(d_ab[1, 0, 0] - d_ab[0, 0, 0]).item()])
-    b = np.array([-d_ab[0, 0, 0], -d_ab[0, 1, 0]])
-    c = np.array([-d_ac[0, 0, 0], -d_ac[0, 0, 1]])
-
-    xs, ys, zs = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-    residual_ab = wrap_angle(d_ab - (a[xs] - b[ys]))
-    residual_ac = wrap_angle(d_ac - (a[xs] - c[zs]))
-    worst = max(np.max(np.abs(residual_ab)), np.max(np.abs(residual_ac)))
-    if worst > tol:
+    a, b, c, worst = _local_fit(_as_family(assignment))
+    if worst[0] > tol:
         return None
-    return WPhaseDecomposition(a=a, b=b, c=c)
+    return WPhaseDecomposition(a=a[0], b=b[0], c=c[0])
 
 
-def _local_assignment(
-    a: Sequence[float], b: Sequence[float], c: Sequence[float], g: np.ndarray | None = None
-) -> PhaseAssignment:
-    xs, ys, zs = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-    base = np.zeros((2, 2, 2)) if g is None else np.asarray(g, dtype=float)
-    return PhaseAssignment(
-        alpha=np.asarray(a)[xs] + base,
-        beta=np.asarray(b)[ys] + base,
-        gamma=np.asarray(c)[zs] + base,
+def _local_phases(parts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Phases (F, 3, 2, 2, 2) with alpha = a(x) + g, beta = b(y) + g and
+    gamma = c(z) + g, from per-party phases ``parts`` (F, 3, 2) and global
+    phases ``g`` (F, 2, 2, 2)."""
+    return np.stack(
+        [parts[:, 0][:, _XS] + g, parts[:, 1][:, _YS] + g, parts[:, 2][:, _ZS] + g], axis=1
     )
 
 
@@ -146,7 +172,12 @@ def _monomials_for(ket_variable: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class WPhaseTheoremReport:
     """Numerical two-sided probe of the equivalence between no-signalling
-    and input-local phases for W-phase families."""
+    and input-local phases for W-phase families.
+
+    ``counterexamples`` maps each failing clause (a boolean field name) to
+    the first phase assignment that breaks it; it is empty when the
+    equivalence holds.
+    """
 
     local_cases: int
     local_all_non_signalling: bool
@@ -157,6 +188,7 @@ class WPhaseTheoremReport:
     worst_violation_mismatch: float
     random_cases: int
     random_equivalence_holds: bool
+    counterexamples: Mapping[str, PhaseAssignment] = field(default_factory=dict)
 
     @property
     def equivalence_holds(self) -> bool:
@@ -167,6 +199,49 @@ class WPhaseTheoremReport:
             and self.perturbed_none_decomposable
             and self.random_equivalence_holds
         )
+
+
+def _spans(total: int) -> Iterator[slice]:
+    """Consecutive chunks of at most ``_CHUNK_FAMILIES`` covering range(total)."""
+    return (slice(i, min(i + _CHUNK_FAMILIES, total)) for i in range(0, total, _CHUNK_FAMILIES))
+
+
+def _perturbed(deltas: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+    """Local assignments, bare or with a fixed input-local dressing, with one
+    ket's phase bumped by delta times a monomial in the inputs outside its
+    own, for every ket, monomial, delta and dressing in product order; and
+    the worst violation 2 |sin(delta / 2)| / 3 predicted for each."""
+    ket, monomial, delta, dressed = (
+        axis.ravel()
+        for axis in np.meshgrid(
+            range(3), range(6), np.asarray(deltas, dtype=float), (False, True), indexing="ij"
+        )
+    )
+    dressing = np.array([[0.0, 1.234], [0.0, 0.777], [0.0, -0.5]])
+    parts = np.where(dressed[:, None, None], dressing, 0.0)
+    phases = _local_phases(parts, np.zeros((len(ket), 2, 2, 2)))
+    coords = np.array([_XS, _YS, _ZS])
+    bumps = np.array([
+        [np.prod(coords[list(variables)], axis=0) for variables in _monomials_for(k)]
+        for k in range(3)
+    ])
+    phases[np.arange(len(ket)), ket] += delta[:, None, None, None] * bumps[ket, monomial]
+    return phases, [2 * abs(math.sin(d / 2)) / 3 for d in delta.tolist()]
+
+
+def _checks(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst no-signalling violation and local-fit residual of each family."""
+    violation = family_worst_violation(_w_phase_amplitudes(phases), _W_STRUCTURE)
+    return violation, _local_fit(phases)[3]
+
+
+def _note_first(
+    found: dict[str, PhaseAssignment], clause: str, failed: np.ndarray, phases: np.ndarray
+) -> None:
+    """Record the first family in ``phases`` that fails ``clause``, unless
+    an earlier one was recorded."""
+    if clause not in found and failed.any():
+        found[clause] = PhaseAssignment(*phases[np.argmax(failed)])
 
 
 def w_phase_theorem_check(
@@ -185,51 +260,49 @@ def w_phase_theorem_check(
     with worst violation exactly 2 |sin(delta / 2)| / 3, with or without
     an extra input-local dressing, and must not decompose.  Random
     assignments are checked for agreement between the two predicates.
+    Families are built and checked in stacks of at most ``_CHUNK_FAMILIES``.
     """
     rng = np.random.default_rng(seed)
-    local = [
-        _local_assignment(v[0:2], v[2:4], v[4:6], rng.uniform(-math.pi, math.pi, size=(2, 2, 2)))
-        for v in itertools.product(grid_values, repeat=6)
-    ]
+    grid = np.asarray(grid_values, dtype=float)
+    found: dict[str, PhaseAssignment] = {}
+    # a family is decomposable unless its residual exceeds tol, and passes
+    # the no-signalling check when its worst violation is within tol
+    for span in _spans(len(grid) ** 6):
+        # grid assignments in itertools.product(grid, repeat=6) order, each
+        # with a random global phase drawn in that order
+        digits = np.unravel_index(np.arange(span.start, span.stop), (len(grid),) * 6)
+        parts = grid[np.stack(digits, axis=-1)].reshape(-1, 3, 2)
+        phases = _local_phases(parts, rng.uniform(-math.pi, math.pi, size=(len(parts), 2, 2, 2)))
+        violation, residual = _checks(phases)
+        _note_first(found, "local_all_non_signalling", ~(violation <= tol), phases)
+        _note_first(found, "local_all_decomposable", residual > tol, phases)
 
-    dressing = (np.array([0.0, 1.234]), np.array([0.0, 0.777]), np.array([0.0, -0.5]))
-    coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-    perturbed, predicted = [], []
-    for ket, monomial, delta, dressed in itertools.product(
-        range(3), range(6), deltas, (False, True)
-    ):
-        base = _local_assignment(*(dressing if dressed else np.zeros((3, 2))))
-        grids = [base.alpha, base.beta, base.gamma]
-        bump = np.ones((2, 2, 2))
-        for variable in _monomials_for(ket)[monomial]:
-            bump = bump * coords[variable]
-        grids[ket] = grids[ket] + delta * bump
-        perturbed.append(PhaseAssignment(*grids))
-        predicted.append(2 * abs(math.sin(delta / 2)) / 3)
-    reports = [cq_no_signalling(w_phase_box(a), tol=tol) for a in perturbed]
+    perturbed, predicted = _perturbed(deltas)
+    mismatch = 0.0
+    for span in _spans(len(perturbed)):
+        phases = perturbed[span]
+        violation, residual = _checks(phases)
+        _note_first(found, "perturbed_all_signalling", violation <= tol, phases)
+        _note_first(found, "perturbed_none_decomposable", ~(residual > tol), phases)
+        mismatch = max(mismatch, float(np.max(np.abs(violation - predicted[span]))))
 
-    randoms = [
-        PhaseAssignment(*(rng.uniform(-math.pi, math.pi, size=(2, 2, 2)) for _ in range(3)))
-        for _ in range(random_samples)
-    ]
+    for span in _spans(random_samples):
+        phases = rng.uniform(-math.pi, math.pi, size=(span.stop - span.start, 3, 2, 2, 2))
+        violation, residual = _checks(phases)
+        disagree = ~(residual > tol) != (violation <= 1e-7)
+        _note_first(found, "random_equivalence_holds", disagree, phases)
 
-    def decomposable(assignment: PhaseAssignment) -> bool:
-        return is_local_equivalent(assignment, tol) is not None
-
-    def non_signalling(assignment: PhaseAssignment, check_tol: float = tol) -> bool:
-        return cq_no_signalling(w_phase_box(assignment), tol=check_tol).passed
-
-    mismatches = (abs(r.worst_violation - p) for r, p in zip(reports, predicted))
     return WPhaseTheoremReport(
-        local_cases=len(local),
-        local_all_non_signalling=all(map(non_signalling, local)),
-        local_all_decomposable=all(map(decomposable, local)),
+        local_cases=len(grid) ** 6,
+        local_all_non_signalling="local_all_non_signalling" not in found,
+        local_all_decomposable="local_all_decomposable" not in found,
         perturbed_cases=len(perturbed),
-        perturbed_all_signalling=not any(r.passed for r in reports),
-        perturbed_none_decomposable=not any(map(decomposable, perturbed)),
-        worst_violation_mismatch=max(mismatches, default=0.0),
+        perturbed_all_signalling="perturbed_all_signalling" not in found,
+        perturbed_none_decomposable="perturbed_none_decomposable" not in found,
+        worst_violation_mismatch=mismatch,
         random_cases=random_samples,
-        random_equivalence_holds=all(decomposable(a) == non_signalling(a, 1e-7) for a in randoms),
+        random_equivalence_holds="random_equivalence_holds" not in found,
+        counterexamples=found,
     )
 
 

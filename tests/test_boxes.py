@@ -24,6 +24,7 @@ from cqboxes.boxes import (
     coupling_to_ccbox,
     cq_box_distance,
     cq_no_signalling,
+    family_worst_violation,
     induced_ccbox,
     mix_boxes,
     mod_box,
@@ -592,6 +593,45 @@ class TestSweepMatchesReference:
     @given(box=cq_boxes(), tol=st.sampled_from(TOLERANCES))
     def test_random_cq_boxes(self, box, tol):
         check_against_reference(box, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(setup=sizes_and_rng(), families=st.integers(1, 4))
+    def test_random_pure_families(self, setup, families):
+        """Each family member's worst violation equals the reference loop's."""
+        inputs, dims, rng, local = setup
+        structure = PartyStructure(tuple(zip("ABC", dims)))
+
+        def unit(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+        if local:  # product of per-party vectors chosen by each party's own input
+            amps = np.ones((families,) + inputs + (1,), dtype=complex)
+            for j, (n, d) in enumerate(zip(inputs, dims)):
+                shape = [families] + [1] * len(inputs) + [d]
+                shape[1 + j] = n
+                amps = (amps[..., :, None] * unit(tuple(shape))[..., None, :]).reshape(
+                    amps.shape[:-1] + (-1,)
+                )
+        else:
+            amps = unit((families,) + inputs + (structure.total_dim,))
+        worst = family_worst_violation(amps, structure)
+        assert worst.shape == (families,)
+        for f in range(families):
+            box = CQBox(inputs, structure, amplitudes=amps[f])
+            assert worst[f] == reference_cq_no_signalling(box, TOLERANCE).worst_violation
+
+    def test_family_stack_is_validated_as_boxes_are(self):
+        abc = PartyStructure.qubits("ABC")
+        with pytest.raises(ValueError, match="needs a family axis"):
+            family_worst_violation(np.ones((2, 2, 2, 8)), abc)
+        amps = np.zeros((2, 2, 2, 2, 8), dtype=complex)
+        amps[..., 0] = 1.0
+        amps[1, 0, 1, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="output at input 1,0,1,0 is invalid: state vector norm"):
+            family_worst_violation(amps, abc)
+        with pytest.raises(ValueError, match="output stack shape"):
+            family_worst_violation(amps[..., :4], abc)
 
 
 # Reference C-Q box code from before the array storage: one validated

@@ -4,11 +4,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqboxes import cli
+from cqboxes import cli, multipartite
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
@@ -380,6 +381,9 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "nonmax-pure", "--phases", '{"1,1,0": "x"}'], "bad phase entry '1,1,0'"),
         (["synth", "nonmax-pure", "--phases", '{"1,1": "1/4"}'], "phase key '1,1'"),
         (["bound", "--n", "2", "--kmax", "0"], "--kmax"),
+        (["bound", "--n", "2", "--kmax", "65"], "--kmax 65 is above the cap of 64"),
+        (["wphase", "--grid", "0,1,2,3,4,5,6,7,8"], "--grid of 9 values"),
+        (["wphase", "--random-samples", "262145"], "--random-samples 262145 is above the cap"),
         (["wphase", "--mode", "theorem", "{assignment}"], "theorem mode takes no assignment"),
         (["wphase", "--mode", "single", "{missing}"], "cannot read assignment"),
         (["wphase", "--mode", "single", "{bad_json}"], "is not valid JSON"),
@@ -415,6 +419,92 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     assert code == 2
     assert report is None
     assert message in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout of these commands, byte for byte, as written before the theorem
+# sweep checked its families as stacks
+GOLDEN_STDOUT = [
+    ("wphase_theorem_default", ["wphase", "--mode", "theorem"]),
+    ("wphase_theorem_grid_seed7", ["wphase", "--mode", "theorem", "--grid", "1.0,4.0", "--seed", "7"]),
+    ("verify_signalling_family", ["verify", "fixtures/signalling_family.json"]),
+    ("wphase_single_xz", ["wphase", "--mode", "single", "fixtures/w_assignment_xz.json"]),
+    ("wphase_single_table", ["wphase", "--mode", "single", "fixtures/w_assignment_table.json"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, monkeypatch, name, argv):
+    monkeypatch.chdir(ROOT)
+    main(argv)
+    assert capsys.readouterr().out == (ROOT / "tests" / "goldens" / f"{name}.stdout").read_text()
+
+
+def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path):
+    """A kernel that flags one local family fails the local clause only; the
+    report carries that family as an assignment document."""
+    kernel = multipartite.family_worst_violation
+    calls = []
+
+    def flag_fourth_family_once(amplitudes, structure):
+        worst = kernel(amplitudes, structure)
+        if not calls:
+            worst[3] = 1.0
+        calls.append(len(worst))
+        return worst
+
+    monkeypatch.setattr(multipartite, "family_worst_violation", flag_fourth_family_once)
+    code, report, _ = run(capsys, "wphase", "--grid", "1.0,4.0", "--seed", "7")
+    assert code == 1
+    assert report["equivalence_holds"] is False
+    assert report["local_all_non_signalling"] is False
+    assert list(report["counterexamples"]) == ["local_all_non_signalling"]
+    # family 3 in product order takes grid digits (0, 0, 0, 0, 1, 1) and
+    # the fourth global phase drawn
+    g = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(4, 2, 2, 2))[3]
+    expected = assignment_doc(lambda x, y, z: 1.0, lambda x, y, z: 1.0, lambda x, y, z: 4.0)
+    culprit = report["counterexamples"]["local_all_non_signalling"]
+    for name in ("alpha", "beta", "gamma"):
+        assert np.array_equal(culprit[name], np.array(expected[name]) + g), name
+    # the culprit is an assignment document that single mode reads
+    path = tmp_path / "culprit.json"
+    path.write_text(json.dumps(culprit))
+    monkeypatch.undo()
+    code, single, _ = run(capsys, "wphase", "--mode", "single", str(path))
+    assert code == 0 and single["decomposition"] is not None
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["synth", "sign-flip", "--alpha", "-6e-1", "--beta", "0.8"],
+         ["synth", "sign-flip", "--alpha=-6e-1", "--beta", "0.8"]),
+        (["bound", "--n", "2", "--alpha", "-8E-1", "--beta", "-.6e0", "--budget", "0"],
+         ["bound", "--n", "2", "--alpha=-8E-1", "--beta=-.6e0", "--budget", "0"]),
+        (["synth", "irrational-phase", "--theta", "-2.5e-1", "--n", "4"],
+         ["synth", "irrational-phase", "--theta=-2.5e-1", "--n", "4"]),
+        (["wphase", "--grid", "-1e-3,2", "--random-samples", "3"],
+         ["wphase", "--grid=-1e-3,2", "--random-samples", "3"]),
+        (["verify", "fixtures/pr_box.json", "--tol", "-1e-3"],
+         ["verify", "fixtures/pr_box.json", "--tol=-1e-3"]),
+    ],
+)
+def test_negative_exponent_floats_are_values(capsys, monkeypatch, spaced, joined):
+    monkeypatch.chdir(ROOT)
+    outputs = []
+    for argv in (spaced, joined):
+        code = main(argv)
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if not line.startswith("elapsed")]
+        outputs.append((code, captured.out, errors))
+    assert outputs[0] == outputs[1]
+    assert not any("expected one argument" in line for line in outputs[0][2])
+
+
+def test_kmax_at_the_cap_runs(capsys):
+    code, report, _ = run(capsys, "bound", "--n", "2", "--kmax", "64", "--budget", "0")
+    assert code == 3
+    assert [row["k"] for row in report["frontier"]] == list(range(1, 65))
 
 
 class TestContract:

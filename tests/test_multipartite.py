@@ -6,17 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqboxes.boxes import cc_no_signalling, cq_box_distance, cq_no_signalling, mod_box
+from cqboxes.boxes import (
+    cc_no_signalling,
+    cq_box_distance,
+    cq_no_signalling,
+    family_worst_violation,
+    mod_box,
+)
 from cqboxes.multipartite import (
     PhaseAssignment,
+    _local_fit,
     _monomials_for,
+    _w_phase_amplitudes,
     ghz_phase_box,
     ghz_phase_strategy,
     is_local_equivalent,
     w_phase_box,
     w_phase_theorem_check,
 )
-from cqboxes.quantum import fidelity, w_state
+from cqboxes.quantum import PartyStructure, fidelity, w_state, wrap_angle
 from cqboxes.synthesis import simulate
 
 
@@ -103,6 +111,7 @@ class TestWPhaseTheorem:
         assert report.local_cases == 64
         assert report.perturbed_cases == 108
         assert report.equivalence_holds
+        assert report.counterexamples == {}
         assert report.worst_violation_mismatch < 1e-9
 
     def test_violation_magnitudes_follow_the_sine_law(self):
@@ -192,3 +201,67 @@ def test_random_w_phase_perturbation_is_caught(ket, monomial, delta, seed):
     report = cq_no_signalling(w_phase_box(PhaseAssignment(*grids)))
     assert not report.passed
     assert abs(report.worst_violation - 2 * abs(math.sin(delta / 2)) / 3) <= 1e-12
+
+
+def reference_decomposition(assignment: PhaseAssignment, tol: float):
+    """``is_local_equivalent`` as it was on one assignment, before the stacked fit."""
+    d_ab = assignment.alpha - assignment.beta
+    d_ac = assignment.alpha - assignment.gamma
+    a = np.array([0.0, wrap_angle(d_ab[1, 0, 0] - d_ab[0, 0, 0]).item()])
+    b = np.array([-d_ab[0, 0, 0], -d_ab[0, 1, 0]])
+    c = np.array([-d_ac[0, 0, 0], -d_ac[0, 0, 1]])
+    xs, ys, zs = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+    residual_ab = wrap_angle(d_ab - (a[xs] - b[ys]))
+    residual_ac = wrap_angle(d_ac - (a[xs] - c[zs]))
+    worst = max(np.max(np.abs(residual_ab)), np.max(np.abs(residual_ac)))
+    return None if worst > tol else (a, b, c)
+
+
+@st.composite
+def phase_stacks(draw) -> np.ndarray:
+    """(F, 3, 2, 2, 2) phases, each family random, local (per-party phases
+    and a free global phase) or local with one ket bumped by a non-local
+    monomial."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = np.meshgrid(range(2), range(2), range(2), indexing="ij")
+    families = []
+    kinds = st.sampled_from(("random", "local", "perturbed"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind == "random":
+            families.append(rng.uniform(-math.pi, math.pi, size=(3, 2, 2, 2)))
+            continue
+        local = rng.uniform(-math.pi, math.pi, size=(3, 2))
+        g = rng.uniform(-math.pi, math.pi, size=(2, 2, 2))
+        grids = [local[j][coords[j]] + g for j in range(3)]
+        if kind == "perturbed":
+            ket = int(rng.integers(3))
+            bump = np.ones((2, 2, 2))
+            for variable in _monomials_for(ket)[int(rng.integers(6))]:
+                bump = bump * coords[variable]
+            grids[ket] = grids[ket] + rng.uniform(0.05, 2 * math.pi - 0.05) * bump
+        families.append(np.stack(grids))
+    return np.stack(families)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phases=phase_stacks(), tol=st.sampled_from((1e-12, 1e-9, 1e-7, 0.3)))
+def test_stacked_checks_match_per_box_checks(phases, tol):
+    """The family sweep and the stacked local fit give, for every family,
+    exactly the worst violation, pass flag and decomposition of the
+    one-box checks."""
+    violation = family_worst_violation(_w_phase_amplitudes(phases), PartyStructure.qubits("ABC"))
+    a, b, c, residual = _local_fit(phases)
+    assert violation.shape == residual.shape == (len(phases),)
+    for f, family in enumerate(phases):
+        assignment = PhaseAssignment(*family)
+        report = cq_no_signalling(w_phase_box(assignment), tol=tol)
+        assert violation[f] == report.worst_violation
+        assert (violation[f] <= tol) == report.passed
+        decomposition = is_local_equivalent(assignment, tol)
+        reference = reference_decomposition(assignment, tol)
+        assert (residual[f] > tol) == (decomposition is None) == (reference is None)
+        if reference is not None:
+            for got, want in zip((decomposition.a, decomposition.b, decomposition.c), reference):
+                assert np.array_equal(got, want)
+            for got, want in zip((a[f], b[f], c[f]), reference):
+                assert np.array_equal(got, want)
