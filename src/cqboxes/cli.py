@@ -409,6 +409,11 @@ def _cmd_bound(args) -> tuple[dict, int]:
             row["confirmed"] = check.confirmed
             if not check.confirmed:
                 failed = True
+                row["ascent"] = {
+                    "restarts": args.restarts,
+                    "sweeps": check.sweeps,
+                    "unconverged": check.unconverged,
+                }
         else:
             exceeded = True
             row["confirmed"] = None

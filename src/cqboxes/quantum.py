@@ -135,17 +135,25 @@ def _first_fault(*checks) -> Fault | None:
 
 def invalid_vector(amplitudes: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
     """(index, reason) of the first non-unit vector of a stack ``(..., D)``, or None."""
-    norms = np.linalg.norm(amplitudes, axis=-1)
+    with np.errstate(invalid="ignore"):  # an infinite amplitude is reported below
+        norms = np.linalg.norm(amplitudes, axis=-1)
     return _first_fault(
-        (np.abs(norms - 1.0) > tol, norms, "state vector norm {} deviates from 1 beyond tolerance")
+        # a NaN norm compares false against any tolerance, so test it first
+        (~np.isfinite(norms), norms, "state vector norm {} is not finite"),
+        (np.abs(norms - 1.0) > tol, norms, "state vector norm {} deviates from 1 beyond tolerance"),
     )
 
 
 def invalid_density(matrices: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
     """(index, reason) of the first matrix of a stack ``(..., D, D)`` that is
-    not Hermitian, of unit trace and positive semidefinite, or None."""
+    not finite, Hermitian, of unit trace and positive semidefinite, or None."""
     skew = np.conj(np.swapaxes(matrices, -1, -2))  # one temporary stack, reused
-    skew = np.max(np.abs(np.subtract(matrices, skew, out=skew)), axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # an infinite entry is reported below
+        skew = np.max(np.abs(np.subtract(matrices, skew, out=skew)), axis=(-2, -1))
+    # a NaN or infinite entry makes its skew non-finite; eigvalsh would fail
+    # on it without saying where, so name it first
+    if fault := _first_fault((~np.isfinite(skew), skew, "density matrix has a non-finite entry")):
+        return fault
     trace = np.trace(matrices, axis1=-2, axis2=-1)
     lowest = np.min(np.linalg.eigvalsh(matrices), axis=-1)
     return _first_fault(

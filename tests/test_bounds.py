@@ -145,6 +145,78 @@ class TestOptimizerConfirmation:
         assert best_grid > value - 5e-3
 
 
+def reference_ascend_cycle(
+    theta: float, length: int, rng: np.random.Generator, sweeps: int = 300
+) -> float:
+    """The one-restart coordinate ascent that the batched kernel replaced,
+    kept verbatim as the reference it must reproduce bit for bit."""
+    a0, a1, b0, b1 = (rng.uniform(-math.pi, math.pi, size=length) for _ in range(4))
+    nxt = (np.arange(length) + 1) % length
+    prv = (np.arange(length) - 1) % length
+
+    def objective() -> float:
+        return float(
+            np.sum(np.cos(a0 + b0))
+            + np.sum(np.cos(a0 + b1))
+            + np.sum(np.cos(a1 + b0))
+            + np.sum(np.cos(a1[nxt] + b1 - theta))
+        ) / (4 * length)
+
+    previous = objective()
+    for _ in range(sweeps):
+        for j in range(length):
+            a0[j] = -np.angle(np.exp(1j * b0[j]) + np.exp(1j * b1[j]))
+            a1[j] = -np.angle(np.exp(1j * b0[j]) + np.exp(1j * (b1[prv[j]] - theta)))
+            b0[j] = -np.angle(np.exp(1j * a0[j]) + np.exp(1j * a1[j]))
+            b1[j] = -np.angle(np.exp(1j * a0[j]) + np.exp(1j * (a1[nxt[j]] - theta)))
+        current = objective()
+        if current - previous < 1e-13:
+            break
+        previous = current
+    return current
+
+
+def reference_optima(n: int, kmax: int, m: int, restarts: int, seed: int) -> list[float]:
+    """The old ``verify_bound`` optimum for every k <= kmax.  Row k draws
+    lengths 1..k from a fresh generator, so all rows share one prefix."""
+    theta = 2 * math.pi * m / n
+    rng = np.random.default_rng(seed)
+    best_cos, optima = -1.0, []
+    for length in range(1, kmax + 1):
+        for _ in range(restarts):
+            best_cos = max(best_cos, reference_ascend_cycle(theta, length, rng))
+        optima.append(ALPHA**4 + BETA**4 + 2 * (ALPHA * BETA) ** 2 * best_cos)
+    return optima
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(n, m, seed) for n in (2, 3, 4) for m in range(1, 2 * n + 1) for seed in (0, 5, 11)],
+    )
+    def test_optimum_is_bit_identical_to_the_restart_loop(self, n, m, seed):
+        expected = reference_optima(n, n, m, restarts=16, seed=seed)
+        for k in range(1, n + 1):
+            check = verify_bound(n, k, m=m, restarts=16, seed=seed)
+            assert check.optimum == expected[k - 1], (n, m, seed, k)
+
+    def test_long_cycles_are_bit_identical(self):
+        # rows of more than 8 entries go through numpy's pairwise summation
+        check = verify_bound(5, 12, restarts=4, seed=0)
+        assert check.optimum == reference_optima(5, 12, 1, restarts=4, seed=0)[-1]
+        assert check.sweeps == 300 and check.unconverged > 0
+
+    def test_short_cycles_converge_before_the_cap(self):
+        check = verify_bound(4, 4, restarts=16, seed=0)
+        assert 1 <= check.sweeps < 300
+        assert check.unconverged == 0
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            verify_bound(3, 2, restarts=restarts)
+
+
 class TestValidation:
     def test_rejects_bad_amplitudes(self):
         with pytest.raises(ValueError):

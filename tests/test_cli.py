@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqboxes import cli, multipartite
+from cqboxes import bounds, cli, multipartite
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
@@ -355,6 +355,14 @@ def _files(tmp_path) -> dict[str, str]:
     bad_json.write_text("{not json")
     cc_doc = tmp_path / "pr.json"
     save_box(pr_box(), cc_doc)
+    nan_cq = tmp_path / "nan_cq.json"
+    doc = json.loads((ROOT / "fixtures" / "signalling_family.json").read_text())
+    doc["outputs"]["0,1"]["amplitudes"][0][0] = math.nan
+    nan_cq.write_text(json.dumps(doc))
+    nan_assignment = tmp_path / "nan_assignment.json"
+    doc = assignment_doc(*[lambda x, y, z: 0.0] * 3)
+    doc["alpha"][0][0][0] = math.nan
+    nan_assignment.write_text(json.dumps(doc))
     unequal = tmp_path / "unequal.json"
     structure = PartyStructure.pair(2, 3)
     save_box(
@@ -370,6 +378,8 @@ def _files(tmp_path) -> dict[str, str]:
         "{bad_json}": str(bad_json),
         "{cc_doc}": str(cc_doc),
         "{unequal}": str(unequal),
+        "{nan_cq}": str(nan_cq),
+        "{nan_assignment}": str(nan_assignment),
     }
 
 
@@ -411,6 +421,10 @@ def _files(tmp_path) -> dict[str, str]:
         (["bound", "--n", "3", "--restarts", "0"], "--restarts must be at least 1"),
         (["bound", "--n", "3", "--restarts", "-2"], "--restarts must be at least 1"),
         (["bound", "--n", "3", "--budget", "-1"], "--budget must be non-negative"),
+        (["verify", "{nan_cq}"],
+         "output at input 0,1 is invalid: state vector norm nan is not finite"),
+        (["wphase", "--mode", "single", "{nan_assignment}"],
+         "output at input 0,0,0 is invalid: state vector norm nan is not finite"),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
@@ -423,13 +437,16 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
 
 ROOT = Path(__file__).resolve().parent.parent
 # stdout of these commands, byte for byte, as written before the theorem
-# sweep checked its families as stacks
+# sweep checked its families as stacks (wphase, verify) and before the
+# bound ascent ran its restarts as one stack (bound)
 GOLDEN_STDOUT = [
     ("wphase_theorem_default", ["wphase", "--mode", "theorem"]),
     ("wphase_theorem_grid_seed7", ["wphase", "--mode", "theorem", "--grid", "1.0,4.0", "--seed", "7"]),
     ("verify_signalling_family", ["verify", "fixtures/signalling_family.json"]),
     ("wphase_single_xz", ["wphase", "--mode", "single", "fixtures/w_assignment_xz.json"]),
     ("wphase_single_table", ["wphase", "--mode", "single", "fixtures/w_assignment_table.json"]),
+    ("bound_n4", ["bound", "--n", "4"]),
+    ("bound_n3_m2", ["bound", "--n", "3", "--m", "2", "--alpha", "0.9", "--beta", "0.4358898943540673"]),
 ]
 
 
@@ -472,6 +489,34 @@ def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path)
     monkeypatch.undo()
     code, single, _ = run(capsys, "wphase", "--mode", "single", str(path))
     assert code == 0 and single["decomposition"] is not None
+
+
+def test_failing_bound_row_names_its_ascent(capsys, monkeypatch):
+    """A kernel that stalls every length-3 restart fails row k = 3 only (its
+    best cycle is length 3); that row alone carries its ascent."""
+    kernel = bounds._ascend_cycles
+    unconverged = {}
+
+    def stall_length_three(theta, starts):
+        value, used, stalled = kernel(theta, starts)
+        length = starts.shape[-1]
+        if length == 3:
+            value, used, stalled = np.full_like(value, -1.0), np.full_like(used, 300), len(value)
+        unconverged[length] = stalled
+        return value, used, stalled
+
+    monkeypatch.setattr(bounds, "_ascend_cycles", stall_length_three)
+    code, report, _ = run(capsys, "bound", "--n", "4")
+    assert code == 1
+    failing = [row for row in report["frontier"] if row["confirmed"] is False]
+    assert [row["k"] for row in failing] == [3]
+    assert failing[0]["ascent"] == {
+        "restarts": 16,
+        "sweeps": 300,
+        "unconverged": unconverged[1] + unconverged[2] + unconverged[3],
+    }
+    assert unconverged[3] == 16
+    assert all("ascent" not in row for row in report["frontier"] if row["confirmed"])
 
 
 @pytest.mark.parametrize(

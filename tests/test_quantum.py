@@ -22,6 +22,8 @@ from cqboxes.quantum import (
     check_uu_star_invariance,
     fidelity,
     haar_unitary,
+    invalid_density,
+    invalid_vector,
     partial_trace,
     pauli_x,
     pauli_z_power,
@@ -70,6 +72,19 @@ class TestStateValidation:
             DensityMatrix(np.diag([0.5, 0.5, 0.5, -0.5]), AB)
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.7, 0.1, 0.1, 0.2]), AB)
+
+    @pytest.mark.parametrize("entry", [(3, 3), (0, 3)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_named_before_the_spectrum(self, bad, entry):
+        vectors = np.tile(np.array([1.0, 0, 0, 0], dtype=complex), (2, 3, 1))
+        vectors[1, 2, 3] = bad
+        assert invalid_vector(vectors) == ((1, 2), f"state vector norm {abs(bad)} is not finite")
+        matrices = np.zeros((2, 3, 4, 4), dtype=complex)
+        matrices[..., 0, 0] = 1.0
+        matrices[(1, 2) + entry] = bad
+        assert invalid_density(matrices) == ((1, 2), "density matrix has a non-finite entry")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            DensityMatrix(matrices[1, 2], AB)
 
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
