@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from cqboxes.boxes import CouplingBox
-from cqboxes.quantum import TOLERANCE, fidelity, two_level_state, wrap_angle
+from cqboxes.quantum import TOLERANCE, _frozen, fidelity, two_level_state, wrap_angle
 from cqboxes.synthesis import Strategy, phase_family_box, simulate
 
 __all__ = [
@@ -58,16 +58,12 @@ class PhaseStrategySpec:
     pairings: Mapping[tuple[int, int], np.ndarray]
 
     def __post_init__(self) -> None:
-        q = np.array(self.marginal, dtype=float)
-        q.setflags(write=False)
-        object.__setattr__(self, "marginal", q)
-        k = q.shape[0]
+        for name in ("marginal", "alice_phases", "bob_phases"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
+        k = self.marginal.shape[0]
         for name in ("alice_phases", "bob_phases"):
-            phases = np.array(getattr(self, name), dtype=float)
-            phases.setflags(write=False)
-            object.__setattr__(self, name, phases)
-            if phases.shape != (2, k):
-                raise ValueError(f"{name} must have shape (2, {k}), got {phases.shape}")
+            if (shape := getattr(self, name).shape) != (2, k):
+                raise ValueError(f"{name} must have shape (2, {k}), got {shape}")
 
     @property
     def n_outputs(self) -> int:
@@ -142,12 +138,12 @@ class BoundCheck:
     bound: BoundResult
     optimum: float
     confirmed: bool
-    slack: float
-    reach: float
     # the most sweeps any one restart used, and how many restarts (over
     # all cycle lengths) were still gaining at the sweep cap
     sweeps: int
     unconverged: int
+    # the checks of alphabet sizes 1..k-1, made by the same pass
+    prefix: tuple["BoundCheck", ...] = field(repr=False)
 
 
 def _cycle_gap(theta: float, length: int) -> float:
@@ -216,9 +212,14 @@ def best_fidelity(
     )
 
 
-def _ascend_cycles(
-    theta: float, starts: np.ndarray, sweeps: int = 300
-) -> tuple[np.ndarray, np.ndarray, int]:
+# sweeps per restart, and how far the ascent may beat the closed form
+# (_SLACK) or fall short of it (_REACH) for the bound to count as confirmed
+_SWEEPS = 300
+_SLACK = 1e-9
+_REACH = 1e-6
+
+
+def _ascend_cycles(theta: float, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Coordinate ascent on the mean cosine over one L-cycle, for a stack
     of ``(R, 4, L)`` starting phases (a0, a1, b0, b1 per restart).
 
@@ -243,10 +244,10 @@ def _ascend_cycles(
         ) / (4 * length)
 
     value = np.empty(restarts)
-    used = np.full(restarts, sweeps)
+    used = np.full(restarts, _SWEEPS)
     live = np.arange(restarts)
     previous = objective()
-    for sweep in range(1, sweeps + 1):
+    for sweep in range(1, _SWEEPS + 1):
         for j in range(length):
             phasor = np.exp(1j * b0[:, j])
             a0[:, j] = -np.angle(phasor + np.exp(1j * b1[:, j]))
@@ -279,19 +280,21 @@ def verify_bound(
     m: int = 1,
     restarts: int = 16,
     seed: int = 0,
-    slack: float = 1e-9,
-    reach: float = 1e-6,
 ) -> BoundCheck:
     """Search the strategy parameters directly and compare with the closed
-    form: the ascent must neither beat the bound (beyond ``slack``) nor
-    fall short of it (beyond ``reach``)."""
+    form for every alphabet size up to k.  One pass ascends each cycle
+    length 1..k once; size j takes the best over lengths <= j, and its
+    check, equal to ``verify_bound(n, j, ...)``, is in ``prefix``.  The
+    ascent must neither beat the bound (beyond 1e-9) nor fall short of
+    it (beyond 1e-6)."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    bound = best_fidelity(n, k, alpha, beta, m)
+    best_fidelity(n, k, alpha, beta, m)  # reject a bad target before any ascent
     theta = 2 * math.pi * m / n
     rng = np.random.default_rng(seed)
     best_cos = -1.0
     most_sweeps = unconverged = 0
+    checks: list[BoundCheck] = []
     for length in range(1, k + 1):
         # in C order, the same stream as R times four draws of size L
         starts = rng.uniform(-math.pi, math.pi, size=(restarts, 4, length))
@@ -299,14 +302,10 @@ def verify_bound(
         best_cos = max(best_cos, float(value.max()))
         most_sweeps = max(most_sweeps, int(used.max()))
         unconverged += stalled
-    optimum = alpha**4 + beta**4 + 2 * (alpha * beta) ** 2 * best_cos
-    confirmed = optimum <= bound.value + slack and optimum >= bound.value - reach
-    return BoundCheck(
-        bound=bound,
-        optimum=optimum,
-        confirmed=confirmed,
-        slack=slack,
-        reach=reach,
-        sweeps=most_sweeps,
-        unconverged=unconverged,
-    )
+        bound = best_fidelity(n, length, alpha, beta, m)
+        optimum = alpha**4 + beta**4 + 2 * (alpha * beta) ** 2 * best_cos
+        confirmed = bound.value - _REACH <= optimum <= bound.value + _SLACK
+        checks.append(
+            BoundCheck(bound, optimum, confirmed, most_sweeps, unconverged, tuple(checks))
+        )
+    return checks[-1]

@@ -22,6 +22,7 @@ from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
+    _frozen,
     as_matrix,
     capped_dim,
     haar_from_normals,
@@ -83,9 +84,7 @@ class CCBox:
         object.__setattr__(self, "output_sizes", _positive_sizes(self.output_sizes, "output_sizes"))
         if len(self.input_sizes) != len(self.output_sizes):
             raise ValueError("one output alphabet per party required")
-        tab = np.array(self.table, dtype=float)
-        tab.setflags(write=False)
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table", tab := _frozen(self.table, float))
         expected = tuple(self.input_sizes) + tuple(self.output_sizes)
         if tab.shape != expected:
             raise ValueError(f"table shape {tab.shape} does not match {expected}")
@@ -118,9 +117,7 @@ class CouplingBox:
     bijections: Mapping[tuple[int, ...], np.ndarray]
 
     def __post_init__(self) -> None:
-        q = np.array(self.marginal, dtype=float)
-        q.setflags(write=False)
-        object.__setattr__(self, "marginal", q)
+        object.__setattr__(self, "marginal", q := _frozen(self.marginal, float))
         if np.min(q) < -TOLERANCE or abs(q.sum() - 1.0) > TOLERANCE:
             raise ValueError("marginal is not a probability distribution")
         n = q.shape[0]
@@ -128,8 +125,7 @@ class CouplingBox:
         for key in np.ndindex(*self.input_sizes):
             if key not in self.bijections:
                 raise ValueError(f"missing bijection for input {key}")
-            pi = np.array(self.bijections[key], dtype=int)
-            pi.setflags(write=False)
+            pi = _frozen(self.bijections[key], int)
             if sorted(pi.tolist()) != list(range(n)):
                 raise ValueError(f"pairing for input {key} is not a bijection on 0..{n - 1}")
             if np.max(np.abs(q[pi] - q)) > TOLERANCE:
@@ -149,17 +145,14 @@ class HaarCouplingBox:
 
     Bob's output is a Haar-random unitary V, block-diagonal over
     ``block_dims`` (a single block by default).  Alice's output under a
-    given input tuple is relabel(inputs) @ conj(V).  Optional frames
-    rotate both outputs into a fixed computational-basis frame.  Bob's
-    sample stream is drawn once, independent of the inputs.
+    given input tuple is relabel(inputs) @ conj(V).  Bob's sample stream
+    is drawn once, independent of the inputs.
     """
 
     dim: int
     input_sizes: tuple[int, ...]
     relabel: Callable[[tuple[int, ...]], np.ndarray]
     block_dims: tuple[int, ...] = ()
-    frame_a: np.ndarray | None = None
-    frame_b: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         blocks = self.block_dims or (self.dim,)
@@ -184,13 +177,7 @@ class HaarCouplingBox:
         self, inputs: tuple[int, ...], base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Alice unitary, Bob unitary) for a base draw or a stack of them."""
-        u_a = np.asarray(self.relabel(inputs), dtype=complex) @ base.conj()
-        u_b = base
-        if self.frame_a is not None:
-            u_a = self.frame_a @ u_a @ self.frame_a.conj().T
-        if self.frame_b is not None:
-            u_b = self.frame_b @ u_b @ self.frame_b.conj().T
-        return u_a, u_b
+        return np.asarray(self.relabel(inputs), dtype=complex) @ base.conj(), base
 
 
 def _in_range(key: object, sizes: tuple[int, ...]) -> bool:
@@ -292,7 +279,9 @@ class CQBox:
         input_sizes: Sequence[int],
         states: Mapping[tuple[int, ...], StateVector],
     ) -> "CQBox":
-        return cls.from_outputs(input_sizes, next(iter(states.values())).structure, states)
+        # with no states the structure is never read: the missing outputs are reported first
+        first = next(iter(states.values()), None)
+        return cls.from_outputs(input_sizes, getattr(first, "structure", None), states)
 
     @property
     def inputs(self) -> list[tuple[int, ...]]:

@@ -132,12 +132,15 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _parse_weights(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",")]
+        weights = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--weights must be comma-separated numbers, got '{text}'") from exc
+    if bad := [w for w in weights if not math.isfinite(w)]:
+        raise ValueError(f"--weights must be finite numbers, got {bad[0]}")
+    return weights
 
 
-def _parse_phases(text: str) -> dict[tuple[int, int, int], Fraction]:
+def _parse_phases(text: str, levels: int) -> dict[tuple[int, int, int], Fraction]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
@@ -153,6 +156,11 @@ def _parse_phases(text: str) -> dict[tuple[int, int, int], Fraction]:
             raise ValueError(f"bad phase entry '{key}': {value!r}") from exc
         if len(parts) != 3:
             raise ValueError(f"phase key '{key}' must be 'x,y,level'")
+        if not (0 <= parts[0] < 2 and 0 <= parts[1] < 2 and 0 <= parts[2] < levels):
+            raise ValueError(
+                f"--phases key '{key}' is out of range: x and y are 0 or 1, "
+                f"level is below {levels}"
+            )
         phases[parts] = fraction
     return phases
 
@@ -271,7 +279,7 @@ def _eight_output(args) -> dict:
 
 def _nonmax_pure(args) -> dict:
     weights = _parse_weights(args.weights)
-    phases = _parse_phases(args.phases)
+    phases = _parse_phases(args.phases, len(weights))
     return {
         "strategy": nonmax_pure_strategy(weights, phases),
         "target": _nonmax_target(weights, phases),
@@ -387,26 +395,29 @@ def _cmd_bound(args) -> tuple[dict, int]:
         "alpha": args.alpha, "beta": args.beta,
         "budget": args.budget, "restarts": args.restarts, "seed": args.seed,
     }
+    # --budget buys one row per --restarts; the rows it buys come from one pass
+    confirmed = min(kmax, args.budget // args.restarts)
+    checks = []
+    if confirmed:
+        last = verify_bound(
+            args.n, confirmed, args.alpha, args.beta, args.m,
+            restarts=args.restarts, seed=args.seed,
+        )
+        checks = [*last.prefix, last]
     frontier = []
-    remaining = args.budget
-    exceeded = False
     failed = False
     for k in range(1, kmax + 1):
-        result = best_fidelity(args.n, k, args.alpha, args.beta, args.m)
+        check = checks[k - 1] if k <= confirmed else None
+        result = check.bound if check else best_fidelity(args.n, k, args.alpha, args.beta, args.m)
         row = {
             "k": k,
             "value": result.value,
             "delta": result.delta,
             "cycle_length": result.cycle_length,
+            "confirmed": check.confirmed if check else None,
         }
-        if remaining >= args.restarts:
-            remaining -= args.restarts
-            check = verify_bound(
-                args.n, k, args.alpha, args.beta, args.m,
-                restarts=args.restarts, seed=args.seed,
-            )
+        if check:
             row["optimum"] = check.optimum
-            row["confirmed"] = check.confirmed
             if not check.confirmed:
                 failed = True
                 row["ascent"] = {
@@ -414,10 +425,8 @@ def _cmd_bound(args) -> tuple[dict, int]:
                     "sweeps": check.sweeps,
                     "unconverged": check.unconverged,
                 }
-        else:
-            exceeded = True
-            row["confirmed"] = None
         frontier.append(row)
+    exceeded = confirmed < kmax
     report = {
         "command": "bound",
         **record,
@@ -580,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--beta", type=_finite_float, default=0.6)
     bound.add_argument(
         "--budget", type=int, default=64,
-        help="total ascent restarts available for confirmations",
+        help="ascent restarts to spend: each confirmed row costs --restarts, "
+        "rows are confirmed from k = 1 up until it runs out",
     )
     bound.add_argument("--restarts", type=int, default=16, help="ascent restarts per row")
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from cqboxes.boxes import CQBox, family_worst_violation
-from cqboxes.quantum import PartyStructure, StateVector, wrap_angle
+from cqboxes.quantum import PartyStructure, StateVector, _frozen, wrap_angle
 from cqboxes.synthesis import Strategy, modular_phase_strategy
 
 __all__ = [
@@ -53,9 +53,7 @@ class PhaseAssignment:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, arr := _frozen(getattr(self, name), float))
             if arr.shape != (2, 2, 2):
                 raise ValueError(f"{name} must have shape (2, 2, 2), got {arr.shape}")
 

@@ -494,7 +494,7 @@ def nonmax_pure_strategy(
     return Strategy(ccbox=box, shared=shared, party_maps=(alice, bob))
 
 
-def general_pure_strategy(targets: CQBox, tol: float = TOLERANCE) -> Strategy:
+def general_pure_strategy(targets: CQBox) -> Strategy:
     """Strategy reproducing an arbitrary non-signalling pure family.
 
     The reference output at input (0, ..., 0) fixes Schmidt frames and
@@ -512,7 +512,7 @@ def general_pure_strategy(targets: CQBox, tol: float = TOLERANCE) -> Strategy:
         raise ValueError("construction requires equal local dimensions")
     n = dims[0]
 
-    report = cq_no_signalling(targets, tol=max(tol, TOLERANCE))
+    report = cq_no_signalling(targets, tol=TOLERANCE)
     if not report.passed:
         raise ValueError(
             f"target family is signalling (worst violation {report.worst_violation:.3e})"
@@ -565,18 +565,17 @@ def general_pure_strategy(targets: CQBox, tol: float = TOLERANCE) -> Strategy:
         input_sizes=targets.input_sizes,
         relabel=lambda key: relabels[key],
         block_dims=block_dims,
-        frame_a=frame_a,
-        frame_b=frame_b,
     )
 
     dress_a = {x: frame_a @ u_x[x] @ frame_a.conj().T for x in range(nx)}
     dress_b = {y: frame_b @ v_y[y] @ frame_b.conj().T for y in range(ny)}
 
+    # each party rotates its coupling output into its Schmidt frame
     def alice(x: int, out: object) -> np.ndarray:
-        return dress_a[x] @ np.asarray(out, dtype=complex)
+        return dress_a[x] @ (frame_a @ out @ frame_a.conj().T)
 
     def bob(y: int, out: object) -> np.ndarray:
-        return dress_b[y] @ np.asarray(out, dtype=complex)
+        return dress_b[y] @ (frame_b @ out @ frame_b.conj().T)
 
     return Strategy(ccbox=coupling, shared=reference, party_maps=(alice, bob))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -215,6 +216,35 @@ class TestBatchedAscent:
     def test_rejects_fewer_than_one_restart(self, restarts):
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             verify_bound(3, 2, restarts=restarts)
+
+
+def same_fields(a, b) -> bool:
+    """Field-for-field equality through dataclasses, containers and arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_fields, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_fields(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestOnePassFrontier:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_prefix_rows_equal_their_own_calls(self, n):
+        check = verify_bound(n, 8, m=1, restarts=8, seed=3)
+        assert len(check.prefix) == 7
+        for j, row in enumerate(check.prefix):
+            assert row.bound.k == j + 1
+            assert same_fields(row, verify_bound(n, j + 1, m=1, restarts=8, seed=3)), (n, j)
+
+    def test_rejects_an_empty_alphabet_before_any_ascent(self):
+        with pytest.raises(ValueError, match="at least one output"):
+            verify_bound(3, 0)
 
 
 class TestValidation:

@@ -350,6 +350,10 @@ class TestCQBoxType:
         with pytest.raises(ValueError):
             CQBox.from_outputs((2, 2), AB, {(0, 0): bell_state(0).density()})
 
+    def test_from_pure_without_states_names_the_missing_inputs(self):
+        with pytest.raises(ValueError, match="outputs missing for inputs"):
+            CQBox.from_pure((2, 2), {})
+
     def test_sizes_and_keys_validated(self):
         outputs = {key: bell_state(0).density() for key in itertools.product(range(2), range(2))}
         with pytest.raises(ValueError, match="input_sizes"):

@@ -390,6 +390,11 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "nonmax-pure", "--phases", "[1]"], "--phases must be a JSON object"),
         (["synth", "nonmax-pure", "--phases", '{"1,1,0": "x"}'], "bad phase entry '1,1,0'"),
         (["synth", "nonmax-pure", "--phases", '{"1,1": "1/4"}'], "phase key '1,1'"),
+        (["synth", "nonmax-pure", "--weights", "0.8,0.2", "--phases", '{"1,1,5": "1/2"}'],
+         "--phases key '1,1,5' is out of range"),
+        (["synth", "nonmax-pure", "--phases", '{"-1,1,0": "1/2"}'],
+         "--phases key '-1,1,0' is out of range"),
+        (["synth", "nonmax-pure", "--weights", "nan,0.2"], "--weights must be finite numbers, got nan"),
         (["bound", "--n", "2", "--kmax", "0"], "--kmax"),
         (["bound", "--n", "2", "--kmax", "65"], "--kmax 65 is above the cap of 64"),
         (["wphase", "--grid", "0,1,2,3,4,5,6,7,8"], "--grid of 9 values"),
@@ -447,6 +452,8 @@ GOLDEN_STDOUT = [
     ("wphase_single_table", ["wphase", "--mode", "single", "fixtures/w_assignment_table.json"]),
     ("bound_n4", ["bound", "--n", "4"]),
     ("bound_n3_m2", ["bound", "--n", "3", "--m", "2", "--alpha", "0.9", "--beta", "0.4358898943540673"]),
+    ("bound_n4_kmax6_budget48", ["bound", "--n", "4", "--kmax", "6", "--budget", "48"]),
+    ("bound_n2_kmax8_restarts4", ["bound", "--n", "2", "--kmax", "8", "--restarts", "4"]),
 ]
 
 
@@ -489,6 +496,27 @@ def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path)
     monkeypatch.undo()
     code, single, _ = run(capsys, "wphase", "--mode", "single", str(path))
     assert code == 0 and single["decomposition"] is not None
+
+
+def test_bound_frontier_ascends_each_cycle_length_once(capsys, monkeypatch):
+    """One ``verify_bound`` pass confirms every row: ``bound --n 4`` runs
+    the lengths 1..4 once each, not 1 + 2 + 3 + 4 kernel calls."""
+    calls = {"verify_bound": 0, "_ascend_cycles": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "verify_bound")
+    counted(bounds, "_ascend_cycles")
+    code, report, _ = run(capsys, "bound", "--n", "4")
+    assert code == 0 and all(row["confirmed"] for row in report["frontier"])
+    assert calls == {"verify_bound": 1, "_ascend_cycles": 4}
 
 
 def test_failing_bound_row_names_its_ascent(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from cqboxes.quantum import (
     pauli_x,
     pauli_z_power,
     phi_plus,
+    schmidt,
 )
 from cqboxes.synthesis import (
     MixtureSchedule,
@@ -949,3 +951,71 @@ def schmidt_dressed_families(draw) -> CQBox:
 def test_schmidt_dressed_families_round_trip_through_general_pure(box, seed):
     simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
     assert np.max(np.abs(simulated.matrices - box.matrices)) <= 1e-9
+
+
+@dataclass(frozen=True)
+class FramedHaarCouplingBox(HaarCouplingBox):
+    """The coupling that ``general_pure_strategy`` built before its Schmidt
+    frames moved into the party maps: ``sample_pair`` rotates both outputs
+    into the frames.  Kept as the reference those maps must reproduce."""
+
+    frame_a: np.ndarray | None = None
+    frame_b: np.ndarray | None = None
+
+    def sample_pair(self, inputs, base):
+        u_a = np.asarray(self.relabel(inputs), dtype=complex) @ base.conj()
+        u_b = base
+        if self.frame_a is not None:
+            u_a = self.frame_a @ u_a @ self.frame_a.conj().T
+        if self.frame_b is not None:
+            u_b = self.frame_b @ u_b @ self.frame_b.conj().T
+        return u_a, u_b
+
+
+def reference_framed_strategy(targets: CQBox) -> Strategy:
+    """``general_pure_strategy`` with a framed coupling and frame-dressed
+    party maps, rebuilt from the reference output's Schmidt form; only the
+    coupling parts are taken from the strategy under test."""
+    coupling = general_pure_strategy(targets).ccbox
+    reference = targets.pure_output((0, 0))
+    form = schmidt(reference)
+    frame_a, frame_b = np.asarray(form.left_basis), np.asarray(form.right_basis)
+    n = frame_a.shape[0]
+    inv_d = np.diag(1.0 / form.coefficients)
+
+    def in_frames(key):
+        mat = targets.pure_output(key).amplitudes.reshape(n, n)
+        return frame_a.conj().T @ mat @ frame_b.conj()
+
+    nx, ny = targets.input_sizes
+    dress_a = {x: frame_a @ (in_frames((x, 0)) @ inv_d) @ frame_a.conj().T for x in range(nx)}
+    dress_b = {y: frame_b @ (inv_d @ in_frames((0, y))).T @ frame_b.conj().T for y in range(ny)}
+    framed = FramedHaarCouplingBox(
+        coupling.dim, coupling.input_sizes, coupling.relabel, coupling.block_dims, frame_a, frame_b
+    )
+    return Strategy(
+        ccbox=framed,
+        shared=reference,
+        party_maps=(
+            lambda x, out: dress_a[x] @ np.asarray(out, dtype=complex),
+            lambda y, out: dress_b[y] @ np.asarray(out, dtype=complex),
+        ),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
+def test_general_pure_matches_the_framed_coupling_bit_for_bit(box, seed):
+    simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
+    framed = simulate(reference_framed_strategy(box), samples=5, seed=seed)
+    assert np.array_equal(simulated.matrices, framed.matrices)
+
+
+@pytest.mark.parametrize(
+    "name", ["two_block_family", "nonmax_pure_family", "max_entangled_family"]
+)
+def test_general_pure_fixtures_match_the_framed_coupling_bit_for_bit(name):
+    box = load_box(FIXTURES / f"{name}.json")
+    simulated = simulate(general_pure_strategy(box), samples=40, seed=3)
+    framed = simulate(reference_framed_strategy(box), samples=40, seed=3)
+    assert np.array_equal(simulated.matrices, framed.matrices)
