@@ -99,17 +99,33 @@ def max_entangled_family() -> CQBox:
     return unitary_family_box(targets, 2)
 
 
+DISORDERED_MIXES = {
+    (0, 0): (1.0, 0.0, 0.0, 0.0),
+    (0, 1): (0.5, 0.5, 0.0, 0.0),
+    (1, 0): (0.25, 0.25, 0.25, 0.25),
+    (1, 1): (0.7, 0.1, 0.1, 0.1),
+}
+
+
 def mixed_disordered_family() -> CQBox:
     structure = PartyStructure.qubits("AB")
-    mixes = {
-        (0, 0): (1.0, 0.0, 0.0, 0.0),
-        (0, 1): (0.5, 0.5, 0.0, 0.0),
-        (1, 0): (0.25, 0.25, 0.25, 0.25),
-        (1, 1): (0.7, 0.1, 0.1, 0.1),
-    }
     outputs = {}
-    for key, weights in mixes.items():
+    for key, weights in DISORDERED_MIXES.items():
         mat = sum(w * bell_state(i).density().matrix for i, w in enumerate(weights))
+        outputs[key] = DensityMatrix(mat, structure)
+    return CQBox.from_outputs((2, 2), structure, outputs)
+
+
+def mixed_disordered_rotated() -> CQBox:
+    """The same Bell mixtures behind seeded local unitaries per input, so
+    that each correlation matrix is off-diagonal and the Bell-form
+    decomposition has to lift its rotations to SU(2)."""
+    structure = PartyStructure.qubits("AB")
+    diagonal = mixed_disordered_family()
+    outputs = {}
+    for i, key in enumerate(DISORDERED_MIXES):
+        frame = np.kron(haar_unitary(2, 90 + 2 * i).matrix, haar_unitary(2, 91 + 2 * i).matrix)
+        mat = frame @ diagonal.output(key).matrix @ frame.conj().T
         outputs[key] = DensityMatrix(mat, structure)
     return CQBox.from_outputs((2, 2), structure, outputs)
 
@@ -165,6 +181,7 @@ def main() -> None:
         "nonmax_pure_family": nonmax_pure_family(),
         "two_block_family": two_block_family(),
         "mixed_disordered_family": mixed_disordered_family(),
+        "mixed_disordered_rotated": mixed_disordered_rotated(),
         "w_phase_local": assignment_box(table_assignment()),
         "ghz_half_turn": ghz_phase_box(math.pi),
     }

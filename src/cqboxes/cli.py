@@ -137,18 +137,29 @@ def _parse_weights(text: str) -> list[float]:
         raise ValueError(f"--weights must be comma-separated numbers, got '{text}'") from exc
     if bad := [w for w in weights if not math.isfinite(w)]:
         raise ValueError(f"--weights must be finite numbers, got {bad[0]}")
+    # the checks of nonmax_pure_strategy, reported in the flag's terms
+    if len(weights) < 2:
+        raise ValueError(f"--weights needs at least two levels, got '{text}'")
+    if abs(np.sum(weights) - 1.0) > TOLERANCE or min(weights) <= 0:
+        raise ValueError(f"--weights must be positive and sum to 1, got '{text}'")
+    if any(b >= a for a, b in zip(weights, weights[1:])):
+        raise ValueError(
+            f"--weights must be strictly decreasing, got '{text}'; repeated levels "
+            "form degenerate blocks, which general-pure handles"
+        )
     return weights
 
 
 def _parse_phases(text: str, levels: int) -> dict[tuple[int, int, int], Fraction]:
     try:
-        raw = json.loads(text)
+        # an object arrives as its (key, value) pairs, repeated keys included
+        raw = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError:
         raw = None
-    if not isinstance(raw, dict):
+    if not isinstance(raw, tuple):
         raise ValueError("--phases must be a JSON object like {\"1,1,0\": \"1/4\"}")
-    phases = {}
-    for key, value in raw.items():
+    phases, spellings = {}, {}
+    for key, value in raw:
         try:
             parts = tuple(int(v) for v in key.split(","))
             fraction = Fraction(str(value))
@@ -161,6 +172,12 @@ def _parse_phases(text: str, levels: int) -> dict[tuple[int, int, int], Fraction
                 f"--phases key '{key}' is out of range: x and y are 0 or 1, "
                 f"level is below {levels}"
             )
+        if parts in spellings:
+            raise ValueError(
+                f"--phases keys '{spellings[parts]}' and '{key}' both name entry "
+                f"{','.join(map(str, parts))}"
+            )
+        spellings[parts] = key
         phases[parts] = fraction
     return phases
 

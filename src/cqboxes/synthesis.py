@@ -152,11 +152,13 @@ def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[t
     """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights):
     party j's unitary stack applied to axis j of the shared state."""
     dims = strategy.shared.structure.dims
+    shared = strategy.shared.amplitudes.reshape(dims[0], -1)
     for key, stacks, weights in _weighted_unitaries(strategy, samples, seed):
-        t = strategy.shared.amplitudes.reshape(1, -1)
-        for j, m in enumerate(stacks):
-            t = m[:, None] @ t.reshape(len(t), math.prod(dims[:j]), dims[j], -1)
-        vecs = t.reshape(len(t), -1)
+        # party 0 acts on the one shared state: a single (S d_0, d_0) product
+        t = stacks[0].reshape(-1, dims[0]) @ shared
+        for j, m in enumerate(stacks[1:], 1):
+            t = m[:, None] @ t.reshape(len(weights), math.prod(dims[:j]), dims[j], -1)
+        vecs = t.reshape(len(weights), -1)
         if fault := invalid_vector(vecs):
             raise ValueError(fault[1])
         yield key, vecs, weights
@@ -590,9 +592,33 @@ _BELL_LOCALS = (
 
 
 def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
-    from scipy.spatial.transform import Rotation
+    """Lift a proper rotation to SU(2) through its unit quaternion.
 
-    x, y, z, w = Rotation.from_matrix(rot).as_quat()
+    The quaternion (x, y, z, w) is formed as scipy 1.17.1's
+    ``Rotation.from_matrix`` forms it from an orthogonal matrix, bit for
+    bit: from the largest of the three diagonal entries and the trace,
+    then divided by its norm.
+    """
+    det = np.linalg.det(rot)
+    if det <= 0:
+        raise ValueError(f"a proper rotation is required, got determinant {det}")
+    r = np.asarray(rot, dtype=float).tolist()
+    trace = r[0][0] + r[1][1] + r[2][2]
+    decision = [r[0][0], r[1][1], r[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        quat = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1], 1 + trace]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        quat = [0.0] * 4
+        quat[i] = 1 - trace + 2 * r[i][i]
+        quat[j] = r[j][i] + r[i][j]
+        quat[k] = r[k][i] + r[i][k]
+        quat[3] = r[k][j] - r[j][k]
+    x, y, z, w = quat
+    # added in this order: sum() compensates its rounding on Python 3.12+
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = x / norm, y / norm, z / norm, w / norm
     return w * np.eye(2, dtype=complex) - 1j * (
         x * PAULI[0] + y * PAULI[1] + z * PAULI[2]
     )

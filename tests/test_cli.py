@@ -4,6 +4,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,17 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "nonmax-pure", "--phases", '{"-1,1,0": "1/2"}'],
          "--phases key '-1,1,0' is out of range"),
         (["synth", "nonmax-pure", "--weights", "nan,0.2"], "--weights must be finite numbers, got nan"),
+        (["synth", "nonmax-pure", "--weights", "0.2,0.8"],
+         "--weights must be strictly decreasing, got '0.2,0.8'"),
+        (["synth", "nonmax-pure", "--weights=-0.2,1.2"],
+         "--weights must be positive and sum to 1, got '-0.2,1.2'"),
+        (["synth", "nonmax-pure", "--weights", "0.5,0.4"],
+         "--weights must be positive and sum to 1, got '0.5,0.4'"),
+        (["synth", "nonmax-pure", "--weights", "1"], "--weights needs at least two levels"),
+        (["synth", "nonmax-pure", "--phases", '{"1,1,0": "1/3", "1, 1,0": "1/2"}'],
+         "--phases keys '1,1,0' and '1, 1,0' both name entry 1,1,0"),
+        (["synth", "nonmax-pure", "--phases", '{"0,1,1": "1/3", "0,1,1": "1/3"}'],
+         "--phases keys '0,1,1' and '0,1,1' both name entry 0,1,1"),
         (["bound", "--n", "2", "--kmax", "0"], "--kmax"),
         (["bound", "--n", "2", "--kmax", "65"], "--kmax 65 is above the cap of 64"),
         (["wphase", "--grid", "0,1,2,3,4,5,6,7,8"], "--grid of 9 values"),
@@ -443,8 +457,11 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
 ROOT = Path(__file__).resolve().parent.parent
 # stdout of these commands, byte for byte, as written before the theorem
 # sweep checked its families as stacks (wphase, verify) and before the
-# bound ascent ran its restarts as one stack (bound)
+# bound ascent ran its restarts as one stack (bound) and before the
+# Bell-form rotations were lifted to SU(2) without scipy (synth)
 GOLDEN_STDOUT = [
+    ("synth_mixed_disordered_rotated",
+     ["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json"]),
     ("wphase_theorem_default", ["wphase", "--mode", "theorem"]),
     ("wphase_theorem_grid_seed7", ["wphase", "--mode", "theorem", "--grid", "1.0,4.0", "--seed", "7"]),
     ("verify_signalling_family", ["verify", "fixtures/signalling_family.json"]),
@@ -624,3 +641,46 @@ class TestContract:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "verify" in capsys.readouterr().out
+
+
+# every command, with every synth construction, in one fresh interpreter
+NO_SCIPY_ARGVS = [
+    ["verify", "fixtures/pr_box.json"],
+    ["verify", "fixtures/mixed_disordered_rotated.json"],
+    ["synth", "bit-flip"],
+    ["synth", "sign-flip"],
+    ["synth", "phase", "--m", "1", "--n", "5"],
+    ["synth", "irrational-phase", "--theta", "0.3", "--n", "7"],
+    ["synth", "max-entangled", "--n", "2", "--samples", "20"],
+    ["synth", "eight-output"],
+    ["synth", "nonmax-pure"],
+    ["synth", "general-pure", "--target", "fixtures/two_block_family.json", "--samples", "20"],
+    ["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json",
+     "--samples", "20"],
+    ["synth", "ghz-phase", "--m", "1", "--n", "4"],
+    ["bound", "--n", "3"],
+    ["wphase", "--mode", "theorem", "--grid", "0,3.14", "--random-samples", "5"],
+    ["wphase", "--mode", "single", "fixtures/w_assignment_table.json"],
+]
+
+
+def test_no_command_imports_scipy():
+    assert {argv[1] for argv in NO_SCIPY_ARGVS if argv[0] == "synth"} == set(cli._CONSTRUCTIONS)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from cqboxes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {NO_SCIPY_ARGVS!r}]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(\n"
+        "    m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(NO_SCIPY_ARGVS)
+    assert result["scipy"] == []

@@ -3,10 +3,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -30,6 +31,7 @@ from cqboxes.boxes import (
 from cqboxes.io import load_box
 from cqboxes.multipartite import ghz_phase_strategy
 from cqboxes.quantum import (
+    PAULI,
     DensityMatrix,
     PartyStructure,
     StateVector,
@@ -37,6 +39,7 @@ from cqboxes.quantum import (
     bell_state,
     fidelity,
     haar_unitary,
+    invalid_vector,
     pauli_x,
     pauli_z_power,
     phi_plus,
@@ -442,6 +445,81 @@ class TestSu2Lift:
             )
             assert np.allclose(np.real(realised), rot.as_matrix(), atol=1e-12)
             assert np.allclose(np.imag(realised), 0.0, atol=1e-12)
+
+
+def scipy_su2(rot: np.ndarray) -> np.ndarray:
+    """The lift as it was before it moved to numpy, through scipy's
+    quaternion: kept as the reference it must match bit for bit."""
+    x, y, z, w = Rotation.from_matrix(rot).as_quat()
+    return w * np.eye(2, dtype=complex) - 1j * (x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
+
+
+def quaternion_branch(rot: np.ndarray) -> int:
+    """Which of (R00, R11, R22, trace) is largest, first on ties."""
+    return int(np.argmax([rot[0, 0], rot[1, 1], rot[2, 2], rot[0, 0] + rot[1, 1] + rot[2, 2]]))
+
+
+ROTATION_KINDS = {"near-identity": 3, "half-turn x": 0, "half-turn y": 1, "half-turn z": 2,
+                  "generic": None, "svd factor": None}
+
+
+@st.composite
+def proper_rotations(draw, kind: str) -> np.ndarray:
+    """A proper rotation of one kind: a small angle about any axis, close
+    to a half turn about one coordinate axis, any angle about any axis,
+    or a sign-fixed SVD factor as ``bell_canonical_form`` makes them."""
+    entries = st.floats(-1, 1, allow_subnormal=False)
+    if kind == "svd factor":
+        o1, _, _ = np.linalg.svd(np.array(draw(st.lists(entries, min_size=9, max_size=9))).reshape(3, 3))
+        return o1 @ np.diag([1.0, 1.0, np.sign(np.linalg.det(o1))])
+    axis = np.array(draw(st.lists(entries, min_size=3, max_size=3)))
+    if kind.startswith("half-turn"):
+        axis = np.eye(3)[ROTATION_KINDS[kind]] + 1e-2 * axis
+        angle = math.pi - draw(st.floats(0, 1e-2))
+    else:
+        assume(np.linalg.norm(axis) > 0.1)
+        angle = draw(st.floats(-1e-3, 1e-3) if kind == "near-identity" else st.floats(0, math.pi))
+    return Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+
+
+class TestSu2LiftMatchesScipy:
+    @pytest.mark.parametrize("kind", ROTATION_KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, kind, data):
+        rot = data.draw(proper_rotations(kind))
+        if ROTATION_KINDS[kind] is not None:
+            assert quaternion_branch(rot) == ROTATION_KINDS[kind]
+        assert np.array_equal(_su2_from_rotation(rot), scipy_su2(rot))
+
+    @pytest.mark.parametrize("rot", [np.eye(3), np.diag([1.0, -1.0, -1.0]),
+                                     np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])])
+    def test_exact_branch_corners(self, rot):
+        assert np.array_equal(_su2_from_rotation(rot), scipy_su2(rot))
+
+    @pytest.mark.parametrize("rot", [np.diag([1.0, 1.0, -1.0]), -np.eye(3), np.zeros((3, 3))])
+    def test_rejects_non_positive_determinants(self, rot):
+        with pytest.raises(ValueError, match="proper rotation"):
+            _su2_from_rotation(rot)
+        with pytest.raises(ValueError):
+            scipy_su2(rot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_bell_canonical_form_matches_the_scipy_lift(weights, seeds):
+    frame = np.kron(haar_unitary(2, seeds[0]).matrix, haar_unitary(2, seeds[1]).matrix)
+    core = bell_mixture(np.array(weights) / sum(weights)).matrix
+    rho = DensityMatrix(frame @ core @ frame.conj().T, PartyStructure.pair(2))
+    u, v, p = bell_canonical_form(rho)
+    with mock.patch.object(synthesis, "_su2_from_rotation", scipy_su2):
+        u_ref, v_ref, p_ref = bell_canonical_form(rho)
+    assert np.array_equal(u.matrix, u_ref.matrix)
+    assert np.array_equal(v.matrix, v_ref.matrix)
+    assert np.array_equal(p, p_ref)
 
 
 class TestBellCanonicalForm:
@@ -1019,3 +1097,52 @@ def test_general_pure_fixtures_match_the_framed_coupling_bit_for_bit(name):
     simulated = simulate(general_pure_strategy(box), samples=40, seed=3)
     framed = simulate(reference_framed_strategy(box), samples=40, seed=3)
     assert np.array_equal(simulated.matrices, framed.matrices)
+
+
+def reference_weighted_vectors(strategy: Strategy, samples: int, seed: int):
+    """``_weighted_vectors`` as it was before party 0's stack became one
+    matrix product: a broadcast product per sample for every party."""
+    dims = strategy.shared.structure.dims
+    for key, stacks, weights in synthesis._weighted_unitaries(strategy, samples, seed):
+        t = strategy.shared.amplitudes.reshape(1, -1)
+        for j, m in enumerate(stacks):
+            t = m[:, None] @ t.reshape(len(t), math.prod(dims[:j]), dims[j], -1)
+        vecs = t.reshape(len(t), -1)
+        if fault := invalid_vector(vecs):
+            raise ValueError(fault[1])
+        yield key, vecs, weights
+
+
+def assert_simulate_matches_the_broadcast(strategy: Strategy, samples: int, seed: int) -> None:
+    box = simulate(strategy, samples=samples, seed=seed)
+    with mock.patch.object(synthesis, "_weighted_vectors", reference_weighted_vectors):
+        reference = simulate(strategy, samples=samples, seed=seed)
+    assert np.array_equal(box.matrices, reference.matrices)
+
+
+def rotated_fixture_strategies() -> list[tuple[str, Strategy]]:
+    _, strategies = mixed_disordered_strategy(load_box(FIXTURES / "mixed_disordered_rotated.json"))
+    return [(f"mixed-disordered rotated interval {i}", s) for i, s in enumerate(strategies)]
+
+
+ALL_CONSTRUCTIONS = SAMPLED + FINITE + rotated_fixture_strategies()
+
+
+class TestFirstPartyProductMatchesTheBroadcast:
+    @pytest.mark.parametrize(
+        "name, strategy", ALL_CONSTRUCTIONS, ids=[name for name, _ in ALL_CONSTRUCTIONS]
+    )
+    def test_every_construction(self, name, strategy):
+        assert_simulate_matches_the_broadcast(strategy, 60, 2)
+
+    @pytest.mark.parametrize("samples", [1, 5, 23, 200])
+    def test_sample_counts_across_chunks(self, monkeypatch, samples):
+        _, strategy = SAMPLED[1]  # max-entangled n = 3, joint dimension 9
+        assert_simulate_matches_the_broadcast(strategy, samples, 4)
+        monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 9 * 5)  # chunks of 5 draws
+        assert_simulate_matches_the_broadcast(strategy, samples, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=finite_strategies_with_zeros())
+    def test_random_tables(self, strategy):
+        assert_simulate_matches_the_broadcast(strategy, 1, 0)
