@@ -9,6 +9,7 @@ state) that do not depend on the inputs of the complementary parties.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from cqboxes.quantum import (
     capped_dim,
     haar_from_normals,
     invalid_density,
-    invalid_vector,
+    invalid_pure,
     kron_all,
     partial_trace_array,
     trace_norm,
@@ -199,11 +200,12 @@ def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.nda
 def _validated_pure(
     amplitudes: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of the amplitude stack ``shape`` = ``(..., D)`` and its density
-    matrices, checked by ``invalid_vector`` and then ``invalid_density``."""
-    amps = _checked(np.array(amplitudes, dtype=complex), shape, invalid_vector)
+    """A copy of the amplitude stack ``shape`` = ``(..., D)`` and its read-only
+    density matrices, PSD by construction: ``invalid_pure`` checks the vectors."""
+    amps = _checked(np.array(amplitudes, dtype=complex), shape, invalid_pure)
     matrices = amps[..., :, None] * amps[..., None, :].conj()
-    return amps, _checked(matrices, shape + shape[-1:], invalid_density)
+    matrices.setflags(write=False)
+    return amps, matrices
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,8 @@ class CQBox:
     ``matrices`` stacks one density matrix over the shared party structure
     per input tuple, shape ``input_sizes + (D, D)``.  ``amplitudes``, shape
     ``input_sizes + (D,)``, is set only when every output is pure; give one
-    of the two (matrices are derived from amplitudes).  Mappings from input
+    of the two (matrices are derived from amplitudes, PSD by construction, so
+    only their finiteness, norms and traces are checked).  Mappings from input
     tuples to states go through ``from_outputs`` or ``from_pure``.
     """
 
@@ -361,6 +364,12 @@ def coupling_to_ccbox(coupling: CouplingBox) -> CCBox:
     return CCBox(tuple(sizes), (n, n), table)
 
 
+@functools.lru_cache(maxsize=16)
+def _outside_pairs(outside: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(outside, 1)``, in combinations order."""
+    return tuple(_frozen(index, int) for index in np.triu_indices(outside, 1))
+
+
 def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for r in range(1, k):
@@ -394,7 +403,7 @@ def _subgroup_sweep(
         own = math.prod(input_sizes[i] for i in subgroup)
         outside = math.prod(input_sizes[i] for i in complement)
         views = views.reshape((len(views), own, outside) + views.shape[k + 1 :])
-        first, second = np.triu_indices(outside, 1)
+        first, second = _outside_pairs(outside)
         yield subgroup, complement, first, second, distance(views[:, :, first], views[:, :, second])
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -625,6 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: argparse parses each argv into a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def _render(report: dict) -> str:
     """The report as strict JSON; a NaN or infinity in it is a program fault."""
     try:
@@ -642,9 +647,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.monotonic()

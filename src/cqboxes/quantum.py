@@ -29,6 +29,7 @@ __all__ = [
     "capped_dim",
     "invalid_vector",
     "invalid_density",
+    "invalid_pure",
     "StateVector",
     "DensityMatrix",
     "UnitaryOperator",
@@ -154,12 +155,24 @@ def invalid_density(matrices: np.ndarray, tol: float = TOLERANCE) -> Fault | Non
     # on it without saying where, so name it first
     if fault := _first_fault((~np.isfinite(skew), skew, "density matrix has a non-finite entry")):
         return fault
-    trace = np.trace(matrices, axis1=-2, axis2=-1)
     lowest = np.min(np.linalg.eigvalsh(matrices), axis=-1)
     return _first_fault(
         (skew > tol, skew, "density matrix is not Hermitian within tolerance"),
-        (np.abs(trace.real - 1.0) > tol, trace, "density matrix trace {} deviates from 1"),
+        _unit_trace(np.trace(matrices, axis1=-2, axis2=-1), tol),
         (lowest < -tol, lowest, "density matrix has a negative eigenvalue beyond tolerance"),
+    )
+
+
+def _unit_trace(trace: np.ndarray, tol: float) -> tuple:
+    return np.abs(trace.real - 1.0) > tol, trace, "density matrix trace {} deviates from 1"
+
+
+def invalid_pure(amplitudes: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
+    """``invalid_vector``, then ``invalid_density`` of the outer products of a
+    stack ``(..., D)``: these are Hermitian and positive semidefinite by
+    construction, so only their traces sum |v_i|^2 are checked, at O(D) each."""
+    return invalid_vector(amplitudes, tol) or _first_fault(
+        _unit_trace(np.sum(amplitudes * amplitudes.conj(), axis=-1), tol)
     )
 
 
@@ -282,10 +295,16 @@ def partial_trace_array(
     batch = matrices.shape[:-2]
     t = matrices.reshape(batch + dims + dims)
     remaining = len(dims)
-    for j in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        t = np.trace(t, axis1=len(batch) + j, axis2=len(batch) + j + remaining)
-        remaining -= 1
     d = math.prod(dims[i] for i in keep)
+    for j in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        diagonal = np.diagonal(t, 0, len(batch) + j, len(batch) + j + remaining)
+        if d == 1:  # a full trace, which np.trace sums pairwise, not in index order
+            t = diagonal.sum(axis=-1)
+        else:  # the diagonal blocks in index order, bit for bit as np.trace adds them
+            t = diagonal[..., 0].copy()
+            for i in range(1, dims[j]):
+                t += diagonal[..., i]
+        remaining -= 1
     return t.reshape(batch + (d, d))
 
 

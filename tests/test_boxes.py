@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqboxes import boxes
 from cqboxes.boxes import (
     CCBox,
     CouplingBox,
@@ -41,6 +42,9 @@ from cqboxes.quantum import (
     basis_state,
     bell_state,
     haar_unitary,
+    invalid_density,
+    invalid_pure,
+    invalid_vector,
     kron_all,
     partial_trace,
     pauli_x,
@@ -636,6 +640,98 @@ class TestSweepMatchesReference:
             family_worst_violation(amps, abc)
         with pytest.raises(ValueError, match="output stack shape"):
             family_worst_violation(amps[..., :4], abc)
+
+
+def reference_pure_fault(vectors: np.ndarray):
+    """The check of a pure stack before it skipped the eigensolve:
+    ``invalid_vector``, then ``invalid_density`` of the outer products."""
+    return invalid_vector(vectors) or invalid_density(
+        vectors[..., :, None] * vectors[..., None, :].conj()
+    )
+
+
+@st.composite
+def faulty_pure_stacks(draw) -> tuple[PartyStructure, np.ndarray]:
+    """Unit vectors over 2-3 parties, one per input setting, with up to
+    three replaced by a vector scaled near both the norm and the trace
+    boundary, a zero vector, or one with a NaN or infinite entry."""
+    k = draw(st.integers(2, 3))
+    inputs = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = inputs + (math.prod(dims),)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vectors = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    keys = st.tuples(*(st.integers(0, n - 1) for n in inputs))
+    for key in draw(st.lists(keys, max_size=3)):
+        fault = draw(st.sampled_from(["scale", "zero", "nan", "inf", "-inf"]))
+        if fault == "scale":  # |norm - 1| = tol and |norm^2 - 1| = tol sit at 1 and 0.5
+            with np.errstate(invalid="ignore"):  # a vector may hold an infinite entry
+                vectors[key] *= 1 + draw(st.floats(-1.5, 1.5)) * TOLERANCE
+        elif fault == "zero":
+            vectors[key] = 0
+        else:
+            vectors[key + (draw(st.integers(0, shape[-1] - 1)),)] = float(fault)
+    return PartyStructure(tuple(zip("ABC", dims))), vectors
+
+
+class TestPureValidationMatchesDensityCheck:
+    """Pure stacks are checked on their vectors; every verdict, input index
+    and message equals the eigensolve check of their outer products."""
+
+    def assert_same_verdict(self, structure: PartyStructure, vectors: np.ndarray) -> None:
+        fault = reference_pure_fault(vectors)
+        assert invalid_pure(vectors) == fault
+        family = vectors[None]
+        if fault is None:
+            box = CQBox(vectors.shape[:-1], structure, amplitudes=vectors)
+            assert np.array_equal(box.matrices, vectors[..., :, None] * vectors[..., None, :].conj())
+            assert not box.matrices.flags.writeable
+            family_worst_violation(family, structure)
+            return
+        key, reason = fault
+        message = f"output at input {','.join(map(str, key))} is invalid: {reason}"
+        with pytest.raises(ValueError) as raised:
+            CQBox(vectors.shape[:-1], structure, amplitudes=vectors)
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            family_worst_violation(family, structure)
+        assert str(raised.value) == message.replace("input ", "input 0,", 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=faulty_pure_stacks())
+    def test_random_stacks(self, stack):
+        self.assert_same_verdict(*stack)
+
+    @pytest.mark.parametrize(
+        "scale, reason",
+        [
+            # the edge band: the norm is within tolerance of 1, its square is not
+            (1 + 0.75 * TOLERANCE, "density matrix trace"),
+            (1 - 0.75 * TOLERANCE, "density matrix trace"),
+            (1 + 0.25 * TOLERANCE, None),
+            (1 + 1.25 * TOLERANCE, "state vector norm"),
+            (0.0, "state vector norm 0.0 deviates"),
+        ],
+    )
+    def test_edge_band_and_zero_vector(self, scale, reason):
+        abc = PartyStructure.qubits("ABC")
+        vectors = np.tile(w_state().amplitudes, (2, 2, 2, 1))
+        vectors[1, 0, 1] *= scale
+        fault = invalid_pure(vectors)
+        assert (fault is None) == (reason is None)
+        if reason:
+            assert fault[0] == (1, 0, 1) and fault[1].startswith(reason)
+        self.assert_same_verdict(abc, vectors)
+
+
+def test_outside_pairs_are_cached_read_only():
+    for n in range(1, 9):
+        first, second = boxes._outside_pairs(n)
+        assert boxes._outside_pairs(n)[0] is first
+        expected = np.triu_indices(n, 1)
+        assert np.array_equal(first, expected[0]) and np.array_equal(second, expected[1])
+        assert not first.flags.writeable and not second.flags.writeable
 
 
 # Reference C-Q box code from before the array storage: one validated

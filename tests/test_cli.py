@@ -16,7 +16,7 @@ from cqboxes import bounds, cli, multipartite
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
-from cqboxes.quantum import DensityMatrix, PartyStructure, basis_state, bell_state
+from cqboxes.quantum import TOLERANCE, DensityMatrix, PartyStructure, basis_state, bell_state
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -375,7 +375,15 @@ def _files(tmp_path) -> dict[str, str]:
         ),
         unequal,
     )
+    # the norm of one output is within tolerance of 1, its trace is not
+    edge_band = tmp_path / "edge_band.json"
+    doc = json.loads((ROOT / "fixtures" / "signalling_family.json").read_text())
+    doc["outputs"]["1,0"]["amplitudes"] = [
+        [part * (1 + 0.75 * TOLERANCE) for part in amp] for amp in doc["outputs"]["1,0"]["amplitudes"]
+    ]
+    edge_band.write_text(json.dumps(doc))
     return {
+        "{edge_band}": str(edge_band),
         "{assignment}": str(assignment),
         "{missing}": str(tmp_path / "absent.json"),
         "{bad_json}": str(bad_json),
@@ -444,6 +452,7 @@ def _files(tmp_path) -> dict[str, str]:
          "output at input 0,1 is invalid: state vector norm nan is not finite"),
         (["wphase", "--mode", "single", "{nan_assignment}"],
          "output at input 0,0,0 is invalid: state vector norm nan is not finite"),
+        (["verify", "{edge_band}"], "output at input 1,0 is invalid: density matrix trace"),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv, message):
@@ -471,6 +480,7 @@ GOLDEN_STDOUT = [
     ("bound_n3_m2", ["bound", "--n", "3", "--m", "2", "--alpha", "0.9", "--beta", "0.4358898943540673"]),
     ("bound_n4_kmax6_budget48", ["bound", "--n", "4", "--kmax", "6", "--budget", "48"]),
     ("bound_n2_kmax8_restarts4", ["bound", "--n", "2", "--kmax", "8", "--restarts", "4"]),
+    ("verify_w_phase_local", ["verify", "fixtures/w_phase_local.json"]),
 ]
 
 
@@ -641,6 +651,33 @@ class TestContract:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "verify" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys):
+    """main builds its parser once per process; a flag, a usage error or
+    --help in one call leaves the next call's defaults as they were."""
+    cli._parser.cache_clear()
+    box = str(ROOT / "fixtures" / "pr_box.json")
+    for argv, tolerance in (
+        (["verify", box, "--tol", "1e-6"], 1e-6),
+        (["verify", box], TOLERANCE),
+        (["--tol", "1e-6", "verify", box], 1e-6),
+        (["verify", box], TOLERANCE),
+    ):
+        code, report, _ = run(capsys, *argv)
+        assert (code, report["tolerance"]) == (0, tolerance), argv
+    assert main(["bound", "--n", "three"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, report, _ = run(capsys, "bound", "--n", "2")
+    assert (code, report["n"], report["kmax"]) == (0, 2, 2)
+    assert main(["--help"]) == 0
+    assert "verify" in capsys.readouterr().out
+    code, report, _ = run(capsys, "verify", box)
+    assert (code, report["tolerance"]) == (0, TOLERANCE)
+    for argv, samples in ((["synth", "bit-flip", "--samples", "7"], 7), (["synth", "bit-flip"], 1000)):
+        code, report, _ = run(capsys, *argv)
+        assert (code, report["samples"]) == (0, samples), argv
+    assert cli._parser.cache_info().misses == 1
 
 
 # every command, with every synth construction, in one fresh interpreter

@@ -6,6 +6,7 @@ closed forms) rather than by the functions under test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from cqboxes.quantum import (
     invalid_density,
     invalid_vector,
     partial_trace,
+    partial_trace_array,
     pauli_x,
     pauli_z_power,
     phase_diag,
@@ -192,6 +194,40 @@ class TestPartialTrace:
                 red = partial_trace(v.density(), keep)
                 assert abs(np.trace(red.matrix) - 1.0) < 1e-12
                 assert np.min(np.linalg.eigvalsh(red.matrix)) > -1e-12
+
+
+def reference_partial_trace_array(matrices, dims, keep):
+    """``partial_trace_array`` as it was: one ``np.trace`` per traced party."""
+    dims = tuple(dims)
+    batch = matrices.shape[:-2]
+    t = matrices.reshape(batch + dims + dims)
+    remaining = len(dims)
+    for j in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=len(batch) + j, axis2=len(batch) + j + remaining)
+        remaining -= 1
+    d = math.prod(dims[i] for i in keep)
+    return t.reshape(batch + (d, d))
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3])
+def test_partial_trace_array_matches_np_trace(parties):
+    """Bit for bit equal to the np.trace loop for party dims 1-8, every keep
+    set (the empty one included) and batch shapes up to a family of
+    three-party boxes."""
+    rng = np.random.default_rng(parties)
+    for dims in itertools.product(range(1, 9), repeat=parties):
+        d = math.prod(dims)
+        if d > 64:
+            continue
+        for batch in [(), (3,), (2, 2), (4, 2, 2, 2)] if d <= 16 else [(), (2, 2)]:
+            shape = batch + (d, d)
+            matrices = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for r in range(parties + 1):
+                for keep in itertools.combinations(range(parties), r):
+                    expected = reference_partial_trace_array(matrices, dims, keep)
+                    assert np.array_equal(partial_trace_array(matrices, dims, keep), expected), (
+                        dims, batch, keep,
+                    )
 
 
 class TestApplyLocal:
