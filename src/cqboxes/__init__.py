@@ -1,91 +1,20 @@
 """Simulation and verification of non-signalling boxes with classical
-inputs and quantum outputs."""
+inputs and quantum outputs.
 
-from cqboxes.bounds import (
-    BoundCheck,
-    BoundResult,
-    PhaseStrategySpec,
-    best_fidelity,
-    phase_strategy_fidelity,
-    spec_to_strategy,
-    verify_bound,
-)
-from cqboxes.boxes import (
-    CCBox,
-    CouplingBox,
-    CQBox,
-    HaarCouplingBox,
-    NoSignallingReport,
-    Witness,
-    cc_no_signalling,
-    chsh_value,
-    coupling_to_ccbox,
-    cq_box_distance,
-    cq_no_signalling,
-    induced_ccbox,
-    mix_boxes,
-    mod_box,
-    pr_box,
-)
-from cqboxes.io import (
-    BoxDocumentError,
-    box_to_document,
-    document_to_box,
-    load_box,
-    save_box,
-)
-from cqboxes.multipartite import (
-    PhaseAssignment,
-    WPhaseDecomposition,
-    WPhaseTheoremReport,
-    ghz_phase_box,
-    ghz_phase_strategy,
-    is_local_equivalent,
-    w_phase_box,
-    w_phase_theorem_check,
-)
-from cqboxes.quantum import (
-    DensityMatrix,
-    PartyStructure,
-    SchmidtForm,
-    StateVector,
-    UnitaryOperator,
-    apply_local,
-    basis_state,
-    bell_state,
-    check_uu_star_invariance,
-    fidelity,
-    haar_unitary,
-    partial_trace,
-    pauli_x,
-    pauli_z_power,
-    phase_diag,
-    phi_plus,
-    schmidt,
-    su2,
-    tensor,
-    trace_distance,
-    w_state,
-)
-from cqboxes.synthesis import (
-    MixtureSchedule,
-    Strategy,
-    bell_canonical_form,
-    bit_flip_strategy,
-    eight_output_strategy,
-    eight_output_targets,
-    general_pure_strategy,
-    irrational_phase_strategy,
-    max_entangled_strategy,
-    mixed_disordered_strategy,
-    mixture_align,
-    nonmax_pure_strategy,
-    phase_family_box,
-    rational_phase_strategy,
-    sample_states,
-    sign_flip_strategy,
-    simulate,
-    unitary_family_box,
-)
+The package exports exactly the public names of its modules: each
+module's ``__all__`` is the one list of what it makes public."""
+
+from cqboxes import bounds, boxes, io, multipartite, quantum, synthesis
+from cqboxes.bounds import *
+from cqboxes.boxes import *
+from cqboxes.io import *
+from cqboxes.multipartite import *
+from cqboxes.quantum import *
+from cqboxes.synthesis import *
+
+__all__ = [
+    *bounds.__all__, *boxes.__all__, *io.__all__,
+    *multipartite.__all__, *quantum.__all__, *synthesis.__all__,
+]
 
 __version__ = "0.1.0"

@@ -86,6 +86,21 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _int_in(lo: int, hi: int | None = None) -> type[argparse.Action]:
+    """argparse action refusing an int flag outside [lo, hi] as a usage error."""
+
+    class IntIn(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < lo:
+                floor = "be non-negative" if lo == 0 else f"be at least {lo}"
+                parser.error(f"{option_string} must {floor}, got {value}")
+            if hi is not None and value > hi:
+                parser.error(f"{option_string} {value} is above the cap of {hi}")
+            setattr(namespace, self.dest, value)
+
+    return IntIn
+
+
 def _finite_floats(text: str) -> list[float]:
     return [_finite_float(part) for part in text.split(",")] if text else []
 
@@ -272,8 +287,8 @@ def _max_entangled(args) -> dict:
         targets, n = _unitaries_from_box(target)
     else:
         n = args.n
-        if n < 1 or n * n > MAX_TENSOR_DIM:
-            raise ValueError(f"--n {n} must give a joint dimension n^2 from 1 to {MAX_TENSOR_DIM}")
+        if n < 2 or n * n > MAX_TENSOR_DIM:
+            raise ValueError(f"--n {n} must give a joint dimension n^2 from 4 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
         targets = {
             key: haar_unitary(n, rng).matrix for key in itertools.product(range(2), range(2))
@@ -397,17 +412,10 @@ def _cmd_synth(args) -> tuple[dict, int]:
 def _cmd_bound(args) -> tuple[dict, int]:
     if args.n > BOUND_ALPHABET_CAP:
         raise ValueError(
-            f"phase denominators above {BOUND_ALPHABET_CAP} are refused (enumeration cap)"
+            f"--n {args.n}: phase denominators above {BOUND_ALPHABET_CAP} are refused "
+            "(enumeration cap)"
         )
     kmax = args.kmax if args.kmax is not None else args.n
-    if kmax < 1:
-        raise ValueError("--kmax must be at least 1")
-    if kmax > BOUND_KMAX_CAP:
-        raise ValueError(f"--kmax {kmax} is above the cap of {BOUND_KMAX_CAP}")
-    if args.restarts < 1:
-        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
-    if args.budget < 0:
-        raise ValueError(f"--budget must be non-negative, got {args.budget}")
     record = {
         "n": args.n, "kmax": kmax, "m": args.m,
         "alpha": args.alpha, "beta": args.beta,
@@ -486,35 +494,22 @@ def _cmd_wphase(args) -> tuple[dict, int]:
             "input": args.assignment,
             "digest": _digest({"tol": args.tol}, (args.assignment,)),
             **body,
-            "decomposition": None
-            if decomposition is None
-            else {
-                "a": decomposition.a.tolist(),
-                "b": decomposition.b.tolist(),
-                "c": decomposition.c.tolist(),
+            "decomposition": None if decomposition is None else {
+                name: phases.tolist() for name, phases in dataclasses.asdict(decomposition).items()
             },
         }
         return report, 0 if passed else 1
 
     if args.assignment:
         raise ValueError("theorem mode takes no assignment file")
-    if args.random_samples < 0:
-        raise ValueError(f"--random-samples must be non-negative, got {args.random_samples}")
-    if args.random_samples > THEOREM_FAMILY_CAP:
-        raise ValueError(
-            f"--random-samples {args.random_samples} is above the cap of {THEOREM_FAMILY_CAP}"
-        )
     grid = args.grid or None  # an empty --grid keeps the default grid
     if grid is not None and len(grid) ** 6 > THEOREM_FAMILY_CAP:
         raise ValueError(
             f"--grid of {len(grid)} values makes {len(grid)}^6 local families, "
             f"above the cap of {THEOREM_FAMILY_CAP}"
         )
-    record = {
-        "grid": grid, "random_samples": args.random_samples,
-        "seed": args.seed, "tol": args.tol,
-    }
     kwargs = {"random_samples": args.random_samples, "seed": args.seed, "tol": args.tol}
+    record = {"grid": grid, **kwargs}
     if grid is not None:
         kwargs["grid_values"] = grid
     result = w_phase_theorem_check(**kwargs)
@@ -557,7 +552,8 @@ def _add_globals(parser: argparse.ArgumentParser, defaults: bool) -> None:
         help="numerical tolerance",
     )
     parser.add_argument(
-        "--seed", type=int, default=0 if defaults else suppress, help="random seed"
+        "--seed", type=int, action=_int_in(0), default=0 if defaults else suppress,
+        help="random seed",
     )
 
 
@@ -593,24 +589,34 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--target", help="target box document (max-entangled, general-pure, mixed-disordered)"
     )
-    synth.add_argument("--samples", type=int, default=1000, help="samples for coupling strategies")
+    synth.add_argument(
+        "--samples", type=int, action=_int_in(1), default=1000,
+        help="samples for coupling strategies",
+    )
     synth.add_argument("--out", help="write the synthesised box document here")
     synth.add_argument("--target-out", help="write the analytic target box document here")
 
     bound = sub.add_parser(
         "bound", parents=[common], help="best-fidelity frontier for restricted output alphabets"
     )
-    bound.add_argument("--n", type=int, required=True, help="phase denominator (at most 4)")
-    bound.add_argument("--kmax", type=int, help="largest alphabet in the frontier (default n)")
+    bound.add_argument(
+        "--n", type=int, action=_int_in(2), required=True, help="phase denominator (at most 4)"
+    )
+    bound.add_argument(
+        "--kmax", type=int, action=_int_in(1, BOUND_KMAX_CAP),
+        help="largest alphabet in the frontier (default n)",
+    )
     bound.add_argument("--m", type=int, default=1, help="phase numerator")
     bound.add_argument("--alpha", type=_finite_float, default=0.8)
     bound.add_argument("--beta", type=_finite_float, default=0.6)
     bound.add_argument(
-        "--budget", type=int, default=64,
+        "--budget", type=int, action=_int_in(0), default=64,
         help="ascent restarts to spend: each confirmed row costs --restarts, "
         "rows are confirmed from k = 1 up until it runs out",
     )
-    bound.add_argument("--restarts", type=int, default=16, help="ascent restarts per row")
+    bound.add_argument(
+        "--restarts", type=int, action=_int_in(1), default=16, help="ascent restarts per row"
+    )
 
     wphase = sub.add_parser("wphase", parents=[common], help="probe the three-party phase locality theorem")
     wphase.add_argument(
@@ -621,7 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     wphase.add_argument(
         "--grid", type=_finite_floats, help="comma-separated per-party phase grid values"
     )
-    wphase.add_argument("--random-samples", type=int, default=40)
+    wphase.add_argument(
+        "--random-samples", type=int, action=_int_in(0, THEOREM_FAMILY_CAP), default=40
+    )
 
     return parser
 

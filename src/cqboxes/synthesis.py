@@ -69,6 +69,7 @@ __all__ = [
     "irrational_phase_strategy",
     "max_entangled_strategy",
     "eight_output_strategy",
+    "eight_output_targets",
     "nonmax_pure_strategy",
     "general_pure_strategy",
     "bell_canonical_form",

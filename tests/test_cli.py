@@ -283,7 +283,7 @@ class TestBound:
         code, report, err = run(capsys, "bound", "--n", "5", "--kmax", "1")
         assert code == 2
         assert report is None
-        assert "refused" in err
+        assert "--n 5: " in err and "refused" in err
 
     def test_rejects_bad_denominator(self, capsys):
         code, report, err = run(capsys, "bound", "--n", "1", "--kmax", "1")
@@ -431,7 +431,14 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "ghz-phase", "--n", "81"], "n = 81"),
         (["synth", "max-entangled", "--n", "65"], "--n 65"),
         (["synth", "max-entangled", "--n", "0"], "--n 0"),
+        (["synth", "max-entangled", "--n", "1"], "--n 1"),
         (["synth", "max-entangled", "--samples", "0"], "samples must be at least 1"),
+        (["synth", "bit-flip", "--samples", "0"], "--samples must be at least 1"),
+        (["synth", "bit-flip", "--samples", "-5"], "--samples must be at least 1, got -5"),
+        (["bound", "--n", "2", "--kmax=0"], "--kmax must be at least 1, got 0"),
+        (["bound", "--n", "0"], "--n must be at least 2, got 0"),
+        (["bound", "--n", "3", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["--seed", "-1", "wphase"], "--seed must be non-negative, got -1"),
         (["wphase", "--mode", "theorem", "--random-samples", "-3"], "--random-samples"),
         (["synth", "max-entangled", "--n", "33"], "--n 33"),
         (["verify", "{cc_doc}", "--tol", "nan"], "argument --tol"),
@@ -461,6 +468,27 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     assert code == 2
     assert report is None
     assert message in err
+
+
+@pytest.mark.parametrize("spelling", ["{flag} {value}", "{flag}={value}"])
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["bound"], "--n", 2),
+        (["bound", "--n", "2"], "--kmax", 1),
+        (["bound", "--n", "2"], "--kmax", 64),
+        (["bound", "--n", "2"], "--restarts", 1),
+        (["bound", "--n", "2"], "--budget", 0),
+        (["wphase"], "--random-samples", 0),
+        (["wphase"], "--random-samples", 2**18),
+        (["synth", "bit-flip"], "--samples", 1),
+        (["verify", "box.json"], "--seed", 0),
+    ],
+)
+def test_int_flags_accept_their_edge_values(spelling, command, flag, value):
+    argv = [*command, *spelling.format(flag=flag, value=value).split()]
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
 ROOT = Path(__file__).resolve().parent.parent
