@@ -25,23 +25,21 @@ Reduction behind the closed form (each step is exact):
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from cqboxes.boxes import CouplingBox
-from cqboxes.quantum import TOLERANCE, _frozen, fidelity, two_level_state, wrap_angle
-from cqboxes.synthesis import Strategy, phase_family_box, simulate
+from cqboxes.quantum import TOLERANCE, _frozen, two_level_state, wrap_angle
+from cqboxes.synthesis import Strategy
 
 __all__ = [
     "PhaseStrategySpec",
     "BoundResult",
     "BoundCheck",
     "spec_to_strategy",
-    "phase_strategy_fidelity",
     "best_fidelity",
     "verify_bound",
 ]
@@ -82,38 +80,6 @@ def spec_to_strategy(spec: PhaseStrategySpec, alpha: float, beta: float) -> Stra
         return np.diag([1.0, np.exp(1j * spec.bob_phases[y, b])])
 
     return Strategy(ccbox=coupling, shared=two_level_state(alpha, beta), party_maps=(alice, bob))
-
-
-def phase_strategy_fidelity(
-    spec: PhaseStrategySpec,
-    alpha: float,
-    beta: float,
-    phase: Callable[[int, int], float],
-) -> float:
-    """Mean fidelity (over the four inputs) between the simulated strategy
-    output and the target phase family.  Runs the full simulation rather
-    than a closed-form shortcut."""
-    box = simulate(spec_to_strategy(spec, alpha, beta))
-    target = phase_family_box(phase, alpha, beta)
-    return float(
-        np.mean([fidelity(box.output(key), target.pure_output(key)) for key in box.inputs])
-    )
-
-
-def _fast_mean_fidelity(
-    spec: PhaseStrategySpec, alpha: float, beta: float, phase: Callable[[int, int], float]
-) -> float:
-    cross = 2 * (alpha * beta) ** 2
-    flat = alpha**4 + beta**4
-    total = 0.0
-    for x, y in itertools.product(range(2), range(2)):
-        pi = spec.pairings[(x, y)]
-        angles = (
-            spec.alice_phases[x, pi] + spec.bob_phases[y, np.arange(spec.n_outputs)]
-            - phase(x, y)
-        )
-        total += flat + cross * float(np.dot(spec.marginal, np.cos(angles)))
-    return total / 4
 
 
 @dataclass(frozen=True)
@@ -219,57 +185,118 @@ _SLACK = 1e-9
 _REACH = 1e-6
 
 
-def _ascend_cycles(theta: float, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coordinate ascent on the mean cosine over one L-cycle, for a stack
-    of ``(R, 4, L)`` starting phases (a0, a1, b0, b1 per restart).
+# entries of one lockstep chunk of starts, restarts x 4 x columns: every
+# phase and work array of the ascent is at most a few times this size
+_ENTRIES = 1 << 18
+
+
+def _pair_step(
+    phases: np.ndarray, gather: np.ndarray, shift: np.ndarray, scatter: np.ndarray
+) -> None:
+    """Set two phase columns per entry of ``scatter`` to their exact
+    one-variable optimum: the negated argument of the sum of their two
+    partner phasors.  ``gather`` lists the shared partner, then each
+    variable's own partner; ``shift`` subtracts theta where the (1, 1)
+    pairing enters."""
+    phasor = np.exp(1j * (phases[:, gather] - shift)).reshape(len(phases), 3, -1)
+    total = phasor[:, 1:] + phasor[:, :1]
+    phases[:, scatter] = -np.arctan2(total.imag, total.real).reshape(len(phases), -1)
+
+
+def _ascend_frontier(
+    theta: float, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate ascent on the mean cosine over every L-cycle, L = 1..k, in
+    lockstep, for a stack of ``(R, 4, k (k + 1) / 2)`` starting phases: a0,
+    a1, b0, b1 per restart, each holding the columns of lengths 1..k side by
+    side.
 
     Each phase variable enters exactly two cosine terms, so its exact
     one-variable optimum is the negated argument of the sum of the two
-    partner phasors.  Every restart runs the same Gauss-Seidel order over
-    j and stops on the sweep where its own gain first drops below 1e-13.
-    Returns per restart the final mean cosine and the sweeps it used, and
+    partner phasors.  Step j of a sweep updates column j of every length
+    above j, so each (length, restart) row runs the Gauss-Seidel order of
+    its own cycle and stops on the sweep where its own gain first drops
+    below 1e-13 (later sweeps still move it, unread).  Returns per length
+    and restart the final mean cosine and the sweeps used, and per length
     how many restarts were still gaining at the sweep cap.
     """
-    restarts, _, length = starts.shape
-    a0, a1, b0, b1 = (starts[:, i].copy() for i in range(4))
-    nxt = (np.arange(length) + 1) % length
-    prv = (np.arange(length) - 1) % length
+    restarts, _, width = starts.shape
+    k = math.isqrt(2 * width)
+    lengths = np.arange(1, k + 1)
+    offsets = lengths * (lengths - 1) // 2
+    a0, a1, b0, b1 = (np.arange(width) + i * width for i in range(4))
+    steps = []
+    for j in range(k):
+        own, ring = offsets[j:] + j, lengths[j:]
+        prv, nxt = offsets[j:] + (j - 1) % ring, offsets[j:] + (j + 1) % ring
+        shift = np.repeat([0.0, 0.0, theta], k - j)
+        # a0, a1 from b0, b1 and, at (1, 1), the b1 entry whose pairing
+        # lands on j; then b0, b1 from the new a0, a1 and a1 at j + 1
+        steps.append((
+            (np.concatenate([b0[own], b1[own], b1[prv]]), shift,
+             np.concatenate([a0[own], a1[own]])),
+            (np.concatenate([a0[own], a1[own], a1[nxt]]), shift,
+             np.concatenate([b0[own], b1[own]])),
+        ))
+    # the four cosine arguments of each column, per input pair
+    ring_next = np.concatenate([off + (np.arange(L) + 1) % L for off, L in zip(offsets, lengths)])
+    left, right = np.concatenate([a0, a0, a1, a1[ring_next]]), np.concatenate([b0, b1, b0, b1])
+    shift = np.repeat([0.0, 0.0, 0.0, theta], width)
+    # numpy sums rows below 8 entries sequentially, so those lengths share
+    # one block padded with a zero column; longer rows sum pairwise, alone
+    short = min(k, 7)
+    padded = np.full((short, short), width)
+    for L in range(1, short + 1):
+        padded[L - 1, :L] = offsets[L - 1] + np.arange(L)
+    phases = starts.reshape(restarts, 4 * width).copy()
+    terms = np.zeros((restarts, 4, width + 1))
+    sums = np.empty((restarts, 4, k))
 
     def objective() -> np.ndarray:
-        return (
-            np.sum(np.cos(a0 + b0), axis=-1)
-            + np.sum(np.cos(a0 + b1), axis=-1)
-            + np.sum(np.cos(a1 + b0), axis=-1)
-            + np.sum(np.cos(a1[:, nxt] + b1 - theta), axis=-1)
-        ) / (4 * length)
+        angles = phases[:, left] + phases[:, right] - shift
+        np.cos(angles.reshape(restarts, 4, width), out=terms[:, :, :width])
+        sums[..., :short] = terms[:, :, padded].sum(axis=-1)
+        for L in range(short + 1, k + 1):
+            sums[..., L - 1] = terms[:, :, offsets[L - 1]:offsets[L - 1] + L].sum(axis=-1)
+        return (sums[:, 0] + sums[:, 1] + sums[:, 2] + sums[:, 3]) / (4 * lengths)
 
-    value = np.empty(restarts)
-    used = np.full(restarts, _SWEEPS)
-    live = np.arange(restarts)
+    value = np.empty((restarts, k))
+    used = np.full((restarts, k), _SWEEPS)
+    live = np.ones((restarts, k), dtype=bool)
     previous = objective()
     for sweep in range(1, _SWEEPS + 1):
-        for j in range(length):
-            phasor = np.exp(1j * b0[:, j])
-            a0[:, j] = -np.angle(phasor + np.exp(1j * b1[:, j]))
-            # a1[j] partners: b0[j] at input (1,0) and, at (1,1), the b1
-            # entry whose pairing lands on j
-            a1[:, j] = -np.angle(phasor + np.exp(1j * (b1[:, prv[j]] - theta)))
-            phasor = np.exp(1j * a0[:, j])
-            b0[:, j] = -np.angle(phasor + np.exp(1j * a1[:, j]))
-            b1[:, j] = -np.angle(phasor + np.exp(1j * (a1[:, nxt[j]] - theta)))
+        for a_pair, b_pair in steps:
+            _pair_step(phases, *a_pair)
+            _pair_step(phases, *b_pair)
         current = objective()
-        done = current - previous < 1e-13
+        done = live & (current - previous < 1e-13)
         if done.any():
-            finished = live[done]
-            value[finished], used[finished] = current[done], sweep
-            keep = ~done
-            live, current = live[keep], current[keep]
-            a0, a1, b0, b1 = a0[keep], a1[keep], b0[keep], b1[keep]
+            value[done], used[done] = current[done], sweep
+            live &= ~done
+            if not live.any():
+                break
         previous = current
-        if not live.size:
-            break
-    value[live] = previous
-    return value, used, live.size
+    value[live] = previous[live]
+    return value.T, used.T, live.sum(axis=0)
+
+
+def _frontier_starts(seed: int, k: int, restarts: int, lo: int, hi: int) -> np.ndarray:
+    """Starting phases of restarts lo..hi-1 for lengths 1..k, laid out for
+    ``_ascend_frontier``.  They are the entries that one generator seeded
+    with ``seed`` draws as ``(restarts, 4, L)`` uniforms for L = 1..k in
+    turn: each uniform double takes one step of the PCG64 stream, so every
+    block is drawn after advancing the stream to its offset."""
+    rng = np.random.default_rng(seed)
+    origin = rng.bit_generator.state
+    starts = np.empty((hi - lo, 4, k * (k + 1) // 2))
+    for length in range(1, k + 1):
+        rng.bit_generator.state = origin
+        rng.bit_generator.advance(2 * restarts * length * (length - 1) + 4 * length * lo)
+        column = length * (length - 1) // 2
+        starts[:, :, column:column + length] = rng.uniform(
+            -math.pi, math.pi, size=(hi - lo, 4, length)
+        )
+    return starts
 
 
 def verify_bound(
@@ -291,17 +318,23 @@ def verify_bound(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     best_fidelity(n, k, alpha, beta, m)  # reject a bad target before any ascent
     theta = 2 * math.pi * m / n
-    rng = np.random.default_rng(seed)
+    # restarts are independent rows, so chunking them moves no bit; one
+    # restart holds 4 k (k + 1) / 2 start entries
+    chunk = max(1, _ENTRIES // (2 * k * (k + 1)))
+    best, most, stalled = np.full(k, -1.0), np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    for lo in range(0, restarts, chunk):
+        starts = _frontier_starts(seed, k, restarts, lo, min(lo + chunk, restarts))
+        value, used, unfinished = _ascend_frontier(theta, starts)
+        best = np.maximum(best, value.max(axis=1))
+        most = np.maximum(most, used.max(axis=1))
+        stalled += unfinished
     best_cos = -1.0
     most_sweeps = unconverged = 0
     checks: list[BoundCheck] = []
     for length in range(1, k + 1):
-        # in C order, the same stream as R times four draws of size L
-        starts = rng.uniform(-math.pi, math.pi, size=(restarts, 4, length))
-        value, used, stalled = _ascend_cycles(theta, starts)
-        best_cos = max(best_cos, float(value.max()))
-        most_sweeps = max(most_sweeps, int(used.max()))
-        unconverged += stalled
+        best_cos = max(best_cos, float(best[length - 1]))
+        most_sweeps = max(most_sweeps, int(most[length - 1]))
+        unconverged += int(stalled[length - 1])
         bound = best_fidelity(n, length, alpha, beta, m)
         optimum = alpha**4 + beta**4 + 2 * (alpha * beta) ** 2 * best_cos
         confirmed = bound.value - _REACH <= optimum <= bound.value + _SLACK

@@ -5,19 +5,45 @@ import math
 import numpy as np
 import pytest
 
+from cqboxes import bounds
 from cqboxes.bounds import (
     PhaseStrategySpec,
     best_fidelity,
-    phase_strategy_fidelity,
     spec_to_strategy,
     verify_bound,
-    _fast_mean_fidelity,
+    _SWEEPS,
 )
 from cqboxes.boxes import cc_no_signalling, coupling_to_ccbox
 from cqboxes.quantum import fidelity
 from cqboxes.synthesis import phase_family_box, rational_phase_strategy, simulate
 
 ALPHA, BETA = 0.8, 0.6
+
+
+def phase_strategy_fidelity(spec, alpha, beta, phase) -> float:
+    """Mean fidelity (over the four inputs) between the simulated strategy
+    output and the target phase family.  Runs the full simulation rather
+    than a closed-form shortcut."""
+    box = simulate(spec_to_strategy(spec, alpha, beta))
+    target = phase_family_box(phase, alpha, beta)
+    return float(
+        np.mean([fidelity(box.output(key), target.pure_output(key)) for key in box.inputs])
+    )
+
+
+def fast_mean_fidelity(spec, alpha, beta, phase) -> float:
+    """The same mean fidelity from the cosine formula of the phase strategy."""
+    cross = 2 * (alpha * beta) ** 2
+    flat = alpha**4 + beta**4
+    total = 0.0
+    for x, y in itertools.product(range(2), range(2)):
+        pi = spec.pairings[(x, y)]
+        angles = (
+            spec.alice_phases[x, pi] + spec.bob_phases[y, np.arange(spec.n_outputs)]
+            - phase(x, y)
+        )
+        total += flat + cross * float(np.dot(spec.marginal, np.cos(angles)))
+    return total / 4
 
 
 def target_phase(n, m=1):
@@ -43,7 +69,7 @@ class TestFidelityRoutes:
             spec = random_spec(seed)
             phase = target_phase(3)
             simulated = phase_strategy_fidelity(spec, ALPHA, BETA, phase)
-            direct = _fast_mean_fidelity(spec, ALPHA, BETA, phase)
+            direct = fast_mean_fidelity(spec, ALPHA, BETA, phase)
             assert simulated == pytest.approx(direct, abs=1e-10)
 
     def test_strategy_box_is_non_signalling(self):
@@ -216,6 +242,110 @@ class TestBatchedAscent:
     def test_rejects_fewer_than_one_restart(self, restarts):
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             verify_bound(3, 2, restarts=restarts)
+
+
+def reference_ascend_cycles(theta: float, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Coordinate ascent on the mean cosine over one L-cycle, for a stack
+    of ``(R, 4, L)`` starting phases (a0, a1, b0, b1 per restart).
+
+    Each phase variable enters exactly two cosine terms, so its exact
+    one-variable optimum is the negated argument of the sum of the two
+    partner phasors.  Every restart runs the same Gauss-Seidel order over
+    j and stops on the sweep where its own gain first drops below 1e-13.
+    Returns per restart the final mean cosine and the sweeps it used, and
+    how many restarts were still gaining at the sweep cap.
+    """
+    restarts, _, length = starts.shape
+    a0, a1, b0, b1 = (starts[:, i].copy() for i in range(4))
+    nxt = (np.arange(length) + 1) % length
+    prv = (np.arange(length) - 1) % length
+
+    def objective() -> np.ndarray:
+        return (
+            np.sum(np.cos(a0 + b0), axis=-1)
+            + np.sum(np.cos(a0 + b1), axis=-1)
+            + np.sum(np.cos(a1 + b0), axis=-1)
+            + np.sum(np.cos(a1[:, nxt] + b1 - theta), axis=-1)
+        ) / (4 * length)
+
+    value = np.empty(restarts)
+    used = np.full(restarts, _SWEEPS)
+    live = np.arange(restarts)
+    previous = objective()
+    for sweep in range(1, _SWEEPS + 1):
+        for j in range(length):
+            phasor = np.exp(1j * b0[:, j])
+            a0[:, j] = -np.angle(phasor + np.exp(1j * b1[:, j]))
+            # a1[j] partners: b0[j] at input (1,0) and, at (1,1), the b1
+            # entry whose pairing lands on j
+            a1[:, j] = -np.angle(phasor + np.exp(1j * (b1[:, prv[j]] - theta)))
+            phasor = np.exp(1j * a0[:, j])
+            b0[:, j] = -np.angle(phasor + np.exp(1j * a1[:, j]))
+            b1[:, j] = -np.angle(phasor + np.exp(1j * (a1[:, nxt[j]] - theta)))
+        current = objective()
+        done = current - previous < 1e-13
+        if done.any():
+            finished = live[done]
+            value[finished], used[finished] = current[done], sweep
+            keep = ~done
+            live, current = live[keep], current[keep]
+            a0, a1, b0, b1 = a0[keep], a1[keep], b0[keep], b1[keep]
+        previous = current
+        if not live.size:
+            break
+    value[live] = previous
+    return value, used, live.size
+
+
+LOCKSTEP_CASES = [
+    (n, m, seed, n, 16) for n in (2, 3, 4) for m in range(1, 2 * n + 1) for seed in (0, 5, 11)
+] + [(k % 3 + 2, k % 5 + 1, k, k, 4) for k in range(12, 17)]
+
+
+class TestLockstepAscent:
+    @pytest.mark.parametrize("n, m, seed, k, restarts", LOCKSTEP_CASES)
+    def test_every_length_equals_its_own_ascent(self, n, m, seed, k, restarts):
+        """The lockstep kernel against the per-length kernel it replaced;
+        lengths of 8 and more sum pairwise, and those of k >= 12 reach the
+        sweep cap."""
+        theta = 2 * math.pi * m / n
+        rng = np.random.default_rng(seed)
+        starts = [rng.uniform(-math.pi, math.pi, size=(restarts, 4, L)) for L in range(1, k + 1)]
+        stacked = bounds._frontier_starts(seed, k, restarts, 0, restarts)
+        assert np.array_equal(stacked, np.concatenate(starts, axis=-1))
+        value, used, stalled = bounds._ascend_frontier(theta, stacked)
+        assert value.shape == used.shape == (k, restarts) and stalled.shape == (k,)
+        for length, start in enumerate(starts, 1):
+            expected = reference_ascend_cycles(theta, start)
+            assert np.array_equal(value[length - 1], expected[0]), length
+            assert np.array_equal(used[length - 1], expected[1]), length
+            assert stalled[length - 1] == expected[2], length
+        if k >= 12:
+            assert used.max() == _SWEEPS and stalled.sum() > 0
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (3, 7), (6, 7)])
+    def test_chunk_starts_are_rows_of_the_whole_stack(self, lo, hi):
+        whole = bounds._frontier_starts(9, 6, 7, 0, 7)
+        assert np.array_equal(bounds._frontier_starts(9, 6, 7, lo, hi), whole[lo:hi])
+
+    @pytest.mark.parametrize("entries", [1, 100, 2 * 5 * 6 * 3])
+    def test_chunked_restarts_give_the_same_check(self, monkeypatch, entries):
+        """A small entry budget splits the restarts into several chunks (one
+        restart each when a row alone is over budget); no kernel call holds
+        more than the budget, or one row, and nothing moves."""
+        whole = verify_bound(3, 5, m=2, restarts=16, seed=4)
+        kernel, sizes = bounds._ascend_frontier, []
+
+        def spied(theta, starts):
+            sizes.append(starts.shape[0])
+            assert starts.size <= max(entries, 4 * 15)
+            return kernel(theta, starts)
+
+        monkeypatch.setattr(bounds, "_ENTRIES", entries)
+        monkeypatch.setattr(bounds, "_ascend_frontier", spied)
+        chunked = verify_bound(3, 5, m=2, restarts=16, seed=4)
+        assert len(sizes) > 1 and sum(sizes) == 16
+        assert same_fields(chunked, whole)
 
 
 def same_fields(a, b) -> bool:

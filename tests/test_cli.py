@@ -508,6 +508,8 @@ GOLDEN_STDOUT = [
     ("bound_n3_m2", ["bound", "--n", "3", "--m", "2", "--alpha", "0.9", "--beta", "0.4358898943540673"]),
     ("bound_n4_kmax6_budget48", ["bound", "--n", "4", "--kmax", "6", "--budget", "48"]),
     ("bound_n2_kmax8_restarts4", ["bound", "--n", "2", "--kmax", "8", "--restarts", "4"]),
+    ("bound_n4_kmax12_restarts4",
+     ["bound", "--n", "4", "--kmax", "12", "--restarts", "4", "--budget", "48"]),
     ("verify_w_phase_local", ["verify", "fixtures/w_phase_local.json"]),
 ]
 
@@ -555,40 +557,45 @@ def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path)
 
 def test_bound_frontier_ascends_each_cycle_length_once(capsys, monkeypatch):
     """One ``verify_bound`` pass confirms every row: ``bound --n 4`` runs
-    the lengths 1..4 once each, not 1 + 2 + 3 + 4 kernel calls."""
-    calls = {"verify_bound": 0, "_ascend_cycles": 0}
+    the lengths 1..4 once each, in one lockstep kernel call, not one call
+    per row or per length."""
+    calls = {"verify_bound": 0, "_ascend_frontier": 0}
+    shapes = []
 
     def counted(module, name):
         inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args, **kwargs)
+            result = inner(*args, **kwargs)
+            if name == "_ascend_frontier":
+                shapes.append(result[0].shape)
+            return result
 
         monkeypatch.setattr(module, name, wrapper)
 
     counted(cli, "verify_bound")
-    counted(bounds, "_ascend_cycles")
+    counted(bounds, "_ascend_frontier")
     code, report, _ = run(capsys, "bound", "--n", "4")
     assert code == 0 and all(row["confirmed"] for row in report["frontier"])
-    assert calls == {"verify_bound": 1, "_ascend_cycles": 4}
+    assert calls == {"verify_bound": 1, "_ascend_frontier": 1}
+    # one row of values per cycle length 1..4, one column per restart
+    assert shapes == [(4, 16)]
 
 
 def test_failing_bound_row_names_its_ascent(capsys, monkeypatch):
     """A kernel that stalls every length-3 restart fails row k = 3 only (its
     best cycle is length 3); that row alone carries its ascent."""
-    kernel = bounds._ascend_cycles
+    kernel = bounds._ascend_frontier
     unconverged = {}
 
     def stall_length_three(theta, starts):
         value, used, stalled = kernel(theta, starts)
-        length = starts.shape[-1]
-        if length == 3:
-            value, used, stalled = np.full_like(value, -1.0), np.full_like(used, 300), len(value)
-        unconverged[length] = stalled
+        value[2], used[2], stalled[2] = -1.0, 300, value.shape[1]
+        unconverged.update(enumerate(stalled.tolist(), 1))
         return value, used, stalled
 
-    monkeypatch.setattr(bounds, "_ascend_cycles", stall_length_three)
+    monkeypatch.setattr(bounds, "_ascend_frontier", stall_length_three)
     code, report, _ = run(capsys, "bound", "--n", "4")
     assert code == 1
     failing = [row for row in report["frontier"] if row["confirmed"] is False]
