@@ -309,8 +309,8 @@ def verify_bound(
     seed: int = 0,
 ) -> BoundCheck:
     """Search the strategy parameters directly and compare with the closed
-    form for every alphabet size up to k.  One pass ascends each cycle
-    length 1..k once; size j takes the best over lengths <= j, and its
+    form for every alphabet size up to k.  One lockstep pass ascends every
+    cycle length 1..k once; size j takes the best over lengths <= j, and its
     check, equal to ``verify_bound(n, j, ...)``, is in ``prefix``.  The
     ascent must neither beat the bound (beyond 1e-9) nor fall short of
     it (beyond 1e-6)."""
