@@ -11,6 +11,8 @@ seeds and the environment to one JSON file:
         --seeds 1,2,3 --out BENCH_7.json
 
 Each checkout is benchmarked from its own sources; nothing is installed.
+Both checkouts' ``src`` and ``bench`` are byte-compiled before the first
+run, so that no run pays for recompiling a stale ``__pycache__``.
 """
 from __future__ import annotations
 
@@ -47,11 +49,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                       cwd=checkout, check=True)
 
     record: dict = {
         "command": "python3 bench/run.py --workload W --seed S --trace 0",
         "seeds": seeds,
         "order": "parent first on even pairs, change first on odd pairs",
+        "compiled": "python -m compileall -q src bench in both checkouts first",
         "workloads": {},
     }
     pair = 0

@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from cqboxes.boxes import CouplingBox
+from cqboxes.boxes import CCBox
 from cqboxes.quantum import TOLERANCE, _frozen, two_level_state, wrap_angle
 from cqboxes.synthesis import Strategy
 
@@ -71,7 +71,7 @@ class PhaseStrategySpec:
 def spec_to_strategy(spec: PhaseStrategySpec, alpha: float, beta: float) -> Strategy:
     """Materialise a phase-strategy specification on the two-level
     shared state alpha |00> + beta |11>."""
-    coupling = CouplingBox((2, 2), spec.marginal, dict(spec.pairings))
+    coupling = CCBox.from_coupling((2, 2), spec.marginal, spec.pairings)
 
     def alice(x: int, a: int) -> np.ndarray:
         return np.diag([1.0, np.exp(1j * spec.alice_phases[x, a])])

@@ -36,14 +36,12 @@ from cqboxes.quantum import (
 
 __all__ = [
     "CCBox",
-    "CouplingBox",
     "HaarCouplingBox",
     "CQBox",
     "NoSignallingReport",
     "Witness",
     "pr_box",
     "mod_box",
-    "coupling_to_ccbox",
     "cc_no_signalling",
     "cq_no_signalling",
     "family_worst_violation",
@@ -102,42 +100,31 @@ class CCBox:
     def probability(self, inputs: Sequence[int], outputs: Sequence[int]) -> float:
         return float(self.table[tuple(inputs) + tuple(outputs)])
 
-
-@dataclass(frozen=True)
-class CouplingBox:
-    """Two-party box with a shared output marginal and per-input bijections.
-
-    Both parties' outputs are distributed according to ``marginal``; under
-    input pair (x, y) Alice's output is ``bijections[(x, y)]`` applied to
-    Bob's.  Every bijection must preserve the marginal so that neither
-    side's statistics depend on the other side's input.
-    """
-
-    input_sizes: tuple[int, ...]
-    marginal: np.ndarray
-    bijections: Mapping[tuple[int, ...], np.ndarray]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marginal", q := _frozen(self.marginal, float))
+    @classmethod
+    def from_coupling(
+        cls, input_sizes: Sequence[int], marginal: np.ndarray,
+        bijections: Mapping[tuple[int, ...], np.ndarray],
+    ) -> "CCBox":
+        """Two-party table of a finite coupling: p(pi[b], b | x, y) = marginal[b]
+        for pi = ``bijections[(x, y)]``.  Every bijection must preserve the
+        marginal, so that neither side's statistics depend on the other's input."""
+        q = np.asarray(marginal, dtype=float)
         if np.min(q) < -TOLERANCE or abs(q.sum() - 1.0) > TOLERANCE:
             raise ValueError("marginal is not a probability distribution")
         n = q.shape[0]
-        fixed: dict[tuple[int, ...], np.ndarray] = {}
-        for key in np.ndindex(*self.input_sizes):
-            if key not in self.bijections:
+        sizes = tuple(input_sizes)
+        table = np.zeros(sizes + (n, n))
+        for key in np.ndindex(*sizes):
+            if key not in bijections:
                 raise ValueError(f"missing bijection for input {key}")
-            pi = _frozen(self.bijections[key], int)
+            pi = np.asarray(bijections[key], dtype=int)
             if sorted(pi.tolist()) != list(range(n)):
                 raise ValueError(f"pairing for input {key} is not a bijection on 0..{n - 1}")
             if np.max(np.abs(q[pi] - q)) > TOLERANCE:
                 # Alice's induced marginal q(pi(b)) must equal q itself
                 raise ValueError(f"pairing for input {key} does not preserve the marginal")
-            fixed[key] = pi
-        object.__setattr__(self, "bijections", fixed)
-
-    @property
-    def n_outputs(self) -> int:
-        return self.marginal.shape[0]
+            table[key + (pi, np.arange(n))] = q
+        return cls(sizes, (n, n), table)
 
 
 @dataclass(frozen=True)
@@ -352,16 +339,6 @@ def mod_box(n: int, parties: int = 2) -> CCBox:
         first = (sum(rest) + math.prod(inputs)) % n
         table[inputs + (first,) + rest] = 1.0 / n ** (parties - 1)
     return CCBox((2,) * parties, (n,) * parties, table)
-
-
-def coupling_to_ccbox(coupling: CouplingBox) -> CCBox:
-    """Materialise a finite coupling as its probability table."""
-    n = coupling.n_outputs
-    sizes = coupling.input_sizes
-    table = np.zeros(tuple(sizes) + (n, n))
-    for key, pi in coupling.bijections.items():
-        table[key + (pi, np.arange(n))] = coupling.marginal
-    return CCBox(tuple(sizes), (n, n), table)
 
 
 @functools.lru_cache(maxsize=16)

@@ -146,12 +146,17 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         parties = _require(doc, "parties")
         try:
             labels = tuple(str(p["label"]) for p in parties)
-            dims = tuple(int(p["dim"]) for p in parties)
+            dims = tuple(p["dim"] for p in parties)
         except (TypeError, KeyError) as exc:
             raise BoxDocumentError(
                 "field 'parties' must list objects with 'label' and 'dim'"
             ) from exc
-        structure = PartyStructure(tuple(zip(labels, dims)))
+        for label, dim in zip(labels, dims):
+            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+                raise BoxDocumentError(
+                    f"field 'parties' gives party '{label}' dim {dim!r}, not a positive integer"
+                )
+        structure = PartyStructure(tuple(zip(labels, map(int, dims))))
         if structure.total_dim > MAX_TENSOR_DIM:
             raise BoxDocumentError(
                 f"field 'parties' gives joint dimension {structure.total_dim}, "
@@ -161,8 +166,15 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         if not isinstance(raw, dict):
             raise BoxDocumentError("field 'outputs' must be an object keyed by inputs")
         outputs: dict[tuple[int, ...], np.ndarray] = {}
+        spellings: dict[tuple[int, ...], str] = {}
         for name, entry in raw.items():
             key = _parse_key(name, "outputs")
+            if key in spellings:
+                raise BoxDocumentError(
+                    f"field 'outputs' keys '{spellings[key]}' and '{name}' both name "
+                    f"input {_key_string(key)}"
+                )
+            spellings[key] = name
             if not isinstance(entry, dict) or ("amplitudes" in entry) == ("matrix" in entry):
                 raise BoxDocumentError(
                     f"output '{name}' must provide exactly one of 'amplitudes' or 'matrix'"

@@ -28,10 +28,8 @@ import numpy as np
 
 from cqboxes.boxes import (
     CCBox,
-    CouplingBox,
     CQBox,
     HaarCouplingBox,
-    coupling_to_ccbox,
     cq_no_signalling,
     mod_box,
     pr_box,
@@ -85,16 +83,17 @@ class Strategy:
     """Classical box + shared pure state + output-conditioned local unitaries.
 
     ``party_maps[j]`` receives (input symbol, output symbol) and returns
-    the unitary party j applies.  For finite boxes the output symbol is an
-    integer and each map is called once per output symbol per input, so
-    it must be a pure function of the two.  For Haar couplings it is a
+    the unitary party j applies.  A finite box is a ``CCBox`` table (a
+    finite coupling is built by ``CCBox.from_coupling``); its output symbol
+    is an integer and each map is called once per output symbol per input,
+    so it must be a pure function of the two.  For Haar couplings it is a
     stack of sampled unitaries, shape ``(S, n, n)``, and the map returns
     the matching stack, composing any input-local dressing around each
     draw (under ``@`` broadcasting).  Both kinds feed one weighted stack
     of state vectors per input, which ``simulate`` sums.
     """
 
-    ccbox: CCBox | CouplingBox | HaarCouplingBox
+    ccbox: CCBox | HaarCouplingBox
     shared: StateVector
     party_maps: tuple[PartyMap, ...]
 
@@ -137,7 +136,7 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
                 stacks = [f(x, u) for f, x, u in zip(maps, key, pair)]
                 yield key, stacks, np.full(len(bases), 1 / samples)
         return
-    table = (coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox).table
+    table = ccbox.table
     for key in np.ndindex(*ccbox.input_sizes):
         per_symbol = [
             np.array([f(x, out) for out in range(n)], dtype=complex)
@@ -340,47 +339,17 @@ def max_entangled_strategy(
     )
 
 
-def _derive_pairing(
-    unitaries: Sequence[np.ndarray], target: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
-    """Bijection b -> a with U_a U_b+ proportional to the target unitary.
-
-    For each b the candidate a's satisfy |tr(T+ U_a U_b+)| = d (equality
-    up to a global phase); a deterministic backtracking search then picks
-    a perfect matching, smallest candidates first.
-    """
+def _derive_pairing(unitaries: np.ndarray, target: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Pairing b -> a with U_a U_b+ proportional to the target unitary, that is
+    |tr(T+ U_a U_b+)| = d.  The labels' unitaries are pairwise non-proportional,
+    so each b has a single candidate a."""
     d = target.shape[0]
-    k = len(unitaries)
-    candidates = []
-    for b in range(k):
-        options = []
-        for a in range(k):
-            overlap = abs(np.trace(target.conj().T @ unitaries[a] @ unitaries[b].conj().T))
-            if abs(overlap - d) < tol:
-                options.append(a)
-        if not options:
-            raise ValueError(f"no output label pairs with b = {b} for the given target")
-        candidates.append(options)
-
-    assignment = [-1] * k
-    used: set[int] = set()
-
-    def place(b: int) -> bool:
-        if b == k:
-            return True
-        for a in candidates[b]:
-            if a not in used:
-                assignment[b] = a
-                used.add(a)
-                if place(b + 1):
-                    return True
-                used.discard(a)
-                assignment[b] = -1
-        return False
-
-    if not place(0):
-        raise ValueError("no bijection is consistent with the target")
-    return np.array(assignment, dtype=int)
+    # tr(T+ U_a U_b+) = sum over i, j, k of conj(T_ij) (U_a)_ik conj(U_b)_jk
+    overlap = np.abs(np.einsum("ij,aik,bjk->ab", target.conj(), unitaries, unitaries.conj()))
+    hits = np.abs(overlap - d) < tol
+    if (missing := np.flatnonzero(~hits.any(axis=0))).size:
+        raise ValueError(f"no output label pairs with b = {missing[0]} for the given target")
+    return hits.argmax(axis=0)
 
 
 def eight_output_targets() -> dict[tuple[int, int], np.ndarray]:
@@ -395,16 +364,13 @@ def eight_output_strategy() -> Strategy:
 
     The output alphabet labels the unitaries Z^{k/2} and Z^{k/2} X for
     k = 0..3; Alice applies U_a and Bob conj(U_b).  The pairing for each
-    input is derived by search so that U_a U_b+ equals that input's
-    target up to phase, which leaves the uniform marginal intact.
+    input is matched so that U_a U_b+ equals that input's target up to
+    phase, which leaves the uniform marginal intact.
     """
     unitaries = [pauli_z_power(k / 2).matrix for k in range(4)]
-    unitaries += [u @ pauli_x().matrix for u in unitaries[:4]]
-    targets = eight_output_targets()
-    bijections = {
-        key: _derive_pairing(unitaries, target) for key, target in targets.items()
-    }
-    coupling = CouplingBox((2, 3), np.full(8, 1 / 8), bijections)
+    unitaries = np.array(unitaries + [u @ pauli_x().matrix for u in unitaries])
+    bijections = {key: _derive_pairing(unitaries, t) for key, t in eight_output_targets().items()}
+    coupling = CCBox.from_coupling((2, 3), np.full(8, 1 / 8), bijections)
 
     def alice(_x: int, a: int) -> np.ndarray:
         return unitaries[a]

@@ -17,11 +17,9 @@ import numpy as np
 from cqboxes import cli
 from cqboxes.boxes import (
     CCBox,
-    CouplingBox,
     CQBox,
     cc_no_signalling,
     chsh_value,
-    coupling_to_ccbox,
     cq_box_distance,
     cq_no_signalling,
     induced_ccbox,
@@ -110,8 +108,6 @@ def _classical_component_violation(strategy) -> float:
     box = strategy.ccbox
     if isinstance(box, CCBox):
         return cc_no_signalling(box, tol=1e-9).worst_violation
-    if isinstance(box, CouplingBox):
-        return cc_no_signalling(coupling_to_ccbox(box), tol=1e-9).worst_violation
     return _coupling_non_signalling(box)
 
 

@@ -13,7 +13,7 @@ from cqboxes.bounds import (
     verify_bound,
     _SWEEPS,
 )
-from cqboxes.boxes import cc_no_signalling, coupling_to_ccbox
+from cqboxes.boxes import CCBox, cc_no_signalling
 from cqboxes.quantum import fidelity
 from cqboxes.synthesis import phase_family_box, rational_phase_strategy, simulate
 
@@ -75,7 +75,8 @@ class TestFidelityRoutes:
     def test_strategy_box_is_non_signalling(self):
         spec = random_spec(9)
         strategy = spec_to_strategy(spec, ALPHA, BETA)
-        assert cc_no_signalling(coupling_to_ccbox(strategy.ccbox)).passed
+        assert isinstance(strategy.ccbox, CCBox)
+        assert cc_no_signalling(strategy.ccbox).passed
 
 
 class TestClosedForm:

@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from cqboxes import boxes
 from cqboxes.boxes import (
     CCBox,
-    CouplingBox,
     CQBox,
     HaarCouplingBox,
     NoSignallingReport,
     Witness,
     cc_no_signalling,
     chsh_value,
-    coupling_to_ccbox,
     cq_box_distance,
     cq_no_signalling,
     family_worst_violation,
@@ -122,14 +120,23 @@ class TestCCBoxTables:
             assert report.passed, report.worst_violation
 
 
-class TestCouplingBox:
+def reference_coupling_table(sizes, marginal, bijections) -> np.ndarray:
+    """The coupling table built one input at a time: Alice's output pi[b]
+    pairs with Bob's b at probability marginal[b]."""
+    n = len(marginal)
+    table = np.zeros(tuple(sizes) + (n, n))
+    for key in np.ndindex(*sizes):
+        table[key + (np.asarray(bijections[key]), np.arange(n))] = marginal
+    return table
+
+
+class TestFromCoupling:
     def test_identity_coupling_is_correlated_randomness(self):
-        coupling = CouplingBox(
+        box = CCBox.from_coupling(
             (2, 2),
             np.array([0.5, 0.5]),
             {key: np.arange(2) for key in itertools.product(range(2), range(2))},
         )
-        box = coupling_to_ccbox(coupling)
         for x, y, a, b in itertools.product(range(2), repeat=4):
             expected = 0.5 if a == b else 0.0
             assert box.probability((x, y), (a, b)) == pytest.approx(expected, abs=1e-15)
@@ -140,14 +147,28 @@ class TestCouplingBox:
             (x, y): np.array([(b + x * y) % n for b in range(n)])
             for x, y in itertools.product(range(2), range(2))
         }
-        coupling = CouplingBox((2, 2), np.full(n, 1 / n), bijections)
-        np.testing.assert_allclose(
-            coupling_to_ccbox(coupling).table, mod_box(n).table, atol=1e-15
-        )
+        box = CCBox.from_coupling((2, 2), np.full(n, 1 / n), bijections)
+        np.testing.assert_allclose(box.table, mod_box(n).table, atol=1e-15)
+
+    def test_table_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for sizes, n in (((2, 2), 3), ((2, 3), 8), ((3, 1), 5)):
+            marginal = np.full(n, 1 / n)
+            bijections = {key: rng.permutation(n) for key in np.ndindex(*sizes)}
+            box = CCBox.from_coupling(sizes, marginal, bijections)
+            assert box.input_sizes == sizes and box.output_sizes == (n, n)
+            expected = reference_coupling_table(sizes, marginal, bijections)
+            assert box.table.tobytes() == expected.tobytes()
+        # a non-uniform marginal, preserved by a pairing within its level sets
+        marginal = np.array([0.5, 0.2, 0.2, 0.1])
+        bijections = {key: np.array([0, 2, 1, 3]) for key in np.ndindex(2, 2)}
+        box = CCBox.from_coupling((2, 2), marginal, bijections)
+        expected = reference_coupling_table((2, 2), marginal, bijections)
+        assert box.table.tobytes() == expected.tobytes()
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            CouplingBox(
+        with pytest.raises(ValueError, match=re.escape("pairing for input (0, 0) is not a bijection on 0..1")):
+            CCBox.from_coupling(
                 (2, 2),
                 np.array([0.5, 0.5]),
                 {key: np.array([0, 0]) for key in itertools.product(range(2), range(2))},
@@ -157,8 +178,19 @@ class TestCouplingBox:
         # swapping outputs under one input leaks that input through Alice's marginal
         bijections = {key: np.arange(2) for key in itertools.product(range(2), range(2))}
         bijections[(1, 1)] = np.array([1, 0])
-        with pytest.raises(ValueError):
-            CouplingBox((2, 2), np.array([0.7, 0.3]), bijections)
+        with pytest.raises(ValueError, match=re.escape("pairing for input (1, 1) does not preserve the marginal")):
+            CCBox.from_coupling((2, 2), np.array([0.7, 0.3]), bijections)
+
+    @pytest.mark.parametrize("marginal", [[0.5, 0.6], [1.2, -0.2], [0.5, 0.4]])
+    def test_rejects_non_distribution_marginal(self, marginal):
+        bijections = {key: np.arange(2) for key in np.ndindex(2, 2)}
+        with pytest.raises(ValueError, match="^marginal is not a probability distribution$"):
+            CCBox.from_coupling((2, 2), np.array(marginal), bijections)
+
+    def test_rejects_missing_bijection(self):
+        bijections = {key: np.arange(2) for key in np.ndindex(2, 2) if key != (1, 0)}
+        with pytest.raises(ValueError, match=re.escape("missing bijection for input (1, 0)")):
+            CCBox.from_coupling((2, 2), np.array([0.5, 0.5]), bijections)
 
     def test_materialised_coupling_is_non_signalling(self):
         n = 3
@@ -166,8 +198,8 @@ class TestCouplingBox:
             (x, y): np.array([(b + x * y) % n for b in range(n)])
             for x, y in itertools.product(range(2), range(2))
         }
-        coupling = CouplingBox((2, 2), np.full(n, 1 / n), bijections)
-        assert cc_no_signalling(coupling_to_ccbox(coupling), tol=1e-12).passed
+        box = CCBox.from_coupling((2, 2), np.full(n, 1 / n), bijections)
+        assert cc_no_signalling(box, tol=1e-12).passed
 
 
 class TestHaarCoupling:

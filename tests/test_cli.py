@@ -511,6 +511,7 @@ GOLDEN_STDOUT = [
     ("bound_n4_kmax12_restarts4",
      ["bound", "--n", "4", "--kmax", "12", "--restarts", "4", "--budget", "48"]),
     ("verify_w_phase_local", ["verify", "fixtures/w_phase_local.json"]),
+    ("synth_eight_output", ["synth", "eight-output"]),
 ]
 
 

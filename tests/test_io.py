@@ -236,6 +236,30 @@ class TestValidation:
         assert main(["verify", str(path)]) == 2
         assert "'parties'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2", "abc", True, 0, -1, None, [2]])
+    def test_party_dim_must_be_a_positive_int(self, capsys, tmp_path, dim):
+        doc = json.loads((ROOT / "fixtures" / "phase_quarter_turn.json").read_text())
+        doc["parties"][0]["dim"] = dim
+        message = f"field 'parties' gives party 'A' dim {dim!r}, not a positive integer"
+        with pytest.raises(BoxDocumentError, match=re.escape(message)):
+            document_to_box(doc)
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["0, 1", "00,1", " 0,1"])
+    def test_two_spellings_of_one_output_key(self, capsys, tmp_path, spelling):
+        doc = json.loads((ROOT / "fixtures" / "max_entangled_family.json").read_text())
+        doc["outputs"][spelling] = doc["outputs"]["1,1"]
+        message = f"field 'outputs' keys '0,1' and '{spelling}' both name input 0,1"
+        with pytest.raises(BoxDocumentError, match=re.escape(message)):
+            document_to_box(doc)
+        path = tmp_path / "spellings.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoxDocumentError, match="cannot read"):
             load_box(tmp_path / "absent.json")

@@ -3,6 +3,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -15,13 +16,11 @@ from cqboxes import synthesis
 from cqboxes.bounds import best_fidelity, spec_to_strategy
 from cqboxes.boxes import (
     CCBox,
-    CouplingBox,
     CQBox,
     HaarCouplingBox,
     chsh_value,
     cc_no_signalling,
     cq_box_distance,
-    coupling_to_ccbox,
     cq_no_signalling,
     induced_ccbox,
     mix_boxes,
@@ -261,25 +260,110 @@ class TestEightOutput:
 
     def test_pairings_are_marginal_preserving_bijections(self):
         coupling = eight_output_strategy().ccbox
-        assert coupling.marginal == pytest.approx(np.full(8, 1 / 8))
-        for key, pi in coupling.bijections.items():
+        assert coupling.input_sizes == (2, 3) and coupling.output_sizes == (8, 8)
+        for key in np.ndindex(2, 3):
+            block = coupling.table[key]
+            # both parties' marginals are the uniform one, and each b has one partner a
+            assert block.sum(axis=0) == pytest.approx(np.full(8, 1 / 8))
+            assert block.sum(axis=1) == pytest.approx(np.full(8, 1 / 8))
+            assert np.count_nonzero(block) == 8
+            pi = block.argmax(axis=0)
             assert sorted(pi.tolist()) == list(range(8))
 
     def test_trivial_inputs_pair_identically(self):
         coupling = eight_output_strategy().ccbox
         for key in [(0, 0), (0, 1), (0, 2), (1, 0)]:
-            assert np.array_equal(coupling.bijections[key], np.arange(8))
+            assert np.array_equal(coupling.table[key].argmax(axis=0), np.arange(8))
+            assert np.array_equal(coupling.table[key], np.eye(8) / 8)
 
     def test_derived_pairings_synthesise_the_targets(self):
         strategy = eight_output_strategy()
         unitaries = [pauli_z_power(k / 2).matrix for k in range(4)]
         unitaries += [u @ pauli_x().matrix for u in unitaries[:4]]
         for key, target in eight_output_targets().items():
-            pi = strategy.ccbox.bijections[key]
+            pi = strategy.ccbox.table[key].argmax(axis=0)
             for b in range(8):
                 product = unitaries[pi[b]] @ unitaries[b].conj().T
                 overlap = abs(np.trace(target.conj().T @ product))
                 assert overlap == pytest.approx(2.0, abs=1e-12)
+
+
+def reference_derive_pairing(
+    unitaries: Sequence[np.ndarray], target: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """Bijection b -> a with U_a U_b+ proportional to the target unitary.
+
+    For each b the candidate a's satisfy |tr(T+ U_a U_b+)| = d (equality
+    up to a global phase); a deterministic backtracking search then picks
+    a perfect matching, smallest candidates first.
+    """
+    d = target.shape[0]
+    k = len(unitaries)
+    candidates = []
+    for b in range(k):
+        options = []
+        for a in range(k):
+            overlap = abs(np.trace(target.conj().T @ unitaries[a] @ unitaries[b].conj().T))
+            if abs(overlap - d) < tol:
+                options.append(a)
+        if not options:
+            raise ValueError(f"no output label pairs with b = {b} for the given target")
+        candidates.append(options)
+
+    assignment = [-1] * k
+    used: set[int] = set()
+
+    def place(b: int) -> bool:
+        if b == k:
+            return True
+        for a in candidates[b]:
+            if a not in used:
+                assignment[b] = a
+                used.add(a)
+                if place(b + 1):
+                    return True
+                used.discard(a)
+                assignment[b] = -1
+        return False
+
+    if not place(0):
+        raise ValueError("no bijection is consistent with the target")
+    return np.array(assignment, dtype=int)
+
+
+class TestPairingMatch:
+    """The vectorised overlap match against the backtracking search it replaced."""
+
+    @staticmethod
+    def labels() -> list[np.ndarray]:
+        unitaries = [pauli_z_power(k / 2).matrix for k in range(4)]
+        return unitaries + [u @ pauli_x().matrix for u in unitaries[:4]]
+
+    def test_eight_output_targets_match_the_search(self):
+        unitaries = self.labels()
+        for key, target in eight_output_targets().items():
+            expected = reference_derive_pairing(unitaries, target)
+            got = synthesis._derive_pairing(np.array(unitaries), target)
+            assert np.array_equal(got, expected), key
+
+    def test_every_label_product_matches_the_search(self):
+        # any U_c U_e+ up to a global phase is a reachable target
+        unitaries = self.labels()
+        rng = np.random.default_rng(4)
+        for c, e in itertools.product(range(8), repeat=2):
+            target = np.exp(1j * rng.uniform(0, 2 * np.pi)) * unitaries[c] @ unitaries[e].conj().T
+            expected = reference_derive_pairing(unitaries, target)
+            got = synthesis._derive_pairing(np.array(unitaries), target)
+            assert np.array_equal(got, expected), (c, e)
+
+    def test_unreachable_target_names_the_first_unpaired_output(self):
+        unitaries = self.labels()
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        message = "no output label pairs with b = 0 for the given target"
+        with pytest.raises(ValueError, match=message):
+            reference_derive_pairing(unitaries, hadamard)
+        with pytest.raises(ValueError, match=message):
+            synthesis._derive_pairing(np.array(unitaries), hadamard)
 
 
 class TestNonMaxPure:
@@ -882,8 +966,7 @@ def reference_finite_simulate(strategy: Strategy) -> np.ndarray:
     """The per-entry loop the stacked finite kernel replaced: per positive
     table entry, one call of each party map, one local application per
     party and one weighted outer product, summed in support order."""
-    ccbox = strategy.ccbox
-    table_box = coupling_to_ccbox(ccbox) if isinstance(ccbox, CouplingBox) else ccbox
+    table_box = strategy.ccbox
     dims = strategy.shared.structure.dims
     d = strategy.shared.structure.total_dim
     mats = np.zeros(tuple(table_box.input_sizes) + (d, d), dtype=complex)
