@@ -190,17 +190,18 @@ _REACH = 1e-6
 _ENTRIES = 1 << 18
 
 
-def _pair_step(
-    phases: np.ndarray, gather: np.ndarray, shift: np.ndarray, scatter: np.ndarray
-) -> None:
-    """Set two phase columns per entry of ``scatter`` to their exact
-    one-variable optimum: the negated argument of the sum of their two
-    partner phasors.  ``gather`` lists the shared partner, then each
-    variable's own partner; ``shift`` subtracts theta where the (1, 1)
-    pairing enters."""
-    phasor = np.exp(1j * (phases[:, gather] - shift)).reshape(len(phases), 3, -1)
-    total = phasor[:, 1:] + phasor[:, :1]
-    phases[:, scatter] = -np.arctan2(total.imag, total.real).reshape(len(phases), -1)
+def _pair_step(phases, gather, lag, partner, argument, exponent, phasor, apart, shared,
+               total, imag, real, update, scatter) -> None:
+    """Set two phase rows per entry of ``scatter`` to their exact one-variable
+    optimum.  ``gather`` lists the shared partner, then each variable's own;
+    ``lag`` is theta where the (1, 1) pairing enters."""
+    # every index is in range, and "clip" spares the copy "raise" makes of out
+    phases.take(gather, axis=0, out=partner, mode="clip")
+    np.subtract(lag, partner, out=argument)
+    np.exp(exponent, out=phasor)
+    np.add(apart, shared, out=total)
+    np.arctan2(imag, real, out=update)
+    phases[scatter] = update
 
 
 def _ascend_frontier(
@@ -219,55 +220,73 @@ def _ascend_frontier(
     below 1e-13 (later sweeps still move it, unread).  Returns per length
     and restart the final mean cosine and the sweeps used, and per length
     how many restarts were still gaining at the sweep cap.
+
+    The phases are held as ``(4 k (k + 1) / 2, R)``, so steps gather and
+    scatter whole rows, in buffers sized for step 0 whose prefixes later steps
+    use.  The phasors are exp(i (s - x)) on a complex buffer with real part 0,
+    bit for bit the conjugates of exp(i (x - s)); as arctan2(-y, x) equals
+    -arctan2(y, x), arctan2 of their sums is the negated argument.
     """
     restarts, _, width = starts.shape
     k = math.isqrt(2 * width)
     lengths = np.arange(1, k + 1)
     offsets = lengths * (lengths - 1) // 2
     a0, a1, b0, b1 = (np.arange(width) + i * width for i in range(4))
+    phases = np.ascontiguousarray(starts.reshape(restarts, 4 * width).T)
+    partners, updates = np.empty((3 * k, restarts)), np.empty((2 * k, restarts))
+    exponents = np.zeros((3 * k, restarts), dtype=complex)
+    phasors, totals = np.empty_like(exponents), np.empty((2 * k, restarts), dtype=complex)
     steps = []
     for j in range(k):
-        own, ring = offsets[j:] + j, lengths[j:]
+        size, own, ring = k - j, offsets[j:] + j, lengths[j:]
         prv, nxt = offsets[j:] + (j - 1) % ring, offsets[j:] + (j + 1) % ring
-        shift = np.repeat([0.0, 0.0, theta], k - j)
+        phasor, total = phasors[:3 * size], totals[:2 * size]
+        views = (np.repeat([0.0, 0.0, theta], size)[:, None], partners[:3 * size],
+                 exponents[:3 * size].imag, exponents[:3 * size], phasor,
+                 phasor[size:].reshape(2, size, -1), phasor[:size], total.reshape(2, size, -1),
+                 total.imag, total.real, updates[:2 * size])
         # a0, a1 from b0, b1 and, at (1, 1), the b1 entry whose pairing
         # lands on j; then b0, b1 from the new a0, a1 and a1 at j + 1
-        steps.append((
-            (np.concatenate([b0[own], b1[own], b1[prv]]), shift,
-             np.concatenate([a0[own], a1[own]])),
-            (np.concatenate([a0[own], a1[own], a1[nxt]]), shift,
-             np.concatenate([b0[own], b1[own]])),
-        ))
+        steps.append((np.concatenate([b0[own], b1[own], b1[prv]]), *views,
+                      np.concatenate([a0[own], a1[own]])))
+        steps.append((np.concatenate([a0[own], a1[own], a1[nxt]]), *views,
+                      np.concatenate([b0[own], b1[own]])))
     # the four cosine arguments of each column, per input pair
     ring_next = np.concatenate([off + (np.arange(L) + 1) % L for off, L in zip(offsets, lengths)])
-    left, right = np.concatenate([a0, a0, a1, a1[ring_next]]), np.concatenate([b0, b1, b0, b1])
-    shift = np.repeat([0.0, 0.0, 0.0, theta], width)
+    left = np.concatenate([a0, a0, a1, a1[ring_next]])
+    shift = np.repeat([0.0, 0.0, 0.0, theta], width)[:, None]
+    angles = np.empty((4 * width, restarts))
     # numpy sums rows below 8 entries sequentially, so those lengths share
     # one block padded with a zero column; longer rows sum pairwise, alone
+    # (on the contiguous last axis, as a transposed reduction would not)
     short = min(k, 7)
     padded = np.full((short, short), width)
     for L in range(1, short + 1):
         padded[L - 1, :L] = offsets[L - 1] + np.arange(L)
-    phases = starts.reshape(restarts, 4 * width).copy()
-    terms = np.zeros((restarts, 4, width + 1))
-    sums = np.empty((restarts, 4, k))
+    terms, sums = np.zeros((restarts, 4, width + 1)), np.empty((restarts, 4, k))
+    block, cosines = np.empty((restarts, 4, short, short)), terms[:, :, :width].transpose(1, 2, 0)
+    rows = [(block, sums[..., :short])] + [
+        (terms[..., o:o + L], sums[..., L - 1]) for o, L in zip(offsets[short:], lengths[short:])]
+    pairs, right = angles.reshape(2, 2 * width, -1), phases[2 * width:]
+    blocks, quarters = angles.reshape(4, width, -1), sums.swapaxes(0, 1)
 
     def objective() -> np.ndarray:
-        angles = phases[:, left] + phases[:, right] - shift
-        np.cos(angles.reshape(restarts, 4, width), out=terms[:, :, :width])
-        sums[..., :short] = terms[:, :, padded].sum(axis=-1)
-        for L in range(short + 1, k + 1):
-            sums[..., L - 1] = terms[:, :, offsets[L - 1]:offsets[L - 1] + L].sum(axis=-1)
-        return (sums[:, 0] + sums[:, 1] + sums[:, 2] + sums[:, 3]) / (4 * lengths)
+        phases.take(left, axis=0, out=angles, mode="clip")
+        np.add(pairs, right, out=pairs)
+        np.subtract(angles, shift, out=angles)
+        np.cos(blocks, out=cosines)
+        terms.take(padded, axis=2, out=block, mode="clip")
+        for row, out in rows:
+            np.add.reduce(row, axis=-1, out=out)
+        return (quarters[0] + quarters[1] + quarters[2] + quarters[3]) / (4 * lengths)
 
     value = np.empty((restarts, k))
     used = np.full((restarts, k), _SWEEPS)
     live = np.ones((restarts, k), dtype=bool)
     previous = objective()
     for sweep in range(1, _SWEEPS + 1):
-        for a_pair, b_pair in steps:
-            _pair_step(phases, *a_pair)
-            _pair_step(phases, *b_pair)
+        for step in steps:
+            _pair_step(phases, *step)
         current = objective()
         done = live & (current - previous < 1e-13)
         if done.any():

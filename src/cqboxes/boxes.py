@@ -117,9 +117,11 @@ class CCBox:
         for key in np.ndindex(*sizes):
             if key not in bijections:
                 raise ValueError(f"missing bijection for input {key}")
-            pi = np.asarray(bijections[key], dtype=int)
+            # compare the entries before any cast, which would truncate 0.9 to 0
+            pi = np.asarray(bijections[key])
             if sorted(pi.tolist()) != list(range(n)):
                 raise ValueError(f"pairing for input {key} is not a bijection on 0..{n - 1}")
+            pi = pi.astype(int)
             if np.max(np.abs(q[pi] - q)) > TOLERANCE:
                 # Alice's induced marginal q(pi(b)) must equal q itself
                 raise ValueError(f"pairing for input {key} does not preserve the marginal")

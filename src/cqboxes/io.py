@@ -145,18 +145,23 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         input_sizes = _require(doc, "input_sizes")
         parties = _require(doc, "parties")
         try:
-            labels = tuple(str(p["label"]) for p in parties)
+            labels = tuple(p["label"] for p in parties)
             dims = tuple(p["dim"] for p in parties)
         except (TypeError, KeyError) as exc:
             raise BoxDocumentError(
                 "field 'parties' must list objects with 'label' and 'dim'"
             ) from exc
         for label, dim in zip(labels, dims):
+            if not isinstance(label, str):
+                raise BoxDocumentError(f"field 'parties' gives label {label!r}, not a string")
             if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
                 raise BoxDocumentError(
                     f"field 'parties' gives party '{label}' dim {dim!r}, not a positive integer"
                 )
-        structure = PartyStructure(tuple(zip(labels, map(int, dims))))
+        try:
+            structure = PartyStructure(tuple(zip(labels, map(int, dims))))
+        except ValueError as exc:  # repeated labels
+            raise BoxDocumentError(f"field 'parties' has {exc}") from exc
         if structure.total_dim > MAX_TENSOR_DIM:
             raise BoxDocumentError(
                 f"field 'parties' gives joint dimension {structure.total_dim}, "

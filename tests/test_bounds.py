@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqboxes import bounds
 from cqboxes.bounds import (
@@ -347,6 +349,71 @@ class TestLockstepAscent:
         chunked = verify_bound(3, 5, m=2, restarts=16, seed=4)
         assert len(sizes) > 1 and sum(sizes) == 16
         assert same_fields(chunked, whole)
+
+
+def reference_pair_step(
+    phases: np.ndarray, gather: np.ndarray, shift: np.ndarray, scatter: np.ndarray
+) -> None:
+    """The pair step that the six-call kernel replaced, kept verbatim as the
+    reference it must reproduce bit for bit, on phases held as
+    ``(R, 4 k (k + 1) / 2)``: the negated argument of each pair sum of
+    partner phasors."""
+    phasor = np.exp(1j * (phases[:, gather] - shift)).reshape(len(phases), 3, -1)
+    total = phasor[:, 1:] + phasor[:, :1]
+    phases[:, scatter] = -np.arctan2(total.imag, total.real).reshape(len(phases), -1)
+
+
+class OneSweep(Exception):
+    """Stops an ascent once every step of its first sweep has run."""
+
+
+class TestPairStep:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 12, 16])
+    @pytest.mark.parametrize("m, n", [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (5, 7)])
+    def test_every_step_equals_the_replaced_formula(self, monkeypatch, m, n, k):
+        """The a-step and the b-step of every j, each on fresh random
+        phases, through the kernel and through the formula it replaced."""
+        theta, width, restarts = 2 * math.pi * m / n, k * (k + 1) // 2, 5
+        rng = np.random.default_rng(1000 * n + 10 * m + k)
+        kernel, scattered = bounds._pair_step, []
+
+        def checked(phases, *step):
+            phases[...] = rng.uniform(-math.pi, math.pi, size=phases.shape)
+            expected = phases.T.copy()
+            reference_pair_step(expected, step[0], step[1].ravel(), step[-1])
+            kernel(phases, *step)
+            assert np.array_equal(phases.T, expected), len(scattered)
+            scattered.append(step[-1])
+            if len(scattered) == 2 * k:
+                raise OneSweep
+
+        monkeypatch.setattr(bounds, "_pair_step", checked)
+        starts = rng.uniform(-math.pi, math.pi, size=(restarts, 4, width))
+        with pytest.raises(OneSweep):
+            bounds._ascend_frontier(theta, starts)
+        # one sweep moves every phase exactly once
+        moved = np.concatenate(scattered)
+        assert np.array_equal(np.sort(moved), np.arange(4 * width))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(-8.0, 8.0),
+        s=st.one_of(st.just(0.0), st.floats(-8.0, 8.0)),
+        y=st.floats(allow_nan=False, allow_infinity=False),
+        re=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_conjugate_phasor_and_odd_arctan2(self, x, s, y, re):
+        """The two float identities the kernel rests on.  The phasor of a
+        zero argument, exp(0 i) = 1, may differ in the sign of its zero
+        imaginary part, which compares equal; any other is bit for bit."""
+        exponent = np.zeros(1, dtype=complex)
+        exponent.imag = s - x  # as the kernel builds it, real part 0
+        fused, replaced = np.exp(exponent), np.conj(np.exp(1j * (np.array([x]) - s)))
+        assert fused == replaced
+        if s != x:
+            assert fused.view(np.uint64).tolist() == replaced.view(np.uint64).tolist()
+        odd, negated = np.arctan2(-np.array([y]), re), -np.arctan2(np.array([y]), re)
+        assert odd.view(np.uint64).tolist() == negated.view(np.uint64).tolist()
 
 
 def same_fields(a, b) -> bool:

@@ -166,6 +166,11 @@ class TestFromCoupling:
         expected = reference_coupling_table((2, 2), marginal, bijections)
         assert box.table.tobytes() == expected.tobytes()
 
+    def test_rejects_non_integer_pairings(self):
+        # a cast to int would read [0.9, 1.2] as the identity [0, 1]
+        with pytest.raises(ValueError, match=re.escape("pairing for input (0, 0) is not a bijection on 0..1")):
+            CCBox.from_coupling((2, 2), [0.5, 0.5], {k: [0.9, 1.2] for k in np.ndindex(2, 2)})
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match=re.escape("pairing for input (0, 0) is not a bijection on 0..1")):
             CCBox.from_coupling(

@@ -248,6 +248,29 @@ class TestValidation:
         assert main(["verify", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [{"x": 1}, 1, 1.5, ["B"], None, True])
+    def test_party_label_must_be_a_string(self, capsys, tmp_path, label):
+        doc = json.loads((ROOT / "fixtures" / "phase_quarter_turn.json").read_text())
+        doc["parties"][1]["label"] = label
+        message = f"field 'parties' gives label {label!r}, not a string"
+        with pytest.raises(BoxDocumentError, match=re.escape(message)):
+            document_to_box(doc)
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeated_party_labels_name_the_field(self, capsys, tmp_path):
+        doc = json.loads((ROOT / "fixtures" / "phase_quarter_turn.json").read_text())
+        doc["parties"][1]["label"] = "A"
+        message = "field 'parties' has duplicate party labels: ['A', 'A']"
+        with pytest.raises(BoxDocumentError, match=re.escape(message)):
+            document_to_box(doc)
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("spelling", ["0, 1", "00,1", " 0,1"])
     def test_two_spellings_of_one_output_key(self, capsys, tmp_path, spelling):
         doc = json.loads((ROOT / "fixtures" / "max_entangled_family.json").read_text())
