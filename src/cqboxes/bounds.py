@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from cqboxes.boxes import CCBox
-from cqboxes.quantum import TOLERANCE, _frozen, two_level_state, wrap_angle
+from cqboxes.quantum import _frozen, two_level_state, wrap_angle
 from cqboxes.synthesis import Strategy
 
 __all__ = [
@@ -156,8 +156,9 @@ def best_fidelity(
     all k-output phase strategies, with an achieving certificate."""
     if n < 2 or k < 1:
         raise ValueError("need a phase denominator n >= 2 and at least one output")
-    if alpha <= 0 or beta <= 0 or abs(alpha**2 + beta**2 - 1.0) > TOLERANCE:
+    if alpha <= 0 or beta <= 0:
         raise ValueError("alpha, beta must be positive with alpha^2 + beta^2 = 1")
+    two_level_state(alpha, beta)  # refuses alpha^2 + beta^2 != 1, NaN included
     theta = 2 * math.pi * m / n
     best_cos, best_length = -1.0, 1
     for length in range(1, k + 1):

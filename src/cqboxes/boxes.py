@@ -24,10 +24,12 @@ from cqboxes.quantum import (
     PartyStructure,
     StateVector,
     _frozen,
+    _positive_int,
     as_matrix,
     capped_dim,
     haar_from_normals,
     invalid_density,
+    invalid_distribution,
     invalid_pure,
     kron_all,
     partial_trace_array,
@@ -59,9 +61,7 @@ def _positive_sizes(sizes: object, field: str) -> tuple[int, ...]:
         values = tuple(sizes)
     except TypeError:
         values = ()
-    if not values or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in values
-    ):
+    if not values or not all(map(_positive_int, values)):
         raise ValueError(f"{field} must be a non-empty list of positive integers, got {sizes!r}")
     return tuple(int(v) for v in values)
 
@@ -84,14 +84,11 @@ class CCBox:
         if len(self.input_sizes) != len(self.output_sizes):
             raise ValueError("one output alphabet per party required")
         object.__setattr__(self, "table", tab := _frozen(self.table, float))
-        expected = tuple(self.input_sizes) + tuple(self.output_sizes)
-        if tab.shape != expected:
+        if tab.shape != (expected := self.input_sizes + self.output_sizes):
             raise ValueError(f"table shape {tab.shape} does not match {expected}")
-        if np.min(tab) < -TOLERANCE:
-            raise ValueError("probability table has negative entries")
-        sums = tab.reshape(tuple(self.input_sizes) + (-1,)).sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > TOLERANCE:
-            raise ValueError("probabilities do not sum to 1 for every input")
+        if fault := invalid_distribution(tab.reshape(self.input_sizes + (-1,))):
+            key = ",".join(map(str, fault[0]))
+            raise ValueError(f"output distribution at input {key} is invalid: {fault[1]}")
 
     @property
     def parties(self) -> int:
@@ -109,7 +106,7 @@ class CCBox:
         for pi = ``bijections[(x, y)]``.  Every bijection must preserve the
         marginal, so that neither side's statistics depend on the other's input."""
         q = np.asarray(marginal, dtype=float)
-        if np.min(q) < -TOLERANCE or abs(q.sum() - 1.0) > TOLERANCE:
+        if q.ndim != 1 or invalid_distribution(q):
             raise ValueError("marginal is not a probability distribution")
         n = q.shape[0]
         sizes = tuple(input_sizes)
@@ -288,13 +285,13 @@ class CQBox:
     def output(self, inputs: Sequence[int]) -> DensityMatrix:
         return DensityMatrix(self.matrices[self._key(inputs)], self.structure)
 
-    def pure_output(self, inputs: Sequence[int], tol: float = 1e-7) -> StateVector:
-        """The output state as a vector; fails if the output is mixed."""
+    def pure_output(self, inputs: Sequence[int]) -> StateVector:
+        """The output state as a vector; fails if mixed, its top eigenvalue below 1 - 1e-7."""
         key = self._key(inputs)
         if self.amplitudes is not None:
             return StateVector(self.amplitudes[key], self.structure)
         vals, vecs = np.linalg.eigh(self.matrices[key])
-        if vals[-1] < 1 - tol:
+        if vals[-1] < 1 - 1e-7:
             raise ValueError(f"output at {key} is mixed (top eigenvalue {vals[-1]})")
         return StateVector(vecs[:, -1], self.structure)
 
@@ -350,10 +347,7 @@ def _outside_pairs(outside: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for r in range(1, k):
-        out.extend(itertools.combinations(range(k), r))
-    return out
+    return [group for r in range(1, k) for group in itertools.combinations(range(k), r)]
 
 
 def _subgroup_sweep(
@@ -534,8 +528,7 @@ def mix_boxes(weighted: Sequence[tuple[float, CQBox]]) -> CQBox:
     """Convex mixture of C-Q boxes with matching input sizes and party dims."""
     if not weighted:
         raise ValueError("mixture requires at least one component")
-    weights = np.array([w for w, _ in weighted], dtype=float)
-    if np.min(weights) < -TOLERANCE or abs(weights.sum() - 1.0) > TOLERANCE:
+    if invalid_distribution([w for w, _ in weighted]):
         raise ValueError("mixture weights must form a probability distribution")
     first = weighted[0][1]
     for i, (_, box) in enumerate(weighted):
@@ -547,7 +540,4 @@ def mix_boxes(weighted: Sequence[tuple[float, CQBox]]) -> CQBox:
                 raise ValueError(
                     f"mixture component {i} has {name} {value}, component 0 has {expected}"
                 )
-    mats = np.zeros(first.matrices.shape, dtype=complex)
-    for w, box in weighted:
-        mats += w * box.matrices
-    return CQBox(first.input_sizes, first.structure, mats)
+    return CQBox(first.input_sizes, first.structure, sum(w * box.matrices for w, box in weighted))

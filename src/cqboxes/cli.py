@@ -34,7 +34,7 @@ from cqboxes.boxes import (
     cq_no_signalling,
     mix_boxes,
 )
-from cqboxes.io import BoxDocumentError, load_box, save_box
+from cqboxes.io import BoxDocumentError, _read_json, load_box, save_box
 from cqboxes.multipartite import (
     PhaseAssignment,
     ghz_phase_box,
@@ -44,7 +44,8 @@ from cqboxes.multipartite import (
     w_phase_theorem_check,
 )
 from cqboxes.quantum import (
-    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, bell_state, haar_unitary,
+    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, bell_state, haar_unitary, invalid_distribution,
+    invalid_unitary,
 )
 from cqboxes.synthesis import (
     bit_flip_strategy,
@@ -156,7 +157,7 @@ def _parse_weights(text: str) -> list[float]:
     # the checks of nonmax_pure_strategy, reported in the flag's terms
     if len(weights) < 2:
         raise ValueError(f"--weights needs at least two levels, got '{text}'")
-    if abs(np.sum(weights) - 1.0) > TOLERANCE or min(weights) <= 0:
+    if invalid_distribution(weights) or min(weights) <= 0:
         raise ValueError(f"--weights must be positive and sum to 1, got '{text}'")
     if any(b >= a for a, b in zip(weights, weights[1:])):
         raise ValueError(
@@ -216,13 +217,10 @@ def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("max-entangled targets need two parties of equal dimension")
     n = dims[0]
-    targets = {}
-    for key in box.inputs:
-        mat = math.sqrt(n) * box.pure_output(key).amplitudes.reshape(n, n)
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(n))) > 1e-6:
-            raise ValueError(f"output at {key} is not maximally entangled")
-        targets[key] = mat
-    return targets, n
+    mats = [math.sqrt(n) * box.pure_output(key).amplitudes.reshape(n, n) for key in box.inputs]
+    if fault := invalid_unitary(np.array(mats), 1e-6):
+        raise ValueError(f"output at {box.inputs[fault[0][0]]} is not maximally entangled")
+    return dict(zip(box.inputs, mats)), n
 
 
 def _target_file(args) -> tuple[CQBox, dict]:
@@ -469,12 +467,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 
 def _load_assignment(path: str) -> PhaseAssignment:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read assignment '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"'{path}' is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "assignment")
     if not isinstance(doc, dict) or not {"alpha", "beta", "gamma"} <= set(doc):
         raise ValueError("assignment must be an object with 'alpha', 'beta', 'gamma'")
     return PhaseAssignment(doc["alpha"], doc["beta"], doc["gamma"])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from cqboxes.boxes import CCBox, CQBox
-from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure
+from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure, invalid_parties
 
 __all__ = [
     "BoxDocumentError",
@@ -28,7 +28,7 @@ __all__ = [
 
 
 class BoxDocumentError(ValueError):
-    """A box document is malformed; the message names the offending field."""
+    """A JSON input is unreadable or malformed; the message names the file or field."""
 
 
 def _encode_complex(values: np.ndarray) -> list:
@@ -108,10 +108,7 @@ def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
             "format": 1,
             "kind": "cq",
             "input_sizes": list(box.input_sizes),
-            "parties": [
-                {"label": label, "dim": int(dim)}
-                for label, dim in zip(box.structure.labels, box.structure.dims)
-            ],
+            "parties": [{"label": label, "dim": int(dim)} for label, dim in box.structure.parties],
             "outputs": outputs,
             **extra,
         }
@@ -143,25 +140,15 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
             raise BoxDocumentError(f"invalid classical box table: {exc}") from exc
     if kind == "cq":
         input_sizes = _require(doc, "input_sizes")
-        parties = _require(doc, "parties")
         try:
-            labels = tuple(p["label"] for p in parties)
-            dims = tuple(p["dim"] for p in parties)
+            parties = tuple((p["label"], p["dim"]) for p in _require(doc, "parties"))
         except (TypeError, KeyError) as exc:
             raise BoxDocumentError(
                 "field 'parties' must list objects with 'label' and 'dim'"
             ) from exc
-        for label, dim in zip(labels, dims):
-            if not isinstance(label, str):
-                raise BoxDocumentError(f"field 'parties' gives label {label!r}, not a string")
-            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-                raise BoxDocumentError(
-                    f"field 'parties' gives party '{label}' dim {dim!r}, not a positive integer"
-                )
-        try:
-            structure = PartyStructure(tuple(zip(labels, map(int, dims))))
-        except ValueError as exc:  # repeated labels
-            raise BoxDocumentError(f"field 'parties' has {exc}") from exc
+        if reason := invalid_parties(parties):
+            raise BoxDocumentError(f"field 'parties' {reason}")
+        structure = PartyStructure(parties)
         if structure.total_dim > MAX_TENSOR_DIM:
             raise BoxDocumentError(
                 f"field 'parties' gives joint dimension {structure.total_dim}, "
@@ -201,13 +188,17 @@ def save_box(box: CCBox | CQBox, path: str | Path, metadata: dict | None = None)
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def load_box(path: str | Path) -> CCBox | CQBox:
+def _read_json(path: str | Path, what: str) -> object:
+    """The JSON value in the file at ``path``, which holds the ``what``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise BoxDocumentError(f"cannot read box document '{path}': {exc}") from exc
+        raise BoxDocumentError(f"cannot read {what} '{path}': {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise BoxDocumentError(f"'{path}' is not valid JSON: {exc}") from exc
-    return document_to_box(doc)
+
+
+def load_box(path: str | Path) -> CCBox | CQBox:
+    return document_to_box(_read_json(path, "box document"))

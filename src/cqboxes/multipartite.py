@@ -204,16 +204,16 @@ def _spans(total: int) -> Iterator[slice]:
     return (slice(i, min(i + _CHUNK_FAMILIES, total)) for i in range(0, total, _CHUNK_FAMILIES))
 
 
-def _perturbed(deltas: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+def _perturbed() -> tuple[np.ndarray, list[float]]:
     """Local assignments, bare or with a fixed input-local dressing, with one
-    ket's phase bumped by delta times a monomial in the inputs outside its
-    own, for every ket, monomial, delta and dressing in product order; and
-    the worst violation 2 |sin(delta / 2)| / 3 predicted for each."""
+    ket's phase bumped by delta in pi/2, pi, 3 pi/2 times a monomial in the
+    inputs outside its own, for every ket, monomial, delta and dressing in
+    product order; and the worst violation 2 |sin(delta / 2)| / 3 predicted
+    for each."""
+    deltas = (math.pi / 2, math.pi, 3 * math.pi / 2)
     ket, monomial, delta, dressed = (
         axis.ravel()
-        for axis in np.meshgrid(
-            range(3), range(6), np.asarray(deltas, dtype=float), (False, True), indexing="ij"
-        )
+        for axis in np.meshgrid(range(3), range(6), deltas, (False, True), indexing="ij")
     )
     dressing = np.array([[0.0, 1.234], [0.0, 0.777], [0.0, -0.5]])
     parts = np.where(dressed[:, None, None], dressing, 0.0)
@@ -244,7 +244,6 @@ def _note_first(
 
 def w_phase_theorem_check(
     grid_values: Sequence[float] = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2),
-    deltas: Sequence[float] = (math.pi / 2, math.pi, 3 * math.pi / 2),
     random_samples: int = 40,
     seed: int = 0,
     tol: float = 1e-9,
@@ -253,10 +252,10 @@ def w_phase_theorem_check(
 
     Local side: every grid assignment built from per-party phases (with a
     shared random global phase) must pass the no-signalling check and
-    decompose.  Non-local side: perturbing one ket's phase by
-    delta * (product of inputs outside its own) must break no-signalling
-    with worst violation exactly 2 |sin(delta / 2)| / 3, with or without
-    an extra input-local dressing, and must not decompose.  Random
+    decompose.  Non-local side: perturbing one ket's phase by delta (pi/2,
+    pi or 3 pi/2) times a product of inputs outside its own must break
+    no-signalling with worst violation exactly 2 |sin(delta / 2)| / 3, with
+    or without an extra input-local dressing, and must not decompose.  Random
     assignments are checked for agreement between the two predicates.
     Families are built and checked in stacks of at most ``_CHUNK_FAMILIES``.
     """
@@ -275,7 +274,7 @@ def w_phase_theorem_check(
         _note_first(found, "local_all_non_signalling", ~(violation <= tol), phases)
         _note_first(found, "local_all_decomposable", residual > tol, phases)
 
-    perturbed, predicted = _perturbed(deltas)
+    perturbed, predicted = _perturbed()
     mismatch = 0.0
     for span in _spans(len(perturbed)):
         phases = perturbed[span]

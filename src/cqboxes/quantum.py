@@ -4,8 +4,10 @@ States carry an explicit ordered party structure of (label, dimension)
 pairs.  Amplitudes and matrices are stored in the canonical tensor order
 of that structure (first party most significant).  All operations are
 pure functions, address parties by label, and run in double-precision
-complex arithmetic.  Validity checks use a global default tolerance of
-``TOLERANCE``; callers may override it per call where it matters.
+complex arithmetic.  Validity is decided in one place, the ``invalid_*``
+fault reporters, which test for non-finite values first; other code only
+phrases their faults in its own terms.  They use a global default
+tolerance of ``TOLERANCE``; callers may override it per call.
 """
 from __future__ import annotations
 
@@ -27,9 +29,12 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "PartyStructure",
     "capped_dim",
+    "invalid_parties",
     "invalid_vector",
     "invalid_density",
     "invalid_pure",
+    "invalid_unitary",
+    "invalid_distribution",
     "StateVector",
     "DensityMatrix",
     "UnitaryOperator",
@@ -68,6 +73,23 @@ def _frozen(a: np.ndarray, dtype=complex) -> np.ndarray:
     return out
 
 
+def _positive_int(value: object) -> bool:
+    """Whether ``value`` is an integer of at least 1; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def invalid_parties(parties: Sequence[tuple[object, object]]) -> str | None:
+    """Why ``(label, dim)`` pairs are no party structure (labels must be
+    distinct strings, dims positive integers), or None."""
+    for label, dim in parties:
+        if not isinstance(label, str):
+            return f"gives label {label!r}, not a string"
+        if not _positive_int(dim):
+            return f"gives party '{label}' dim {dim!r}, not a positive integer"
+    labels = [label for label, _ in parties]
+    return f"has duplicate party labels: {labels}" if len(set(labels)) < len(labels) else None
+
+
 @dataclass(frozen=True)
 class PartyStructure:
     """Ordered collection of parties, each a (label, dimension) pair."""
@@ -75,12 +97,8 @@ class PartyStructure:
     parties: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        labels = [label for label, _ in self.parties]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate party labels: {labels}")
-        for label, dim in self.parties:
-            if dim < 1:
-                raise ValueError(f"party {label!r} has non-positive dimension {dim}")
+        if reason := invalid_parties(self.parties):
+            raise ValueError(f"party structure {reason}")
 
     @classmethod
     def qubits(cls, labels: str) -> "PartyStructure":
@@ -163,6 +181,32 @@ def invalid_density(matrices: np.ndarray, tol: float = TOLERANCE) -> Fault | Non
     )
 
 
+def invalid_unitary(matrices: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
+    """(index, reason) of the first matrix of a stack ``(..., n, n)`` with a
+    non-finite entry or max |U U+ - 1| above ``tol``, or None."""
+    with np.errstate(invalid="ignore"):  # an infinite entry is reported below
+        product = matrices @ np.conj(np.swapaxes(matrices, -1, -2))
+    error = np.max(np.abs(product - np.eye(matrices.shape[-1])), axis=(-2, -1))
+    return _first_fault(
+        (~np.isfinite(error), error, "matrix has a non-finite entry"),
+        (error > tol, error, "matrix is not unitary within tolerance"),
+    )
+
+
+def invalid_distribution(p: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
+    """(index, reason) of the first row of a stack ``(..., n)`` that is not a
+    distribution, non-negative and summing to 1 within ``tol``, or None."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(invalid="ignore"):  # a non-finite entry is reported below
+        sums = np.sum(p, axis=-1)
+    lowest = np.min(p, axis=-1, initial=np.inf)
+    return _first_fault(
+        (~np.isfinite(sums), sums, "probabilities sum to {}, not a finite number"),
+        (lowest < -tol, lowest, "probability {} is negative beyond tolerance"),
+        (np.abs(sums - 1.0) > tol, sums, "probabilities sum to {}, not 1 within tolerance"),
+    )
+
+
 def _unit_trace(trace: np.ndarray, tol: float) -> tuple:
     return np.abs(trace.real - 1.0) > tol, trace, "density matrix trace {} deviates from 1"
 
@@ -226,9 +270,8 @@ class UnitaryOperator:
         object.__setattr__(self, "matrix", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"unitary must be square, got shape {mat.shape}")
-        d = mat.shape[0]
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > TOLERANCE:
-            raise ValueError("matrix is not unitary within tolerance")
+        if fault := invalid_unitary(mat):
+            raise ValueError(fault[1])
 
 
 @dataclass(frozen=True)
@@ -276,10 +319,7 @@ def tensor(states: Sequence[StateLike]) -> StateLike:
     kinds = {type(s) for s in states}
     if len(kinds) > 1:
         raise ValueError("tensor requires all states of the same kind (vector or density)")
-    parties: list[tuple[str, int]] = []
-    for s in states:
-        parties.extend(s.structure.parties)
-    structure = PartyStructure(tuple(parties))
+    structure = PartyStructure(tuple(p for s in states for p in s.structure.parties))
     capped_dim(structure)
     if isinstance(states[0], StateVector):
         return StateVector(kron_all([s.amplitudes for s in states]), structure)
@@ -424,11 +464,10 @@ def phi_plus(n: int) -> StateVector:
 
 def two_level_state(alpha: complex, beta: complex) -> StateVector:
     """alpha |00> + beta |11> on two qubits."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TOLERANCE:
-        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    return StateVector(
-        np.array([alpha, 0, 0, beta], dtype=complex), PartyStructure.pair(2)
-    )
+    try:
+        return StateVector(np.array([alpha, 0, 0, beta], dtype=complex), PartyStructure.pair(2))
+    except ValueError as exc:  # a norm off 1, NaN included
+        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1") from exc
 
 
 def w_state() -> StateVector:
@@ -464,7 +503,7 @@ def su2(axis: Sequence[float], angle: float) -> UnitaryOperator:
     """Qubit rotation by ``angle`` about the unit Bloch vector ``axis``:
     cos(angle/2) 1 - i sin(angle/2) (axis . sigma)."""
     n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > TOLERANCE:
+    if n.shape != (3,) or invalid_vector(n):
         raise ValueError(f"axis must be a unit 3-vector, got {axis}")
     nsigma = n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
     return UnitaryOperator(
@@ -498,14 +537,15 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> UnitaryOperator:
     return UnitaryOperator(haar_from_normals(rng.standard_normal(2 * n * n), n))
 
 
-def schmidt(state: StateVector, degeneracy_tol: float = 1e-7) -> SchmidtForm:
-    """Schmidt decomposition of a bipartite pure state."""
+def schmidt(state: StateVector) -> SchmidtForm:
+    """Schmidt decomposition of a bipartite pure state; coefficients within
+    1e-7 of their neighbour share a block."""
     dims = state.structure.dims
     if len(dims) != 2:
         raise ValueError(f"Schmidt decomposition requires exactly 2 parties, got {len(dims)}")
     mat = state.amplitudes.reshape(dims)
     left, coeffs, right_h = np.linalg.svd(mat, full_matrices=True)
-    cuts = np.flatnonzero(np.abs(np.diff(coeffs)) > degeneracy_tol) + 1
+    cuts = np.flatnonzero(np.abs(np.diff(coeffs)) > 1e-7) + 1
     blocks = [tuple(int(i) for i in block) for block in np.split(np.arange(len(coeffs)), cuts)]
     form = SchmidtForm(
         coefficients=_frozen(coeffs, dtype=float),

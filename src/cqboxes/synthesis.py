@@ -44,6 +44,8 @@ from cqboxes.quantum import (
     as_matrix,
     bell_state,
     capped_dim,
+    invalid_distribution,
+    invalid_unitary,
     invalid_vector,
     partial_trace,
     pauli_x,
@@ -207,16 +209,13 @@ def phase_family_box(
 
 
 def unitary_family_box(
-    targets: Mapping[tuple[int, ...], np.ndarray] | Callable[[tuple[int, ...]], np.ndarray],
-    n: int,
-    input_sizes: Sequence[int] = (2, 2),
+    targets: Mapping[tuple[int, ...], np.ndarray], n: int, input_sizes: Sequence[int] = (2, 2)
 ) -> CQBox:
-    """Target family (T^{inputs} x 1) |phi+_n> for unitaries T^{inputs}."""
-    get = targets if callable(targets) else (lambda key: targets[key])
+    """Target family (T^{inputs} x 1) |phi+_n> for unitaries T^{inputs} = ``targets[inputs]``."""
     phi = phi_plus(n)
     amps = np.zeros(tuple(input_sizes) + (n * n,), dtype=complex)
     for key in np.ndindex(*input_sizes):
-        amps[key] = (as_matrix(get(key)) @ phi.amplitudes.reshape(n, n)).reshape(-1)
+        amps[key] = (as_matrix(targets[key]) @ phi.amplitudes.reshape(n, n)).reshape(-1)
     return CQBox(tuple(input_sizes), phi.structure, amplitudes=amps)
 
 
@@ -313,20 +312,17 @@ def irrational_phase_strategy(
 
 
 def max_entangled_strategy(
-    targets: Mapping[tuple[int, ...], np.ndarray] | Callable[[tuple[int, ...]], np.ndarray],
-    n: int,
-    input_sizes: Sequence[int] = (2, 2),
+    targets: Mapping[tuple[int, ...], np.ndarray], n: int, input_sizes: Sequence[int] = (2, 2)
 ) -> Strategy:
-    """Realise the family (T^{x,y} x 1)|phi+_n> with a Haar coupling.
+    """Realise the family (T^{x,y} x 1)|phi+_n>, T^{x,y} = ``targets[x, y]``, with a Haar coupling.
 
     Bob applies a Haar-random V, Alice applies T^{x,y} conj(V); since
     (conj(V) x V) leaves |phi+_n> invariant, every single draw already
     produces the target state exactly.
     """
-    get = targets if callable(targets) else (lambda key: targets[key])
 
     def relabel(key: tuple[int, ...]) -> np.ndarray:
-        mat = as_matrix(get(key))
+        mat = as_matrix(targets[key])
         if mat.shape != (n, n):
             raise ValueError(f"target for input {key} must be {n} x {n}, got {mat.shape}")
         return mat
@@ -339,14 +335,14 @@ def max_entangled_strategy(
     )
 
 
-def _derive_pairing(unitaries: np.ndarray, target: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _derive_pairing(unitaries: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pairing b -> a with U_a U_b+ proportional to the target unitary, that is
-    |tr(T+ U_a U_b+)| = d.  The labels' unitaries are pairwise non-proportional,
-    so each b has a single candidate a."""
+    |tr(T+ U_a U_b+)| = d within 1e-9.  The labels' unitaries are pairwise
+    non-proportional, so each b has a single candidate a."""
     d = target.shape[0]
     # tr(T+ U_a U_b+) = sum over i, j, k of conj(T_ij) (U_a)_ik conj(U_b)_jk
     overlap = np.abs(np.einsum("ij,aik,bjk->ab", target.conj(), unitaries, unitaries.conj()))
-    hits = np.abs(overlap - d) < tol
+    hits = np.abs(overlap - d) < 1e-9
     if (missing := np.flatnonzero(~hits.any(axis=0))).size:
         raise ValueError(f"no output label pairs with b = {missing[0]} for the given target")
     return hits.argmax(axis=0)
@@ -394,13 +390,13 @@ def _as_fraction(value: object, context: str) -> Fraction:
 
 def nonmax_pure_strategy(
     p: Sequence[float],
-    phases: Mapping[tuple[int, int, int], Fraction | int]
-    | Callable[[int, int, int], Fraction | int],
+    phases: Mapping[tuple[int, int, int], Fraction | int],
     local_a: Callable[[int], np.ndarray] | None = None,
     local_b: Callable[[int], np.ndarray] | None = None,
 ) -> Strategy:
     """Family U_A^x V_B^y W_A^{x,y} |Phi_p> over binary inputs, where
-    |Phi_p> = sum_i sqrt(p_i)|ii> and W^{x,y}|i> = e^{i 2 pi phases(x,y,i)}|i>.
+    |Phi_p> = sum_i sqrt(p_i)|ii> and W^{x,y}|i> = e^{i 2 pi phases[x,y,i]}|i>,
+    a phase absent from ``phases`` being 0.
 
     The level phases, given as exact fractions of a turn, split into
     input-local parts (absorbed into diagonal dressings; Bob can carry
@@ -414,19 +410,16 @@ def nonmax_pure_strategy(
     n = weights.shape[0]
     if n < 2:
         raise ValueError("at least two levels required")
-    if abs(weights.sum() - 1.0) > TOLERANCE or np.min(weights) <= 0:
+    if invalid_distribution(weights) or np.min(weights) <= 0:
         raise ValueError("p must be strictly positive probabilities summing to 1")
     if np.any(np.diff(weights) >= 0):
         raise ValueError(
             "p must be strictly decreasing; repeated coefficients form degenerate "
             "blocks, which the general pure-family construction handles"
         )
-    if callable(phases):
-        get_phase = lambda x, y, i: _as_fraction(phases(x, y, i), f"phase ({x},{y},{i})")
-    else:
-        get_phase = lambda x, y, i: _as_fraction(
-            phases.get((x, y, i), Fraction(0)), f"phase ({x},{y},{i})"
-        )
+
+    def get_phase(x: int, y: int, i: int) -> Fraction:
+        return _as_fraction(phases.get((x, y, i), Fraction(0)), f"phase ({x},{y},{i})")
 
     interaction = [
         get_phase(1, 1, i) - get_phase(1, 0, i) - get_phase(0, 1, i) + get_phase(0, 0, i)
@@ -439,9 +432,7 @@ def nonmax_pure_strategy(
     local_b = local_b or (lambda _y: np.eye(n, dtype=complex))
 
     def alice(x: int, a: int) -> np.ndarray:
-        turns = [
-            a * steps[i] / denominator + float(get_phase(x, 0, i)) for i in range(n)
-        ]
+        turns = [a * steps[i] / denominator + float(get_phase(x, 0, i)) for i in range(n)]
         return as_matrix(local_a(x)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
 
     def bob(y: int, b: int) -> np.ndarray:
@@ -451,11 +442,8 @@ def nonmax_pure_strategy(
         ]
         return as_matrix(local_b(y)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
 
-    if denominator == 1:
-        table = np.full((2, 2, 1, 1), 1.0)
-        box: CCBox = CCBox((2, 2), (1, 1), table)
-    else:
-        box = mod_box(denominator)
+    # no interaction needs no correlation: a one-output box
+    box = CCBox((2, 2), (1, 1), np.ones((2, 2, 1, 1))) if denominator == 1 else mod_box(denominator)
 
     shared = StateVector(
         np.diag(np.sqrt(weights)).reshape(-1).astype(complex), PartyStructure.pair(n)
@@ -503,7 +491,7 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
         return frame_a.conj().T @ mat @ frame_b.conj()
 
     def check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(n))) > 1e-6:
+        if invalid_unitary(mat, 1e-6):
             raise ValueError(f"family structure broken: {what} is not unitary")
         return mat
 
@@ -511,11 +499,8 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     u_x = {x: check_unitary(in_frames((x, 0)) @ inv_d, f"row dressing at x={x}") for x in range(nx)}
     v_y = {y: check_unitary((inv_d @ in_frames((0, y))).T, f"column dressing at y={y}") for y in range(ny)}
 
-    blocks_mask = np.zeros((n, n), dtype=bool)
-    offset = 0
-    for d in block_dims:
-        blocks_mask[offset : offset + d, offset : offset + d] = True
-        offset += d
+    block_of = np.repeat(np.arange(len(block_dims)), block_dims)  # the block of each level
+    blocks_mask = block_of[:, None] == block_of[None, :]
 
     relabels = {}
     for key in targets.inputs:
@@ -693,10 +678,8 @@ def mixture_align(
     cums: dict[tuple[int, ...], np.ndarray] = {}
     for key, family in families.items():
         probs = np.array([p for p, _ in family], dtype=float)
-        if np.min(probs) < -TOLERANCE:
-            raise ValueError(f"negative component probability for input {key}")
-        if abs(probs.sum() - 1.0) > TOLERANCE:
-            raise ValueError(f"component probabilities for input {key} do not sum to 1")
+        if fault := invalid_distribution(probs):
+            raise ValueError(f"component probabilities for input {key} are invalid: {fault[1]}")
         cums[key] = np.cumsum(probs)
 
     points = np.concatenate([c for c in cums.values()] + [np.array([1.0])])

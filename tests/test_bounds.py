@@ -446,9 +446,20 @@ class TestOnePassFrontier:
 
 
 class TestValidation:
-    def test_rejects_bad_amplitudes(self):
-        with pytest.raises(ValueError):
-            best_fidelity(3, 2, alpha=0.9, beta=0.6)
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (0.9, 0.6, "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
+            (math.nan, 0.6, "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
+            (0.8, math.inf, "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
+            (-0.8, 0.6, "alpha, beta must be positive"),
+        ],
+    )
+    def test_rejects_bad_amplitudes(self, alpha, beta, message):
+        for check in (lambda: best_fidelity(4, 2, alpha, beta), lambda: verify_bound(4, 2, alpha, beta)):
+            with pytest.raises(ValueError) as raised:
+                check()
+            assert message in str(raised.value)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="shape"):

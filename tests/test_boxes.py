@@ -114,6 +114,25 @@ class TestCCBoxTables:
         with pytest.raises(ValueError, match="output_sizes"):
             CCBox((2, 2), (2, 1.5), bad)
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({(0, 1, 1, 0): math.nan}, "input 0,1 is invalid: probabilities sum to nan, not a finite number"),
+            ({(1, 0, 0, 0): math.inf}, "input 1,0 is invalid: probabilities sum to inf, not a finite number"),
+            ({(1, 1, 0, 0): -math.inf},
+             "input 1,1 is invalid: probabilities sum to -inf, not a finite number"),
+            ({(0, 0, 0, 0): -0.25, (0, 0, 1, 1): 1.25},
+             "input 0,0 is invalid: probability -0.25 is negative beyond tolerance"),
+            ({(1, 1, 0, 1): 0.0}, "input 1,1 is invalid: probabilities sum to 0.5, not 1 within tolerance"),
+        ],
+    )
+    def test_bad_table_entries_name_their_input(self, edits, message):
+        table = np.array(pr_box().table)
+        for key, value in edits.items():
+            table[key] = value
+        with pytest.raises(ValueError, match="^output distribution at " + re.escape(message) + "$"):
+            CCBox((2, 2), (2, 2), table)
+
     def test_constructors_pass_no_signalling_tightly(self):
         for box in (pr_box(), mod_box(3), mod_box(5)):
             report = cc_no_signalling(box, tol=1e-12)
@@ -186,7 +205,11 @@ class TestFromCoupling:
         with pytest.raises(ValueError, match=re.escape("pairing for input (1, 1) does not preserve the marginal")):
             CCBox.from_coupling((2, 2), np.array([0.7, 0.3]), bijections)
 
-    @pytest.mark.parametrize("marginal", [[0.5, 0.6], [1.2, -0.2], [0.5, 0.4]])
+    @pytest.mark.parametrize(
+        "marginal",
+        [[0.5, 0.6], [1.2, -0.2], [0.5, 0.4], [math.nan, 1.0], [0.5, math.nan],
+         [math.inf, -math.inf], [[0.5, 0.5]], 1.0],
+    )
     def test_rejects_non_distribution_marginal(self, marginal):
         bijections = {key: np.arange(2) for key in np.ndindex(2, 2)}
         with pytest.raises(ValueError, match="^marginal is not a probability distribution$"):
@@ -386,6 +409,34 @@ class TestCQBoxDistance:
             cq_box_distance(box, bigger)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CCBox((2, 2), (2,), np.zeros((2, 2, 2))), "one output alphabet per party required"),
+        (lambda: CCBox((2, 2), (2, 2), np.zeros((2, 2, 2))),
+         "table shape (2, 2, 2) does not match (2, 2, 2, 2)"),
+        (lambda: HaarCouplingBox(3, (2, 2), lambda key: np.eye(3), block_dims=(1, 1)),
+         "block dimensions (1, 1) do not sum to 3"),
+        (lambda: CQBox((2,), AB, amplitudes=np.zeros((2, 4))), "one classical input per party required"),
+        (lambda: CQBox.from_outputs((1, 1), AB, {(0, 0): w_state()}),
+         "output at (0, 0) has mismatched party structure"),
+        (lambda: CQBox.from_outputs((1, 1), AB, {(0, 0): np.ones(3)}),
+         "output at (0, 0) has shape (3,), not (4,) or (4, 4)"),
+        (lambda: CQBox((1, 1), PartyStructure((("A", 2.5), ("B", 2))), amplitudes=np.zeros((1, 1, 5))),
+         "party structure gives party 'A' dim 2.5, not a positive integer"),
+        (lambda: induced_ccbox(correlated_bell_box(), [[np.eye(2)] * 2]),
+         "one measurement family per party required"),
+        (lambda: induced_ccbox(correlated_bell_box(), [[np.eye(2)], [np.eye(2)] * 2]),
+         "party 0 needs one basis per input symbol"),
+        (lambda: mix_boxes([]), "mixture requires at least one component"),
+    ],
+)
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert message in str(raised.value)
+
+
 class TestCQBoxType:
     def test_missing_input_rejected(self):
         with pytest.raises(ValueError):
@@ -458,15 +509,18 @@ class TestMixBoxes:
         expected = 0.25 * a.output((1, 1)).matrix + 0.75 * b.output((1, 1)).matrix
         np.testing.assert_allclose(mixed.output((1, 1)).matrix, expected, atol=1e-14)
 
-    def test_weights_validated(self):
+    @pytest.mark.parametrize(
+        "weights", [(0.6, 0.6), (-0.5, 1.5), (math.nan, 1.0), (0.5, math.nan), (math.inf, -math.inf)]
+    )
+    def test_weights_validated(self, weights):
         a = correlated_bell_box()
-        with pytest.raises(ValueError):
-            mix_boxes([(0.6, a), (0.6, a)])
+        with pytest.raises(ValueError, match="^mixture weights must form a probability distribution$"):
+            mix_boxes([(w, a) for w in weights])
 
     def test_mismatched_components_rejected(self):
         phase = phase_family_box(lambda x, y: x * y, 0.8, 0.6)
-        wide = unitary_family_box(lambda key: np.eye(2), 2, (2, 3))
-        qutrits = unitary_family_box(lambda key: np.eye(3), 3)
+        wide = unitary_family_box({key: np.eye(2) for key in np.ndindex(2, 3)}, 2, (2, 3))
+        qutrits = unitary_family_box({key: np.eye(3) for key in np.ndindex(2, 2)}, 3)
         narrow = CQBox.from_pure((1, 2), {(0, y): bell_state(0) for y in range(2)})
         cases = [
             ([phase, wide], "component 1 has input_sizes (2, 3)"),

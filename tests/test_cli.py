@@ -1,6 +1,7 @@
 """Tests for the command-line interface, driven in process."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -358,6 +359,10 @@ def _files(tmp_path) -> dict[str, str]:
     bad_json.write_text("{not json")
     cc_doc = tmp_path / "pr.json"
     save_box(pr_box(), cc_doc)
+    nan_cc = tmp_path / "nan_cc.json"
+    doc = json.loads(cc_doc.read_text())
+    doc["table"][0][1][1][0] = math.nan
+    nan_cc.write_text(json.dumps(doc))
     nan_cq = tmp_path / "nan_cq.json"
     doc = json.loads((ROOT / "fixtures" / "signalling_family.json").read_text())
     doc["outputs"]["0,1"]["amplitudes"][0][0] = math.nan
@@ -389,6 +394,7 @@ def _files(tmp_path) -> dict[str, str]:
         "{bad_json}": str(bad_json),
         "{cc_doc}": str(cc_doc),
         "{unequal}": str(unequal),
+        "{nan_cc}": str(nan_cc),
         "{nan_cq}": str(nan_cq),
         "{nan_assignment}": str(nan_assignment),
     }
@@ -455,6 +461,13 @@ def _files(tmp_path) -> dict[str, str]:
         (["bound", "--n", "3", "--restarts", "0"], "--restarts must be at least 1"),
         (["bound", "--n", "3", "--restarts", "-2"], "--restarts must be at least 1"),
         (["bound", "--n", "3", "--budget", "-1"], "--budget must be non-negative"),
+        (["verify", "{nan_cc}"],
+         "output distribution at input 0,1 is invalid: probabilities sum to nan, not a finite number"),
+        (["synth", "sign-flip", "--alpha", "abc"], "argument --alpha: must be a finite number, got 'abc'"),
+        (["synth", "nonmax-pure", "--phases", "{not json"], "--phases must be a JSON object"),
+        (["synth", "nonmax-pure", "--weights", "inf,-inf"], "--weights must be finite numbers, got inf"),
+        (["bound", "--n", "3", "--alpha", "0.9", "--beta", "0.9"],
+         "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
         (["verify", "{nan_cq}"],
          "output at input 0,1 is invalid: state vector norm nan is not finite"),
         (["wphase", "--mode", "single", "{nan_assignment}"],
@@ -496,22 +509,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # sweep checked its families as stacks (wphase, verify) and before the
 # bound ascent ran its restarts as one stack (bound) and before the
 # Bell-form rotations were lifted to SU(2) without scipy (synth)
+# (name, argv) of each golden stdout, from the list that CI runs too
 GOLDEN_STDOUT = [
-    ("synth_mixed_disordered_rotated",
-     ["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json"]),
-    ("wphase_theorem_default", ["wphase", "--mode", "theorem"]),
-    ("wphase_theorem_grid_seed7", ["wphase", "--mode", "theorem", "--grid", "1.0,4.0", "--seed", "7"]),
-    ("verify_signalling_family", ["verify", "fixtures/signalling_family.json"]),
-    ("wphase_single_xz", ["wphase", "--mode", "single", "fixtures/w_assignment_xz.json"]),
-    ("wphase_single_table", ["wphase", "--mode", "single", "fixtures/w_assignment_table.json"]),
-    ("bound_n4", ["bound", "--n", "4"]),
-    ("bound_n3_m2", ["bound", "--n", "3", "--m", "2", "--alpha", "0.9", "--beta", "0.4358898943540673"]),
-    ("bound_n4_kmax6_budget48", ["bound", "--n", "4", "--kmax", "6", "--budget", "48"]),
-    ("bound_n2_kmax8_restarts4", ["bound", "--n", "2", "--kmax", "8", "--restarts", "4"]),
-    ("bound_n4_kmax12_restarts4",
-     ["bound", "--n", "4", "--kmax", "12", "--restarts", "4", "--budget", "48"]),
-    ("verify_w_phase_local", ["verify", "fixtures/w_phase_local.json"]),
-    ("synth_eight_output", ["synth", "eight-output"]),
+    (name, argv)
+    for name, *argv in (
+        line.split() for line in (ROOT / "tests" / "goldens" / "commands.txt").read_text().splitlines()
+    )
+    if not name.startswith("#")
 ]
 
 
@@ -582,6 +586,18 @@ def test_bound_frontier_ascends_each_cycle_length_once(capsys, monkeypatch):
     assert calls == {"verify_bound": 1, "_ascend_frontier": 1}
     # one row of values per cycle length 1..4, one column per restart
     assert shapes == [(4, 16)]
+
+
+def test_inexact_full_alphabet_fails_the_frontier(capsys, monkeypatch):
+    """A closed form that falls short of 1 at k = n fails the frontier, with
+    no ascent run (``--budget 0``), and exit 1 outranks the budget's exit 3."""
+    closed_form = cli.best_fidelity
+    monkeypatch.setattr(
+        cli, "best_fidelity", lambda *args: dataclasses.replace(closed_form(*args), value=0.5)
+    )
+    code, report, _ = run(capsys, "bound", "--n", "2", "--budget", "0")
+    assert code == 1
+    assert report["full_alphabet_exact"] is False and report["budget_exceeded"] is True
 
 
 def test_failing_bound_row_names_its_ascent(capsys, monkeypatch):

@@ -143,6 +143,26 @@ class TestValidation:
         with pytest.raises(BoxDocumentError, match="'parties'"):
             document_to_box(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "box document must be a JSON object"),
+            (lambda doc: {**doc, "outputs": []}, "field 'outputs' must be an object keyed by inputs"),
+            (lambda doc: {**doc, "parties": "AB"},
+             "field 'parties' must list objects with 'label' and 'dim'"),
+            (lambda doc: {**doc, "parties": [{"label": "A", "dim": 2.5}, {"label": "B", "dim": 2}]},
+             "field 'parties' gives party 'A' dim 2.5, not a positive integer"),
+        ],
+    )
+    def test_malformed_cq_documents_name_the_field(self, edit, message):
+        with pytest.raises(BoxDocumentError) as raised:
+            document_to_box(edit(box_to_document(pure_phase_box())))
+        assert str(raised.value) == message
+
+    def test_only_boxes_are_serialised(self):
+        with pytest.raises(TypeError, match="cannot serialise object"):
+            box_to_document(object())
+
     def test_output_needs_exactly_one_payload(self):
         doc = box_to_document(pure_phase_box())
         entry = doc["outputs"]["0,0"]
@@ -358,6 +378,42 @@ def test_io_round_trip(box):
             assert entry == again
         else:
             assert np.max(np.abs(np.subtract(entry["amplitudes"], again["amplitudes"]))) <= 1e-15
+
+
+BOX_FIXTURES = sorted(
+    path.name for path in (ROOT / "fixtures").glob("*.json") if "kind" in json.loads(path.read_text())
+)
+
+
+def _numbers(node: list):
+    """(list, index) of every number nested in ``node``."""
+    for i, item in enumerate(node):
+        if isinstance(item, list):
+            yield from _numbers(item)
+        else:
+            yield node, i
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(BOX_FIXTURES),
+    slot=st.integers(0, 2**16),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_a_non_finite_payload_entry_is_refused(tmp_path_factory, name, slot, bad):
+    """One table cell, amplitude or matrix component of a fixture made NaN,
+    Infinity or -Infinity (as json writes them) fails verify as bad input."""
+    doc = json.loads((ROOT / "fixtures" / name).read_text())
+    if doc["kind"] == "cc":
+        payload = doc["table"]
+    else:
+        payload = [value for entry in doc["outputs"].values() for value in entry.values()]
+    numbers = list(_numbers(payload))
+    node, i = numbers[slot % len(numbers)]
+    node[i] = bad
+    path = tmp_path_factory.mktemp("non_finite") / name
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
 
 
 def test_pure_document_is_a_fixed_point():

@@ -15,6 +15,7 @@ import pytest
 from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
+    SchmidtForm,
     StateVector,
     UnitaryOperator,
     apply_local,
@@ -24,6 +25,8 @@ from cqboxes.quantum import (
     fidelity,
     haar_unitary,
     invalid_density,
+    invalid_distribution,
+    invalid_unitary,
     invalid_vector,
     partial_trace,
     partial_trace_array,
@@ -35,6 +38,7 @@ from cqboxes.quantum import (
     su2,
     tensor,
     trace_distance,
+    two_level_state,
     w_state,
 )
 
@@ -55,9 +59,23 @@ class TestPartyStructure:
         assert s.index_of("B") == 1
         assert s.dim_of("B") == 3
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            PartyStructure((("A", 2), ("A", 2)))
+    @pytest.mark.parametrize(
+        "parties, message",
+        [
+            ((("A", 2), ("A", 2)), "party structure has duplicate party labels: ['A', 'A']"),
+            ((("A", 2.5), ("B", 2)), "party structure gives party 'A' dim 2.5, not a positive integer"),
+            ((("A", True), ("B", 2)), "party structure gives party 'A' dim True, not a positive integer"),
+            ((("A", 0),), "party structure gives party 'A' dim 0, not a positive integer"),
+            (((1, 2), ("B", 2)), "party structure gives label 1, not a string"),
+        ],
+    )
+    def test_invalid_parties_rejected(self, parties, message):
+        with pytest.raises(ValueError) as raised:
+            PartyStructure(parties)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_dims_accepted(self):
+        assert PartyStructure((("A", np.int64(3)),)).total_dim == 3
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
@@ -91,6 +109,72 @@ class TestStateValidation:
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             UnitaryOperator(np.array([[1, 1], [0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_unitary_stack_names_its_first_fault(self, bad):
+        stack = np.tile(np.eye(2, dtype=complex), (3, 2, 1, 1))
+        assert invalid_unitary(stack) is None
+        stack[2, 0] = [[1, 1], [0, 1]]
+        stack[1, 1, 0, 1] = bad
+        assert invalid_unitary(stack) == ((1, 1), "matrix has a non-finite entry")
+        stack[1, 1, 0, 1] = 0.0
+        assert invalid_unitary(stack) == ((2, 0), "matrix is not unitary within tolerance")
+        scaled = stack[1, 0] * (1 + 1e-6)
+        assert invalid_unitary(scaled) == ((), "matrix is not unitary within tolerance")
+        assert invalid_unitary(scaled, tol=1e-5) is None
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ([[0.5, 0.5], [0.25, 0.75]], None),
+            ([[0.5, 0.5], [math.nan, 1.0]], ((1,), "probabilities sum to nan, not a finite number")),
+            ([[math.inf, 0.5], [0.5, 0.5]], ((0,), "probabilities sum to inf, not a finite number")),
+            ([[0.5, 0.5], [math.inf, -math.inf]], ((1,), "probabilities sum to nan, not a finite number")),
+            ([[1.2, -0.2], [0.5, 0.5]], ((0,), "probability -0.2 is negative beyond tolerance")),
+            ([[0.5, 0.5], [0.5, 0.4]], ((1,), "probabilities sum to 0.9, not 1 within tolerance")),
+        ],
+    )
+    def test_distribution_stack_names_its_first_fault(self, rows, fault):
+        assert invalid_distribution(np.array(rows)) == fault
+
+    def test_one_distribution_has_the_empty_index(self):
+        assert invalid_distribution([math.nan, 1.0]) == ((), "probabilities sum to nan, not a finite number")
+        assert invalid_distribution((0.25, 0.75)) is None
+
+    def test_distribution_tolerance_is_the_callers(self):
+        assert invalid_distribution([0.5, 0.5 + 1e-8]) is not None
+        assert invalid_distribution([0.5, 0.5 + 1e-8], tol=1e-6) is None
+        assert invalid_distribution([]) == ((), "probabilities sum to 0.0, not 1 within tolerance")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: UnitaryOperator(np.array([[math.nan, 0], [0, 1]])), "matrix has a non-finite entry"),
+            (lambda: phase_diag([0.0, math.nan]), "matrix has a non-finite entry"),
+            (lambda: su2([0, 0, 1], math.nan), "matrix has a non-finite entry"),
+            (lambda: su2([math.nan, 0, 1], 0.5), "axis must be a unit 3-vector"),
+            (lambda: su2([0, 0], 0.5), "axis must be a unit 3-vector"),
+            (lambda: two_level_state(math.nan, 0.6), "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
+            (lambda: two_level_state(0.8, 0.7), "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"),
+            (lambda: UnitaryOperator(np.ones((2, 3))), "unitary must be square, got shape (2, 3)"),
+            (lambda: StateVector(np.ones(3) / math.sqrt(3), AB),
+             "amplitude length 3 does not match structure dimension 4"),
+            (lambda: DensityMatrix(np.eye(2) / 2, AB),
+             "matrix shape (2, 2) does not match structure dimension 4"),
+            (lambda: tensor([]), "tensor requires at least one state"),
+            (lambda: partial_trace(bell_state(0).density(), []), "keep must name at least one party"),
+            (lambda: basis_state(AB, (0,)), "one level per party required"),
+        ],
+    )
+    def test_refusals_name_the_fault(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert message in str(raised.value)
+
+    def test_failed_schmidt_reconstruction_is_an_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(SchmidtForm, "reconstruct", lambda self: np.zeros(4))
+        with pytest.raises(ArithmeticError, match="Schmidt reconstruction failed"):
+            schmidt(bell_state(0))
 
     def test_arrays_frozen(self):
         v = bell_state(0)

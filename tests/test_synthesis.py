@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from cqboxes.boxes import (
     CCBox,
     CQBox,
     HaarCouplingBox,
+    NoSignallingReport,
     chsh_value,
     cc_no_signalling,
     cq_box_distance,
@@ -28,7 +30,7 @@ from cqboxes.boxes import (
     pr_box,
 )
 from cqboxes.io import load_box
-from cqboxes.multipartite import ghz_phase_strategy
+from cqboxes.multipartite import PhaseAssignment, ghz_phase_strategy, w_phase_box
 from cqboxes.quantum import (
     PAULI,
     DensityMatrix,
@@ -43,6 +45,7 @@ from cqboxes.quantum import (
     pauli_z_power,
     phi_plus,
     schmidt,
+    w_state,
 )
 from cqboxes.synthesis import (
     MixtureSchedule,
@@ -769,6 +772,65 @@ class TestStrategyValidation:
         strategy = bit_flip_strategy()
         with pytest.raises(TypeError):
             sample_states(strategy, samples=3)
+
+
+QUTRIT_BOX = unitary_family_box({key: np.eye(3) for key in np.ndindex(2, 2)}, 3)
+UNEQUAL_BOX = CQBox.from_outputs(
+    (1, 1), PartyStructure.pair(2, 3), {(0, 0): np.eye(6, dtype=complex)[0]}
+)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Strategy(pr_box(), w_state(), (lambda x, a: np.eye(2),) * 2),
+         "shared state party count does not match the classical box"),
+        (lambda: irrational_phase_strategy(0.3, 1), "output count must be at least 2, got 1"),
+        (lambda: nonmax_pure_strategy([1.0], {}), "at least two levels required"),
+        (lambda: nonmax_pure_strategy([0.6, 0.6], {}), "p must be strictly positive probabilities"),
+        (lambda: nonmax_pure_strategy([1.0, 0.0], {}), "p must be strictly positive probabilities"),
+        (lambda: nonmax_pure_strategy([math.nan, 0.2], {}), "p must be strictly positive probabilities"),
+        (lambda: nonmax_pure_strategy([math.inf, -math.inf], {}), "p must be strictly positive"),
+        (lambda: general_pure_strategy(w_phase_box(PhaseAssignment(*np.zeros((3, 2, 2, 2))))),
+         "construction applies to two-party families"),
+        (lambda: general_pure_strategy(UNEQUAL_BOX), "construction requires equal local dimensions"),
+        (lambda: synthesis._bell_weights_from_diagonal(np.ones(3)),
+         "correlation diagonal is not realisable by a Bell mixture"),
+        (lambda: bell_canonical_form(phi_plus(3).density()), "two qubits required"),
+        (lambda: mixed_disordered_strategy(QUTRIT_BOX), "two-qubit boxes required"),
+        (lambda: mixture_align({(0,): [(-0.2, 0), (1.2, 1)]}),
+         "component probabilities for input (0,) are invalid: probability -0.2 is negative"),
+        (lambda: mixture_align({(0,): [(1.0, 0)], (1,): [(math.nan, 0), (1.0, 1)]}),
+         "component probabilities for input (1,) are invalid: probabilities sum to nan, not a finite"),
+        (lambda: mixture_align({(0,): [(math.inf, 0), (-math.inf, 1)]}),
+         "component probabilities for input (0,) are invalid: probabilities sum to nan"),
+    ],
+)
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert message in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "key, amplitudes, message",
+    [
+        # Bob's Schmidt coefficients change with x, so row x = 1 is no unitary dressing
+        ((1, 0), [0.8, 0, 0, 0.6], "family structure broken: row dressing at x=1 is not unitary"),
+        # the levels of weight 0.7 and 0.3 swap sides, mixing the two Schmidt blocks
+        ((1, 1), [0, math.sqrt(0.7), math.sqrt(0.3), 0],
+         "family structure broken: coupling part at input (1, 1) mixes Schmidt blocks"),
+    ],
+)
+def test_general_pure_names_a_broken_family_structure(monkeypatch, key, amplitudes, message):
+    """Past a no-signalling check made to pass, a family that breaks the
+    Schmidt structure is refused where it breaks."""
+    passing = NoSignallingReport(passed=True, worst_violation=0.0, witnesses=(), tolerance=1e-9)
+    monkeypatch.setattr(synthesis, "cq_no_signalling", lambda box, tol: passing)
+    states = {k: two_qubit_state([math.sqrt(0.7), 0, 0, math.sqrt(0.3)]) for k in np.ndindex(2, 2)}
+    states[key] = two_qubit_state(amplitudes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        general_pure_strategy(CQBox.from_pure((2, 2), states))
 
 
 def reference_draw(coupling: HaarCouplingBox, rng: np.random.Generator) -> np.ndarray:
