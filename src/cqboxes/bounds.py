@@ -149,16 +149,16 @@ def _certificate(n_outputs: int, length: int, theta: float) -> PhaseStrategySpec
     )
 
 
-def best_fidelity(
-    n: int, k: int, alpha: float = 0.8, beta: float = 0.6, m: int = 1
-) -> BoundResult:
-    """Exact optimum of the mean fidelity to the (m/n)-phase family over
-    all k-output phase strategies, with an achieving certificate."""
+def _check_target(n: int, k: int, alpha: float, beta: float) -> None:
     if n < 2 or k < 1:
         raise ValueError("need a phase denominator n >= 2 and at least one output")
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha, beta must be positive with alpha^2 + beta^2 = 1")
     two_level_state(alpha, beta)  # refuses alpha^2 + beta^2 != 1, NaN included
+
+
+def _closed_form(n: int, k: int, alpha: float, beta: float, m: int) -> BoundResult:
+    """``best_fidelity`` for a target ``_check_target`` has passed."""
     theta = 2 * math.pi * m / n
     best_cos, best_length = -1.0, 1
     for length in range(1, k + 1):
@@ -177,6 +177,15 @@ def best_fidelity(
         cycle_length=best_length,
         certificate=_certificate(k, best_length, theta),
     )
+
+
+def best_fidelity(
+    n: int, k: int, alpha: float = 0.8, beta: float = 0.6, m: int = 1
+) -> BoundResult:
+    """Exact optimum of the mean fidelity to the (m/n)-phase family over
+    all k-output phase strategies, with an achieving certificate."""
+    _check_target(n, k, alpha, beta)
+    return _closed_form(n, k, alpha, beta, m)
 
 
 # sweeps per restart, and how far the ascent may beat the closed form
@@ -336,7 +345,7 @@ def verify_bound(
     it (beyond 1e-6)."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    best_fidelity(n, k, alpha, beta, m)  # reject a bad target before any ascent
+    _check_target(n, k, alpha, beta)  # reject a bad target before any ascent
     theta = 2 * math.pi * m / n
     # restarts are independent rows, so chunking them moves no bit; one
     # restart holds 4 k (k + 1) / 2 start entries
@@ -355,7 +364,7 @@ def verify_bound(
         best_cos = max(best_cos, float(best[length - 1]))
         most_sweeps = max(most_sweeps, int(most[length - 1]))
         unconverged += int(stalled[length - 1])
-        bound = best_fidelity(n, length, alpha, beta, m)
+        bound = _closed_form(n, length, alpha, beta, m)
         optimum = alpha**4 + beta**4 + 2 * (alpha * beta) ** 2 * best_cos
         confirmed = bound.value - _REACH <= optimum <= bound.value + _SLACK
         checks.append(

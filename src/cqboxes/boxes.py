@@ -152,6 +152,8 @@ class HaarCouplingBox:
         leading shape ``size``; a stack of S equals S single draws, bit for bit."""
         shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
         normals = rng.standard_normal(shape + (sum(2 * d * d for d in self.block_dims),))
+        if len(self.block_dims) == 1:
+            return haar_from_normals(normals, self.dim)
         v = np.zeros(shape + (self.dim, self.dim), dtype=complex)
         offset = start = 0
         for d in self.block_dims:
@@ -163,7 +165,9 @@ class HaarCouplingBox:
     def sample_pair(
         self, inputs: tuple[int, ...], base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(Alice unitary, Bob unitary) for a base draw or a stack of them."""
+        """(Alice unitary, Bob unitary) for a base draw or a stack of them.
+        Bob's is the draw itself, whatever the inputs, so that ``simulate``
+        maps it once per chunk of draws and Bob's input."""
         return np.asarray(self.relabel(inputs), dtype=complex) @ base.conj(), base
 
 

@@ -10,8 +10,10 @@ numbers are encoded as [real, imag] pairs throughout.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -35,8 +37,30 @@ def _encode_complex(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
+def _leaves(data: object, ndim: int) -> Iterable:
+    """The entries of ``data``, nested lists of regular depth ``ndim``."""
+    if ndim == 0:
+        return [data]
+    for _ in range(ndim - 1):
+        data = itertools.chain.from_iterable(data)
+    return data
+
+
+def _numbers(data: object, field: str) -> np.ndarray:
+    """``data``, nested lists of JSON numbers, as a float array; a string,
+    boolean or null entry is refused even where numpy would convert it."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BoxDocumentError(f"field '{field}' must hold numbers: {exc}") from exc
+    if not set(map(type, _leaves(data, arr.ndim))) <= {int, float}:
+        bad = next(v for v in _leaves(data, arr.ndim) if type(v) not in (int, float))
+        raise BoxDocumentError(f"field '{field}' holds {json.dumps(bad)}, not a JSON number")
+    return arr
+
+
 def _decode_complex(data: object, field: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _numbers(data, field)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise BoxDocumentError(
             f"field '{field}' must hold complex numbers as [real, imag] pairs"
@@ -121,6 +145,30 @@ def _require(doc: dict, field: str) -> object:
     return doc[field]
 
 
+def _decoded_outputs(raw: dict) -> dict[tuple[int, ...], np.ndarray]:
+    """The ``outputs`` object of a cq document as arrays by input tuple."""
+    outputs: dict[tuple[int, ...], np.ndarray] = {}
+    spellings: dict[tuple[int, ...], str] = {}
+    for name, entry in raw.items():
+        key = _parse_key(name, "outputs")
+        if key in spellings:
+            raise BoxDocumentError(
+                f"field 'outputs' keys '{spellings[key]}' and '{name}' both name "
+                f"input {_key_string(key)}"
+            )
+        spellings[key] = name
+        if not isinstance(entry, dict) or ("amplitudes" in entry) == ("matrix" in entry):
+            raise BoxDocumentError(
+                f"output '{name}' must provide exactly one of 'amplitudes' or 'matrix'"
+            )
+        payload = "amplitudes" if "amplitudes" in entry else "matrix"
+        value = _decode_complex(entry[payload], f"outputs['{name}'].{payload}")
+        # a vector is a pure state and a matrix a density matrix, so the
+        # payload fixes the rank of the array
+        outputs[key] = value.ravel() if payload == "amplitudes" else np.atleast_2d(value)
+    return outputs
+
+
 def document_to_box(doc: dict) -> CCBox | CQBox:
     if not isinstance(doc, dict):
         raise BoxDocumentError("box document must be a JSON object")
@@ -135,7 +183,7 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         output_sizes = _require(doc, "output_sizes")
         table = _require(doc, "table")
         try:
-            return CCBox(input_sizes, output_sizes, np.asarray(table, dtype=float))
+            return CCBox(input_sizes, output_sizes, _numbers(table, "table"))
         except (TypeError, ValueError) as exc:
             raise BoxDocumentError(f"invalid classical box table: {exc}") from exc
     if kind == "cq":
@@ -157,29 +205,14 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         raw = _require(doc, "outputs")
         if not isinstance(raw, dict):
             raise BoxDocumentError("field 'outputs' must be an object keyed by inputs")
-        outputs: dict[tuple[int, ...], np.ndarray] = {}
-        spellings: dict[tuple[int, ...], str] = {}
-        for name, entry in raw.items():
-            key = _parse_key(name, "outputs")
-            if key in spellings:
-                raise BoxDocumentError(
-                    f"field 'outputs' keys '{spellings[key]}' and '{name}' both name "
-                    f"input {_key_string(key)}"
-                )
-            spellings[key] = name
-            if not isinstance(entry, dict) or ("amplitudes" in entry) == ("matrix" in entry):
-                raise BoxDocumentError(
-                    f"output '{name}' must provide exactly one of 'amplitudes' or 'matrix'"
-                )
-            payload = "amplitudes" if "amplitudes" in entry else "matrix"
-            value = _decode_complex(entry[payload], f"outputs['{name}'].{payload}")
-            # a vector is a pure state and a matrix a density matrix, so the
-            # payload fixes the rank of the array
-            outputs[key] = value.ravel() if payload == "amplitudes" else np.atleast_2d(value)
-        try:
-            return CQBox.from_outputs(input_sizes, structure, outputs)
-        except ValueError as exc:
-            raise BoxDocumentError(f"invalid quantum box: {exc}") from exc
+        # a non-finite number fails the box's validation, so numpy's warnings
+        # for inf times 0, in decoding and in outer products, would only repeat it
+        with np.errstate(invalid="ignore"):
+            outputs = _decoded_outputs(raw)
+            try:
+                return CQBox.from_outputs(input_sizes, structure, outputs)
+            except ValueError as exc:
+                raise BoxDocumentError(f"invalid quantum box: {exc}") from exc
     raise BoxDocumentError(f"unknown box kind '{kind}' (expected 'cc' or 'cq')")
 
 

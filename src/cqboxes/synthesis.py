@@ -87,12 +87,14 @@ class Strategy:
     ``party_maps[j]`` receives (input symbol, output symbol) and returns
     the unitary party j applies.  A finite box is a ``CCBox`` table (a
     finite coupling is built by ``CCBox.from_coupling``); its output symbol
-    is an integer and each map is called once per output symbol per input,
-    so it must be a pure function of the two.  For Haar couplings it is a
-    stack of sampled unitaries, shape ``(S, n, n)``, and the map returns
-    the matching stack, composing any input-local dressing around each
-    draw (under ``@`` broadcasting).  Both kinds feed one weighted stack
-    of state vectors per input, which ``simulate`` sums.
+    is an integer and each map is called once per own input and output
+    symbol, so it must be a pure function of the two.  For Haar couplings
+    it is a stack of sampled unitaries, shape ``(S, n, n)``, and the map
+    returns the matching stack, composing any input-local dressing around
+    each draw (under ``@`` broadcasting); party 1's output is the draw
+    itself, so its map is called once per chunk of draws and own input.
+    Both kinds feed one weighted stack of state vectors per input, which
+    ``simulate`` sums.
     """
 
     ccbox: CCBox | HaarCouplingBox
@@ -123,7 +125,9 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
     """Per input, chunks of (each party's ``(S, d_j, d_j)`` unitary stack,
     ``(S,)`` weights): a finite box's support at that input with its table
     weights, or ``samples`` seeded Haar draws of weight 1/samples, drawn
-    in chunks from one stream that every input shares."""
+    in chunks from one stream that every input shares.  A map is called
+    once per own input and output symbol (finite), or per chunk and own
+    input for party 1 of a Haar coupling, whose output is the draw."""
     ccbox, maps = strategy.ccbox, strategy.party_maps
     dims = strategy.shared.structure.dims
     chunk = max(1, _CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
@@ -133,21 +137,26 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
         rng = np.random.default_rng(seed)
         for start in range(0, samples, chunk):
             bases = ccbox.draw_base(rng, min(chunk, samples - start))
+            weights = np.full(len(bases), 1 / samples)
+            bob: dict[int, np.ndarray] = {}
             for key in np.ndindex(*ccbox.input_sizes):
-                pair = ccbox.sample_pair(key, bases)
-                stacks = [f(x, u) for f, x, u in zip(maps, key, pair)]
-                yield key, stacks, np.full(len(bases), 1 / samples)
+                alice, drawn = ccbox.sample_pair(key, bases)
+                if key[1] not in bob:
+                    bob[key[1]] = maps[1](key[1], drawn)
+                yield key, [maps[0](key[0], alice), bob[key[1]]], weights
         return
     table = ccbox.table
+    # per party and own input, the unitary of each output symbol
+    per_symbol = [
+        [np.array([f(x, out) for out in range(n)], dtype=complex) for x in range(m)]
+        for f, m, n in zip(maps, ccbox.input_sizes, ccbox.output_sizes)
+    ]
     for key in np.ndindex(*ccbox.input_sizes):
-        per_symbol = [
-            np.array([f(x, out) for out in range(n)], dtype=complex)
-            for f, x, n in zip(maps, key, table.shape[len(key) :])
-        ]
         support = np.nonzero(table[key] > 0)
         for start in range(0, len(support[0]), chunk):
             rows = tuple(outs[start : start + chunk] for outs in support)
-            yield key, [m[r] for m, r in zip(per_symbol, rows)], table[key][rows]
+            stacks = [tables[x][r] for tables, x, r in zip(per_symbol, key, rows)]
+            yield key, stacks, table[key][rows]
 
 
 def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
@@ -576,11 +585,12 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     )
 
 
+# sigma_i x sigma_j for the correlation matrix T_ij = tr(rho sigma_i x sigma_j)
+_PAULI_PAIRS = tuple(np.kron(PAULI[i], PAULI[j]) for i in range(3) for j in range(3))
+
+
 def _correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    t = np.empty((3, 3))
-    for i, j in itertools.product(range(3), range(3)):
-        t[i, j] = np.real(np.trace(rho @ np.kron(PAULI[i], PAULI[j])))
-    return t
+    return np.array([np.real(np.trace(rho @ pair)) for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
 def _bell_weights_from_diagonal(t: np.ndarray) -> np.ndarray:

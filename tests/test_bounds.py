@@ -16,7 +16,7 @@ from cqboxes.bounds import (
     _SWEEPS,
 )
 from cqboxes.boxes import CCBox, cc_no_signalling
-from cqboxes.quantum import fidelity
+from cqboxes.quantum import fidelity, two_level_state
 from cqboxes.synthesis import phase_family_box, rational_phase_strategy, simulate
 
 ALPHA, BETA = 0.8, 0.6
@@ -460,6 +460,19 @@ class TestValidation:
             with pytest.raises(ValueError) as raised:
                 check()
             assert message in str(raised.value)
+
+    def test_verify_bound_checks_the_amplitudes_once(self, monkeypatch):
+        built = []
+
+        def counted(alpha, beta):
+            built.append((alpha, beta))
+            return two_level_state(alpha, beta)
+
+        monkeypatch.setattr(bounds, "two_level_state", counted)
+        check = verify_bound(4, 6, restarts=2)
+        assert built == [(0.8, 0.6)]
+        rows = (*check.prefix, check)
+        assert all(same_fields(row.bound, best_fidelity(4, row.bound.k)) for row in rows)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="shape"):

@@ -225,6 +225,41 @@ class TestValidation:
         assert main(["verify", str(path)]) == 2
         assert f"{field} must be a non-empty list of positive integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            ("pr_box.json", 0.5, "0.5", "field 'table' holds \"0.5\", not a JSON number"),
+            ("pr_box.json", 0.0, False, "field 'table' holds false, not a JSON number"),
+            ("pr_box.json", 0.0, 10**400, "field 'table' must hold numbers"),
+            ("phase_quarter_turn.json", 0.8, "0.8",
+             "field 'outputs['0,0'].amplitudes' holds \"0.8\", not a JSON number"),
+            ("phase_quarter_turn.json", 0.0, None,
+             "field 'outputs['0,0'].amplitudes' holds null, not a JSON number"),
+            ("mixed_disordered_family.json", 0.0, True, "holds true, not a JSON number"),
+        ],
+        ids=["string-cell", "false-cell", "huge-int-cell", "string-amp", "null-amp", "true-amp"],
+    )
+    def test_an_entry_that_is_no_json_number_is_refused(
+        self, capsys, tmp_path, name, old, new, message
+    ):
+        """Every payload number equal to ``old`` written as ``new`` instead."""
+
+        def swap(node):
+            if isinstance(node, dict):
+                return {k: swap(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [swap(v) for v in node]
+            return new if type(node) is float and node == old else node
+
+        doc = swap(json.loads((ROOT / "fixtures" / name).read_text()))
+        with pytest.raises(BoxDocumentError, match=re.escape(message)):
+            document_to_box(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("name, key", [("2,0", "(2, 0)"), ("0", "(0,)")])
     def test_output_key_outside_input_range(self, capsys, tmp_path, name, key):
         doc = box_to_document(pure_phase_box())
@@ -394,6 +429,7 @@ def _numbers(node: list):
             yield node, i
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(
     name=st.sampled_from(BOX_FIXTURES),
@@ -402,7 +438,8 @@ def _numbers(node: list):
 )
 def test_a_non_finite_payload_entry_is_refused(tmp_path_factory, name, slot, bad):
     """One table cell, amplitude or matrix component of a fixture made NaN,
-    Infinity or -Infinity (as json writes them) fails verify as bad input."""
+    Infinity or -Infinity (as json writes them) fails verify as bad input,
+    with no numpy warning before the error."""
     doc = json.loads((ROOT / "fixtures" / name).read_text())
     if doc["kind"] == "cc":
         payload = doc["table"]

@@ -1132,8 +1132,8 @@ class TestStackedFiniteMatchesReference:
             return flip if out else np.eye(2)
 
         simulate(Strategy(pr_box(), bell_state(0), (conditional_flip, conditional_flip)))
-        # 4 inputs x 2 parties x 2 output symbols
-        assert sorted(calls) == sorted([(x, out) for x in range(2) for out in range(2)] * 4)
+        # 2 parties x 2 own inputs x 2 output symbols
+        assert sorted(calls) == sorted([(x, out) for x in range(2) for out in range(2)] * 2)
 
     def test_non_unitary_party_map_fails_the_norm_check(self):
         maps = (lambda x, a: 2 * np.eye(2), lambda y, b: np.eye(2))
@@ -1291,3 +1291,80 @@ class TestFirstPartyProductMatchesTheBroadcast:
     @given(strategy=finite_strategies_with_zeros())
     def test_random_tables(self, strategy):
         assert_simulate_matches_the_broadcast(strategy, 1, 0)
+
+
+def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
+    """``_weighted_unitaries`` as it was before each party map was called
+    once per own input: every map once per input tuple (and chunk)."""
+    ccbox, maps = strategy.ccbox, strategy.party_maps
+    dims = strategy.shared.structure.dims
+    chunk = max(1, synthesis._CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
+    if isinstance(ccbox, HaarCouplingBox):
+        rng = np.random.default_rng(seed)
+        for start in range(0, samples, chunk):
+            bases = ccbox.draw_base(rng, min(chunk, samples - start))
+            for key in np.ndindex(*ccbox.input_sizes):
+                pair = ccbox.sample_pair(key, bases)
+                stacks = [f(x, u) for f, x, u in zip(maps, key, pair)]
+                yield key, stacks, np.full(len(bases), 1 / samples)
+        return
+    table = ccbox.table
+    for key in np.ndindex(*ccbox.input_sizes):
+        per_symbol = [
+            np.array([f(x, out) for out in range(n)], dtype=complex)
+            for f, x, n in zip(maps, key, table.shape[len(key) :])
+        ]
+        support = np.nonzero(table[key] > 0)
+        for start in range(0, len(support[0]), chunk):
+            rows = tuple(outs[start : start + chunk] for outs in support)
+            yield key, [m[r] for m, r in zip(per_symbol, rows)], table[key][rows]
+
+
+def assert_simulate_matches_the_per_tuple_maps(strategy: Strategy, samples: int, seed: int):
+    box = simulate(strategy, samples=samples, seed=seed)
+    with mock.patch.object(synthesis, "_weighted_unitaries", reference_weighted_unitaries):
+        reference = simulate(strategy, samples=samples, seed=seed)
+    assert np.array_equal(box.matrices, reference.matrices)
+
+
+class TestMapsOncePerOwnInputMatchTheReference:
+    @settings(max_examples=40, deadline=None)
+    @given(strategy=finite_strategies_with_zeros())
+    def test_random_tables(self, strategy):
+        assert_simulate_matches_the_per_tuple_maps(strategy, 1, 0)
+
+    @pytest.mark.parametrize("name, strategy", FINITE, ids=[name for name, _ in FINITE])
+    def test_finite_constructions(self, name, strategy):
+        assert_simulate_matches_the_per_tuple_maps(strategy, 1, 0)
+
+    @pytest.mark.parametrize(
+        "name", ["two_block_family", "nonmax_pure_family", "max_entangled_family"]
+    )
+    def test_general_pure_fixtures(self, name):
+        strategy = general_pure_strategy(load_box(FIXTURES / f"{name}.json"))
+        assert_simulate_matches_the_per_tuple_maps(strategy, 40, 3)
+
+    @pytest.mark.parametrize("samples", [1, 23, 200])
+    def test_max_entangled_across_chunks(self, monkeypatch, samples):
+        _, strategy = SAMPLED[1]  # max-entangled n = 3, joint dimension 9
+        assert_simulate_matches_the_per_tuple_maps(strategy, samples, 4)
+        monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 9 * 5)  # chunks of 5 draws
+        assert_simulate_matches_the_per_tuple_maps(strategy, samples, 4)
+
+    def test_haar_party_one_map_runs_once_per_chunk_and_input(self, monkeypatch):
+        calls = []
+
+        def counted(party: int):
+            def passthrough(inp: int, out: np.ndarray) -> np.ndarray:
+                calls.append((party, inp))
+                return out
+
+            return passthrough
+
+        coupling = HaarCouplingBox(dim=2, input_sizes=(2, 3), relabel=lambda key: np.eye(2))
+        monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
+        simulate(Strategy(coupling, phi_plus(2), (counted(0), counted(1))), samples=12)
+        # 3 chunks: party 0 once per input tuple, party 1 once per own input
+        assert sorted(calls) == sorted(
+            [(0, x) for x in range(2) for _ in range(3)] * 3 + [(1, y) for y in range(3)] * 3
+        )
