@@ -354,10 +354,18 @@ def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
     return [group for r in range(1, k) for group in itertools.combinations(range(k), r)]
 
 
+def _by_source(k: int) -> list[tuple[int, ...]]:
+    """The proper subgroups grouped by the last party outside them, which
+    ``partial_trace_array`` traces out first: each group's reduced states
+    derive from the one (k-1)-party state without that party."""
+    return sorted(_proper_subgroups(k), key=lambda group: max(set(range(k)) - set(group)))
+
+
 def _subgroup_sweep(
     input_sizes: tuple[int, ...],
     marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    subgroups: Sequence[tuple[int, ...]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
     """No-signalling distances of a family of boxes, shared by both box kinds.
 
@@ -365,13 +373,15 @@ def _subgroup_sweep(
     marginal or reduced state) for every family member and input setting,
     shape ``(F,) + input_sizes + view``.  ``distance`` maps two
     equal-shaped stacks of views to their distances.  Yields, per proper
-    subgroup, ``(subgroup, complement, first, second, dists)``: ``dists``
-    has shape ``(F, own settings, outside pairs)``, own settings in product
-    order, and pair j compares outside settings ``first[j]`` and
-    ``second[j]`` in ``itertools.combinations`` order.
+    subgroup in the order of ``subgroups`` (by default by size, then in
+    ``itertools.combinations`` order), ``(subgroup, complement, first,
+    second, dists)``: ``dists`` has shape ``(F, own settings, outside
+    pairs)``, own settings in product order, and pair j compares outside
+    settings ``first[j]`` and ``second[j]`` in ``itertools.combinations``
+    order.
     """
     k = len(input_sizes)
-    for subgroup in _proper_subgroups(k):
+    for subgroup in _proper_subgroups(k) if subgroups is None else subgroups:
         complement = tuple(i for i in range(k) if i not in subgroup)
         views = marginal(subgroup, complement)
         order = tuple(1 + i for i in subgroup + complement)
@@ -381,7 +391,9 @@ def _subgroup_sweep(
         outside = math.prod(input_sizes[i] for i in complement)
         views = views.reshape((len(views), own, outside) + views.shape[k + 1 :])
         first, second = _outside_pairs(outside)
-        yield subgroup, complement, first, second, distance(views[:, :, first], views[:, :, second])
+        dists = distance(views[:, :, first], views[:, :, second])
+        del views  # the next marginal may replace the state these views share
+        yield subgroup, complement, first, second, dists
 
 
 def _report(
@@ -455,28 +467,75 @@ def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     )
 
 
+def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
+    """Reduced states ``(..., D/d_j, D/d_j)`` of a stack of pure states
+    ``(..., D)`` with party j traced out: the sum of v_i v_i^dagger over
+    party j's index i, in index order, where ``partial_trace_array`` of the
+    outer products adds the same products in the same order (one 1x1 state
+    is summed as its ``d == 1`` branch sums it), so the two agree bit for bit."""
+    batch = amps.shape[:-1]
+    before, after = math.prod(dims[:j]), math.prod(dims[j + 1 :])
+    if before * after == 1:
+        return (amps * amps.conj()).sum(axis=-1)[..., None, None]
+    # m[i] holds the vectors' entries at party j's index i
+    m = np.moveaxis(amps.reshape(batch + (before, dims[j], after)), -2, 0)
+    m = m.reshape((dims[j],) + batch + (before * after,))
+    states = m[0][..., :, None] * m[0][..., None, :].conj()
+    for i in range(1, dims[j]):
+        states += m[i][..., :, None] * m[i][..., None, :].conj()
+    return states
+
+
+def _pure_marginal(
+    amps: np.ndarray, dims: tuple[int, ...]
+) -> Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray]:
+    """The ``marginal`` of ``_subgroup_sweep`` for a stack of pure states
+    ``(..., D)``: a subgroup's reduced states, traced by ``partial_trace_array``
+    from the (k-1)-party states without the last party outside it.  Equal, bit
+    for bit, to ``partial_trace_array`` of the outer products.  It keeps the
+    last (k-1)-party stack it built, and only that one, so subgroups visited
+    in ``_by_source`` order build each such stack once."""
+    built: dict[int, np.ndarray] = {}
+
+    def marginal(subgroup: tuple[int, ...], complement: tuple[int, ...]) -> np.ndarray:
+        j = complement[-1]
+        if j not in built:
+            built.clear()
+            built[j] = _reduced_without(amps, dims, j)
+        rest = dims[:j] + dims[j + 1 :]
+        return partial_trace_array(built[j], rest, [i - (i > j) for i in subgroup])
+
+    return marginal
+
+
 def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) -> np.ndarray:
     """Worst no-signalling violation of each pure-output C-Q box in a family.
 
     ``amplitudes`` stacks the boxes' output vectors, shape
     ``(F,) + input_sizes + (D,)`` with one input axis per party of
-    ``structure``.  The stack is validated as ``CQBox`` validates one box,
-    then swept once per proper subgroup for the whole family.  Entry f
-    equals ``cq_no_signalling(box_f).worst_violation`` bit for bit.
+    ``structure``.  The vectors are validated as ``CQBox`` validates one
+    box, with the same messages, and no D x D matrix is built: the sweep
+    runs once per proper subgroup for the whole family, on reduced states
+    formed from the vectors (``_pure_marginal``), with the subgroups grouped
+    by the (k-1)-party state they derive from (``_by_source``), so that
+    one such stack is alive at a time.  Entry f equals
+    ``cq_no_signalling(box_f).worst_violation`` bit for bit.
     """
     amps = np.asarray(amplitudes)
-    if amps.ndim != len(structure.parties) + 2:
+    k = len(structure.parties)
+    if amps.ndim != k + 2:
         raise ValueError(
             f"family stack shape {amps.shape} needs a family axis, "
-            f"{len(structure.parties)} input axes and a vector axis"
+            f"{k} input axes and a vector axis"
         )
     sizes = _positive_sizes(amps.shape[1:-1], "input_sizes")
-    _, matrices = _validated_pure(amps, amps.shape[:1] + sizes + (capped_dim(structure),))
-    worst = np.zeros(len(matrices))
+    amps = _checked(
+        np.array(amps, dtype=complex), amps.shape[:1] + sizes + (capped_dim(structure),), invalid_pure
+    )
+    worst = np.zeros(len(amps))
+    # the family max is an exact fmax, so the subgroups may come in any order
     for *_, dists in _subgroup_sweep(
-        sizes,
-        lambda subgroup, _complement: partial_trace_array(matrices, structure.dims, subgroup),
-        _trace_distances,
+        sizes, _pure_marginal(amps, structure.dims), _trace_distances, _by_source(k)
     ):
         # fmax skips a NaN distance as the single-box max(worst, ...) does
         worst = np.fmax(worst, dists.max(axis=(1, 2), initial=0.0))

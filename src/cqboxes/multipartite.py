@@ -72,12 +72,12 @@ class PhaseAssignment:
 
 _W_STRUCTURE = PartyStructure.qubits("ABC")
 _XS, _YS, _ZS = np.meshgrid(range(2), range(2), range(2), indexing="ij")
-# complex entries of one chunk's (F, 2, 2, 2, 8, 8) density-matrix stack in
-# the theorem sweep, 16 families: larger chunks ran at most 6% faster on 2
-# cores but raised the peak memory of 2-value grid sweeps further above the
-# per-box sweep's (chunks of 16: +0.5 MB, of 32: +0.9 MB, of 256: +2.7 MB)
-_CHUNK_ENTRIES = 2**13
-_CHUNK_FAMILIES = _CHUNK_ENTRIES // (8 * 8 * 8)
+# complex entries of one chunk's (F, 2, 2, 2, 4, 4) stack of two-party
+# reduced states, the largest array of the theorem sweep (no 8 x 8 matrix is
+# built): 32 families.  In the benchmark's 2-value grid sweeps on 2 cores,
+# chunks of 32 ran about 20% faster than chunks of 16 at no more peak RSS;
+# chunks of 64 ran about 14% faster again but raised the peak RSS by 1 MB.
+_CHUNK_ENTRIES = 2**12
 
 
 def _as_family(assignment: PhaseAssignment) -> np.ndarray:
@@ -200,8 +200,10 @@ class WPhaseTheoremReport:
 
 
 def _spans(total: int) -> Iterator[slice]:
-    """Consecutive chunks of at most ``_CHUNK_FAMILIES`` covering range(total)."""
-    return (slice(i, min(i + _CHUNK_FAMILIES, total)) for i in range(0, total, _CHUNK_FAMILIES))
+    """Consecutive chunks covering range(total), each of as many families
+    as ``_CHUNK_ENTRIES`` allows (at least one)."""
+    size = max(1, _CHUNK_ENTRIES // (8 * 4 * 4))
+    return (slice(i, min(i + size, total)) for i in range(0, total, size))
 
 
 def _perturbed() -> tuple[np.ndarray, list[float]]:
@@ -257,10 +259,20 @@ def w_phase_theorem_check(
     no-signalling with worst violation exactly 2 |sin(delta / 2)| / 3, with
     or without an extra input-local dressing, and must not decompose.  Random
     assignments are checked for agreement between the two predicates.
-    Families are built and checked in stacks of at most ``_CHUNK_FAMILIES``.
+    Families are built and checked in stacks of as many families as
+    ``_CHUNK_ENTRIES`` allows.  A grid value that is not finite, or a
+    ``random_samples`` that is not a non-negative integer, is refused with
+    a ValueError naming the argument before any family is built.
     """
-    rng = np.random.default_rng(seed)
     grid = np.asarray(grid_values, dtype=float)
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ValueError(
+            f"grid_values must be a flat sequence of finite numbers, got {grid.tolist()}"
+        )
+    whole = isinstance(random_samples, (int, np.integer)) and not isinstance(random_samples, bool)
+    if not whole or random_samples < 0:
+        raise ValueError(f"random_samples must be a non-negative integer, got {random_samples!r}")
+    rng = np.random.default_rng(seed)
     found: dict[str, PhaseAssignment] = {}
     # a family is decomposable unless its residual exceeds tol, and passes
     # the no-signalling check when its worst violation is within tol

@@ -5,11 +5,12 @@ import itertools
 import json
 import math
 import re
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqboxes import boxes
@@ -45,6 +46,7 @@ from cqboxes.quantum import (
     invalid_vector,
     kron_all,
     partial_trace,
+    partial_trace_array,
     pauli_x,
     trace_distance,
     w_state,
@@ -731,6 +733,43 @@ class TestSweepMatchesReference:
             family_worst_violation(amps, abc)
         with pytest.raises(ValueError, match="output stack shape"):
             family_worst_violation(amps[..., :4], abc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple),
+        batch=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 1x1 states of one traced party of dim 4: sums in pairwise order
+    @example(dims=(1, 4, 1), batch=(2,), seed=1)
+    @example(dims=(1, 1, 1, 4), batch=(1, 3), seed=2)
+    def test_reduced_states_equal_traced_outer_products(self, dims, batch, seed):
+        """The sweep's reduced states of pure stacks, built from the vectors,
+        equal ``partial_trace_array`` of their outer products for every proper
+        keep set; visited in ``_by_source`` order, each (k-1)-party stack is
+        built once.  Dim-1 parties reach the ``d == 1`` branch."""
+        rng = np.random.default_rng(seed)
+        shape = batch + (math.prod(dims),)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        amps = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        outer = amps[..., :, None] * amps[..., None, :].conj()
+        k = len(dims)
+        order = boxes._by_source(k)
+        assert sorted(order) == sorted(boxes._proper_subgroups(k))
+        built = []
+        reduced_without = boxes._reduced_without
+
+        def counted(amps, dims, j):
+            built.append(j)
+            return reduced_without(amps, dims, j)
+
+        with unittest.mock.patch.object(boxes, "_reduced_without", counted):
+            marginal = boxes._pure_marginal(amps, dims)
+            for keep in order:
+                complement = tuple(i for i in range(k) if i not in keep)
+                state = marginal(keep, complement)
+                assert np.array_equal(state, partial_trace_array(outer, dims, keep)), keep
+        assert built == list(range(k))
 
 
 def reference_pure_fault(vectors: np.ndarray):

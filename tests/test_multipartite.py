@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqboxes import multipartite
 from cqboxes.boxes import (
     cc_no_signalling,
     cq_box_distance,
@@ -136,6 +139,79 @@ class TestWPhaseTheorem:
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
+def flagging_kernel(flagged: dict[int, float], sizes: list[int]):
+    """``family_worst_violation`` with the violation of family f, counted
+    over the whole run in sweep order, replaced by ``flagged[f]``; the size
+    of each stack it is called on is appended to ``sizes``."""
+
+    def kernel(amplitudes, structure):
+        worst = family_worst_violation(amplitudes, structure)
+        start = sum(sizes)
+        for f, value in flagged.items():
+            if start <= f < start + len(worst):
+                worst[f - start] = value
+        sizes.append(len(worst))
+        return worst
+
+    return kernel
+
+
+def assert_same_report(got, want) -> None:
+    fields = dataclasses.asdict(got)
+    expected = dataclasses.asdict(want)
+    assert fields.pop("counterexamples").keys() == expected.pop("counterexamples").keys()
+    assert fields == expected
+    for clause, assignment in want.counterexamples.items():
+        for name in ("alpha", "beta", "gamma"):
+            assert np.array_equal(
+                getattr(got.counterexamples[clause], name), getattr(assignment, name)
+            ), (clause, name)
+
+
+class TestChunking:
+    """The sweep's report does not depend on how many families a chunk holds."""
+
+    # 64 local, then 108 perturbed, then 40 random families: flag the fourth
+    # local one (as ``test_failing_theorem_names_its_counterexample`` does),
+    # clear the sixth perturbed one and the third random one
+    FLAGGED = {3: 1.0, 64 + 5: 0.0, 64 + 108 + 2: 0.0}
+
+    @pytest.mark.parametrize("families", [1, 5, 16, 64])
+    @pytest.mark.parametrize("flagged", [{}, FLAGGED], ids=["plain", "flagged"])
+    def test_report_is_the_same_for_every_chunk_size(self, monkeypatch, families, flagged):
+        monkeypatch.setattr(multipartite, "family_worst_violation", flagging_kernel(flagged, []))
+        want = w_phase_theorem_check(grid_values=(1.0, 4.0), seed=7)
+        sizes = []
+        monkeypatch.setattr(multipartite, "family_worst_violation", flagging_kernel(flagged, sizes))
+        # the budget counts the (F, 2, 2, 2, 4, 4) two-party reduced states
+        monkeypatch.setattr(multipartite, "_CHUNK_ENTRIES", families * 8 * 4 * 4)
+        got = w_phase_theorem_check(grid_values=(1.0, 4.0), seed=7)
+        assert max(sizes) == families and sum(sizes) == 64 + 108 + 40
+        assert_same_report(got, want)
+        assert got.equivalence_holds == (not flagged)
+        if flagged:
+            assert list(got.counterexamples) == [
+                "local_all_non_signalling", "perturbed_all_signalling", "random_equivalence_holds"
+            ]
+
+
+def test_theorem_sweep_peak_memory():
+    """One 2-value grid sweep stays under a fixed tracemalloc peak.  Measured
+    on a 2-core x86-64 host (Python 3.11, numpy 2.4): 418 KB in chunks of 32
+    families on two-party reduced states; 483 KB in the chunks of 16 that
+    built every 8 x 8 output matrix, and 656 KB in chunks of 32 that did.
+    The bound lies between the last two."""
+    w_phase_theorem_check(grid_values=(1.0, 4.0), seed=7)  # warm-up: caches, imports
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        w_phase_theorem_check(grid_values=(1.0, 4.0), seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 560 * 1024, peak
+
+
 class TestGhz:
     def test_ghz_box_is_non_signalling_for_any_phase(self):
         for theta in (0.0, 1.234, math.pi, 2 * math.pi / 3):
@@ -176,6 +252,27 @@ class TestValidation:
             PhaseAssignment(
                 alpha=np.zeros((2, 2)), beta=np.zeros((2, 2, 2)), gamma=np.zeros((2, 2, 2))
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # used to report random_cases -3 with the equivalence holding
+            ({"random_samples": -3}, "random_samples must be a non-negative integer, got -3"),
+            ({"random_samples": 2.5}, "random_samples must be a non-negative integer, got 2.5"),
+            ({"random_samples": True}, "random_samples must be a non-negative integer, got True"),
+            # used to fail as an invalid output at an index counted from the chunk start
+            ({"grid_values": (1.0, math.nan)},
+             "grid_values must be a flat sequence of finite numbers, got [1.0, nan]"),
+            ({"grid_values": (-math.inf, 0.0)},
+             "grid_values must be a flat sequence of finite numbers, got [-inf, 0.0]"),
+            ({"grid_values": ((0.0, 1.0),)},
+             "grid_values must be a flat sequence of finite numbers, got [[0.0, 1.0]]"),
+        ],
+    )
+    def test_theorem_check_refuses_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            w_phase_theorem_check(**kwargs)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=60, deadline=None)
