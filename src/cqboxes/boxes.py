@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from cqboxes.quantum import (
     invalid_density,
     invalid_distribution,
     invalid_pure,
+    invalid_tolerance,
     kron_all,
     partial_trace_array,
     trace_norm,
@@ -354,62 +355,54 @@ def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
     return [group for r in range(1, k) for group in itertools.combinations(range(k), r)]
 
 
-def _by_source(k: int) -> list[tuple[int, ...]]:
-    """The proper subgroups grouped by the last party outside them, which
-    ``partial_trace_array`` traces out first: each group's reduced states
-    derive from the one (k-1)-party state without that party."""
-    return sorted(_proper_subgroups(k), key=lambda group: max(set(range(k)) - set(group)))
-
-
 def _subgroup_sweep(
     input_sizes: tuple[int, ...],
-    marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
+    views: Iterable[tuple[tuple[int, ...], np.ndarray]],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    subgroups: Sequence[tuple[int, ...]] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
     """No-signalling distances of a family of boxes, shared by both box kinds.
 
-    ``marginal(subgroup, complement)`` returns the subgroup's view (output
-    marginal or reduced state) for every family member and input setting,
-    shape ``(F,) + input_sizes + view``.  ``distance`` maps two
-    equal-shaped stacks of views to their distances.  Yields, per proper
-    subgroup in the order of ``subgroups`` (by default by size, then in
-    ``itertools.combinations`` order), ``(subgroup, complement, first,
+    ``views`` yields ``(subgroup, stack)`` pairs, one per proper subgroup:
+    the subgroup's view (output marginal or reduced state) for every family
+    member and input setting, shape ``(F,) + input_sizes + view``.
+    ``distance`` maps two equal-shaped stacks of views to their distances.
+    Yields, per pair in the order given, ``(subgroup, complement, first,
     second, dists)``: ``dists`` has shape ``(F, own settings, outside
     pairs)``, own settings in product order, and pair j compares outside
     settings ``first[j]`` and ``second[j]`` in ``itertools.combinations``
-    order.
+    order.  No stack is held past its distances, so a generator of views
+    can free what they share before it builds the next one.
     """
     k = len(input_sizes)
-    for subgroup in _proper_subgroups(k) if subgroups is None else subgroups:
+    for subgroup, stack in views:
         complement = tuple(i for i in range(k) if i not in subgroup)
-        views = marginal(subgroup, complement)
         order = tuple(1 + i for i in subgroup + complement)
-        views = views.transpose((0,) + order + tuple(range(k + 1, views.ndim)))
+        stack = stack.transpose((0,) + order + tuple(range(k + 1, stack.ndim)))
         # rows: own input settings; columns: outside input settings
         own = math.prod(input_sizes[i] for i in subgroup)
         outside = math.prod(input_sizes[i] for i in complement)
-        views = views.reshape((len(views), own, outside) + views.shape[k + 1 :])
+        stack = stack.reshape((len(stack), own, outside) + stack.shape[k + 1 :])
         first, second = _outside_pairs(outside)
-        dists = distance(views[:, :, first], views[:, :, second])
-        del views  # the next marginal may replace the state these views share
+        dists = distance(stack[:, :, first], stack[:, :, second])
+        del stack
         yield subgroup, complement, first, second, dists
 
 
 def _report(
     input_sizes: tuple[int, ...],
     labels: Sequence[str],
-    marginal: Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray],
+    views: Iterable[tuple[tuple[int, ...], np.ndarray]],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
 ) -> NoSignallingReport:
     """One box's sweep (a family of one) with its witnesses: per subgroup,
-    own inputs in product order, then outside pairs in combinations order."""
+    own inputs in product order, then outside pairs in combinations order.
+    A ``tol`` that is no tolerance is refused before any view is built."""
+    if reason := invalid_tolerance(tol):
+        raise ValueError(f"tol {reason}")
     worst = 0.0
     witnesses: list[Witness] = []
-    for subgroup, complement, first, second, dists in _subgroup_sweep(
-        input_sizes, marginal, distance
-    ):
+    for subgroup, complement, first, second, dists in _subgroup_sweep(input_sizes, views, distance):
         dists = dists[0]
         worst = max(worst, float(dists.max(initial=0.0)))
         own = list(np.ndindex(*(input_sizes[i] for i in subgroup)))
@@ -441,16 +434,17 @@ def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
     k = box.parties
     sizes = tuple(box.input_sizes)
 
-    def marginal(subgroup, complement):
-        # sum out the complement's outputs, flatten the subgroup's
-        marg = box.table.sum(axis=tuple(k + i for i in complement))
-        return marg.reshape((1,) + sizes + (-1,))
+    def marginals():
+        for group in _proper_subgroups(k):
+            # sum out the outside parties' outputs, flatten the subgroup's
+            marg = box.table.sum(axis=tuple(k + i for i in range(k) if i not in group))
+            yield group, marg.reshape((1,) + sizes + (-1,))
 
     def total_variation(p, q):
         return 0.5 * np.sum(np.abs(p - q), axis=-1)
 
     labels = tuple(chr(ord("A") + i) for i in range(k))
-    return _report(sizes, labels, marginal, total_variation, tol)
+    return _report(sizes, labels, marginals(), total_variation, tol)
 
 
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
@@ -458,13 +452,9 @@ def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     inputs, is independent (in trace distance) of the outside inputs."""
     dims = box.structure.dims
     matrices = box.matrices[None]
-    return _report(
-        box.input_sizes,
-        box.structure.labels,
-        lambda subgroup, _complement: partial_trace_array(matrices, dims, subgroup),
-        _trace_distances,
-        tol,
-    )
+    groups = _proper_subgroups(len(dims))
+    views = ((group, partial_trace_array(matrices, dims, group)) for group in groups)
+    return _report(box.input_sizes, box.structure.labels, views, _trace_distances, tol)
 
 
 def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -486,26 +476,27 @@ def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndar
     return states
 
 
-def _pure_marginal(
+def _pure_views(
     amps: np.ndarray, dims: tuple[int, ...]
-) -> Callable[[tuple[int, ...], tuple[int, ...]], np.ndarray]:
-    """The ``marginal`` of ``_subgroup_sweep`` for a stack of pure states
-    ``(..., D)``: a subgroup's reduced states, traced by ``partial_trace_array``
-    from the (k-1)-party states without the last party outside it.  Equal, bit
-    for bit, to ``partial_trace_array`` of the outer products.  It keeps the
-    last (k-1)-party stack it built, and only that one, so subgroups visited
-    in ``_by_source`` order build each such stack once."""
-    built: dict[int, np.ndarray] = {}
-
-    def marginal(subgroup: tuple[int, ...], complement: tuple[int, ...]) -> np.ndarray:
-        j = complement[-1]
-        if j not in built:
-            built.clear()
-            built[j] = _reduced_without(amps, dims, j)
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """``(subgroup, reduced states)`` of a stack of pure states ``(..., D)``
+    for every proper subgroup, grouped by the last party j outside it, j in
+    ascending order and ``_proper_subgroups`` order within a group.  A
+    group's states are traced by ``partial_trace_array`` from the (k-1)-party
+    states without j, summed once from the vectors (``_reduced_without``) and
+    dropped before the next group's: equal, bit for bit, to
+    ``partial_trace_array`` of the outer products, with one (k-1)-party stack
+    alive at a time."""
+    k = len(dims)
+    groups = _proper_subgroups(k)
+    for j in range(k):
+        source = _reduced_without(amps, dims, j)
         rest = dims[:j] + dims[j + 1 :]
-        return partial_trace_array(built[j], rest, [i - (i > j) for i in subgroup])
-
-    return marginal
+        later = set(range(j + 1, k))
+        for group in groups:
+            if j not in group and later.issubset(group):
+                yield group, partial_trace_array(source, rest, [i - (i > j) for i in group])
+        del source
 
 
 def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) -> np.ndarray:
@@ -515,10 +506,8 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
     ``(F,) + input_sizes + (D,)`` with one input axis per party of
     ``structure``.  The vectors are validated as ``CQBox`` validates one
     box, with the same messages, and no D x D matrix is built: the sweep
-    runs once per proper subgroup for the whole family, on reduced states
-    formed from the vectors (``_pure_marginal``), with the subgroups grouped
-    by the (k-1)-party state they derive from (``_by_source``), so that
-    one such stack is alive at a time.  Entry f equals
+    runs once per proper subgroup for the whole family, on the reduced
+    states that ``_pure_views`` forms from the vectors.  Entry f equals
     ``cq_no_signalling(box_f).worst_violation`` bit for bit.
     """
     amps = np.asarray(amplitudes)
@@ -534,9 +523,7 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
     )
     worst = np.zeros(len(amps))
     # the family max is an exact fmax, so the subgroups may come in any order
-    for *_, dists in _subgroup_sweep(
-        sizes, _pure_marginal(amps, structure.dims), _trace_distances, _by_source(k)
-    ):
+    for *_, dists in _subgroup_sweep(sizes, _pure_views(amps, structure.dims), _trace_distances):
         # fmax skips a NaN distance as the single-box max(worst, ...) does
         worst = np.fmax(worst, dists.max(axis=(1, 2), initial=0.0))
     return worst

@@ -45,7 +45,7 @@ from cqboxes.multipartite import (
 )
 from cqboxes.quantum import (
     MAX_TENSOR_DIM, TOLERANCE, PartyStructure, bell_state, haar_unitary, invalid_distribution,
-    invalid_unitary,
+    invalid_tolerance, invalid_unitary,
 )
 from cqboxes.synthesis import (
     bit_flip_strategy,
@@ -81,9 +81,8 @@ def _finite_float(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    if reason := invalid_tolerance(value := _finite_float(text)):
+        raise argparse.ArgumentTypeError(reason)
     return value
 
 

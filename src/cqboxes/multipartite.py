@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from cqboxes.boxes import CQBox, family_worst_violation
-from cqboxes.quantum import PartyStructure, StateVector, _frozen, wrap_angle
+from cqboxes.quantum import PartyStructure, StateVector, _frozen, invalid_tolerance, wrap_angle
 from cqboxes.synthesis import Strategy, modular_phase_strategy
 
 __all__ = [
@@ -138,8 +138,11 @@ def is_local_equivalent(
     per-party phases exactly when those differences are independent of
     the third party's input and carry no two-input interaction; then
     a(x), b(y), c(z) are read off from single-variable slices.  Returns
-    None when the residuals exceed ``tol``.
+    None when the residuals exceed ``tol``; a ``tol`` that is not a finite
+    non-negative number is refused with a ValueError naming it.
     """
+    if reason := invalid_tolerance(tol):
+        raise ValueError(f"tol {reason}")
     a, b, c, worst = _local_fit(_as_family(assignment))
     if worst[0] > tol:
         return None
@@ -260,9 +263,10 @@ def w_phase_theorem_check(
     or without an extra input-local dressing, and must not decompose.  Random
     assignments are checked for agreement between the two predicates.
     Families are built and checked in stacks of as many families as
-    ``_CHUNK_ENTRIES`` allows.  A grid value that is not finite, or a
-    ``random_samples`` that is not a non-negative integer, is refused with
-    a ValueError naming the argument before any family is built.
+    ``_CHUNK_ENTRIES`` allows.  A grid value that is not finite, a
+    ``random_samples`` that is not a non-negative integer, or a ``tol`` that
+    is not a finite non-negative number is refused with a ValueError naming
+    the argument before any family is built.
     """
     grid = np.asarray(grid_values, dtype=float)
     if grid.ndim != 1 or not np.isfinite(grid).all():
@@ -272,6 +276,8 @@ def w_phase_theorem_check(
     whole = isinstance(random_samples, (int, np.integer)) and not isinstance(random_samples, bool)
     if not whole or random_samples < 0:
         raise ValueError(f"random_samples must be a non-negative integer, got {random_samples!r}")
+    if reason := invalid_tolerance(tol):
+        raise ValueError(f"tol {reason}")
     rng = np.random.default_rng(seed)
     found: dict[str, PhaseAssignment] = {}
     # a family is decomposable unless its residual exceeds tol, and passes

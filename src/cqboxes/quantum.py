@@ -12,6 +12,7 @@ tolerance of ``TOLERANCE``; callers may override it per call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -35,6 +36,7 @@ __all__ = [
     "invalid_pure",
     "invalid_unitary",
     "invalid_distribution",
+    "invalid_tolerance",
     "StateVector",
     "DensityMatrix",
     "UnitaryOperator",
@@ -205,6 +207,14 @@ def invalid_distribution(p: np.ndarray, tol: float = TOLERANCE) -> Fault | None:
         (lowest < -tol, lowest, "probability {} is negative beyond tolerance"),
         (np.abs(sums - 1.0) > tol, sums, "probabilities sum to {}, not 1 within tolerance"),
     )
+
+
+def invalid_tolerance(tol: object) -> str | None:
+    """Why ``tol`` is no tolerance (a finite non-negative number), or None:
+    a NaN tolerance would fail every comparison, a negative one every check."""
+    if not isinstance(tol, numbers.Real) or not math.isfinite(tol):
+        return f"must be a finite number, got {tol!r}"
+    return f"must be non-negative, got {tol!r}" if tol < 0 else None
 
 
 def _unit_trace(trace: np.ndarray, tol: float) -> tuple:

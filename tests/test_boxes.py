@@ -431,6 +431,11 @@ class TestCQBoxDistance:
         (lambda: induced_ccbox(correlated_bell_box(), [[np.eye(2)], [np.eye(2)] * 2]),
          "party 0 needs one basis per input symbol"),
         (lambda: mix_boxes([]), "mixture requires at least one component"),
+        # a NaN tolerance used to fail the PR box, and to fail a C-Q box with no witness
+        (lambda: cc_no_signalling(pr_box(), tol=math.nan), "tol must be a finite number, got nan"),
+        (lambda: cq_no_signalling(correlated_bell_box(), tol=math.nan),
+         "tol must be a finite number, got nan"),
+        (lambda: cq_no_signalling(correlated_bell_box(), tol=-1e-3), "tol must be non-negative, got -0.001"),
     ],
 )
 def test_refusals_name_the_fault(build, message):
@@ -633,10 +638,11 @@ def _random_density(rng: np.random.Generator, d: int) -> np.ndarray:
 
 @st.composite
 def sizes_and_rng(draw):
-    """Input sizes 1-3 and local output sizes (or dimensions) 1-2 for
-    2-3 parties, a seeded generator, and whether to build a local box."""
-    k = draw(st.integers(2, 3))
-    inputs = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    """Input sizes 1-3 (1-2 for four parties) and local output sizes (or
+    dimensions) 1-2 for 2-4 parties, a seeded generator, and whether to
+    build a local box."""
+    k = draw(st.integers(2, 4))
+    inputs = tuple(draw(st.integers(1, 2 if k == 4 else 3)) for _ in range(k))
     outputs = tuple(draw(st.integers(1, 2)) for _ in range(k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return inputs, outputs, rng, draw(st.booleans())
@@ -663,7 +669,7 @@ def cc_tables(draw) -> CCBox:
 @st.composite
 def cq_boxes(draw) -> CQBox:
     inputs, dims, rng, local = draw(sizes_and_rng())
-    structure = PartyStructure(tuple(zip("ABC", dims)))
+    structure = PartyStructure(tuple(zip("ABCD", dims)))
     if local:  # product of per-party states chosen by each party's own input
         states = [[_random_density(rng, d) for _ in range(n)] for n, d in zip(inputs, dims)]
     outputs = {}
@@ -700,7 +706,7 @@ class TestSweepMatchesReference:
     def test_random_pure_families(self, setup, families):
         """Each family member's worst violation equals the reference loop's."""
         inputs, dims, rng, local = setup
-        structure = PartyStructure(tuple(zip("ABC", dims)))
+        structure = PartyStructure(tuple(zip("ABCD", dims)))
 
         def unit(shape):
             z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -744,18 +750,23 @@ class TestSweepMatchesReference:
     @example(dims=(1, 4, 1), batch=(2,), seed=1)
     @example(dims=(1, 1, 1, 4), batch=(1, 3), seed=2)
     def test_reduced_states_equal_traced_outer_products(self, dims, batch, seed):
-        """The sweep's reduced states of pure stacks, built from the vectors,
-        equal ``partial_trace_array`` of their outer products for every proper
-        keep set; visited in ``_by_source`` order, each (k-1)-party stack is
-        built once.  Dim-1 parties reach the ``d == 1`` branch."""
+        """``_pure_views`` of pure stacks, built from the vectors, gives every
+        proper keep set once, grouped by the last party outside it, with
+        states equal to ``partial_trace_array`` of their outer products; each
+        (k-1)-party stack is built once, before its group.  Dim-1 parties
+        reach the ``d == 1`` branch."""
         rng = np.random.default_rng(seed)
         shape = batch + (math.prod(dims),)
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         amps = z / np.linalg.norm(z, axis=-1, keepdims=True)
         outer = amps[..., :, None] * amps[..., None, :].conj()
         k = len(dims)
-        order = boxes._by_source(k)
-        assert sorted(order) == sorted(boxes._proper_subgroups(k))
+
+        def source(keep):  # the last party outside keep, traced out first
+            return max(set(range(k)) - set(keep))
+
+        # a stable sort: combinations order within each source's group
+        order = sorted(_reference_subgroups(k), key=source)
         built = []
         reduced_without = boxes._reduced_without
 
@@ -763,12 +774,13 @@ class TestSweepMatchesReference:
             built.append(j)
             return reduced_without(amps, dims, j)
 
+        visited = []
         with unittest.mock.patch.object(boxes, "_reduced_without", counted):
-            marginal = boxes._pure_marginal(amps, dims)
-            for keep in order:
-                complement = tuple(i for i in range(k) if i not in keep)
-                state = marginal(keep, complement)
+            for keep, state in boxes._pure_views(amps, dims):
+                visited.append(keep)
+                assert built[-1] == source(keep), keep
                 assert np.array_equal(state, partial_trace_array(outer, dims, keep)), keep
+        assert visited == order
         assert built == list(range(k))
 
 

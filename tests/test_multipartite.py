@@ -267,11 +267,30 @@ class TestValidation:
              "grid_values must be a flat sequence of finite numbers, got [-inf, 0.0]"),
             ({"grid_values": ((0.0, 1.0),)},
              "grid_values must be a flat sequence of finite numbers, got [[0.0, 1.0]]"),
+            # used to fail three clauses (two for -1.0) of a theorem that holds
+            ({"grid_values": (0.0,), "random_samples": 2, "tol": math.nan},
+             "tol must be a finite number, got nan"),
+            ({"grid_values": (0.0,), "random_samples": 2, "tol": -1.0},
+             "tol must be non-negative, got -1.0"),
+            ({"tol": math.inf}, "tol must be a finite number, got inf"),
         ],
     )
     def test_theorem_check_refuses_bad_arguments(self, kwargs, message):
         with pytest.raises(ValueError) as raised:
             w_phase_theorem_check(**kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            # a NaN tolerance used to return a decomposition
+            (math.nan, "tol must be a finite number, got nan"),
+            (-1e-9, "tol must be non-negative, got -1e-09"),
+        ],
+    )
+    def test_local_fit_refuses_a_bad_tolerance(self, tol, message):
+        with pytest.raises(ValueError) as raised:
+            is_local_equivalent(assignment_from(None), tol)
         assert str(raised.value) == message
 
 

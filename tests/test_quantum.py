@@ -26,6 +26,7 @@ from cqboxes.quantum import (
     haar_unitary,
     invalid_density,
     invalid_distribution,
+    invalid_tolerance,
     invalid_unitary,
     invalid_vector,
     partial_trace,
@@ -140,6 +141,22 @@ class TestStateValidation:
     def test_one_distribution_has_the_empty_index(self):
         assert invalid_distribution([math.nan, 1.0]) == ((), "probabilities sum to nan, not a finite number")
         assert invalid_distribution((0.25, 0.75)) is None
+
+    @pytest.mark.parametrize(
+        "tol, reason",
+        [
+            (0, None),
+            (1e-9, None),
+            (np.float64(0.5), None),
+            (math.nan, "must be a finite number, got nan"),
+            (-math.inf, "must be a finite number, got -inf"),
+            ("1e-9", "must be a finite number, got '1e-9'"),
+            (None, "must be a finite number, got None"),
+            (-1e-12, "must be non-negative, got -1e-12"),
+        ],
+    )
+    def test_tolerance_is_finite_and_non_negative(self, tol, reason):
+        assert invalid_tolerance(tol) == reason
 
     def test_distribution_tolerance_is_the_callers(self):
         assert invalid_distribution([0.5, 0.5 + 1e-8]) is not None
