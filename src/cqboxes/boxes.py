@@ -177,6 +177,16 @@ def _in_range(key: object, sizes: tuple[int, ...]) -> bool:
     return shaped and all(0 <= v < n for v, n in zip(key, sizes))
 
 
+def _ndindex(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``np.ndindex(*sizes)``, made lazily, as tuples of Python ints; numpy's
+    first stores every range as a tuple, which huge ``sizes`` cannot afford."""
+    if not sizes:
+        yield ()
+        return
+    for head in range(sizes[0]):
+        yield from ((head,) + rest for rest in _ndindex(sizes[1:]))
+
+
 def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.ndarray:
     """``out``, a stack of outputs, made read-only once ``fault`` passes it."""
     if out.shape != shape:
@@ -188,49 +198,47 @@ def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.nda
     return out
 
 
-def _validated_pure(
-    amplitudes: np.ndarray, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A copy of the amplitude stack ``shape`` = ``(..., D)`` and its read-only
-    density matrices, PSD by construction: ``invalid_pure`` checks the vectors."""
-    amps = _checked(np.array(amplitudes, dtype=complex), shape, invalid_pure)
-    matrices = amps[..., :, None] * amps[..., None, :].conj()
-    matrices.setflags(write=False)
-    return amps, matrices
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CQBox:
     """Classical-input box whose output is a joint quantum state.
 
-    ``matrices`` stacks one density matrix over the shared party structure
-    per input tuple, shape ``input_sizes + (D, D)``.  ``amplitudes``, shape
-    ``input_sizes + (D,)``, is set only when every output is pure; give one
-    of the two (matrices are derived from amplitudes, PSD by construction, so
-    only their finiteness, norms and traces are checked).  Mappings from input
-    tuples to states go through ``from_outputs`` or ``from_pure``.
+    It stores the one stack it is given, an output per input tuple over the
+    shared party structure: ``amplitudes`` ``input_sizes + (D,)`` if every
+    output is pure (checked for finiteness and norm only), else density
+    ``matrices`` ``input_sizes + (D, D)``, which a pure box builds on first
+    read.  Mappings from input tuples go through ``from_outputs`` or ``from_pure``.
     """
 
     input_sizes: tuple[int, ...]
     structure: PartyStructure
-    matrices: np.ndarray | None = None
     amplitudes: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        sizes = _positive_sizes(self.input_sizes, "input_sizes")
+    def __init__(
+        self, input_sizes: Sequence[int], structure: PartyStructure,
+        matrices: np.ndarray | None = None, amplitudes: np.ndarray | None = None,
+    ) -> None:
+        sizes = _positive_sizes(input_sizes, "input_sizes")
         object.__setattr__(self, "input_sizes", sizes)
-        if len(sizes) != len(self.structure.parties):
+        object.__setattr__(self, "structure", structure)
+        if len(sizes) != len(structure.parties):
             raise ValueError("one classical input per party required")
-        d = capped_dim(self.structure)
-        if (self.matrices is None) == (self.amplitudes is None):
+        d = capped_dim(structure)
+        if (matrices is None) == (amplitudes is None):
             raise ValueError("a C-Q box needs exactly one of matrices and amplitudes")
         # copy what the caller passed, so that the box cannot change under it
-        if self.amplitudes is not None:
-            amps, matrices = _validated_pure(self.amplitudes, sizes + (d,))
-            object.__setattr__(self, "amplitudes", amps)
+        if amplitudes is not None:
+            amplitudes = _checked(np.array(amplitudes, dtype=complex), sizes + (d,), invalid_pure)
         else:
-            matrices = _checked(np.array(self.matrices, dtype=complex), sizes + (d, d), invalid_density)
-        object.__setattr__(self, "matrices", matrices)
+            matrices = _checked(np.array(matrices, dtype=complex), sizes + (d, d), invalid_density)
+            object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "amplitudes", amplitudes)
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """A pure box's read-only outer products; ``__init__`` sets a mixed box's stack."""
+        matrices = self.amplitudes[..., :, None] * self.amplitudes[..., None, :].conj()
+        matrices.setflags(write=False)
+        return matrices
 
     @classmethod
     def from_outputs(
@@ -248,7 +256,7 @@ class CQBox:
         # every key is in range, so a full count means no input is missing
         absent = math.prod(sizes) - len(outputs)
         if absent:
-            missing = (k for k in np.ndindex(*sizes) if k not in outputs)
+            missing = (k for k in _ndindex(sizes) if k not in outputs)
             first = list(itertools.islice(missing, 4))
             more = f" and {absent - len(first)} more" if absent > len(first) else ""
             raise ValueError(f"outputs missing for inputs {first}{more}")
@@ -395,20 +403,21 @@ def _report(
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
 ) -> NoSignallingReport:
-    """One box's sweep (a family of one) with its witnesses: per subgroup,
-    own inputs in product order, then outside pairs in combinations order.
-    A ``tol`` that is no tolerance is refused before any view is built."""
+    """One box's sweep (a family of one) with its witnesses: per subgroup in
+    ``_proper_subgroups`` order, whatever the order of ``views``, own inputs
+    in product order, then outside pairs in combinations order.  A ``tol``
+    that is no tolerance is refused before any view is built."""
     if reason := invalid_tolerance(tol):
         raise ValueError(f"tol {reason}")
     worst = 0.0
-    witnesses: list[Witness] = []
+    found: dict[tuple[int, ...], list[Witness]] = {}
     for subgroup, complement, first, second, dists in _subgroup_sweep(input_sizes, views, distance):
         dists = dists[0]
         worst = max(worst, float(dists.max(initial=0.0)))
         own = list(np.ndindex(*(input_sizes[i] for i in subgroup)))
         outside = list(np.ndindex(*(input_sizes[i] for i in complement)))
         for row, pair in zip(*np.nonzero(dists > tol)):
-            witnesses.append(
+            found.setdefault(subgroup, []).append(
                 Witness(
                     subgroup=tuple(labels[i] for i in subgroup),
                     subgroup_inputs=own[row],
@@ -419,7 +428,7 @@ def _report(
     return NoSignallingReport(
         passed=worst <= tol,
         worst_violation=worst,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(w for g in _proper_subgroups(len(input_sizes)) for w in found.get(g, ())),
         tolerance=tol,
     )
 
@@ -449,12 +458,16 @@ def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
 
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
     """Check that every proper subgroup's reduced state, given its own
-    inputs, is independent (in trace distance) of the outside inputs."""
+    inputs, is independent (in trace distance) of the outside inputs.  A pure
+    box is swept from its vectors, so its D x D ``matrices`` are never built."""
     dims = box.structure.dims
-    matrices = box.matrices[None]
-    groups = _proper_subgroups(len(dims))
-    views = ((group, partial_trace_array(matrices, dims, group)) for group in groups)
-    return _report(box.input_sizes, box.structure.labels, views, _trace_distances, tol)
+    parties = range(len(dims))
+    if box.amplitudes is None:
+        stack = box.matrices[None]
+        sources = (partial_trace_array(stack, dims, [i for i in parties if i != j]) for j in parties)
+    else:
+        sources = (_reduced_without(box.amplitudes[None], dims, j) for j in parties)
+    return _report(box.input_sizes, box.structure.labels, _views(dims, sources), _trace_distances, tol)
 
 
 def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -467,35 +480,31 @@ def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndar
     before, after = math.prod(dims[:j]), math.prod(dims[j + 1 :])
     if before * after == 1:
         return (amps * amps.conj()).sum(axis=-1)[..., None, None]
-    # m[i] holds the vectors' entries at party j's index i
-    m = np.moveaxis(amps.reshape(batch + (before, dims[j], after)), -2, 0)
-    m = m.reshape((dims[j],) + batch + (before * after,))
-    states = m[0][..., :, None] * m[0][..., None, :].conj()
+    # m[..., i, :] holds the entries at party j's index i (swapaxes: moveaxis costs µs a call)
+    m = amps.reshape(batch + (before, dims[j], after)).swapaxes(-3, -2).reshape(batch + (dims[j], -1))
+    conj = m.conj()
+    states = m[..., 0, :, None] * conj[..., 0, None, :]
     for i in range(1, dims[j]):
-        states += m[i][..., :, None] * m[i][..., None, :].conj()
+        states += m[..., i, :, None] * conj[..., i, None, :]
     return states
 
 
-def _pure_views(
-    amps: np.ndarray, dims: tuple[int, ...]
+def _views(
+    dims: tuple[int, ...], sources: Iterator[np.ndarray]
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """``(subgroup, reduced states)`` of a stack of pure states ``(..., D)``
-    for every proper subgroup, grouped by the last party j outside it, j in
-    ascending order and ``_proper_subgroups`` order within a group.  A
-    group's states are traced by ``partial_trace_array`` from the (k-1)-party
-    states without j, summed once from the vectors (``_reduced_without``) and
-    dropped before the next group's: equal, bit for bit, to
-    ``partial_trace_array`` of the outer products, with one (k-1)-party stack
-    alive at a time."""
-    k = len(dims)
-    groups = _proper_subgroups(k)
-    for j in range(k):
-        source = _reduced_without(amps, dims, j)
+    """``(subgroup, reduced states)`` of every proper subgroup of a stack over
+    party dims ``dims``.  ``sources`` yields for j = 0, 1, ... the states
+    without party j, ``(..., D/d_j, D/d_j)``; the subgroups whose last outside
+    party is j are traced from it, bit for bit as from the D x D stack, in
+    ``_proper_subgroups`` order, and it is dropped before the next is read."""
+    groups = _proper_subgroups(k := len(dims))
+    for j in range(k):  # not enumerate, whose reused tuple would hold the last source
+        source = next(sources)
         rest = dims[:j] + dims[j + 1 :]
-        later = set(range(j + 1, k))
         for group in groups:
-            if j not in group and later.issubset(group):
-                yield group, partial_trace_array(source, rest, [i - (i > j) for i in group])
+            if j not in group and set(range(j + 1, k)).issubset(group):
+                keep = [i - (i > j) for i in group]
+                yield group, source if len(keep) == k - 1 else partial_trace_array(source, rest, keep)
         del source
 
 
@@ -506,8 +515,8 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
     ``(F,) + input_sizes + (D,)`` with one input axis per party of
     ``structure``.  The vectors are validated as ``CQBox`` validates one
     box, with the same messages, and no D x D matrix is built: the sweep
-    runs once per proper subgroup for the whole family, on the reduced
-    states that ``_pure_views`` forms from the vectors.  Entry f equals
+    runs once per proper subgroup for the whole family, on ``_views`` of
+    the sums of ``_reduced_without``, as for one pure box.  Entry f equals
     ``cq_no_signalling(box_f).worst_violation`` bit for bit.
     """
     amps = np.asarray(amplitudes)
@@ -523,7 +532,8 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
     )
     worst = np.zeros(len(amps))
     # the family max is an exact fmax, so the subgroups may come in any order
-    for *_, dists in _subgroup_sweep(sizes, _pure_views(amps, structure.dims), _trace_distances):
+    views = _views(structure.dims, (_reduced_without(amps, structure.dims, j) for j in range(k)))
+    for *_, dists in _subgroup_sweep(sizes, views, _trace_distances):
         # fmax skips a NaN distance as the single-box max(worst, ...) does
         worst = np.fmax(worst, dists.max(axis=(1, 2), initial=0.0))
     return worst

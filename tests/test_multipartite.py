@@ -253,6 +253,16 @@ class TestValidation:
                 alpha=np.zeros((2, 2)), beta=np.zeros((2, 2, 2)), gamma=np.zeros((2, 2, 2))
             )
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_assignment_phases_must_be_finite(self, field, value):
+        """A non-finite phase is refused; is_local_equivalent used to call a
+        NaN phase local and return NaN phases for an infinite one."""
+        phases = {name: np.zeros((2, 2, 2)) for name in ("alpha", "beta", "gamma")}
+        phases[field][1, 1, 1] = value
+        with pytest.raises(ValueError, match=f"^{field} must hold finite phases, got "):
+            PhaseAssignment(**phases)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
