@@ -72,14 +72,11 @@ def spec_to_strategy(spec: PhaseStrategySpec, alpha: float, beta: float) -> Stra
     """Materialise a phase-strategy specification on the two-level
     shared state alpha |00> + beta |11>."""
     coupling = CCBox.from_coupling((2, 2), spec.marginal, spec.pairings)
-
-    def alice(x: int, a: int) -> np.ndarray:
-        return np.diag([1.0, np.exp(1j * spec.alice_phases[x, a])])
-
-    def bob(y: int, b: int) -> np.ndarray:
-        return np.diag([1.0, np.exp(1j * spec.bob_phases[y, b])])
-
-    return Strategy(ccbox=coupling, shared=two_level_state(alpha, beta), party_maps=(alice, bob))
+    tables = tuple(
+        [[np.diag([1.0, np.exp(1j * phase)]) for phase in row] for row in phases]
+        for phases in (spec.alice_phases, spec.bob_phases)
+    )
+    return Strategy(ccbox=coupling, shared=two_level_state(alpha, beta), unitaries=tables)
 
 
 @dataclass(frozen=True)

@@ -133,13 +133,14 @@ class HaarCouplingBox:
 
     Bob's output is a Haar-random unitary V, block-diagonal over
     ``block_dims`` (a single block by default).  Alice's output under a
-    given input tuple is relabel(inputs) @ conj(V).  Bob's sample stream
-    is drawn once, independent of the inputs.
+    given input tuple is ``relabel[inputs] @ conj(V)``, ``relabel`` being a
+    read-only ``input_sizes + (dim, dim)`` array.  Bob's sample stream is
+    drawn once, independent of the inputs.
     """
 
     dim: int
     input_sizes: tuple[int, ...]
-    relabel: Callable[[tuple[int, ...]], np.ndarray]
+    relabel: np.ndarray
     block_dims: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -147,6 +148,9 @@ class HaarCouplingBox:
         object.__setattr__(self, "block_dims", tuple(blocks))
         if sum(blocks) != self.dim:
             raise ValueError(f"block dimensions {blocks} do not sum to {self.dim}")
+        object.__setattr__(self, "relabel", relabel := _frozen(self.relabel))
+        if relabel.shape != (expected := tuple(self.input_sizes) + (self.dim, self.dim)):
+            raise ValueError(f"relabel shape {relabel.shape} does not match {expected}")
 
     def draw_base(self, rng: np.random.Generator, size: int | tuple[int, ...] = ()) -> np.ndarray:
         """Block-diagonal Haar samples for Bob (input-independent) over the
@@ -166,10 +170,9 @@ class HaarCouplingBox:
     def sample_pair(
         self, inputs: tuple[int, ...], base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(Alice unitary, Bob unitary) for a base draw or a stack of them.
-        Bob's is the draw itself, whatever the inputs, so that ``simulate``
-        maps it once per chunk of draws and Bob's input."""
-        return np.asarray(self.relabel(inputs), dtype=complex) @ base.conj(), base
+        """(Alice unitary, Bob unitary) for a base draw or a stack of them;
+        Bob's is the draw itself, whatever the inputs."""
+        return self.relabel[inputs] @ base.conj(), base
 
 
 def _in_range(key: object, sizes: tuple[int, ...]) -> bool:

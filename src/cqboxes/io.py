@@ -10,15 +10,13 @@ numbers are encoded as [real, imag] pairs throughout.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from cqboxes.boxes import CCBox, CQBox
-from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure, invalid_parties
+from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure, invalid_parties, real_array
 
 __all__ = [
     "BoxDocumentError",
@@ -37,26 +35,12 @@ def _encode_complex(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _leaves(data: object, ndim: int) -> Iterable:
-    """The entries of ``data``, nested lists of regular depth ``ndim``."""
-    if ndim == 0:
-        return [data]
-    for _ in range(ndim - 1):
-        data = itertools.chain.from_iterable(data)
-    return data
-
-
 def _numbers(data: object, field: str) -> np.ndarray:
-    """``data``, nested lists of JSON numbers, as a float array; a string,
-    boolean or null entry is refused even where numpy would convert it."""
+    """``data``, nested lists of JSON numbers, as a float array."""
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BoxDocumentError(f"field '{field}' must hold numbers: {exc}") from exc
-    if not set(map(type, _leaves(data, arr.ndim))) <= {int, float}:
-        bad = next(v for v in _leaves(data, arr.ndim) if type(v) not in (int, float))
-        raise BoxDocumentError(f"field '{field}' holds {json.dumps(bad)}, not a JSON number")
-    return arr
+        return real_array(data)
+    except ValueError as exc:
+        raise BoxDocumentError(f"field '{field}' {exc}") from None
 
 
 def _decode_complex(data: object, field: str) -> np.ndarray:

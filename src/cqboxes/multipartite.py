@@ -24,7 +24,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from cqboxes.boxes import CQBox, family_worst_violation
-from cqboxes.quantum import PartyStructure, StateVector, _frozen, invalid_tolerance, wrap_angle
+from cqboxes.quantum import (
+    PartyStructure, StateVector, _frozen, invalid_tolerance, real_array, wrap_angle
+)
 from cqboxes.synthesis import Strategy, modular_phase_strategy
 
 __all__ = [
@@ -53,7 +55,10 @@ class PhaseAssignment:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, arr := _frozen(getattr(self, name), float))
+            try:
+                object.__setattr__(self, name, arr := _frozen(real_array(getattr(self, name)), float))
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
             if arr.shape != (2, 2, 2):
                 raise ValueError(f"{name} must have shape (2, 2, 2), got {arr.shape}")
             if not np.isfinite(arr).all():

@@ -11,6 +11,8 @@ tolerance of ``TOLERANCE``; callers may override it per call.
 """
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -43,6 +45,7 @@ __all__ = [
     "SchmidtForm",
     "PAULI",
     "as_matrix",
+    "real_array",
     "kron_all",
     "tensor",
     "partial_trace",
@@ -215,6 +218,30 @@ def invalid_tolerance(tol: object) -> str | None:
     if not isinstance(tol, numbers.Real) or not math.isfinite(tol):
         return f"must be a finite number, got {tol!r}"
     return f"must be non-negative, got {tol!r}" if tol < 0 else None
+
+
+def _leaves(data: object, ndim: int) -> Iterable:
+    """The entries of ``data``, nested sequences of regular depth ``ndim``."""
+    for _ in range(ndim - 1):
+        data = itertools.chain.from_iterable(data)
+    return data if ndim else [data]
+
+
+def real_array(data: object) -> np.ndarray:
+    """``data`` as a float array, if it is nested lists of regular shape (or
+    a numpy array) of ints and floats; else a ValueError saying why not.  A
+    string, boolean or None entry is refused even where numpy would convert
+    it.  Callers name the field in front of the reason."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"must hold numbers: {exc}") from None
+    leaves = data.tolist() if isinstance(data, np.ndarray) else data  # as Python scalars
+    kinds = set(map(type, _leaves(leaves, arr.ndim))) - {int, float}  # these pass at once
+    if refused := {k for k in kinds if not issubclass(k, numbers.Real) or k is bool}:
+        bad = next(v for v in _leaves(leaves, arr.ndim) if type(v) in refused)
+        raise ValueError(f"holds {json.dumps(bad, default=repr)}, not a JSON number")
+    return arr
 
 
 def _unit_trace(trace: np.ndarray, tol: float) -> tuple:

@@ -2,11 +2,13 @@
 shared entanglement, and output-conditioned local unitaries.
 
 A strategy consists of a classical box, a shared entangled state, and one
-local-unitary map per party.  Party j feeds its classical input to the
-box, receives output o_j, and applies ``party_maps[j](input_j, o_j)`` to
-its share of the state.  Simulating a strategy averages the resulting
-states over the box's output distribution, which yields a quantum-output
-box that is non-signalling whenever the classical box is.
+table of local unitaries per party.  Party j feeds its classical input x_j
+to the box, receives output o_j, and applies ``unitaries[j][x_j, o_j]`` to
+its share of the state; over a Haar coupling the output is itself a
+unitary, which the party turns into its Schmidt frame and dresses by its
+own input where the strategy says so.  Simulating a strategy averages the
+resulting states over the box's output distribution, which yields a
+quantum-output box that is non-signalling whenever the classical box is.
 
 The constructors in this module build strategies for several families of
 target boxes: phase rotations of a two-level entangled state driven by
@@ -41,6 +43,7 @@ from cqboxes.quantum import (
     PartyStructure,
     StateVector,
     UnitaryOperator,
+    _frozen,
     as_matrix,
     bell_state,
     capped_dim,
@@ -77,38 +80,49 @@ __all__ = [
     "mixed_disordered_strategy",
 ]
 
-PartyMap = Callable[[int, object], np.ndarray]
-
 
 @dataclass(frozen=True)
 class Strategy:
     """Classical box + shared pure state + output-conditioned local unitaries.
 
-    ``party_maps[j]`` receives (input symbol, output symbol) and returns
-    the unitary party j applies.  A finite box is a ``CCBox`` table (a
-    finite coupling is built by ``CCBox.from_coupling``); its output symbol
-    is an integer and each map is called once per own input and output
-    symbol, so it must be a pure function of the two.  For Haar couplings
-    it is a stack of sampled unitaries, shape ``(S, n, n)``, and the map
-    returns the matching stack, composing any input-local dressing around
-    each draw (under ``@`` broadcasting); party 1's output is the draw
-    itself, so its map is called once per chunk of draws and own input.
-    Both kinds feed one weighted stack of state vectors per input, which
-    ``simulate`` sums.
+    ``unitaries[j]`` is party j's read-only table.  Over a finite box (a
+    ``CCBox`` table; a finite coupling is built by ``CCBox.from_coupling``)
+    it has shape ``(m_j, n_j, d_j, d_j)``: party j applies
+    ``unitaries[j][x, o]`` at own input x and output symbol o.  Over a Haar
+    coupling the output is a sampled unitary U; party j applies
+    ``unitaries[j][x] @ (F @ U @ F^+)`` for its ``(m_j, d_j, d_j)``
+    dressing and its ``(d_j, d_j)`` frame F = ``frames[j]``, and a None
+    dressing or frame applies nothing.  Both kinds feed one weighted stack
+    of state vectors per input, which ``simulate`` sums.
     """
 
     ccbox: CCBox | HaarCouplingBox
     shared: StateVector
-    party_maps: tuple[PartyMap, ...]
+    unitaries: tuple[np.ndarray | None, ...]
+    frames: tuple[np.ndarray | None, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.shared, StateVector):
             raise TypeError(f"shared state must be a StateVector, got {type(self.shared).__name__}")
         parties = len(self.ccbox.input_sizes)
-        if len(self.party_maps) != parties:
-            raise ValueError(f"expected {parties} party maps, got {len(self.party_maps)}")
+        if len(self.unitaries) != parties:
+            raise ValueError(f"expected {parties} unitary tables, got {len(self.unitaries)}")
         if len(self.shared.structure.parties) != parties:
             raise ValueError("shared state party count does not match the classical box")
+        haar = isinstance(self.ccbox, HaarCouplingBox)
+        frames = self.frames or (None,) * parties
+        if len(frames) != parties:
+            raise ValueError(f"expected {parties} frames, got {len(frames)}")
+        # own input, and output symbol of a finite box, per party
+        leads = zip(self.input_sizes) if haar else zip(self.input_sizes, self.ccbox.output_sizes)
+        per_party = zip(self.shared.structure.parties, leads, self.unitaries, frames)
+        for (label, d), lead, table, frame in per_party:
+            if (table is not None or not haar) and (got := np.shape(table)) != lead + (d, d):
+                raise ValueError(f"party {label}'s unitary table must be {lead + (d, d)}, got {got}")
+            if frame is not None and (not haar or np.shape(frame) != (d, d)):
+                raise ValueError(f"party {label}'s frame must be {d} x {d}, over a Haar coupling")
+        for name, arrays in (("unitaries", self.unitaries), ("frames", frames)):
+            object.__setattr__(self, name, tuple(a if a is None else _frozen(a) for a in arrays))
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -121,14 +135,22 @@ class Strategy:
 _CHUNK_ENTRIES = 2**14
 
 
+def _dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np.ndarray:
+    """Party j's unitaries at own input x for a stack of Haar coupling
+    outputs: each turned into the party's frame, then dressed."""
+    frame, dressing = strategy.frames[j], strategy.unitaries[j]
+    out = out if frame is None else frame @ out @ frame.conj().T
+    return out if dressing is None else dressing[x] @ out
+
+
 def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
     """Per input, chunks of (each party's ``(S, d_j, d_j)`` unitary stack,
     ``(S,)`` weights): a finite box's support at that input with its table
     weights, or ``samples`` seeded Haar draws of weight 1/samples, drawn
-    in chunks from one stream that every input shares.  A map is called
-    once per own input and output symbol (finite), or per chunk and own
-    input for party 1 of a Haar coupling, whose output is the draw."""
-    ccbox, maps = strategy.ccbox, strategy.party_maps
+    in chunks from one stream that every input shares.  Each chunk of
+    draws is conjugated once, and party 1, whose output is the draw, is
+    dressed once per chunk and own input."""
+    ccbox, tables = strategy.ccbox, strategy.unitaries
     dims = strategy.shared.structure.dims
     chunk = max(1, _CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
     if isinstance(ccbox, HaarCouplingBox):
@@ -137,25 +159,18 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
         rng = np.random.default_rng(seed)
         for start in range(0, samples, chunk):
             bases = ccbox.draw_base(rng, min(chunk, samples - start))
-            weights = np.full(len(bases), 1 / samples)
-            bob: dict[int, np.ndarray] = {}
+            conj, weights = bases.conj(), np.full(len(bases), 1 / samples)
+            bob = [_dressed(strategy, 1, y, bases) for y in range(ccbox.input_sizes[1])]
             for key in np.ndindex(*ccbox.input_sizes):
-                alice, drawn = ccbox.sample_pair(key, bases)
-                if key[1] not in bob:
-                    bob[key[1]] = maps[1](key[1], drawn)
-                yield key, [maps[0](key[0], alice), bob[key[1]]], weights
+                alice = _dressed(strategy, 0, key[0], ccbox.relabel[key] @ conj)
+                yield key, [alice, bob[key[1]]], weights
         return
     table = ccbox.table
-    # per party and own input, the unitary of each output symbol
-    per_symbol = [
-        [np.array([f(x, out) for out in range(n)], dtype=complex) for x in range(m)]
-        for f, m, n in zip(maps, ccbox.input_sizes, ccbox.output_sizes)
-    ]
     for key in np.ndindex(*ccbox.input_sizes):
         support = np.nonzero(table[key] > 0)
         for start in range(0, len(support[0]), chunk):
             rows = tuple(outs[start : start + chunk] for outs in support)
-            stacks = [tables[x][r] for tables, x, r in zip(per_symbol, key, rows)]
+            stacks = [u[x][r] for u, x, r in zip(tables, key, rows)]
             yield key, stacks, table[key][rows]
 
 
@@ -203,10 +218,6 @@ def sample_states(
     return result
 
 
-def _passthrough(_inp: int, out: object) -> np.ndarray:
-    return np.asarray(out, dtype=complex)
-
-
 def phase_family_box(
     phase: Callable[[int, int], float], alpha: complex, beta: complex
 ) -> CQBox:
@@ -235,17 +246,8 @@ def bit_flip_strategy() -> Strategy:
     family that is |phi+> unless x = y = 1, where it is the bit-flipped
     Bell state (|01> + |10>)/sqrt2.
     """
-    flip = pauli_x().matrix
-    eye = np.eye(2, dtype=complex)
-
-    def conditional_flip(_inp: int, out: int) -> np.ndarray:
-        return flip if out else eye
-
-    return Strategy(
-        ccbox=pr_box(),
-        shared=bell_state(0),
-        party_maps=(conditional_flip, conditional_flip),
-    )
+    flips = [[np.eye(2, dtype=complex), pauli_x().matrix]] * 2  # per input, per output
+    return Strategy(ccbox=pr_box(), shared=bell_state(0), unitaries=(flips, flips))
 
 
 def sign_flip_strategy(alpha: complex, beta: complex) -> Strategy:
@@ -273,18 +275,13 @@ def modular_phase_strategy(m: int, n: int, shared: StateVector) -> Strategy:
     phase = Fraction(m % n, n)  # m = 0 still needs the binary box
     m_red, n_red = phase.numerator, max(phase.denominator, 2)
 
-    def party(sign: int) -> PartyMap:
-        def apply(_inp: int, out: int) -> np.ndarray:
-            return np.diag([1.0, np.exp(sign * 2j * math.pi * out * m_red / n_red)])
-
-        return apply
-
-    parties = len(shared.structure.parties)
-    return Strategy(
-        ccbox=mod_box(n_red, parties),
-        shared=shared,
-        party_maps=(party(+1),) + (party(-1),) * (parties - 1),
+    box = mod_box(n_red, len(shared.structure.parties))  # refuses an alphabet too large first
+    advance, retard = (
+        [[np.diag([1.0, np.exp(sign * 2j * math.pi * out * m_red / n_red)]) for out in range(n_red)]]
+        * 2  # the same for either own input
+        for sign in (+1, -1)
     )
+    return Strategy(box, shared, (advance,) + (retard,) * (box.parties - 1))
 
 
 def rational_phase_strategy(m: int, n: int, alpha: complex, beta: complex) -> Strategy:
@@ -330,18 +327,12 @@ def max_entangled_strategy(
     produces the target state exactly.
     """
 
-    def relabel(key: tuple[int, ...]) -> np.ndarray:
-        mat = as_matrix(targets[key])
-        if mat.shape != (n, n):
+    relabel = np.zeros(tuple(input_sizes) + (n, n), dtype=complex)
+    for key in np.ndindex(*input_sizes):
+        if (mat := as_matrix(targets[key])).shape != (n, n):
             raise ValueError(f"target for input {key} must be {n} x {n}, got {mat.shape}")
-        return mat
-
-    coupling = HaarCouplingBox(dim=n, input_sizes=tuple(input_sizes), relabel=relabel)
-    return Strategy(
-        ccbox=coupling,
-        shared=phi_plus(n),
-        party_maps=(_passthrough, _passthrough),
-    )
+        relabel[key] = mat
+    return Strategy(HaarCouplingBox(n, tuple(input_sizes), relabel), phi_plus(n), (None, None))
 
 
 def _derive_pairing(unitaries: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -376,14 +367,8 @@ def eight_output_strategy() -> Strategy:
     unitaries = np.array(unitaries + [u @ pauli_x().matrix for u in unitaries])
     bijections = {key: _derive_pairing(unitaries, t) for key, t in eight_output_targets().items()}
     coupling = CCBox.from_coupling((2, 3), np.full(8, 1 / 8), bijections)
-
-    def alice(_x: int, a: int) -> np.ndarray:
-        return unitaries[a]
-
-    def bob(_y: int, b: int) -> np.ndarray:
-        return unitaries[b].conj()
-
-    return Strategy(ccbox=coupling, shared=phi_plus(2), party_maps=(alice, bob))
+    tables = ([unitaries] * 2, [unitaries.conj()] * 3)
+    return Strategy(ccbox=coupling, shared=phi_plus(2), unitaries=tables)
 
 
 def _as_fraction(value: object, context: str) -> Fraction:
@@ -400,12 +385,13 @@ def _as_fraction(value: object, context: str) -> Fraction:
 def nonmax_pure_strategy(
     p: Sequence[float],
     phases: Mapping[tuple[int, int, int], Fraction | int],
-    local_a: Callable[[int], np.ndarray] | None = None,
-    local_b: Callable[[int], np.ndarray] | None = None,
+    local_a: np.ndarray | None = None,
+    local_b: np.ndarray | None = None,
 ) -> Strategy:
     """Family U_A^x V_B^y W_A^{x,y} |Phi_p> over binary inputs, where
     |Phi_p> = sum_i sqrt(p_i)|ii> and W^{x,y}|i> = e^{i 2 pi phases[x,y,i]}|i>,
-    a phase absent from ``phases`` being 0.
+    a phase absent from ``phases`` being 0; U^x = ``local_a[x]`` and
+    V^y = ``local_b[y]`` are ``(2, n, n)`` stacks, the identity if left out.
 
     The level phases, given as exact fractions of a turn, split into
     input-local parts (absorbed into diagonal dressings; Bob can carry
@@ -437,27 +423,29 @@ def nonmax_pure_strategy(
     denominator = math.lcm(*(t.denominator for t in interaction))
     steps = [int(t * denominator) for t in interaction]
 
-    local_a = local_a or (lambda _x: np.eye(n, dtype=complex))
-    local_b = local_b or (lambda _y: np.eye(n, dtype=complex))
-
-    def alice(x: int, a: int) -> np.ndarray:
-        turns = [a * steps[i] / denominator + float(get_phase(x, 0, i)) for i in range(n)]
-        return as_matrix(local_a(x)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
-
-    def bob(y: int, b: int) -> np.ndarray:
-        turns = [
-            -b * steps[i] / denominator + float(get_phase(0, y, i) - get_phase(0, 0, i))
-            for i in range(n)
-        ]
-        return as_matrix(local_b(y)) @ np.diag(np.exp(2j * math.pi * np.array(turns)))
-
     # no interaction needs no correlation: a one-output box
     box = CCBox((2, 2), (1, 1), np.ones((2, 2, 1, 1))) if denominator == 1 else mod_box(denominator)
+
+    tables = []
+    for name, local, sign, own_phase in (
+        ("local_a", local_a, 1, lambda x, i: get_phase(x, 0, i)),
+        ("local_b", local_b, -1, lambda y, i: get_phase(0, y, i) - get_phase(0, 0, i)),
+    ):
+        local = [np.eye(n, dtype=complex)] * 2 if local is None else as_matrix(local)
+        if np.shape(local) != (2, n, n):
+            raise ValueError(f"{name} must have shape (2, {n}, {n}), got {np.shape(local)}")
+        # each level's phase, in turns, at own input x and output symbol out
+        tables.append([
+            [local[x] @ np.diag(np.exp(2j * math.pi * np.array(
+                [sign * out * steps[i] / denominator + float(own_phase(x, i)) for i in range(n)]
+            ))) for out in range(denominator)]
+            for x in range(2)
+        ])
 
     shared = StateVector(
         np.diag(np.sqrt(weights)).reshape(-1).astype(complex), PartyStructure.pair(n)
     )
-    return Strategy(ccbox=box, shared=shared, party_maps=(alice, bob))
+    return Strategy(ccbox=box, shared=shared, unitaries=tuple(tables))
 
 
 def general_pure_strategy(targets: CQBox) -> Strategy:
@@ -490,8 +478,7 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     coeffs = form.coefficients
     if coeffs[-1] < 1e-7:
         raise ValueError("reference state must have full Schmidt rank")
-    frame_a = np.asarray(form.left_basis)
-    frame_b = np.asarray(form.right_basis)
+    frame_a, frame_b = form.left_basis, form.right_basis
     inv_d = np.diag(1.0 / coeffs)
     block_dims = tuple(len(b) for b in form.blocks)
 
@@ -511,7 +498,7 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     block_of = np.repeat(np.arange(len(block_dims)), block_dims)  # the block of each level
     blocks_mask = block_of[:, None] == block_of[None, :]
 
-    relabels = {}
+    relabel = np.zeros(targets.input_sizes + (n, n), dtype=complex)
     for key in targets.inputs:
         x, y = key
         w = u_x[x].conj().T @ in_frames(key) @ v_y[y].conj() @ inv_d
@@ -521,26 +508,13 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
                 f"family structure broken: coupling part at input {key} mixes "
                 "Schmidt blocks of unequal coefficient"
             )
-        relabels[key] = check_unitary(np.where(blocks_mask, w, 0.0), f"coupling part at {key}")
+        relabel[key] = check_unitary(np.where(blocks_mask, w, 0.0), f"coupling part at {key}")
 
-    coupling = HaarCouplingBox(
-        dim=n,
-        input_sizes=targets.input_sizes,
-        relabel=lambda key: relabels[key],
-        block_dims=block_dims,
-    )
-
-    dress_a = {x: frame_a @ u_x[x] @ frame_a.conj().T for x in range(nx)}
-    dress_b = {y: frame_b @ v_y[y] @ frame_b.conj().T for y in range(ny)}
-
-    # each party rotates its coupling output into its Schmidt frame
-    def alice(x: int, out: object) -> np.ndarray:
-        return dress_a[x] @ (frame_a @ out @ frame_a.conj().T)
-
-    def bob(y: int, out: object) -> np.ndarray:
-        return dress_b[y] @ (frame_b @ out @ frame_b.conj().T)
-
-    return Strategy(ccbox=coupling, shared=reference, party_maps=(alice, bob))
+    # each party rotates its coupling output into its Schmidt frame, then dresses it
+    dress_a = [frame_a @ u_x[x] @ frame_a.conj().T for x in range(nx)]
+    dress_b = [frame_b @ v_y[y] @ frame_b.conj().T for y in range(ny)]
+    coupling = HaarCouplingBox(n, targets.input_sizes, relabel, block_dims)
+    return Strategy(coupling, reference, (dress_a, dress_b), (frame_a, frame_b))
 
 
 # Bell state i equals (B_i x 1)|phi+> for these local unitaries

@@ -89,7 +89,7 @@ def _coupling_non_signalling(coupling, draws: int = 5, seed: int = 0) -> float:
         offset += d
     worst = 0.0
     for key in keys:
-        relabel = np.asarray(coupling.relabel(key), dtype=complex)
+        relabel = coupling.relabel[key]
         gram = relabel @ relabel.conj().T - np.eye(coupling.dim)
         worst = max(worst, float(np.max(np.abs(gram))))
         outside = np.abs(relabel[~mask])

@@ -236,7 +236,8 @@ class TestFromCoupling:
 class TestHaarCoupling:
     def test_pair_relation(self):
         target = haar_unitary(3, 5).matrix
-        coupling = HaarCouplingBox(3, (2, 2), lambda key: target if key == (1, 1) else np.eye(3))
+        relabel = np.array([[np.eye(3), np.eye(3)], [np.eye(3), target]])
+        coupling = HaarCouplingBox(3, (2, 2), relabel)
         rng = np.random.default_rng(0)
         base = coupling.draw_base(rng)
         u_a, u_b = coupling.sample_pair((1, 1), base)
@@ -246,15 +247,22 @@ class TestHaarCoupling:
         np.testing.assert_allclose(u_a0, base.conj(), atol=1e-14)
 
     def test_block_structure(self):
-        coupling = HaarCouplingBox(4, (2, 2), lambda key: np.eye(4), block_dims=(2, 2))
+        coupling = HaarCouplingBox(4, (2, 2), np.broadcast_to(np.eye(4), (2, 2, 4, 4)), block_dims=(2, 2))
         base = coupling.draw_base(np.random.default_rng(1))
         np.testing.assert_allclose(base[:2, 2:], 0, atol=1e-15)
         np.testing.assert_allclose(base[2:, :2], 0, atol=1e-15)
         for block in (base[:2, :2], base[2:, 2:]):
             np.testing.assert_allclose(block @ block.conj().T, np.eye(2), atol=1e-12)
 
+    def test_relabel_is_a_read_only_copy(self):
+        relabel = np.array(np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
+        coupling = HaarCouplingBox(2, (2, 2), relabel)
+        relabel[1, 1] = 0
+        np.testing.assert_array_equal(coupling.relabel[1, 1], np.eye(2))
+        assert not coupling.relabel.flags.writeable
+
     def test_base_stream_input_independent(self):
-        coupling = HaarCouplingBox(2, (2, 2), lambda key: np.eye(2))
+        coupling = HaarCouplingBox(2, (2, 2), np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
         base1 = coupling.draw_base(np.random.default_rng(9))
         base2 = coupling.draw_base(np.random.default_rng(9))
         np.testing.assert_array_equal(base1, base2)
@@ -418,8 +426,9 @@ class TestCQBoxDistance:
         (lambda: CCBox((2, 2), (2,), np.zeros((2, 2, 2))), "one output alphabet per party required"),
         (lambda: CCBox((2, 2), (2, 2), np.zeros((2, 2, 2))),
          "table shape (2, 2, 2) does not match (2, 2, 2, 2)"),
-        (lambda: HaarCouplingBox(3, (2, 2), lambda key: np.eye(3), block_dims=(1, 1)),
+        (lambda: HaarCouplingBox(3, (2, 2), np.zeros((2, 2, 3, 3)), block_dims=(1, 1)),
          "block dimensions (1, 1) do not sum to 3"),
+        (lambda: HaarCouplingBox(2, (2, 2), np.eye(2)), "relabel shape (2, 2) does not match (2, 2, 2, 2)"),
         (lambda: CQBox((2,), AB, amplitudes=np.zeros((2, 4))), "one classical input per party required"),
         (lambda: CQBox.from_outputs((1, 1), AB, {(0, 0): w_state()}),
          "output at (0, 0) has mismatched party structure"),

@@ -254,13 +254,22 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, "0.5", True, pytest.param([0.0, 1.0], id="ragged")]
+    )
     def test_assignment_phases_must_be_finite(self, field, value):
         """A non-finite phase is refused; is_local_equivalent used to call a
-        NaN phase local and return NaN phases for an infinite one."""
-        phases = {name: np.zeros((2, 2, 2)) for name in ("alpha", "beta", "gamma")}
-        phases[field][1, 1, 1] = value
-        with pytest.raises(ValueError, match=f"^{field} must hold finite phases, got "):
+        NaN phase local and return NaN phases for an infinite one.  So is a
+        string or boolean phase, which numpy would convert, and a ragged
+        field is refused by name."""
+        phases = {name: np.zeros((2, 2, 2)).tolist() for name in ("alpha", "beta", "gamma")}
+        phases[field][1][1][1] = value
+        message = {
+            str: f'holds "{value}", not a JSON number',
+            bool: "holds true, not a JSON number",
+            list: "must hold numbers: setting an array element with a sequence",
+        }.get(type(value), "must hold finite phases, got ")
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
             PhaseAssignment(**phases)
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cqboxes.quantum import (
     pauli_z_power,
     phase_diag,
     phi_plus,
+    real_array,
     schmidt,
     su2,
     tensor,
@@ -157,6 +159,26 @@ class TestStateValidation:
     )
     def test_tolerance_is_finite_and_non_negative(self, tol, reason):
         assert invalid_tolerance(tol) == reason
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ([[1, 2.5], [0, -3]], None),
+            (np.arange(4).reshape(2, 2), None),
+            ([np.float64(0.5), np.int64(2)], None),
+            (np.array([0.5, "0.5"], dtype=object), 'holds "0.5", not a JSON number'),
+            (["x"], "must hold numbers: could not convert string to float: 'x'"),
+            (np.array([True, False]), "holds true, not a JSON number"),
+            ([1.0, None], "holds null, not a JSON number"),
+            ([[1.0], [2.0, 3.0]], "must hold numbers: setting an array element with a sequence"),
+        ],
+    )
+    def test_real_array_takes_numbers_only(self, data, reason):
+        if reason is None:
+            assert np.array_equal(real_array(data), np.asarray(data, dtype=float))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
+                real_array(data)
 
     def test_distribution_tolerance_is_the_callers(self):
         assert invalid_distribution([0.5, 0.5 + 1e-8]) is not None

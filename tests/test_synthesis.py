@@ -247,9 +247,9 @@ class TestMaxEntangled:
             assert np.array_equal(a.output(key).matrix, b.output(key).matrix)
 
     def test_rejects_wrongly_shaped_target(self):
-        strategy = max_entangled_strategy({k: np.eye(3) for k in itertools.product(range(2), range(2))}, 2)
-        with pytest.raises(ValueError):
-            sample_states(strategy, samples=1)
+        targets = {k: np.eye(3) for k in itertools.product(range(2), range(2))}
+        with pytest.raises(ValueError, match="must be 2 x 2"):
+            max_entangled_strategy(targets, 2)
 
 
 class TestEightOutput:
@@ -391,8 +391,8 @@ class TestNonMaxPure:
         }
         q_a = haar_unitary(3, 41).matrix
         q_b = haar_unitary(3, 42).matrix
-        local_a = lambda x: q_a if x else np.eye(3, dtype=complex)
-        local_b = lambda y: q_b if y else np.eye(3, dtype=complex)
+        local_a = np.array([np.eye(3), q_a])
+        local_b = np.array([np.eye(3), q_b])
         strategy = nonmax_pure_strategy(p, phases, local_a, local_b)
         box = simulate(strategy)
 
@@ -404,7 +404,7 @@ class TestNonMaxPure:
             amp = np.zeros((3, 3), dtype=complex)
             for i in range(3):
                 amp[i, i] = math.sqrt(p[i]) * np.exp(2j * math.pi * phase(x, y, i))
-            dressed = local_a(x) @ amp @ local_b(y).T
+            dressed = local_a[x] @ amp @ local_b[y].T
             states[(x, y)] = StateVector(dressed.reshape(-1), PartyStructure.pair(3))
         target = CQBox.from_pure((2, 2), states)
         assert cq_box_distance(box, target) < 1e-12
@@ -449,8 +449,8 @@ class TestGeneralPure:
         strategy = nonmax_pure_strategy(
             [0.5, 0.3, 0.2],
             {(1, 1, 1): Fraction(1, 4), (1, 0, 2): Fraction(1, 3)},
-            local_a=lambda x: haar_unitary(3, 50 + x).matrix,
-            local_b=lambda y: haar_unitary(3, 60 + y).matrix,
+            local_a=np.array([haar_unitary(3, 50 + x).matrix for x in range(2)]),
+            local_b=np.array([haar_unitary(3, 60 + y).matrix for y in range(2)]),
         )
         return simulate(strategy)
 
@@ -751,22 +751,55 @@ class TestMixedDisordered:
         assert cq_no_signalling(self.family(), tol=1e-11).passed
 
 
+IDENTITY_TABLE = np.broadcast_to(np.eye(2), (2, 2, 2, 2))  # per input and output of pr_box
+
+
 class TestStrategyValidation:
-    def test_party_map_count_must_match(self):
-        with pytest.raises(ValueError, match="party maps"):
-            Strategy(
-                ccbox=pr_box(),
-                shared=bell_state(0),
-                party_maps=(lambda x, a: np.eye(2),),
-            )
+    def test_table_count_must_match(self):
+        with pytest.raises(ValueError, match="expected 2 unitary tables, got 1"):
+            Strategy(ccbox=pr_box(), shared=bell_state(0), unitaries=(IDENTITY_TABLE,))
 
     def test_shared_state_must_be_pure(self):
         with pytest.raises(TypeError, match="StateVector"):
             Strategy(
-                ccbox=pr_box(),
-                shared=bell_state(0).density(),
-                party_maps=(lambda x, a: np.eye(2),) * 2,
+                ccbox=pr_box(), shared=bell_state(0).density(), unitaries=(IDENTITY_TABLE,) * 2
             )
+
+    @pytest.mark.parametrize(
+        "shape, axis", [((3, 2, 2, 2), "inputs"), ((2, 3, 2, 2), "outputs"), ((2, 2, 3, 3), "dim")]
+    )
+    def test_table_shape_must_match_the_box_and_state(self, shape, axis):
+        bad = np.zeros(shape, dtype=complex)
+        for unitaries, label in (((bad, IDENTITY_TABLE), "A"), ((IDENTITY_TABLE, bad), "B")):
+            message = f"party {label}'s unitary table must be (2, 2, 2, 2), got {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Strategy(pr_box(), bell_state(0), unitaries)
+
+    def test_finite_tables_are_required_and_frameless(self):
+        with pytest.raises(ValueError, match=re.escape("party B's unitary table must be")):
+            Strategy(pr_box(), bell_state(0), (IDENTITY_TABLE, None))
+        message = "party A's frame must be 2 x 2, over a Haar coupling"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Strategy(pr_box(), bell_state(0), (IDENTITY_TABLE,) * 2, (np.eye(2), None))
+
+    def test_haar_dressing_and_frame_shapes(self):
+        coupling = HaarCouplingBox(2, (2, 3), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        Strategy(coupling, phi_plus(2), (None, np.zeros((3, 2, 2))), (np.eye(2), None))
+        message = "party B's unitary table must be (3, 2, 2), got (2, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Strategy(coupling, phi_plus(2), (None, np.zeros((2, 2, 2))))
+        message = "party A's frame must be 2 x 2, over a Haar coupling"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Strategy(coupling, phi_plus(2), (None, None), (np.eye(3), None))
+        with pytest.raises(ValueError, match="expected 2 frames, got 1"):
+            Strategy(coupling, phi_plus(2), (None, None), (np.eye(2),))
+
+    def test_tables_are_read_only_copies(self):
+        table = np.array(IDENTITY_TABLE)
+        strategy = Strategy(pr_box(), bell_state(0), (table, table))
+        table[0, 0] = 0
+        assert np.array_equal(strategy.unitaries[0], IDENTITY_TABLE)
+        assert not strategy.unitaries[0].flags.writeable
 
     def test_sample_states_requires_a_coupling_sampler(self):
         strategy = bit_flip_strategy()
@@ -783,7 +816,7 @@ UNEQUAL_BOX = CQBox.from_outputs(
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Strategy(pr_box(), w_state(), (lambda x, a: np.eye(2),) * 2),
+        (lambda: Strategy(pr_box(), w_state(), (IDENTITY_TABLE,) * 2),
          "shared state party count does not match the classical box"),
         (lambda: irrational_phase_strategy(0.3, 1), "output count must be at least 2, got 1"),
         (lambda: nonmax_pure_strategy([1.0], {}), "at least two levels required"),
@@ -791,6 +824,8 @@ UNEQUAL_BOX = CQBox.from_outputs(
         (lambda: nonmax_pure_strategy([1.0, 0.0], {}), "p must be strictly positive probabilities"),
         (lambda: nonmax_pure_strategy([math.nan, 0.2], {}), "p must be strictly positive probabilities"),
         (lambda: nonmax_pure_strategy([math.inf, -math.inf], {}), "p must be strictly positive"),
+        (lambda: nonmax_pure_strategy([0.7, 0.3], {}, local_b=np.eye(2)),
+         "local_b must have shape (2, 2, 2), got (2, 2)"),
         (lambda: general_pure_strategy(w_phase_box(PhaseAssignment(*np.zeros((3, 2, 2, 2))))),
          "construction applies to two-party families"),
         (lambda: general_pure_strategy(UNEQUAL_BOX), "construction requires equal local dimensions"),
@@ -843,10 +878,19 @@ def reference_draw(coupling: HaarCouplingBox, rng: np.random.Generator) -> np.nd
     return v
 
 
+def reference_dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np.ndarray:
+    """Party j's unitary at own input x for a Haar coupling output (or a
+    stack of them): turned into its frame, then dressed, where it has those."""
+    frame, dressing = strategy.frames[j], strategy.unitaries[j]
+    if frame is not None:
+        out = frame @ out @ frame.conj().T
+    return out if dressing is None else dressing[x] @ out
+
+
 def reference_sample_vectors(strategy: Strategy, samples: int, seed: int) -> dict:
     """The per-sample loop the batched sampler replaced: one base draw,
-    one call of each party map and one local application per sample and
-    input, as a ``(samples, D)`` array per input."""
+    one dressing of each party's output and one local application per
+    sample and input, as a ``(samples, D)`` array per input."""
     coupling = strategy.ccbox
     rng = np.random.default_rng(seed)
     bases = [coupling.draw_base(rng) for _ in range(samples)]
@@ -855,8 +899,8 @@ def reference_sample_vectors(strategy: Strategy, samples: int, seed: int) -> dic
     for key in np.ndindex(*coupling.input_sizes):
         vecs = []
         for base in bases:
-            u_a, u_b = coupling.sample_pair(key, base)
-            mats = (strategy.party_maps[0](key[0], u_a), strategy.party_maps[1](key[1], u_b))
+            pair = coupling.sample_pair(key, base)
+            mats = [reference_dressed(strategy, j, key[j], u) for j, u in enumerate(pair)]
             t = strategy.shared.amplitudes.reshape(dims)
             for axis, mat in enumerate(mats):
                 t = apply_axis(t, np.asarray(mat, dtype=complex), axis)
@@ -912,7 +956,7 @@ SAMPLED = sampled_strategies()
 class TestBatchedSamplerMatchesReference:
     @pytest.mark.parametrize("dim, blocks", [(3, ()), (4, (2, 1, 1)), (4, (2, 2))])
     def test_stacked_draws_equal_sequential_draws(self, dim, blocks):
-        coupling = HaarCouplingBox(dim, (2, 2), lambda key: np.eye(dim), block_dims=blocks)
+        coupling = HaarCouplingBox(dim, (2, 2), np.broadcast_to(np.eye(dim), (2, 2, dim, dim)), blocks)
         rng = np.random.default_rng(12)
         sequential = np.array([coupling.draw_base(rng) for _ in range(50)])
         rng = np.random.default_rng(12)
@@ -960,19 +1004,17 @@ class TestBatchedSamplerMatchesReference:
             assert np.max(np.abs(single.output(key).matrix - reference[key])) <= 1e-12
 
     def test_relabel_shape_error_still_raised(self):
-        targets = {key: np.eye(3) for key in itertools.product(range(2), range(2))}
-        strategy = max_entangled_strategy(targets, 2)
-        for run in (sample_states, simulate):
-            with pytest.raises(ValueError, match="must be 2 x 2"):
-                run(strategy, samples=3)
+        """A wrong target shape is refused when the coupling is built."""
+        targets = {key: np.eye(2) for key in itertools.product(range(2), range(2))}
+        targets[(1, 0)] = np.eye(3)
+        message = "target for input (1, 0) must be 2 x 2, got (3, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            max_entangled_strategy(targets, 2)
 
-    def test_non_unitary_party_map_fails_the_norm_check(self):
+    def test_non_unitary_dressing_fails_the_norm_check(self):
         _, good = SAMPLED[0]
-        strategy = Strategy(
-            ccbox=good.ccbox,
-            shared=good.shared,
-            party_maps=(lambda x, out: 2 * out, good.party_maps[1]),
-        )
+        doubling = 2 * np.broadcast_to(np.eye(2), (2, 2, 2))  # per own input
+        strategy = Strategy(ccbox=good.ccbox, shared=good.shared, unitaries=(doubling, None))
         for run in (sample_states, simulate):
             with pytest.raises(ValueError, match="norm .* deviates from 1"):
                 run(strategy, samples=3)
@@ -1007,13 +1049,10 @@ def non_signalling_strategies(draw) -> Strategy:
     structure = PartyStructure(tuple(zip("ABC", dims)))
     z = rng.standard_normal(structure.total_dim) + 1j * rng.standard_normal(structure.total_dim)
     shared = StateVector(z / np.linalg.norm(z), structure)
-    unitaries = [
-        [[haar_unitary(d, rng).matrix for _ in range(n)] for _ in range(2)] for d in dims
-    ]
-    maps = tuple(
-        (lambda x, a, table=table_j: table[x][a]) for table_j in unitaries
+    unitaries = tuple(
+        np.array([[haar_unitary(d, rng).matrix for _ in range(n)] for _ in range(2)]) for d in dims
     )
-    return Strategy(ccbox=ccbox, shared=shared, party_maps=maps)
+    return Strategy(ccbox=ccbox, shared=shared, unitaries=unitaries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1026,8 +1065,8 @@ def test_core_lemma_non_signalling_box_gives_non_signalling_cq_box(strategy):
 
 def reference_finite_simulate(strategy: Strategy) -> np.ndarray:
     """The per-entry loop the stacked finite kernel replaced: per positive
-    table entry, one call of each party map, one local application per
-    party and one weighted outer product, summed in support order."""
+    table entry, one lookup in each party's table, one local application
+    per party and one weighted outer product, summed in support order."""
     table_box = strategy.ccbox
     dims = strategy.shared.structure.dims
     d = strategy.shared.structure.total_dim
@@ -1037,8 +1076,8 @@ def reference_finite_simulate(strategy: Strategy) -> np.ndarray:
         for out_key in np.argwhere(block > 0):
             t = strategy.shared.amplitudes.reshape(dims)
             for j in range(len(dims)):
-                mat = strategy.party_maps[j](key[j], int(out_key[j]))
-                t = apply_axis(t, np.asarray(mat, dtype=complex), j)
+                mat = strategy.unitaries[j][key[j], int(out_key[j])]
+                t = apply_axis(t, mat, j)
             vec = t.reshape(-1)
             mats[key] += block[tuple(out_key)] * np.outer(vec, vec.conj())
     return mats
@@ -1060,8 +1099,8 @@ def finite_strategies() -> list[tuple[str, Strategy]]:
             nonmax_pure_strategy(
                 [0.5, 0.3, 0.2],
                 phases,
-                lambda x: q_a if x else np.eye(3),
-                lambda y: q_b if y else np.eye(3),
+                np.array([np.eye(3), q_a]),
+                np.array([np.eye(3), q_b]),
             ),
         ),
         ("nonmax-pure local only", nonmax_pure_strategy([0.7, 0.3], {(1, 0, 1): Fraction(1, 3)})),
@@ -1093,14 +1132,14 @@ def finite_strategies_with_zeros(draw) -> Strategy:
     table = (flat / flat.sum(axis=-1, keepdims=True)).reshape(inputs + outputs)
     structure = PartyStructure(tuple(zip("ABC", dims)))
     z = rng.standard_normal(structure.total_dim) + 1j * rng.standard_normal(structure.total_dim)
-    unitaries = [
-        [[haar_unitary(d, rng).matrix for _ in range(n_out)] for _ in range(n_in)]
+    unitaries = tuple(
+        np.array([[haar_unitary(d, rng).matrix for _ in range(n_out)] for _ in range(n_in)])
         for d, n_in, n_out in zip(dims, inputs, outputs)
-    ]
+    )
     return Strategy(
         ccbox=CCBox(inputs, outputs, table),
         shared=StateVector(z / np.linalg.norm(z), structure),
-        party_maps=tuple((lambda x, a, u=u_j: u[x][a]) for u_j in unitaries),
+        unitaries=unitaries,
     )
 
 
@@ -1123,21 +1162,8 @@ class TestStackedFiniteMatchesReference:
             monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", entries)
             assert np.max(np.abs(simulate(strategy).matrices - reference)) <= 1e-13
 
-    def test_each_party_map_is_called_once_per_symbol_and_input(self):
-        calls = []
-        flip = pauli_x().matrix
-
-        def conditional_flip(x: int, out: int) -> np.ndarray:
-            calls.append((x, out))
-            return flip if out else np.eye(2)
-
-        simulate(Strategy(pr_box(), bell_state(0), (conditional_flip, conditional_flip)))
-        # 2 parties x 2 own inputs x 2 output symbols
-        assert sorted(calls) == sorted([(x, out) for x in range(2) for out in range(2)] * 2)
-
-    def test_non_unitary_party_map_fails_the_norm_check(self):
-        maps = (lambda x, a: 2 * np.eye(2), lambda y, b: np.eye(2))
-        strategy = Strategy(pr_box(), bell_state(0), maps)
+    def test_non_unitary_table_fails_the_norm_check(self):
+        strategy = Strategy(pr_box(), bell_state(0), (2 * IDENTITY_TABLE, IDENTITY_TABLE))
         with pytest.raises(ValueError, match="norm .* deviates from 1"):
             simulate(strategy)
 
@@ -1179,14 +1205,15 @@ def test_schmidt_dressed_families_round_trip_through_general_pure(box, seed):
 @dataclass(frozen=True)
 class FramedHaarCouplingBox(HaarCouplingBox):
     """The coupling that ``general_pure_strategy`` built before its Schmidt
-    frames moved into the party maps: ``sample_pair`` rotates both outputs
-    into the frames.  Kept as the reference those maps must reproduce."""
+    frames moved into the strategy: ``sample_pair`` rotates both outputs
+    into the frames.  Kept as the reference the strategy's frames must
+    reproduce."""
 
     frame_a: np.ndarray | None = None
     frame_b: np.ndarray | None = None
 
     def sample_pair(self, inputs, base):
-        u_a = np.asarray(self.relabel(inputs), dtype=complex) @ base.conj()
+        u_a = self.relabel[inputs] @ base.conj()
         u_b = base
         if self.frame_a is not None:
             u_a = self.frame_a @ u_a @ self.frame_a.conj().T
@@ -1196,9 +1223,11 @@ class FramedHaarCouplingBox(HaarCouplingBox):
 
 
 def reference_framed_strategy(targets: CQBox) -> Strategy:
-    """``general_pure_strategy`` with a framed coupling and frame-dressed
-    party maps, rebuilt from the reference output's Schmidt form; only the
-    coupling parts are taken from the strategy under test."""
+    """``general_pure_strategy`` with a framed coupling and unframed
+    dressings, rebuilt from the reference output's Schmidt form; only the
+    coupling parts are taken from the strategy under test.  Only the
+    per-draw loop of ``reference_weighted_unitaries`` calls the framed
+    ``sample_pair``, so ``framed_simulate`` runs it through that loop."""
     coupling = general_pure_strategy(targets).ccbox
     reference = targets.pure_output((0, 0))
     form = schmidt(reference)
@@ -1211,26 +1240,25 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
         return frame_a.conj().T @ mat @ frame_b.conj()
 
     nx, ny = targets.input_sizes
-    dress_a = {x: frame_a @ (in_frames((x, 0)) @ inv_d) @ frame_a.conj().T for x in range(nx)}
-    dress_b = {y: frame_b @ (inv_d @ in_frames((0, y))).T @ frame_b.conj().T for y in range(ny)}
+    dress_a = [frame_a @ (in_frames((x, 0)) @ inv_d) @ frame_a.conj().T for x in range(nx)]
+    dress_b = [frame_b @ (inv_d @ in_frames((0, y))).T @ frame_b.conj().T for y in range(ny)]
     framed = FramedHaarCouplingBox(
         coupling.dim, coupling.input_sizes, coupling.relabel, coupling.block_dims, frame_a, frame_b
     )
-    return Strategy(
-        ccbox=framed,
-        shared=reference,
-        party_maps=(
-            lambda x, out: dress_a[x] @ np.asarray(out, dtype=complex),
-            lambda y, out: dress_b[y] @ np.asarray(out, dtype=complex),
-        ),
-    )
+    return Strategy(ccbox=framed, shared=reference, unitaries=(dress_a, dress_b))
+
+
+def framed_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
+    """``simulate`` with the framed coupling's ``sample_pair`` feeding the dressings."""
+    with mock.patch.object(synthesis, "_weighted_unitaries", reference_weighted_unitaries):
+        return simulate(strategy, samples=samples, seed=seed)
 
 
 @settings(max_examples=15, deadline=None)
 @given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
 def test_general_pure_matches_the_framed_coupling_bit_for_bit(box, seed):
     simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
-    framed = simulate(reference_framed_strategy(box), samples=5, seed=seed)
+    framed = framed_simulate(reference_framed_strategy(box), samples=5, seed=seed)
     assert np.array_equal(simulated.matrices, framed.matrices)
 
 
@@ -1240,7 +1268,7 @@ def test_general_pure_matches_the_framed_coupling_bit_for_bit(box, seed):
 def test_general_pure_fixtures_match_the_framed_coupling_bit_for_bit(name):
     box = load_box(FIXTURES / f"{name}.json")
     simulated = simulate(general_pure_strategy(box), samples=40, seed=3)
-    framed = simulate(reference_framed_strategy(box), samples=40, seed=3)
+    framed = framed_simulate(reference_framed_strategy(box), samples=40, seed=3)
     assert np.array_equal(simulated.matrices, framed.matrices)
 
 
@@ -1294,9 +1322,10 @@ class TestFirstPartyProductMatchesTheBroadcast:
 
 
 def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
-    """``_weighted_unitaries`` as it was before each party map was called
-    once per own input: every map once per input tuple (and chunk)."""
-    ccbox, maps = strategy.ccbox, strategy.party_maps
+    """``_weighted_unitaries`` as it was before each party's unitaries were
+    formed once per own input: every party once per input tuple (and
+    chunk), a Haar chunk through ``sample_pair`` for each input tuple."""
+    ccbox, tables = strategy.ccbox, strategy.unitaries
     dims = strategy.shared.structure.dims
     chunk = max(1, synthesis._CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
     if isinstance(ccbox, HaarCouplingBox):
@@ -1305,15 +1334,12 @@ def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
             bases = ccbox.draw_base(rng, min(chunk, samples - start))
             for key in np.ndindex(*ccbox.input_sizes):
                 pair = ccbox.sample_pair(key, bases)
-                stacks = [f(x, u) for f, x, u in zip(maps, key, pair)]
+                stacks = [reference_dressed(strategy, j, key[j], u) for j, u in enumerate(pair)]
                 yield key, stacks, np.full(len(bases), 1 / samples)
         return
     table = ccbox.table
     for key in np.ndindex(*ccbox.input_sizes):
-        per_symbol = [
-            np.array([f(x, out) for out in range(n)], dtype=complex)
-            for f, x, n in zip(maps, key, table.shape[len(key) :])
-        ]
+        per_symbol = [u[x] for u, x in zip(tables, key)]
         support = np.nonzero(table[key] > 0)
         for start in range(0, len(support[0]), chunk):
             rows = tuple(outs[start : start + chunk] for outs in support)
@@ -1351,19 +1377,18 @@ class TestMapsOncePerOwnInputMatchTheReference:
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 9 * 5)  # chunks of 5 draws
         assert_simulate_matches_the_per_tuple_maps(strategy, samples, 4)
 
-    def test_haar_party_one_map_runs_once_per_chunk_and_input(self, monkeypatch):
+    def test_haar_party_one_is_dressed_once_per_chunk_and_input(self, monkeypatch):
         calls = []
+        dressed = synthesis._dressed
 
-        def counted(party: int):
-            def passthrough(inp: int, out: np.ndarray) -> np.ndarray:
-                calls.append((party, inp))
-                return out
+        def counted(strategy, j, x, out):
+            calls.append((j, x))
+            return dressed(strategy, j, x, out)
 
-            return passthrough
-
-        coupling = HaarCouplingBox(dim=2, input_sizes=(2, 3), relabel=lambda key: np.eye(2))
+        coupling = HaarCouplingBox(2, (2, 3), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        monkeypatch.setattr(synthesis, "_dressed", counted)
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
-        simulate(Strategy(coupling, phi_plus(2), (counted(0), counted(1))), samples=12)
+        simulate(Strategy(coupling, phi_plus(2), (None, None)), samples=12)
         # 3 chunks: party 0 once per input tuple, party 1 once per own input
         assert sorted(calls) == sorted(
             [(0, x) for x in range(2) for _ in range(3)] * 3 + [(1, y) for y in range(3)] * 3
