@@ -29,6 +29,7 @@ from cqboxes.quantum import (
 )
 from cqboxes.synthesis import (
     eight_output_targets,
+    nonmax_family_box,
     phase_family_box,
     unitary_family_box,
 )
@@ -56,21 +57,12 @@ def signalling_family() -> CQBox:
 
 
 def nonmax_pure_family() -> CQBox:
-    weights = (0.6, 0.3, 0.1)
     phases = {
         (1, 1, 1): Fraction(1, 4),
         (1, 0, 2): Fraction(1, 3),
         (0, 1, 1): Fraction(1, 5),
     }
-    structure = PartyStructure.pair(3)
-    states = {}
-    for x, y in itertools.product(range(2), range(2)):
-        diag = [
-            math.sqrt(w) * np.exp(2j * math.pi * float(phases.get((x, y, i), 0)))
-            for i, w in enumerate(weights)
-        ]
-        states[(x, y)] = StateVector(np.diag(diag).reshape(-1), structure)
-    return CQBox.from_pure((2, 2), states)
+    return nonmax_family_box((0.6, 0.3, 0.1), phases)
 
 
 def two_block_family() -> CQBox:

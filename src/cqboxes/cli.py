@@ -44,7 +44,7 @@ from cqboxes.multipartite import (
     w_phase_theorem_check,
 )
 from cqboxes.quantum import (
-    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, bell_state, haar_unitary, invalid_distribution,
+    MAX_TENSOR_DIM, TOLERANCE, bell_state, haar_unitary, invalid_distribution,
     invalid_tolerance, invalid_unitary,
 )
 from cqboxes.synthesis import (
@@ -55,6 +55,7 @@ from cqboxes.synthesis import (
     irrational_phase_strategy,
     max_entangled_strategy,
     mixed_disordered_strategy,
+    nonmax_family_box,
     nonmax_pure_strategy,
     phase_family_box,
     rational_phase_strategy,
@@ -198,17 +199,6 @@ def _parse_phases(text: str, levels: int) -> dict[tuple[int, int, int], Fraction
     return phases
 
 
-def _nonmax_target(weights: list[float], phases: dict) -> CQBox:
-    levels = len(weights)
-    amps = np.zeros((2, 2, levels, levels), dtype=complex)
-    for x, y in itertools.product(range(2), range(2)):
-        amps[x, y] = np.diag([
-            math.sqrt(w) * np.exp(2j * math.pi * float(phases.get((x, y, i), 0)))
-            for i, w in enumerate(weights)
-        ])
-    return CQBox((2, 2), PartyStructure.pair(levels), amplitudes=amps.reshape(2, 2, -1))
-
-
 def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
     """Read off T with |psi> = (T x 1)|phi+_n| for each input, rejecting
     outputs that are not maximally entangled."""
@@ -311,7 +301,7 @@ def _nonmax_pure(args) -> dict:
     phases = _parse_phases(args.phases, len(weights))
     return {
         "strategy": nonmax_pure_strategy(weights, phases),
-        "target": _nonmax_target(weights, phases),
+        "target": nonmax_family_box(weights, phases),
         "parameters": {
             "weights": weights,
             "phases": {",".join(map(str, k)): str(v) for k, v in sorted(phases.items())},

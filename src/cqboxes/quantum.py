@@ -232,11 +232,13 @@ def real_array(data: object) -> np.ndarray:
     a numpy array) of ints and floats; else a ValueError saying why not.  A
     string, boolean or None entry is refused even where numpy would convert
     it.  Callers name the field in front of the reason."""
+    leaves = data.tolist() if isinstance(data, np.ndarray) else data  # as Python scalars
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "c":
+        data = data.real  # its complex entries are refused below, with no cast warning
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"must hold numbers: {exc}") from None
-    leaves = data.tolist() if isinstance(data, np.ndarray) else data  # as Python scalars
     kinds = set(map(type, _leaves(leaves, arr.ndim))) - {int, float}  # these pass at once
     if refused := {k for k in kinds if not issubclass(k, numbers.Real) or k is bool}:
         bad = next(v for v in _leaves(leaves, arr.ndim) if type(v) in refused)

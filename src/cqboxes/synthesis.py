@@ -5,10 +5,11 @@ A strategy consists of a classical box, a shared entangled state, and one
 table of local unitaries per party.  Party j feeds its classical input x_j
 to the box, receives output o_j, and applies ``unitaries[j][x_j, o_j]`` to
 its share of the state; over a Haar coupling the output is itself a
-unitary, which the party turns into its Schmidt frame and dresses by its
-own input where the strategy says so.  Simulating a strategy averages the
-resulting states over the box's output distribution, which yields a
-quantum-output box that is non-signalling whenever the classical box is.
+unitary U, which the party applies as ``unitaries[j][x_j] @ U``, dressed
+by its own input, or as U alone where the strategy has no dressing.
+Simulating a strategy averages the resulting states over the box's
+output distribution, which yields a quantum-output box that is
+non-signalling whenever the classical box is.
 
 The constructors in this module build strategies for several families of
 target boxes: phase rotations of a two-level entangled state driven by
@@ -64,6 +65,7 @@ __all__ = [
     "simulate",
     "sample_states",
     "phase_family_box",
+    "nonmax_family_box",
     "unitary_family_box",
     "bit_flip_strategy",
     "sign_flip_strategy",
@@ -89,17 +91,15 @@ class Strategy:
     ``CCBox`` table; a finite coupling is built by ``CCBox.from_coupling``)
     it has shape ``(m_j, n_j, d_j, d_j)``: party j applies
     ``unitaries[j][x, o]`` at own input x and output symbol o.  Over a Haar
-    coupling the output is a sampled unitary U; party j applies
-    ``unitaries[j][x] @ (F @ U @ F^+)`` for its ``(m_j, d_j, d_j)``
-    dressing and its ``(d_j, d_j)`` frame F = ``frames[j]``, and a None
-    dressing or frame applies nothing.  Both kinds feed one weighted stack
-    of state vectors per input, which ``simulate`` sums.
+    coupling the output is a sampled ``(d_j, d_j)`` unitary U; party j
+    applies ``unitaries[j][x] @ U`` for its ``(m_j, d_j, d_j)`` dressing,
+    and a None dressing applies nothing.  Both kinds feed one weighted
+    stack of state vectors per input, which ``simulate`` sums.
     """
 
     ccbox: CCBox | HaarCouplingBox
     shared: StateVector
     unitaries: tuple[np.ndarray | None, ...]
-    frames: tuple[np.ndarray | None, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.shared, StateVector):
@@ -110,19 +110,15 @@ class Strategy:
         if len(self.shared.structure.parties) != parties:
             raise ValueError("shared state party count does not match the classical box")
         haar = isinstance(self.ccbox, HaarCouplingBox)
-        frames = self.frames or (None,) * parties
-        if len(frames) != parties:
-            raise ValueError(f"expected {parties} frames, got {len(frames)}")
         # own input, and output symbol of a finite box, per party
         leads = zip(self.input_sizes) if haar else zip(self.input_sizes, self.ccbox.output_sizes)
-        per_party = zip(self.shared.structure.parties, leads, self.unitaries, frames)
-        for (label, d), lead, table, frame in per_party:
+        for (label, d), lead, table in zip(self.shared.structure.parties, leads, self.unitaries):
+            if haar and d != (dim := self.ccbox.dim):
+                raise ValueError(f"party {label}'s dimension {d} is not the coupling's {dim}")
             if (table is not None or not haar) and (got := np.shape(table)) != lead + (d, d):
                 raise ValueError(f"party {label}'s unitary table must be {lead + (d, d)}, got {got}")
-            if frame is not None and (not haar or np.shape(frame) != (d, d)):
-                raise ValueError(f"party {label}'s frame must be {d} x {d}, over a Haar coupling")
-        for name, arrays in (("unitaries", self.unitaries), ("frames", frames)):
-            object.__setattr__(self, name, tuple(a if a is None else _frozen(a) for a in arrays))
+        frozen = tuple(a if a is None else _frozen(a) for a in self.unitaries)
+        object.__setattr__(self, "unitaries", frozen)
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -136,10 +132,8 @@ _CHUNK_ENTRIES = 2**14
 
 
 def _dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np.ndarray:
-    """Party j's unitaries at own input x for a stack of Haar coupling
-    outputs: each turned into the party's frame, then dressed."""
-    frame, dressing = strategy.frames[j], strategy.unitaries[j]
-    out = out if frame is None else frame @ out @ frame.conj().T
+    """Party j's unitaries at own input x for a stack of Haar coupling outputs."""
+    dressing = strategy.unitaries[j]
     return out if dressing is None else dressing[x] @ out
 
 
@@ -226,6 +220,17 @@ def phase_family_box(
     for x, y in itertools.product(range(2), range(2)):
         amps[x, y] = [alpha, 0, 0, beta * np.exp(1j * phase(x, y))]
     return CQBox((2, 2), PartyStructure.pair(2), amplitudes=amps)
+
+
+def nonmax_family_box(weights: Sequence[float], phases: Mapping[tuple, Fraction | int]) -> CQBox:
+    """Target family sum_i sqrt(w_i) e^{i 2 pi phases[x, y, i]} |ii> over
+    binary inputs, a phase absent from ``phases`` being 0."""
+    n = len(weights)
+    amps = np.zeros((2, 2, n * n), dtype=complex)
+    for x, y, (i, w) in itertools.product(range(2), range(2), enumerate(weights)):
+        turn = float(phases.get((x, y, i), 0))
+        amps[x, y, i * (n + 1)] = math.sqrt(w) * np.exp(2j * math.pi * turn)  # amplitude of |ii>
+    return CQBox((2, 2), PartyStructure.pair(n), amplitudes=amps)
 
 
 def unitary_family_box(
@@ -372,9 +377,7 @@ def eight_output_strategy() -> Strategy:
 
 
 def _as_fraction(value: object, context: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
     raise TypeError(
         f"{context} must be an exact Fraction (or int) number of turns, got {value!r}; "
@@ -442,22 +445,22 @@ def nonmax_pure_strategy(
             for x in range(2)
         ])
 
-    shared = StateVector(
-        np.diag(np.sqrt(weights)).reshape(-1).astype(complex), PartyStructure.pair(n)
-    )
+    shared = StateVector(np.diag(np.sqrt(weights)), PartyStructure.pair(n))
     return Strategy(ccbox=box, shared=shared, unitaries=tuple(tables))
 
 
 def general_pure_strategy(targets: CQBox) -> Strategy:
     """Strategy reproducing an arbitrary non-signalling pure family.
 
-    The reference output at input (0, ..., 0) fixes Schmidt frames and
-    coefficients; non-signalling forces every output to share the
-    coefficient spectrum and to differ from the reference only by
+    The reference output at input (0, ..., 0) is (F_A x F_B) sum_i c_i |ii>
+    in its Schmidt bases F_A, F_B; non-signalling forces every output to
+    share the coefficients c and to differ from the reference only by
     input-local unitaries U^x, V^y and a block unitary W^{x,y} acting
-    within equal-coefficient Schmidt blocks.  W^{x,y} is handed to a
-    block-diagonal Haar coupling (each block a maximally entangled
-    subspace), whose draws reproduce each target exactly per sample.
+    within equal-coefficient Schmidt blocks.  The parties share the
+    Schmidt core sum_i c_i |ii>, and W^{x,y} is handed to a block-diagonal
+    Haar coupling (each block a maximally entangled subspace); Alice
+    applies ``dressing[x] @ U`` = F_A U^x U to her coupling output U, Bob
+    F_B V^y U to his, so every draw reproduces each target exactly.
     """
     if len(targets.input_sizes) != 2:
         raise ValueError("construction applies to two-party families")
@@ -473,18 +476,17 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
         )
     pure = {key: targets.pure_output(key) for key in targets.inputs}
 
-    reference = pure[(0, 0)]
-    form = schmidt(reference)
+    form = schmidt(pure[(0, 0)])
     coeffs = form.coefficients
     if coeffs[-1] < 1e-7:
         raise ValueError("reference state must have full Schmidt rank")
-    frame_a, frame_b = form.left_basis, form.right_basis
+    basis_a, basis_b = form.left_basis, form.right_basis
     inv_d = np.diag(1.0 / coeffs)
     block_dims = tuple(len(b) for b in form.blocks)
 
-    def in_frames(key: tuple[int, ...]) -> np.ndarray:
+    def in_bases(key: tuple[int, ...]) -> np.ndarray:
         mat = pure[key].amplitudes.reshape(n, n)
-        return frame_a.conj().T @ mat @ frame_b.conj()
+        return basis_a.conj().T @ mat @ basis_b.conj()
 
     def check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
         if invalid_unitary(mat, 1e-6):
@@ -492,8 +494,8 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
         return mat
 
     nx, ny = targets.input_sizes
-    u_x = {x: check_unitary(in_frames((x, 0)) @ inv_d, f"row dressing at x={x}") for x in range(nx)}
-    v_y = {y: check_unitary((inv_d @ in_frames((0, y))).T, f"column dressing at y={y}") for y in range(ny)}
+    u_x = {x: check_unitary(in_bases((x, 0)) @ inv_d, f"row dressing at x={x}") for x in range(nx)}
+    v_y = {y: check_unitary((inv_d @ in_bases((0, y))).T, f"column dressing at y={y}") for y in range(ny)}
 
     block_of = np.repeat(np.arange(len(block_dims)), block_dims)  # the block of each level
     blocks_mask = block_of[:, None] == block_of[None, :]
@@ -501,7 +503,7 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     relabel = np.zeros(targets.input_sizes + (n, n), dtype=complex)
     for key in targets.inputs:
         x, y = key
-        w = u_x[x].conj().T @ in_frames(key) @ v_y[y].conj() @ inv_d
+        w = u_x[x].conj().T @ in_bases(key) @ v_y[y].conj() @ inv_d
         off_block = np.abs(w[~blocks_mask])
         if off_block.size and off_block.max() > 1e-6:
             raise ValueError(
@@ -510,11 +512,11 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
             )
         relabel[key] = check_unitary(np.where(blocks_mask, w, 0.0), f"coupling part at {key}")
 
-    # each party rotates its coupling output into its Schmidt frame, then dresses it
-    dress_a = [frame_a @ u_x[x] @ frame_a.conj().T for x in range(nx)]
-    dress_b = [frame_b @ v_y[y] @ frame_b.conj().T for y in range(ny)]
+    core = StateVector(np.diag(coeffs), targets.structure)
+    dress_a = [basis_a @ u_x[x] for x in range(nx)]
+    dress_b = [basis_b @ v_y[y] for y in range(ny)]
     coupling = HaarCouplingBox(n, targets.input_sizes, relabel, block_dims)
-    return Strategy(coupling, reference, (dress_a, dress_b), (frame_a, frame_b))
+    return Strategy(coupling, core, (dress_a, dress_b))
 
 
 # Bell state i equals (B_i x 1)|phi+> for these local unitaries

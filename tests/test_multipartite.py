@@ -272,6 +272,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} {message}"):
             PhaseAssignment(**phases)
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_phases_are_refused_without_a_warning(self):
+        zeros = np.zeros((2, 2, 2))
+        with pytest.raises(ValueError, match='^alpha holds "1j", not a JSON number$'):
+            PhaseAssignment(1j * np.ones((2, 2, 2)), zeros, zeros)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

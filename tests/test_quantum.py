@@ -180,6 +180,22 @@ class TestStateValidation:
             with pytest.raises(ValueError, match=f"^{re.escape(reason)}"):
                 real_array(data)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "data, shown",
+        [
+            (1j * np.ones((2, 2)), "1j"),
+            (np.array([1.0 + 0j]), "(1+0j)"),
+            (np.complex64(1j), "np.complex64(1j)"),
+        ],
+    )
+    def test_complex_numpy_data_is_refused_before_a_cast(self, data, shown):
+        """numpy's cast of complex data to float warns; that warning used
+        to escape, under -W error, in place of the refusal."""
+        message = f'holds "{shown}", not a JSON number'
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            real_array(data)
+
     def test_distribution_tolerance_is_the_callers(self):
         assert invalid_distribution([0.5, 0.5 + 1e-8]) is not None
         assert invalid_distribution([0.5, 0.5 + 1e-8], tol=1e-6) is None

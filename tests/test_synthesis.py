@@ -60,6 +60,7 @@ from cqboxes.synthesis import (
     max_entangled_strategy,
     mixed_disordered_strategy,
     mixture_align,
+    nonmax_family_box,
     nonmax_pure_strategy,
     phase_family_box,
     rational_phase_strategy,
@@ -379,6 +380,13 @@ class TestNonMaxPure:
         reference = simulate(rational_phase_strategy(1, 4, alpha, beta))
         assert cq_box_distance(box, reference) < 1e-12
         assert strategy.ccbox.output_sizes == (4, 4)
+
+    def test_target_builder_is_what_the_strategy_realises(self):
+        phases = {(1, 1, 1): Fraction(1, 4), (1, 0, 2): Fraction(1, 3), (0, 1, 1): Fraction(1, 5)}
+        target = nonmax_family_box((0.6, 0.3, 0.1), phases)
+        assert np.array_equal(target.amplitudes, load_box(FIXTURES / "nonmax_pure_family.json").amplitudes)
+        realised = simulate(nonmax_pure_strategy((0.6, 0.3, 0.1), phases))
+        assert cq_box_distance(realised, target) < 1e-12
 
     def test_three_level_family_with_local_and_interaction_phases(self):
         p = [0.5, 0.3, 0.2]
@@ -775,24 +783,28 @@ class TestStrategyValidation:
             with pytest.raises(ValueError, match=re.escape(message)):
                 Strategy(pr_box(), bell_state(0), unitaries)
 
-    def test_finite_tables_are_required_and_frameless(self):
+    def test_finite_tables_are_required(self):
         with pytest.raises(ValueError, match=re.escape("party B's unitary table must be")):
             Strategy(pr_box(), bell_state(0), (IDENTITY_TABLE, None))
-        message = "party A's frame must be 2 x 2, over a Haar coupling"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Strategy(pr_box(), bell_state(0), (IDENTITY_TABLE,) * 2, (np.eye(2), None))
 
-    def test_haar_dressing_and_frame_shapes(self):
+    def test_haar_dressing_shapes(self):
         coupling = HaarCouplingBox(2, (2, 3), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
-        Strategy(coupling, phi_plus(2), (None, np.zeros((3, 2, 2))), (np.eye(2), None))
+        Strategy(coupling, phi_plus(2), (None, np.zeros((3, 2, 2))))
         message = "party B's unitary table must be (3, 2, 2), got (2, 2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             Strategy(coupling, phi_plus(2), (None, np.zeros((2, 2, 2))))
-        message = "party A's frame must be 2 x 2, over a Haar coupling"
+
+    @pytest.mark.parametrize(
+        "state, label",
+        [(phi_plus(2), "A"), (StateVector(np.eye(6, dtype=complex)[0], PartyStructure.pair(3, 2)), "B")],
+    )
+    def test_haar_coupling_dim_must_match_the_shared_state(self, state, label):
+        """A mismatch used to pass here and fail in ``simulate`` with numpy's
+        reshape error, naming no party."""
+        coupling = HaarCouplingBox(3, (2, 2), np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
+        message = f"party {label}'s dimension 2 is not the coupling's 3"
         with pytest.raises(ValueError, match=re.escape(message)):
-            Strategy(coupling, phi_plus(2), (None, None), (np.eye(3), None))
-        with pytest.raises(ValueError, match="expected 2 frames, got 1"):
-            Strategy(coupling, phi_plus(2), (None, None), (np.eye(2),))
+            Strategy(coupling, state, (None, None))
 
     def test_tables_are_read_only_copies(self):
         table = np.array(IDENTITY_TABLE)
@@ -880,10 +892,8 @@ def reference_draw(coupling: HaarCouplingBox, rng: np.random.Generator) -> np.nd
 
 def reference_dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np.ndarray:
     """Party j's unitary at own input x for a Haar coupling output (or a
-    stack of them): turned into its frame, then dressed, where it has those."""
-    frame, dressing = strategy.frames[j], strategy.unitaries[j]
-    if frame is not None:
-        out = frame @ out @ frame.conj().T
+    stack of them): dressed, where the party has a dressing."""
+    dressing = strategy.unitaries[j]
     return out if dressing is None else dressing[x] @ out
 
 
@@ -1205,9 +1215,9 @@ def test_schmidt_dressed_families_round_trip_through_general_pure(box, seed):
 @dataclass(frozen=True)
 class FramedHaarCouplingBox(HaarCouplingBox):
     """The coupling that ``general_pure_strategy`` built before its Schmidt
-    frames moved into the strategy: ``sample_pair`` rotates both outputs
-    into the frames.  Kept as the reference the strategy's frames must
-    reproduce."""
+    bases moved into the shared state and the dressings: ``sample_pair``
+    rotates both outputs into the frames F, as F @ U @ F^+.  Kept as the
+    reference the Schmidt-core strategy must stay close to."""
 
     frame_a: np.ndarray | None = None
     frame_b: np.ndarray | None = None
@@ -1254,22 +1264,26 @@ def framed_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
         return simulate(strategy, samples=samples, seed=seed)
 
 
+# the Schmidt core reorders the framed products, which moves the last bits
+FRAMED_BOUND = 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
-def test_general_pure_matches_the_framed_coupling_bit_for_bit(box, seed):
+def test_general_pure_stays_near_the_framed_coupling(box, seed):
     simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
     framed = framed_simulate(reference_framed_strategy(box), samples=5, seed=seed)
-    assert np.array_equal(simulated.matrices, framed.matrices)
+    assert np.max(np.abs(simulated.matrices - framed.matrices)) <= FRAMED_BOUND
 
 
 @pytest.mark.parametrize(
     "name", ["two_block_family", "nonmax_pure_family", "max_entangled_family"]
 )
-def test_general_pure_fixtures_match_the_framed_coupling_bit_for_bit(name):
+def test_general_pure_fixtures_stay_near_the_framed_coupling(name):
     box = load_box(FIXTURES / f"{name}.json")
     simulated = simulate(general_pure_strategy(box), samples=40, seed=3)
     framed = framed_simulate(reference_framed_strategy(box), samples=40, seed=3)
-    assert np.array_equal(simulated.matrices, framed.matrices)
+    assert np.max(np.abs(simulated.matrices - framed.matrices)) <= FRAMED_BOUND
 
 
 def reference_weighted_vectors(strategy: Strategy, samples: int, seed: int):
