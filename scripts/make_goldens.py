@@ -84,11 +84,8 @@ def two_block_family() -> CQBox:
 
 def max_entangled_family() -> CQBox:
     rng = np.random.default_rng(42)
-    targets = {
-        key: haar_unitary(2, rng).matrix
-        for key in itertools.product(range(2), range(2))
-    }
-    return unitary_family_box(targets, 2)
+    targets = np.reshape([haar_unitary(2, rng).matrix for _ in range(4)], (2, 2, 2, 2))
+    return unitary_family_box(targets)
 
 
 DISORDERED_MIXES = {
@@ -169,7 +166,7 @@ def main() -> None:
             lambda x, y: math.sqrt(2) * math.pi * x * y, HALF, HALF
         ),
         "max_entangled_family": max_entangled_family(),
-        "eight_output_family": unitary_family_box(eight_output_targets(), 2, (2, 3)),
+        "eight_output_family": unitary_family_box(eight_output_targets()),
         "nonmax_pure_family": nonmax_pure_family(),
         "two_block_family": two_block_family(),
         "mixed_disordered_family": mixed_disordered_family(),

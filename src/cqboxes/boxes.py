@@ -134,23 +134,31 @@ class HaarCouplingBox:
     Bob's output is a Haar-random unitary V, block-diagonal over
     ``block_dims`` (a single block by default).  Alice's output under a
     given input tuple is ``relabel[inputs] @ conj(V)``, ``relabel`` being a
-    read-only ``input_sizes + (dim, dim)`` array.  Bob's sample stream is
-    drawn once, independent of the inputs.
+    read-only ``input_sizes + (dim, dim)`` stack, from whose shape ``dim``
+    and ``input_sizes`` are read.  Bob's sample stream is drawn once,
+    independent of the inputs.
     """
 
-    dim: int
-    input_sizes: tuple[int, ...]
     relabel: np.ndarray
     block_dims: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "relabel", relabel := _frozen(self.relabel))
+        shape = relabel.shape
+        if len(shape) < 3 or shape[-1] != shape[-2] or 0 in shape:
+            raise ValueError(f"relabel shape {shape} is not input_sizes + (dim, dim), all positive")
         blocks = self.block_dims or (self.dim,)
         object.__setattr__(self, "block_dims", tuple(blocks))
         if sum(blocks) != self.dim:
             raise ValueError(f"block dimensions {blocks} do not sum to {self.dim}")
-        object.__setattr__(self, "relabel", relabel := _frozen(self.relabel))
-        if relabel.shape != (expected := tuple(self.input_sizes) + (self.dim, self.dim)):
-            raise ValueError(f"relabel shape {relabel.shape} does not match {expected}")
+
+    @property
+    def dim(self) -> int:
+        return self.relabel.shape[-1]
+
+    @property
+    def input_sizes(self) -> tuple[int, ...]:
+        return self.relabel.shape[:-2]
 
     def draw_base(self, rng: np.random.Generator, size: int | tuple[int, ...] = ()) -> np.ndarray:
         """Block-diagonal Haar samples for Bob (input-independent) over the
@@ -207,7 +215,7 @@ class CQBox:
 
     It stores the one stack it is given, an output per input tuple over the
     shared party structure: ``amplitudes`` ``input_sizes + (D,)`` if every
-    output is pure (checked for finiteness and norm only), else density
+    output is pure (checked for finiteness, norm and trace only), else density
     ``matrices`` ``input_sizes + (D, D)``, which a pure box builds on first
     read.  Mappings from input tuples go through ``from_outputs`` or ``from_pure``.
     """

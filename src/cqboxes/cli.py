@@ -199,17 +199,18 @@ def _parse_phases(text: str, levels: int) -> dict[tuple[int, int, int], Fraction
     return phases
 
 
-def _unitaries_from_box(box: CQBox) -> tuple[dict, int]:
-    """Read off T with |psi> = (T x 1)|phi+_n| for each input, rejecting
-    outputs that are not maximally entangled."""
+def _unitaries_from_box(box: CQBox) -> np.ndarray:
+    """Read off the ``input_sizes + (n, n)`` stack of T with |psi> = (T x 1)|phi+_n>,
+    rejecting outputs that are not maximally entangled."""
     dims = box.structure.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("max-entangled targets need two parties of equal dimension")
     n = dims[0]
     mats = [math.sqrt(n) * box.pure_output(key).amplitudes.reshape(n, n) for key in box.inputs]
-    if fault := invalid_unitary(np.array(mats), 1e-6):
-        raise ValueError(f"output at {box.inputs[fault[0][0]]} is not maximally entangled")
-    return dict(zip(box.inputs, mats)), n
+    mats = np.reshape(mats, box.input_sizes + (n, n))
+    if fault := invalid_unitary(mats, 1e-6):
+        raise ValueError(f"output at {fault[0]} is not maximally entangled")
+    return mats
 
 
 def _target_file(args) -> tuple[CQBox, dict]:
@@ -271,18 +272,15 @@ def _irrational_phase(args) -> dict:
 def _max_entangled(args) -> dict:
     if args.target:
         target, built = _target_file(args)
-        targets, n = _unitaries_from_box(target)
+        targets = _unitaries_from_box(target)
     else:
         n = args.n
         if n < 2 or n * n > MAX_TENSOR_DIM:
             raise ValueError(f"--n {n} must give a joint dimension n^2 from 4 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
-        targets = {
-            key: haar_unitary(n, rng).matrix for key in itertools.product(range(2), range(2))
-        }
-        target = unitary_family_box(targets, n)
-        built = {"target": target, "parameters": {"n": n}}
-    return {**built, "strategy": max_entangled_strategy(targets, n, target.input_sizes)}
+        targets = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
+        built = {"target": unitary_family_box(targets), "parameters": {"n": n}}
+    return {**built, "strategy": max_entangled_strategy(targets)}
 
 
 def _eight_output(args) -> dict:
@@ -291,7 +289,7 @@ def _eight_output(args) -> dict:
     pairings = {",".join(map(str, k)): table[k].argmax(axis=0).tolist() for k in np.ndindex(2, 3)}
     return {
         "strategy": strategy,
-        "target": unitary_family_box(eight_output_targets(), 2, (2, 3)),
+        "target": unitary_family_box(eight_output_targets()),
         "certificate": {"pairings": pairings},
     }
 

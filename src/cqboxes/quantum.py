@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -25,6 +26,8 @@ TOLERANCE = 1e-9
 MAX_TENSOR_DIM = 1024  # largest joint dimension of a state or box, 16 MB per matrix
 MAX_TABLE_ENTRIES = 2**22  # largest classical probability table built, 32 MB of floats
 Fault = tuple[tuple[int, ...], str]  # stack index of an invalid state, and the reason
+# a warnings filter entry that silences numpy's cast of complex entries to float
+_QUIET_CASTS = ("ignore", None, np.exceptions.ComplexWarning, None, 0)
 
 __all__ = [
     "TOLERANCE",
@@ -233,12 +236,15 @@ def real_array(data: object) -> np.ndarray:
     string, boolean or None entry is refused even where numpy would convert
     it.  Callers name the field in front of the reason."""
     leaves = data.tolist() if isinstance(data, np.ndarray) else data  # as Python scalars
-    if isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "c":
-        data = data.real  # its complex entries are refused below, with no cast warning
+    # complex entries are refused below, after the cast; the filter is put
+    # in place by hand, as ``warnings.catch_warnings`` tripled a small cast's cost
+    warnings.filters.insert(0, _QUIET_CASTS)
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"must hold numbers: {exc}") from None
+    finally:
+        warnings.filters.remove(_QUIET_CASTS)
     kinds = set(map(type, _leaves(leaves, arr.ndim))) - {int, float}  # these pass at once
     if refused := {k for k in kinds if not issubclass(k, numbers.Real) or k is bool}:
         bad = next(v for v in _leaves(leaves, arr.ndim) if type(v) in refused)
@@ -274,7 +280,7 @@ class StateVector:
                 f"amplitude length {amp.shape[0]} does not match "
                 f"structure dimension {self.structure.total_dim}"
             )
-        if fault := invalid_vector(amp):
+        if fault := invalid_pure(amp):
             raise ValueError(fault[1])
 
     def density(self) -> "DensityMatrix":

@@ -14,10 +14,11 @@ non-signalling whenever the classical box is.
 The constructors in this module build strategies for several families of
 target boxes: phase rotations of a two-level entangled state driven by
 modular classical boxes, arbitrary maximally entangled families driven by
-Haar couplings, families over non-maximally entangled states, arbitrary
-non-signalling pure families via Schmidt-block couplings, and mixtures of
-maximally disordered two-qubit states via Bell decomposition plus
-interval alignment.
+Haar couplings (given as one ``input_sizes + (n, n)`` stack of target
+unitaries, which is the coupling's relabel), families over non-maximally
+entangled states, arbitrary non-signalling pure families via
+Schmidt-block couplings, and mixtures of maximally disordered two-qubit
+states via Bell decomposition plus interval alignment.
 """
 from __future__ import annotations
 
@@ -233,15 +234,14 @@ def nonmax_family_box(weights: Sequence[float], phases: Mapping[tuple, Fraction 
     return CQBox((2, 2), PartyStructure.pair(n), amplitudes=amps)
 
 
-def unitary_family_box(
-    targets: Mapping[tuple[int, ...], np.ndarray], n: int, input_sizes: Sequence[int] = (2, 2)
-) -> CQBox:
-    """Target family (T^{inputs} x 1) |phi+_n> for unitaries T^{inputs} = ``targets[inputs]``."""
+def unitary_family_box(targets: np.ndarray) -> CQBox:
+    """Target family (T^{inputs} x 1) |phi+_n> for an ``input_sizes + (n, n)``
+    stack of unitaries T^{inputs} = ``targets[inputs]``, one batched product."""
+    targets = as_matrix(targets)
+    sizes, n = targets.shape[:-2], targets.shape[-1]
     phi = phi_plus(n)
-    amps = np.zeros(tuple(input_sizes) + (n * n,), dtype=complex)
-    for key in np.ndindex(*input_sizes):
-        amps[key] = (as_matrix(targets[key]) @ phi.amplitudes.reshape(n, n)).reshape(-1)
-    return CQBox(tuple(input_sizes), phi.structure, amplitudes=amps)
+    amps = targets @ phi.amplitudes.reshape(n, n)
+    return CQBox(sizes, phi.structure, amplitudes=amps.reshape(sizes + (n * n,)))
 
 
 def bit_flip_strategy() -> Strategy:
@@ -322,22 +322,16 @@ def irrational_phase_strategy(
     return rational_phase_strategy(m, n, alpha, beta), bound
 
 
-def max_entangled_strategy(
-    targets: Mapping[tuple[int, ...], np.ndarray], n: int, input_sizes: Sequence[int] = (2, 2)
-) -> Strategy:
-    """Realise the family (T^{x,y} x 1)|phi+_n>, T^{x,y} = ``targets[x, y]``, with a Haar coupling.
+def max_entangled_strategy(targets: np.ndarray) -> Strategy:
+    """Realise the family (T^{x,y} x 1)|phi+_n> with a Haar coupling, for an
+    ``input_sizes + (n, n)`` stack of unitaries T^{x,y} = ``targets[x, y]``.
 
-    Bob applies a Haar-random V, Alice applies T^{x,y} conj(V); since
-    (conj(V) x V) leaves |phi+_n> invariant, every single draw already
-    produces the target state exactly.
+    The stack is the coupling's relabel: Bob applies a Haar-random V,
+    Alice applies T^{x,y} conj(V); since (conj(V) x V) leaves |phi+_n>
+    invariant, every single draw already produces the target state exactly.
     """
-
-    relabel = np.zeros(tuple(input_sizes) + (n, n), dtype=complex)
-    for key in np.ndindex(*input_sizes):
-        if (mat := as_matrix(targets[key])).shape != (n, n):
-            raise ValueError(f"target for input {key} must be {n} x {n}, got {mat.shape}")
-        relabel[key] = mat
-    return Strategy(HaarCouplingBox(n, tuple(input_sizes), relabel), phi_plus(n), (None, None))
+    coupling = HaarCouplingBox(targets)
+    return Strategy(coupling, phi_plus(coupling.dim), (None, None))
 
 
 def _derive_pairing(unitaries: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -353,11 +347,12 @@ def _derive_pairing(unitaries: np.ndarray, target: np.ndarray) -> np.ndarray:
     return hits.argmax(axis=0)
 
 
-def eight_output_targets() -> dict[tuple[int, int], np.ndarray]:
-    """Local target unitaries for the two-input/three-input family:
-    identity except T^{1,1} = sqrt(Z) and T^{1,2} = X."""
-    targets = {key: np.eye(2, dtype=complex) for key in np.ndindex(2, 3)}
-    return {**targets, (1, 1): pauli_z_power(0.5).matrix, (1, 2): pauli_x().matrix}
+def eight_output_targets() -> np.ndarray:
+    """The ``(2, 3, 2, 2)`` stack of local target unitaries for the
+    two-input/three-input family: identity except T^{1,1} = sqrt(Z) and T^{1,2} = X."""
+    targets = np.array(np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)))
+    targets[1, 1], targets[1, 2] = pauli_z_power(0.5).matrix, pauli_x().matrix
+    return targets
 
 
 def eight_output_strategy() -> Strategy:
@@ -370,7 +365,8 @@ def eight_output_strategy() -> Strategy:
     """
     unitaries = [pauli_z_power(k / 2).matrix for k in range(4)]
     unitaries = np.array(unitaries + [u @ pauli_x().matrix for u in unitaries])
-    bijections = {key: _derive_pairing(unitaries, t) for key, t in eight_output_targets().items()}
+    targets = eight_output_targets()
+    bijections = {key: _derive_pairing(unitaries, targets[key]) for key in np.ndindex(2, 3)}
     coupling = CCBox.from_coupling((2, 3), np.full(8, 1 / 8), bijections)
     tables = ([unitaries] * 2, [unitaries.conj()] * 3)
     return Strategy(ccbox=coupling, shared=phi_plus(2), unitaries=tables)
@@ -515,7 +511,7 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     core = StateVector(np.diag(coeffs), targets.structure)
     dress_a = [basis_a @ u_x[x] for x in range(nx)]
     dress_b = [basis_b @ v_y[y] for y in range(ny)]
-    coupling = HaarCouplingBox(n, targets.input_sizes, relabel, block_dims)
+    coupling = HaarCouplingBox(relabel, block_dims)
     return Strategy(coupling, core, (dress_a, dress_b))
 
 
@@ -725,9 +721,9 @@ def mixed_disordered_strategy(box: CQBox) -> tuple[MixtureSchedule, list[Strateg
 
     strategies = []
     for _, assignment in schedule.intervals:
-        targets = {
-            key: locals_uv[key][0] @ _BELL_LOCALS[assignment[key]] @ locals_uv[key][1].T
+        targets = np.reshape([
+            locals_uv[key][0] @ _BELL_LOCALS[assignment[key]] @ locals_uv[key][1].T
             for key in box.inputs
-        }
-        strategies.append(max_entangled_strategy(targets, 2, box.input_sizes))
+        ], box.input_sizes + (2, 2))
+        strategies.append(max_entangled_strategy(targets))
     return schedule, strategies

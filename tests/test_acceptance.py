@@ -228,15 +228,12 @@ def test_criterion_2_construction_exactness(capsys):
     rng = np.random.default_rng(20)
     for n in (2, 3):
         for rep in range(3):
-            targets = {
-                key: haar_unitary(n, rng).matrix
-                for key in itertools.product(range(2), range(2))
-            }
+            targets = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
             cases.append(
                 (
                     f"random maximally entangled n={n} #{rep}",
-                    max_entangled_strategy(targets, n),
-                    unitary_family_box(targets, n),
+                    max_entangled_strategy(targets),
+                    unitary_family_box(targets),
                 )
             )
 
@@ -244,7 +241,7 @@ def test_criterion_2_construction_exactness(capsys):
         (
             "eight-output",
             eight_output_strategy(),
-            unitary_family_box(eight_output_targets(), 2, (2, 3)),
+            unitary_family_box(eight_output_targets()),
         )
     )
 

@@ -237,7 +237,7 @@ class TestHaarCoupling:
     def test_pair_relation(self):
         target = haar_unitary(3, 5).matrix
         relabel = np.array([[np.eye(3), np.eye(3)], [np.eye(3), target]])
-        coupling = HaarCouplingBox(3, (2, 2), relabel)
+        coupling = HaarCouplingBox(relabel)
         rng = np.random.default_rng(0)
         base = coupling.draw_base(rng)
         u_a, u_b = coupling.sample_pair((1, 1), base)
@@ -247,7 +247,7 @@ class TestHaarCoupling:
         np.testing.assert_allclose(u_a0, base.conj(), atol=1e-14)
 
     def test_block_structure(self):
-        coupling = HaarCouplingBox(4, (2, 2), np.broadcast_to(np.eye(4), (2, 2, 4, 4)), block_dims=(2, 2))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(4), (2, 2, 4, 4)), block_dims=(2, 2))
         base = coupling.draw_base(np.random.default_rng(1))
         np.testing.assert_allclose(base[:2, 2:], 0, atol=1e-15)
         np.testing.assert_allclose(base[2:, :2], 0, atol=1e-15)
@@ -256,13 +256,18 @@ class TestHaarCoupling:
 
     def test_relabel_is_a_read_only_copy(self):
         relabel = np.array(np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
-        coupling = HaarCouplingBox(2, (2, 2), relabel)
+        coupling = HaarCouplingBox(relabel)
         relabel[1, 1] = 0
         np.testing.assert_array_equal(coupling.relabel[1, 1], np.eye(2))
         assert not coupling.relabel.flags.writeable
 
+    @pytest.mark.parametrize("sizes", [(3,), (2, 3), (1, 2, 3)])
+    def test_sizes_are_read_from_the_stack(self, sizes):
+        coupling = HaarCouplingBox(np.zeros(sizes + (4, 4)))
+        assert (coupling.input_sizes, coupling.dim, coupling.block_dims) == (sizes, 4, (4,))
+
     def test_base_stream_input_independent(self):
-        coupling = HaarCouplingBox(2, (2, 2), np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
         base1 = coupling.draw_base(np.random.default_rng(9))
         base2 = coupling.draw_base(np.random.default_rng(9))
         np.testing.assert_array_equal(base1, base2)
@@ -426,9 +431,10 @@ class TestCQBoxDistance:
         (lambda: CCBox((2, 2), (2,), np.zeros((2, 2, 2))), "one output alphabet per party required"),
         (lambda: CCBox((2, 2), (2, 2), np.zeros((2, 2, 2))),
          "table shape (2, 2, 2) does not match (2, 2, 2, 2)"),
-        (lambda: HaarCouplingBox(3, (2, 2), np.zeros((2, 2, 3, 3)), block_dims=(1, 1)),
+        (lambda: HaarCouplingBox(np.zeros((2, 2, 3, 3)), block_dims=(1, 1)),
          "block dimensions (1, 1) do not sum to 3"),
-        (lambda: HaarCouplingBox(2, (2, 2), np.eye(2)), "relabel shape (2, 2) does not match (2, 2, 2, 2)"),
+        (lambda: HaarCouplingBox(np.zeros((2, 2, 2, 3))),
+         "relabel shape (2, 2, 2, 3) is not input_sizes + (dim, dim), all positive"),
         (lambda: CQBox((2,), AB, amplitudes=np.zeros((2, 4))), "one classical input per party required"),
         (lambda: CQBox.from_outputs((1, 1), AB, {(0, 0): w_state()}),
          "output at (0, 0) has mismatched party structure"),
@@ -552,8 +558,8 @@ class TestMixBoxes:
 
     def test_mismatched_components_rejected(self):
         phase = phase_family_box(lambda x, y: x * y, 0.8, 0.6)
-        wide = unitary_family_box({key: np.eye(2) for key in np.ndindex(2, 3)}, 2, (2, 3))
-        qutrits = unitary_family_box({key: np.eye(3) for key in np.ndindex(2, 2)}, 3)
+        wide = unitary_family_box(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        qutrits = unitary_family_box(np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
         narrow = CQBox.from_pure((1, 2), {(0, y): bell_state(0) for y in range(2)})
         cases = [
             ([phase, wide], "component 1 has input_sizes (2, 3)"),

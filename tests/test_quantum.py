@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ class TestStateValidation:
     def test_norm_enforced(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0, 0, 0]), AB)
+
+    def test_state_vector_trace_is_checked_as_a_pure_box_checks_it(self):
+        """The norm passes the tolerance but its square, the trace of the
+        density matrix, does not: the vector used to be accepted, and then
+        ``density()`` refused it."""
+        message = "density matrix trace (1.0000000016000001+0j) deviates from 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateVector([1 + 0.8e-9, 0, 0, 0], AB)
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
@@ -187,14 +196,19 @@ class TestStateValidation:
             (1j * np.ones((2, 2)), "1j"),
             (np.array([1.0 + 0j]), "(1+0j)"),
             (np.complex64(1j), "np.complex64(1j)"),
+            ([np.complex64(1j)], "np.complex64(1j)"),
+            ([1.0, np.complex128(2 + 0j)], "np.complex128(2+0j)"),
         ],
     )
     def test_complex_numpy_data_is_refused_before_a_cast(self, data, shown):
         """numpy's cast of complex data to float warns; that warning used
-        to escape, under -W error, in place of the refusal."""
+        to escape, under -W error, in place of the refusal.  The filter that
+        silences it is taken out again."""
+        filters = list(warnings.filters)
         message = f'holds "{shown}", not a JSON number'
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             real_array(data)
+        assert warnings.filters == filters
 
     def test_distribution_tolerance_is_the_callers(self):
         assert invalid_distribution([0.5, 0.5 + 1e-8]) is not None

@@ -215,19 +215,65 @@ class TestIrrationalPhase:
         assert fid == pytest.approx(overlap, abs=1e-12)
         assert 1 - fid <= bound
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        theta=st.floats(-2, 2),
+        n=st.integers(2, 64),
+        alpha=st.floats(0, 1, exclude_min=True),
+    )
+    def test_random_phases_stay_within_the_certified_distance(self, theta, n, alpha):
+        """The trace distance of pure states is sqrt(1 - fidelity), so the
+        infidelity bound certifies a distance of its square root."""
+        beta = math.sqrt(1 - alpha**2)
+        strategy, bound = irrational_phase_strategy(theta, n, alpha, beta)
+        target = phase_family_box(lambda x, y: 2 * math.pi * theta * x * y, alpha, beta)
+        assert cq_box_distance(simulate(strategy), target) <= math.sqrt(bound)
+
+
+@st.composite
+def unitary_stacks(draw) -> np.ndarray:
+    """An ``input_sizes + (n, n)`` stack of Haar unitaries, 1-3 inputs per
+    party and n = 2-4."""
+    sizes = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.reshape([haar_unitary(n, rng).matrix for _ in range(math.prod(sizes))], sizes + (n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_unitary_family_box_matches_the_per_key_loop(n):
+    """The one batched product against the per-input loop it replaced, for
+    a contiguous stack and a broadcast one."""
+    rng = np.random.default_rng(n)
+    phi = phi_plus(n).amplitudes.reshape(n, n)
+    for targets in (
+        np.reshape([haar_unitary(n, rng).matrix for _ in range(6)], (2, 3, n, n)),
+        np.broadcast_to(haar_unitary(n, rng).matrix, (2, 3, n, n)),
+    ):
+        looped = [(targets[key] @ phi).reshape(-1) for key in np.ndindex(2, 3)]
+        assert np.array_equal(unitary_family_box(targets).amplitudes, np.reshape(looped, (2, 3, -1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(targets=unitary_stacks())
+def test_max_entangled_strategy_realises_the_unitary_family(targets):
+    simulated = simulate(max_entangled_strategy(targets), samples=3)
+    assert simulated.input_sizes == targets.shape[:2]
+    assert np.max(np.abs(simulated.matrices - unitary_family_box(targets).matrices)) <= 1e-12
+
 
 class TestMaxEntangled:
     def targets(self, n, seed):
-        return {
-            key: haar_unitary(n, seed + 17 * key[0] + 5 * key[1])
-            for key in itertools.product(range(2), range(2))
-        }
+        return np.reshape([
+            haar_unitary(n, seed + 17 * x + 5 * y).matrix
+            for x, y in itertools.product(range(2), range(2))
+        ], (2, 2, n, n))
 
     def test_every_sample_hits_the_target_exactly(self):
         n = 3
         targets = self.targets(n, 100)
-        strategy = max_entangled_strategy(targets, n)
-        target_box = unitary_family_box(targets, n)
+        strategy = max_entangled_strategy(targets)
+        target_box = unitary_family_box(targets)
         for key, states in sample_states(strategy, samples=20, seed=3).items():
             want = target_box.pure_output(key)
             for state in states:
@@ -236,27 +282,27 @@ class TestMaxEntangled:
     def test_simulation_matches_target_family(self):
         n = 2
         targets = self.targets(n, 7)
-        box = simulate(max_entangled_strategy(targets, n), samples=25, seed=1)
-        assert cq_box_distance(box, unitary_family_box(targets, n)) < 1e-9
+        box = simulate(max_entangled_strategy(targets), samples=25, seed=1)
+        assert cq_box_distance(box, unitary_family_box(targets)) < 1e-9
 
     def test_simulation_is_deterministic_in_the_seed(self):
         targets = self.targets(2, 9)
-        strategy = max_entangled_strategy(targets, 2)
+        strategy = max_entangled_strategy(targets)
         a = simulate(strategy, samples=10, seed=4)
         b = simulate(strategy, samples=10, seed=4)
         for key in a.inputs:
             assert np.array_equal(a.output(key).matrix, b.output(key).matrix)
 
-    def test_rejects_wrongly_shaped_target(self):
-        targets = {k: np.eye(3) for k in itertools.product(range(2), range(2))}
-        with pytest.raises(ValueError, match="must be 2 x 2"):
-            max_entangled_strategy(targets, 2)
+    def test_rejects_non_square_targets(self):
+        message = "relabel shape (2, 2, 2, 3) is not input_sizes + (dim, dim), all positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            max_entangled_strategy(np.zeros((2, 2, 2, 3)))
 
 
 class TestEightOutput:
     def test_simulation_matches_target_family(self):
         box = simulate(eight_output_strategy())
-        target = unitary_family_box(eight_output_targets(), 2, (2, 3))
+        target = unitary_family_box(eight_output_targets())
         assert cq_box_distance(box, target) < 1e-12
 
     def test_family_is_non_signalling(self):
@@ -284,7 +330,10 @@ class TestEightOutput:
         strategy = eight_output_strategy()
         unitaries = [pauli_z_power(k / 2).matrix for k in range(4)]
         unitaries += [u @ pauli_x().matrix for u in unitaries[:4]]
-        for key, target in eight_output_targets().items():
+        targets = eight_output_targets()
+        assert targets.shape == (2, 3, 2, 2)
+        for key in np.ndindex(2, 3):
+            target = targets[key]
             pi = strategy.ccbox.table[key].argmax(axis=0)
             for b in range(8):
                 product = unitaries[pi[b]] @ unitaries[b].conj().T
@@ -345,7 +394,9 @@ class TestPairingMatch:
 
     def test_eight_output_targets_match_the_search(self):
         unitaries = self.labels()
-        for key, target in eight_output_targets().items():
+        targets = eight_output_targets()
+        for key in np.ndindex(2, 3):
+            target = targets[key]
             expected = reference_derive_pairing(unitaries, target)
             got = synthesis._derive_pairing(np.array(unitaries), target)
             assert np.array_equal(got, expected), key
@@ -494,11 +545,10 @@ class TestGeneralPure:
                 assert fidelity(state, want) == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_entangled_family_becomes_single_block(self):
-        targets_map = {
-            key: haar_unitary(3, 80 + 3 * key[0] + key[1])
-            for key in itertools.product(range(2), range(2))
-        }
-        targets = unitary_family_box(targets_map, 3)
+        stack = np.reshape([
+            haar_unitary(3, 80 + 3 * x + y).matrix for x, y in itertools.product(range(2), range(2))
+        ], (2, 2, 3, 3))
+        targets = unitary_family_box(stack)
         strategy = general_pure_strategy(targets)
         assert strategy.ccbox.block_dims == (3,)
         box = simulate(strategy, samples=10, seed=1)
@@ -788,7 +838,7 @@ class TestStrategyValidation:
             Strategy(pr_box(), bell_state(0), (IDENTITY_TABLE, None))
 
     def test_haar_dressing_shapes(self):
-        coupling = HaarCouplingBox(2, (2, 3), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
         Strategy(coupling, phi_plus(2), (None, np.zeros((3, 2, 2))))
         message = "party B's unitary table must be (3, 2, 2), got (2, 2, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -801,7 +851,7 @@ class TestStrategyValidation:
     def test_haar_coupling_dim_must_match_the_shared_state(self, state, label):
         """A mismatch used to pass here and fail in ``simulate`` with numpy's
         reshape error, naming no party."""
-        coupling = HaarCouplingBox(3, (2, 2), np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
         message = f"party {label}'s dimension 2 is not the coupling's 3"
         with pytest.raises(ValueError, match=re.escape(message)):
             Strategy(coupling, state, (None, None))
@@ -819,7 +869,7 @@ class TestStrategyValidation:
             sample_states(strategy, samples=3)
 
 
-QUTRIT_BOX = unitary_family_box({key: np.eye(3) for key in np.ndindex(2, 2)}, 3)
+QUTRIT_BOX = unitary_family_box(np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
 UNEQUAL_BOX = CQBox.from_outputs(
     (1, 1), PartyStructure.pair(2, 3), {(0, 0): np.eye(6, dtype=complex)[0]}
 )
@@ -950,8 +1000,8 @@ def sampled_strategies() -> list[tuple[str, Strategy]]:
     cases = []
     for n in range(2, 9):
         rng = np.random.default_rng(40 + n)
-        targets = {key: haar_unitary(n, rng) for key in itertools.product(range(2), range(2))}
-        cases.append((f"max-entangled n={n}", max_entangled_strategy(targets, n)))
+        targets = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
+        cases.append((f"max-entangled n={n}", max_entangled_strategy(targets)))
     two_block = load_box(FIXTURES / "two_block_family.json")
     cases.append(("general-pure two_block_family", general_pure_strategy(two_block)))
     cases.append(("general-pure blocks (2, 1, 1)", general_pure_strategy(block_family())))
@@ -966,7 +1016,7 @@ SAMPLED = sampled_strategies()
 class TestBatchedSamplerMatchesReference:
     @pytest.mark.parametrize("dim, blocks", [(3, ()), (4, (2, 1, 1)), (4, (2, 2))])
     def test_stacked_draws_equal_sequential_draws(self, dim, blocks):
-        coupling = HaarCouplingBox(dim, (2, 2), np.broadcast_to(np.eye(dim), (2, 2, dim, dim)), blocks)
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(dim), (2, 2, dim, dim)), blocks)
         rng = np.random.default_rng(12)
         sequential = np.array([coupling.draw_base(rng) for _ in range(50)])
         rng = np.random.default_rng(12)
@@ -1013,13 +1063,13 @@ class TestBatchedSamplerMatchesReference:
         for key in whole.inputs:
             assert np.max(np.abs(single.output(key).matrix - reference[key])) <= 1e-12
 
-    def test_relabel_shape_error_still_raised(self):
-        """A wrong target shape is refused when the coupling is built."""
-        targets = {key: np.eye(2) for key in itertools.product(range(2), range(2))}
-        targets[(1, 0)] = np.eye(3)
-        message = "target for input (1, 0) must be 2 x 2, got (3, 3)"
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 0, 2, 2)])
+    def test_targets_need_a_positive_input_axis(self, shape):
+        """A stack with no input axis, or an empty one, is refused when the
+        coupling is built."""
+        message = f"relabel shape {shape} is not input_sizes + (dim, dim), all positive"
         with pytest.raises(ValueError, match=re.escape(message)):
-            max_entangled_strategy(targets, 2)
+            max_entangled_strategy(np.zeros(shape))
 
     def test_non_unitary_dressing_fails_the_norm_check(self):
         _, good = SAMPLED[0]
@@ -1252,9 +1302,7 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
     nx, ny = targets.input_sizes
     dress_a = [frame_a @ (in_frames((x, 0)) @ inv_d) @ frame_a.conj().T for x in range(nx)]
     dress_b = [frame_b @ (inv_d @ in_frames((0, y))).T @ frame_b.conj().T for y in range(ny)]
-    framed = FramedHaarCouplingBox(
-        coupling.dim, coupling.input_sizes, coupling.relabel, coupling.block_dims, frame_a, frame_b
-    )
+    framed = FramedHaarCouplingBox(coupling.relabel, coupling.block_dims, frame_a, frame_b)
     return Strategy(ccbox=framed, shared=reference, unitaries=(dress_a, dress_b))
 
 
@@ -1399,7 +1447,7 @@ class TestMapsOncePerOwnInputMatchTheReference:
             calls.append((j, x))
             return dressed(strategy, j, x, out)
 
-        coupling = HaarCouplingBox(2, (2, 3), np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
         monkeypatch.setattr(synthesis, "_dressed", counted)
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
         simulate(Strategy(coupling, phi_plus(2), (None, None)), samples=12)
