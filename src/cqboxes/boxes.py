@@ -23,6 +23,7 @@ from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
+    _first_fault,
     _frozen,
     _positive_int,
     as_matrix,
@@ -32,6 +33,7 @@ from cqboxes.quantum import (
     invalid_distribution,
     invalid_pure,
     invalid_tolerance,
+    invalid_unitary,
     kron_all,
     partial_trace_array,
     trace_norm,
@@ -127,6 +129,15 @@ class CCBox:
         return cls(sizes, (n, n), table)
 
 
+def _unitary_stack_shape(stack: np.ndarray, name: str) -> tuple[tuple[int, ...], int]:
+    """(input_sizes, dim) of an ``input_sizes + (dim, dim)`` stack with at
+    least one input axis and no empty axis; ValueError naming ``name`` otherwise."""
+    shape = np.shape(stack)
+    if len(shape) < 3 or shape[-1] != shape[-2] or 0 in shape:
+        raise ValueError(f"{name} shape {shape} is not input_sizes + (dim, dim), all positive")
+    return shape[:-2], shape[-1]
+
+
 @dataclass(frozen=True)
 class HaarCouplingBox:
     """Sampler-backed coupling over a continuous unitary output alphabet.
@@ -134,8 +145,9 @@ class HaarCouplingBox:
     Bob's output is a Haar-random unitary V, block-diagonal over
     ``block_dims`` (a single block by default).  Alice's output under a
     given input tuple is ``relabel[inputs] @ conj(V)``, ``relabel`` being a
-    read-only ``input_sizes + (dim, dim)`` stack, from whose shape ``dim``
-    and ``input_sizes`` are read.  Bob's sample stream is drawn once,
+    read-only ``input_sizes + (dim, dim)`` stack of unitaries (within 1e-6,
+    a fault named by its input tuple), from whose shape ``dim`` and
+    ``input_sizes`` are read.  Bob's sample stream is drawn once,
     independent of the inputs.
     """
 
@@ -144,9 +156,10 @@ class HaarCouplingBox:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relabel", relabel := _frozen(self.relabel))
-        shape = relabel.shape
-        if len(shape) < 3 or shape[-1] != shape[-2] or 0 in shape:
-            raise ValueError(f"relabel shape {shape} is not input_sizes + (dim, dim), all positive")
+        _unitary_stack_shape(relabel, "relabel")
+        # the tolerance that synth applies to the unitaries it reads off a target
+        if fault := invalid_unitary(relabel, 1e-6):
+            raise ValueError(f"relabel at input {fault[0]}: {fault[1]}")
         blocks = self.block_dims or (self.dim,)
         object.__setattr__(self, "block_dims", tuple(blocks))
         if sum(blocks) != self.dim:
@@ -174,13 +187,6 @@ class HaarCouplingBox:
             v[..., block, block] = haar_from_normals(normals[..., start : start + 2 * d * d], d)
             offset, start = offset + d, start + 2 * d * d
         return v
-
-    def sample_pair(
-        self, inputs: tuple[int, ...], base: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(Alice unitary, Bob unitary) for a base draw or a stack of them;
-        Bob's is the draw itself, whatever the inputs."""
-        return self.relabel[inputs] @ base.conj(), base
 
 
 def _in_range(key: object, sizes: tuple[int, ...]) -> bool:
@@ -311,13 +317,20 @@ class CQBox:
 
     def pure_output(self, inputs: Sequence[int]) -> StateVector:
         """The output state as a vector; fails if mixed, its top eigenvalue below 1 - 1e-7."""
-        key = self._key(inputs)
+        return StateVector(self.pure_vectors(self._key(inputs)), self.structure)
+
+    def pure_vectors(self, key: tuple[int, ...] = ()) -> np.ndarray:
+        """The pure outputs at and below the input prefix ``key``, one
+        ``(..., D)`` stack: the stored amplitudes, or else the top
+        eigenvectors of the matrices, refusing the first output whose top
+        eigenvalue is below 1 - 1e-7."""
         if self.amplitudes is not None:
-            return StateVector(self.amplitudes[key], self.structure)
+            return self.amplitudes[key]
         vals, vecs = np.linalg.eigh(self.matrices[key])
-        if vals[-1] < 1 - 1e-7:
-            raise ValueError(f"output at {key} is mixed (top eigenvalue {vals[-1]})")
-        return StateVector(vecs[:, -1], self.structure)
+        top = vals[..., -1]
+        if fault := _first_fault((top < 1 - 1e-7, top, "mixed (top eigenvalue {})")):
+            raise ValueError(f"output at {key + fault[0]} is {fault[1]}")
+        return vecs[..., :, -1]
 
 
 @dataclass(frozen=True)

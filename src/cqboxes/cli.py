@@ -206,8 +206,7 @@ def _unitaries_from_box(box: CQBox) -> np.ndarray:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("max-entangled targets need two parties of equal dimension")
     n = dims[0]
-    mats = [math.sqrt(n) * box.pure_output(key).amplitudes.reshape(n, n) for key in box.inputs]
-    mats = np.reshape(mats, box.input_sizes + (n, n))
+    mats = math.sqrt(n) * box.pure_vectors().reshape(box.input_sizes + (n, n))
     if fault := invalid_unitary(mats, 1e-6):
         raise ValueError(f"output at {fault[0]} is not maximally entangled")
     return mats

@@ -34,6 +34,7 @@ from cqboxes.boxes import (
     CCBox,
     CQBox,
     HaarCouplingBox,
+    _unitary_stack_shape,
     cq_no_signalling,
     mod_box,
     pr_box,
@@ -238,7 +239,7 @@ def unitary_family_box(targets: np.ndarray) -> CQBox:
     """Target family (T^{inputs} x 1) |phi+_n> for an ``input_sizes + (n, n)``
     stack of unitaries T^{inputs} = ``targets[inputs]``, one batched product."""
     targets = as_matrix(targets)
-    sizes, n = targets.shape[:-2], targets.shape[-1]
+    sizes, n = _unitary_stack_shape(targets, "targets")
     phi = phi_plus(n)
     amps = targets @ phi.amplitudes.reshape(n, n)
     return CQBox(sizes, phi.structure, amplitudes=amps.reshape(sizes + (n * n,)))
@@ -470,9 +471,9 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
         raise ValueError(
             f"target family is signalling (worst violation {report.worst_violation:.3e})"
         )
-    pure = {key: targets.pure_output(key) for key in targets.inputs}
+    mats = targets.pure_vectors().reshape(targets.input_sizes + (n, n))
 
-    form = schmidt(pure[(0, 0)])
+    form = schmidt(StateVector(mats[0, 0], targets.structure))
     coeffs = form.coefficients
     if coeffs[-1] < 1e-7:
         raise ValueError("reference state must have full Schmidt rank")
@@ -480,39 +481,31 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
     inv_d = np.diag(1.0 / coeffs)
     block_dims = tuple(len(b) for b in form.blocks)
 
-    def in_bases(key: tuple[int, ...]) -> np.ndarray:
-        mat = pure[key].amplitudes.reshape(n, n)
-        return basis_a.conj().T @ mat @ basis_b.conj()
+    in_bases = basis_a.conj().T @ mats @ basis_b.conj()
+    u_x = in_bases[:, 0] @ inv_d
+    v_y = (inv_d @ in_bases[0]).swapaxes(-1, -2)
+    for stack, what in ((u_x, "row dressing at x"), (v_y, "column dressing at y")):
+        if fault := invalid_unitary(stack, 1e-6):
+            raise ValueError(f"family structure broken: {what}={fault[0][0]} is not unitary")
 
-    def check_unitary(mat: np.ndarray, what: str) -> np.ndarray:
-        if invalid_unitary(mat, 1e-6):
-            raise ValueError(f"family structure broken: {what} is not unitary")
-        return mat
-
-    nx, ny = targets.input_sizes
-    u_x = {x: check_unitary(in_bases((x, 0)) @ inv_d, f"row dressing at x={x}") for x in range(nx)}
-    v_y = {y: check_unitary((inv_d @ in_bases((0, y))).T, f"column dressing at y={y}") for y in range(ny)}
-
+    w = u_x[:, None].conj().swapaxes(-1, -2) @ in_bases @ v_y[None].conj() @ inv_d
     block_of = np.repeat(np.arange(len(block_dims)), block_dims)  # the block of each level
     blocks_mask = block_of[:, None] == block_of[None, :]
-
-    relabel = np.zeros(targets.input_sizes + (n, n), dtype=complex)
-    for key in targets.inputs:
-        x, y = key
-        w = u_x[x].conj().T @ in_bases(key) @ v_y[y].conj() @ inv_d
-        off_block = np.abs(w[~blocks_mask])
-        if off_block.size and off_block.max() > 1e-6:
+    mixes = np.abs(np.where(blocks_mask, 0.0, w)).max(axis=(-2, -1)) > 1e-6
+    relabel = np.where(blocks_mask, w, 0.0)
+    # an input whose part mixes blocks reads as non-finite, so the first
+    # input at fault is named, whichever of the two faults it has
+    if fault := invalid_unitary(np.where(mixes[..., None, None], np.nan, relabel), 1e-6):
+        key = fault[0]
+        if mixes[key]:
             raise ValueError(
                 f"family structure broken: coupling part at input {key} mixes "
                 "Schmidt blocks of unequal coefficient"
             )
-        relabel[key] = check_unitary(np.where(blocks_mask, w, 0.0), f"coupling part at {key}")
+        raise ValueError(f"family structure broken: coupling part at {key} is not unitary")
 
     core = StateVector(np.diag(coeffs), targets.structure)
-    dress_a = [basis_a @ u_x[x] for x in range(nx)]
-    dress_b = [basis_b @ v_y[y] for y in range(ny)]
-    coupling = HaarCouplingBox(relabel, block_dims)
-    return Strategy(coupling, core, (dress_a, dress_b))
+    return Strategy(HaarCouplingBox(relabel, block_dims), core, (basis_a @ u_x, basis_b @ v_y))
 
 
 # Bell state i equals (B_i x 1)|phi+> for these local unitaries
@@ -702,28 +695,21 @@ def mixed_disordered_strategy(box: CQBox) -> tuple[MixtureSchedule, list[Strateg
     """
     if box.structure.dims != (2, 2):
         raise ValueError("two-qubit boxes required")
-    locals_uv: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    families: dict[tuple[int, ...], tuple[tuple[float, int], ...]] = {}
-    for key in box.inputs:
-        u, v, weights = bell_canonical_form(box.output(key))
-        locals_uv[key] = (u.matrix, v.matrix)
-        families[key] = tuple((float(w), i) for i, w in enumerate(weights))
+    forms = {key: bell_canonical_form(box.output(key)) for key in box.inputs}
+    families = {key: tuple((float(w), i) for i, w in enumerate(f[2])) for key, f in forms.items()}
+    # u B_i v^T for every input and Bell component i, shape input_sizes + (4, 2, 2)
+    shape = box.input_sizes + (1, 2, 2)
+    u, v = (np.reshape([f[j].matrix for f in forms.values()], shape) for j in (0, 1))
+    components = u @ np.array(_BELL_LOCALS) @ v.swapaxes(-1, -2)
 
     phi = phi_plus(2)
-    pure_states = {
-        key: tuple(
-            StateVector((u @ local @ v.T @ phi.amplitudes.reshape(2, 2)).reshape(-1), phi.structure)
-            for local in _BELL_LOCALS
-        )
-        for key, (u, v) in locals_uv.items()
-    }
+    vectors = (components @ phi.amplitudes.reshape(2, 2)).reshape(box.input_sizes + (4, 4))
+    pure_states = {key: tuple(StateVector(a, phi.structure) for a in vectors[key]) for key in forms}
     schedule = replace(mixture_align(families), pure_states=pure_states)
 
+    grid = tuple(np.indices(box.input_sizes))
     strategies = []
     for _, assignment in schedule.intervals:
-        targets = np.reshape([
-            locals_uv[key][0] @ _BELL_LOCALS[assignment[key]] @ locals_uv[key][1].T
-            for key in box.inputs
-        ], box.input_sizes + (2, 2))
-        strategies.append(max_entangled_strategy(targets))
+        index = np.reshape([assignment[key] for key in box.inputs], box.input_sizes)
+        strategies.append(max_entangled_strategy(components[grid + (index,)]))
     return schedule, strategies

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqboxes import cli
+from cqboxes import cli, synthesis
 from cqboxes.boxes import (
     CCBox,
     CQBox,
@@ -69,18 +69,18 @@ def _announce(capsys, line: str) -> None:
         print(line)
 
 
-def _coupling_non_signalling(coupling, draws: int = 5, seed: int = 0) -> float:
-    """Worst no-signalling violation of a sampler-backed coupling.
+def _coupling_non_signalling(strategy, draws: int = 5, seed: int = 0) -> float:
+    """Worst no-signalling violation of a strategy's sampler-backed coupling.
 
     The alphabet is continuous, so a table comparison is impossible; the
     check verifies the two properties that make the coupling's marginals
-    input-independent.  One side's sample stream is drawn once and must
-    be byte-identical across input tuples.  The other side multiplies the
-    conjugated draw by a per-input relabel, which leaves the (block) Haar
-    marginal unchanged exactly when the relabel is unitary and supported
-    on the blocks.
+    input-independent.  Bob's unitaries, as ``simulate`` forms them, must
+    be the same array at each of his own inputs whatever Alice's input.
+    Alice's side multiplies the conjugated draw by a per-input relabel,
+    which leaves the (block) Haar marginal unchanged exactly when the
+    relabel is unitary and supported on the blocks.
     """
-    rng = np.random.default_rng(seed)
+    coupling = strategy.ccbox
     keys = list(itertools.product(*(range(s) for s in coupling.input_sizes)))
     mask = np.zeros((coupling.dim, coupling.dim), dtype=bool)
     offset = 0
@@ -95,12 +95,12 @@ def _coupling_non_signalling(coupling, draws: int = 5, seed: int = 0) -> float:
         outside = np.abs(relabel[~mask])
         if outside.size:
             worst = max(worst, float(outside.max()))
-    for _ in range(draws):
-        base = coupling.draw_base(rng)
-        reference = coupling.sample_pair(keys[0], base)[1]
-        for key in keys[1:]:
-            other = coupling.sample_pair(key, base)[1]
-            worst = max(worst, float(np.max(np.abs(other - reference))))
+    bob: dict[tuple[int, ...], list[np.ndarray]] = {}
+    for key, stacks, _ in synthesis._weighted_unitaries(strategy, draws, seed):
+        bob.setdefault(key, []).append(stacks[1])
+    for (_, y), chunks in bob.items():
+        reference = np.concatenate(bob[(0, y)])
+        worst = max(worst, float(np.max(np.abs(np.concatenate(chunks) - reference))))
     return worst
 
 
@@ -108,7 +108,7 @@ def _classical_component_violation(strategy) -> float:
     box = strategy.ccbox
     if isinstance(box, CCBox):
         return cc_no_signalling(box, tol=1e-9).worst_violation
-    return _coupling_non_signalling(box)
+    return _coupling_non_signalling(strategy)
 
 
 def _bell_projectors() -> list[np.ndarray]:

@@ -49,10 +49,11 @@ from cqboxes.quantum import (
     partial_trace,
     partial_trace_array,
     pauli_x,
+    phi_plus,
     trace_distance,
     w_state,
 )
-from cqboxes.synthesis import phase_family_box, unitary_family_box
+from cqboxes.synthesis import Strategy, _weighted_unitaries, phase_family_box, unitary_family_box
 
 AB = PartyStructure.qubits("AB")
 
@@ -235,16 +236,39 @@ class TestFromCoupling:
 
 class TestHaarCoupling:
     def test_pair_relation(self):
+        """The undressed strategy hands Alice relabel[inputs] @ conj(V) and Bob
+        the draw V itself, as ``simulate`` forms them."""
         target = haar_unitary(3, 5).matrix
         relabel = np.array([[np.eye(3), np.eye(3)], [np.eye(3), target]])
         coupling = HaarCouplingBox(relabel)
-        rng = np.random.default_rng(0)
-        base = coupling.draw_base(rng)
-        u_a, u_b = coupling.sample_pair((1, 1), base)
-        np.testing.assert_allclose(u_a, target @ base.conj(), atol=1e-14)
-        np.testing.assert_allclose(u_b, base, atol=1e-15)
-        u_a0, _ = coupling.sample_pair((0, 0), base)
-        np.testing.assert_allclose(u_a0, base.conj(), atol=1e-14)
+        base = coupling.draw_base(np.random.default_rng(0))
+        pairs = {key: stacks for key, stacks, _ in _weighted_unitaries(
+            Strategy(coupling, phi_plus(3), (None, None)), samples=1, seed=0
+        )}
+        u_a, u_b = pairs[(1, 1)]
+        np.testing.assert_allclose(u_a[0], target @ base.conj(), atol=1e-14)
+        np.testing.assert_allclose(u_b[0], base, atol=1e-15)
+        np.testing.assert_allclose(pairs[(0, 0)][0][0], base.conj(), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            # refused here, not left to simulate's norm check, which names no input
+            (2 * np.eye(2), "matrix is not unitary within tolerance"),
+            # unit-norm columns give unit-norm states, which simulate cannot tell apart
+            (np.diag([math.sqrt(2), 0.0]), "matrix is not unitary within tolerance"),
+            (np.array([[1.0, math.nan], [0.0, 1.0]]), "matrix has a non-finite entry"),
+        ],
+    )
+    def test_non_unitary_relabel_names_its_input(self, entry, reason):
+        relabel = np.array(np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2)))
+        relabel[1, 2] = entry
+        with pytest.raises(ValueError, match=re.escape(f"relabel at input (1, 2): {reason}")):
+            HaarCouplingBox(relabel)
+
+    def test_relabel_within_the_synth_tolerance_is_kept(self):
+        relabel = np.broadcast_to(np.eye(2) * (1 + 4e-7), (2, 2, 2, 2))
+        assert HaarCouplingBox(relabel).dim == 2
 
     def test_block_structure(self):
         coupling = HaarCouplingBox(np.broadcast_to(np.eye(4), (2, 2, 4, 4)), block_dims=(2, 2))
@@ -263,7 +287,7 @@ class TestHaarCoupling:
 
     @pytest.mark.parametrize("sizes", [(3,), (2, 3), (1, 2, 3)])
     def test_sizes_are_read_from_the_stack(self, sizes):
-        coupling = HaarCouplingBox(np.zeros(sizes + (4, 4)))
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(4), sizes + (4, 4)))
         assert (coupling.input_sizes, coupling.dim, coupling.block_dims) == (sizes, 4, (4,))
 
     def test_base_stream_input_independent(self):
@@ -431,7 +455,7 @@ class TestCQBoxDistance:
         (lambda: CCBox((2, 2), (2,), np.zeros((2, 2, 2))), "one output alphabet per party required"),
         (lambda: CCBox((2, 2), (2, 2), np.zeros((2, 2, 2))),
          "table shape (2, 2, 2) does not match (2, 2, 2, 2)"),
-        (lambda: HaarCouplingBox(np.zeros((2, 2, 3, 3)), block_dims=(1, 1)),
+        (lambda: HaarCouplingBox(np.broadcast_to(np.eye(3), (2, 2, 3, 3)), block_dims=(1, 1)),
          "block dimensions (1, 1) do not sum to 3"),
         (lambda: HaarCouplingBox(np.zeros((2, 2, 2, 3))),
          "relabel shape (2, 2, 2, 3) is not input_sizes + (dim, dim), all positive"),
@@ -532,6 +556,33 @@ class TestCQBoxType:
         box = CQBox.from_outputs((2, 2), AB, {key: mixed for key in pr_box_inputs()})
         with pytest.raises(ValueError):
             box.pure_output((0, 0))
+
+    def test_pure_vectors_read_below_a_prefix(self):
+        """A mixed (0, 0) output refuses the whole stack, naming (0, 0), but
+        leaves the pure (0, 1) output readable, alone or under prefix (0, 1)."""
+        outputs = {key: bell_state(2).density() for key in pr_box_inputs()}
+        outputs[(0, 0)] = DensityMatrix(np.eye(4) / 4, AB)
+        box = CQBox.from_outputs((2, 2), AB, outputs)
+        v = box.pure_output((0, 1))
+        assert abs(np.vdot(v.amplitudes, bell_state(2).amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(box.pure_vectors((0, 1)), v.amplitudes)
+        assert box.pure_vectors((1,)).shape == (2, 4)
+        message = "output at (0, 0) is mixed (top eigenvalue 0.25"
+        for read in (box.pure_vectors, lambda: box.pure_vectors((0,)), lambda: box.pure_output((0, 0))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read()
+
+    def test_pure_vectors_match_the_per_input_eigenvectors(self):
+        """One batched eigh gives each output's top eigenvector bit for bit."""
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        box = CQBox((2, 3), AB, CQBox((2, 3), AB, amplitudes=amps).matrices)
+        vectors = box.pure_vectors()
+        for key in box.inputs:
+            assert np.array_equal(vectors[key], np.linalg.eigh(box.matrices[key])[1][:, -1])
+        stored = CQBox((2, 3), AB, amplitudes=amps)
+        assert np.array_equal(stored.pure_vectors(), amps)
 
     def test_pure_output_extracts_from_rank_one_matrix(self):
         box = CQBox.from_outputs((2, 2), AB, {key: bell_state(2).density() for key in pr_box_inputs()})

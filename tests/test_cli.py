@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,7 +20,45 @@ from cqboxes import bounds, cli, multipartite
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
-from cqboxes.quantum import TOLERANCE, DensityMatrix, PartyStructure, basis_state, bell_state
+from cqboxes.quantum import (
+    TOLERANCE,
+    DensityMatrix,
+    PartyStructure,
+    basis_state,
+    bell_state,
+    haar_unitary,
+    invalid_unitary,
+)
+from cqboxes.synthesis import unitary_family_box
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_unitaries_from_box(box: CQBox) -> np.ndarray:
+    """``cli._unitaries_from_box`` as it was before it read the target as one
+    stack: each output through ``pure_output``, scaled and stacked in Python."""
+    n = box.structure.dims[0]
+    mats = [math.sqrt(n) * box.pure_output(key).amplitudes.reshape(n, n) for key in box.inputs]
+    mats = np.reshape(mats, box.input_sizes + (n, n))
+    if fault := invalid_unitary(mats, 1e-6):
+        raise ValueError(f"output at {fault[0]} is not maximally entangled")
+    return mats
+
+
+def _haar_stack(sizes: tuple[int, ...], n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.reshape([haar_unitary(n, rng).matrix for _ in range(math.prod(sizes))], sizes + (n, n))
+
+
+# (name, target box): maximally entangled families, and families refused as
+# not maximally entangled or as mixed
+UNITARY_READ_FAMILIES = [
+    *((f"haar n={n} inputs {sizes}", unitary_family_box(_haar_stack(sizes, n, 10 * n)))
+      for n, sizes in [(2, (2, 2)), (3, (3, 2)), (4, (1, 4)), (6, (2, 3))]),
+    *((name, load_box(ROOT / "fixtures" / f"{name}.json"))
+      for name in ["max_entangled_family", "eight_output_family", "bit_flip_family",
+                   "two_block_family", "nonmax_pure_family", "mixed_disordered_family"]),
+]
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -167,6 +206,20 @@ class TestSynth:
         )
         assert code == 2
         assert "maximally entangled" in err
+
+    @pytest.mark.parametrize("family", UNITARY_READ_FAMILIES, ids=[name for name, _ in UNITARY_READ_FAMILIES])
+    def test_unitaries_match_the_per_input_reference(self, family):
+        """The stack read off a target, or its refusal, is the per-input
+        reference's, bit for bit, whether the target stores amplitudes or matrices."""
+        _, box = family
+        for stored in (box, CQBox(box.input_sizes, box.structure, box.matrices)):
+            try:
+                want = reference_unitaries_from_box(stored)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=re.escape(str(error))):
+                    cli._unitaries_from_box(stored)
+            else:
+                assert np.array_equal(cli._unitaries_from_box(stored), want)
 
     def test_eight_output_certificate(self, capsys):
         code, report, _ = run(capsys, "synth", "eight-output")
@@ -529,7 +582,6 @@ def test_int_flags_accept_their_edge_values(spelling, command, flag, value):
     assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
-ROOT = Path(__file__).resolve().parent.parent
 # stdout of these commands, byte for byte, as written before the theorem
 # sweep checked its families as stacks (wphase, verify) and before the
 # bound ascent ran its restarts as one stack (bound) and before the

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqboxes import multipartite
@@ -221,11 +221,18 @@ class TestGhz:
         assert cc_no_signalling(mod_box(2, parties=3)).passed
         assert cc_no_signalling(mod_box(3, parties=3)).passed
 
-    def test_strategy_realises_the_family_exactly(self):
-        for m, n in [(1, 2), (1, 3), (2, 3)]:
-            box = simulate(ghz_phase_strategy(m, n))
-            target = ghz_phase_box(2 * math.pi * m / n)
-            assert cq_box_distance(box, target) < 1e-12
+    @settings(max_examples=40, deadline=None)
+    @given(fraction=st.integers(2, 12).flatmap(lambda n: st.tuples(st.integers(-3 * n, 3 * n), st.just(n))))
+    @example(fraction=(1, 2))
+    @example(fraction=(1, 3))
+    @example(fraction=(2, 3))
+    def test_strategy_realises_the_family_exactly(self, fraction):
+        """The phase 2 pi m / n for any m, negative or past a turn, realised
+        exactly and without signalling."""
+        m, n = fraction
+        box = simulate(ghz_phase_strategy(m, n))
+        assert cq_box_distance(box, ghz_phase_box(2 * math.pi * m / n)) < 1e-12
+        assert cq_no_signalling(box).passed
 
     def test_only_the_all_ones_input_picks_up_the_phase(self):
         box = simulate(ghz_phase_strategy(1, 2))

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -40,6 +40,7 @@ from cqboxes.quantum import (
     bell_state,
     fidelity,
     haar_unitary,
+    invalid_unitary,
     invalid_vector,
     pauli_x,
     pauli_z_power,
@@ -297,6 +298,14 @@ class TestMaxEntangled:
         message = "relabel shape (2, 2, 2, 3) is not input_sizes + (dim, dim), all positive"
         with pytest.raises(ValueError, match=re.escape(message)):
             max_entangled_strategy(np.zeros((2, 2, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 3), (2, 2), (2, 0, 2, 2)])
+    def test_target_family_box_refuses_a_stack_by_the_same_rule(self, shape):
+        """A non-square stack, or one with no or an empty input axis, is
+        refused by name, by the rule ``HaarCouplingBox`` applies."""
+        message = f"targets shape {shape} is not input_sizes + (dim, dim), all positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            unitary_family_box(np.zeros(shape))
 
 
 class TestEightOutput:
@@ -809,6 +818,70 @@ class TestMixedDisordered:
         assert cq_no_signalling(self.family(), tol=1e-11).passed
 
 
+def reference_mixed_disordered_strategy(box: CQBox):
+    """``mixed_disordered_strategy`` as it was before the Bell-form locals
+    became one stack: a dict of locals, and each interval's targets formed
+    again from them, input by input."""
+    locals_uv, families = {}, {}
+    for key in box.inputs:
+        u, v, weights = bell_canonical_form(box.output(key))
+        locals_uv[key] = (u.matrix, v.matrix)
+        families[key] = tuple((float(w), i) for i, w in enumerate(weights))
+    phi = phi_plus(2)
+    pure_states = {
+        key: tuple(
+            StateVector((u @ local @ v.T @ phi.amplitudes.reshape(2, 2)).reshape(-1), phi.structure)
+            for local in synthesis._BELL_LOCALS
+        )
+        for key, (u, v) in locals_uv.items()
+    }
+    schedule = replace(mixture_align(families), pure_states=pure_states)
+    strategies = []
+    for _, assignment in schedule.intervals:
+        targets = np.reshape([
+            locals_uv[key][0] @ synthesis._BELL_LOCALS[assignment[key]] @ locals_uv[key][1].T
+            for key in box.inputs
+        ], box.input_sizes + (2, 2))
+        strategies.append(max_entangled_strategy(targets))
+    return schedule, strategies
+
+
+@st.composite
+def disordered_families(draw) -> CQBox:
+    """Maximally disordered two-qubit families over 1-3 inputs a side:
+    per input, random locals around Bell weights that are generic, or
+    hold equal or zero entries."""
+    inputs = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [
+        lambda: rng.dirichlet(np.ones(4)),
+        lambda: rng.permutation([0.5, 0.5, 0.0, 0.0]),
+        lambda: np.full(4, 0.25),
+        lambda: rng.permutation([0.4, 0.4, 0.2, 0.0]),
+        lambda: np.eye(4)[rng.integers(4)],
+    ]
+    mats = np.zeros(inputs + (4, 4), dtype=complex)
+    for key in np.ndindex(*inputs):
+        weights = kinds[draw(st.integers(0, len(kinds) - 1))]()
+        frame = np.kron(haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix)
+        mats[key] = frame @ bell_mixture(weights).matrix @ frame.conj().T
+    return CQBox(inputs, PartyStructure.pair(2), mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=disordered_families())
+def test_mixed_disordered_matches_the_per_input_reference(box):
+    schedule, strategies = mixed_disordered_strategy(box)
+    reference, reference_strategies = reference_mixed_disordered_strategy(box)
+    assert schedule.intervals == reference.intervals
+    assert len(strategies) == len(reference_strategies)
+    for strategy, want in zip(strategies, reference_strategies):
+        assert np.array_equal(strategy.ccbox.relabel, want.ccbox.relabel)
+    for key in box.inputs:
+        for got, want in zip(schedule.pure_states[key], reference.pure_states[key], strict=True):
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 IDENTITY_TABLE = np.broadcast_to(np.eye(2), (2, 2, 2, 2))  # per input and output of pr_box
 
 
@@ -947,6 +1020,15 @@ def reference_dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np
     return out if dressing is None else dressing[x] @ out
 
 
+def reference_pair(coupling: HaarCouplingBox, key: tuple[int, ...], base: np.ndarray) -> tuple:
+    """(Alice unitary, Bob unitary) at one input tuple for a base draw or a
+    stack of them: relabel[key] @ conj(V) and V itself, each rotated into
+    its frame F as F @ U @ F^+ where the coupling is framed."""
+    pair = (coupling.relabel[key] @ base.conj(), base)
+    frames = (getattr(coupling, "frame_a", None), getattr(coupling, "frame_b", None))
+    return tuple(u if f is None else f @ u @ f.conj().T for u, f in zip(pair, frames))
+
+
 def reference_sample_vectors(strategy: Strategy, samples: int, seed: int) -> dict:
     """The per-sample loop the batched sampler replaced: one base draw,
     one dressing of each party's output and one local application per
@@ -959,7 +1041,7 @@ def reference_sample_vectors(strategy: Strategy, samples: int, seed: int) -> dic
     for key in np.ndindex(*coupling.input_sizes):
         vecs = []
         for base in bases:
-            pair = coupling.sample_pair(key, base)
+            pair = reference_pair(coupling, key, base)
             mats = [reference_dressed(strategy, j, key[j], u) for j, u in enumerate(pair)]
             t = strategy.shared.amplitudes.reshape(dims)
             for axis, mat in enumerate(mats):
@@ -1262,32 +1344,115 @@ def test_schmidt_dressed_families_round_trip_through_general_pure(box, seed):
     assert np.max(np.abs(simulated.matrices - box.matrices)) <= 1e-9
 
 
+def reference_general_pure_strategy(targets: CQBox) -> Strategy:
+    """``general_pure_strategy`` as it was before it read the family as one
+    stack: each output through ``pure_output``, each dressing, coupling
+    part and unitarity check once per input, in Python."""
+    n = targets.structure.dims[0]
+    pure = {key: targets.pure_output(key) for key in targets.inputs}
+    form = schmidt(pure[(0, 0)])
+    coeffs = form.coefficients
+    basis_a, basis_b = form.left_basis, form.right_basis
+    inv_d = np.diag(1.0 / coeffs)
+    block_dims = tuple(len(b) for b in form.blocks)
+
+    def in_bases(key):
+        mat = pure[key].amplitudes.reshape(n, n)
+        return basis_a.conj().T @ mat @ basis_b.conj()
+
+    def check_unitary(mat, what):
+        if invalid_unitary(mat, 1e-6):
+            raise ValueError(f"family structure broken: {what} is not unitary")
+        return mat
+
+    nx, ny = targets.input_sizes
+    u_x = {x: check_unitary(in_bases((x, 0)) @ inv_d, f"row dressing at x={x}") for x in range(nx)}
+    v_y = {y: check_unitary((inv_d @ in_bases((0, y))).T, f"column dressing at y={y}") for y in range(ny)}
+    block_of = np.repeat(np.arange(len(block_dims)), block_dims)
+    blocks_mask = block_of[:, None] == block_of[None, :]
+    relabel = np.zeros(targets.input_sizes + (n, n), dtype=complex)
+    for key in targets.inputs:
+        x, y = key
+        w = u_x[x].conj().T @ in_bases(key) @ v_y[y].conj() @ inv_d
+        off_block = np.abs(w[~blocks_mask])
+        if off_block.size and off_block.max() > 1e-6:
+            raise ValueError(
+                f"family structure broken: coupling part at input {key} mixes "
+                "Schmidt blocks of unequal coefficient"
+            )
+        relabel[key] = check_unitary(np.where(blocks_mask, w, 0.0), f"coupling part at {key}")
+    core = StateVector(np.diag(coeffs), targets.structure)
+    dress_a = [basis_a @ u_x[x] for x in range(nx)]
+    dress_b = [basis_b @ v_y[y] for y in range(ny)]
+    return Strategy(HaarCouplingBox(relabel, block_dims), core, (dress_a, dress_b))
+
+
+def both_storages(box: CQBox) -> list[CQBox]:
+    """The family stored as amplitudes and as density matrices."""
+    return [box, CQBox(box.input_sizes, box.structure, box.matrices)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
+def test_general_pure_matches_the_per_input_reference(box, seed):
+    for stored in both_storages(box):
+        got = simulate(general_pure_strategy(stored), samples=4, seed=seed)
+        want = simulate(reference_general_pure_strategy(stored), samples=4, seed=seed)
+        assert np.array_equal(got.matrices, want.matrices)
+
+
+@pytest.mark.parametrize("name", ["two_block_family", "nonmax_pure_family", "max_entangled_family"])
+def test_general_pure_fixtures_match_the_per_input_reference(name):
+    for stored in both_storages(load_box(FIXTURES / f"{name}.json")):
+        strategy, reference = general_pure_strategy(stored), reference_general_pure_strategy(stored)
+        assert np.array_equal(strategy.ccbox.relabel, reference.ccbox.relabel)
+        assert all(map(np.array_equal, strategy.unitaries, reference.unitaries))
+        got, want = (simulate(s, samples=6, seed=1).matrices for s in (strategy, reference))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("scaled", "swapped", "coupling part at (1, 1) is not unitary"),
+        ("swapped", "scaled", "coupling part at input (1, 1) mixes Schmidt blocks"),
+    ],
+)
+def test_general_pure_names_the_first_broken_coupling_part(monkeypatch, first, second, message):
+    """With faults of both kinds, the input that comes first is named."""
+    passing = NoSignallingReport(passed=True, worst_violation=0.0, witnesses=(), tolerance=1e-9)
+    monkeypatch.setattr(synthesis, "cq_no_signalling", lambda box, tol: passing)
+    faults = {
+        # the two levels keep their sides but trade weights: a non-unitary diagonal part
+        "scaled": [math.sqrt(0.3), 0, 0, math.sqrt(0.7)],
+        # the two levels swap sides, mixing the two Schmidt blocks
+        "swapped": [0, math.sqrt(0.7), math.sqrt(0.3), 0],
+    }
+    states = {k: two_qubit_state([math.sqrt(0.7), 0, 0, math.sqrt(0.3)]) for k in np.ndindex(3, 2)}
+    states[(1, 1)], states[(2, 1)] = two_qubit_state(faults[first]), two_qubit_state(faults[second])
+    targets = CQBox.from_pure((3, 2), states)
+    for build in (general_pure_strategy, reference_general_pure_strategy):
+        with pytest.raises(ValueError, match=re.escape(f"family structure broken: {message}")):
+            build(targets)
+
+
 @dataclass(frozen=True)
 class FramedHaarCouplingBox(HaarCouplingBox):
     """The coupling that ``general_pure_strategy`` built before its Schmidt
-    bases moved into the shared state and the dressings: ``sample_pair``
+    bases moved into the shared state and the dressings: ``reference_pair``
     rotates both outputs into the frames F, as F @ U @ F^+.  Kept as the
     reference the Schmidt-core strategy must stay close to."""
 
     frame_a: np.ndarray | None = None
     frame_b: np.ndarray | None = None
 
-    def sample_pair(self, inputs, base):
-        u_a = self.relabel[inputs] @ base.conj()
-        u_b = base
-        if self.frame_a is not None:
-            u_a = self.frame_a @ u_a @ self.frame_a.conj().T
-        if self.frame_b is not None:
-            u_b = self.frame_b @ u_b @ self.frame_b.conj().T
-        return u_a, u_b
-
 
 def reference_framed_strategy(targets: CQBox) -> Strategy:
     """``general_pure_strategy`` with a framed coupling and unframed
     dressings, rebuilt from the reference output's Schmidt form; only the
     coupling parts are taken from the strategy under test.  Only the
-    per-draw loop of ``reference_weighted_unitaries`` calls the framed
-    ``sample_pair``, so ``framed_simulate`` runs it through that loop."""
+    per-draw loop of ``reference_weighted_unitaries`` applies the frames, so
+    ``framed_simulate`` runs it through that loop."""
     coupling = general_pure_strategy(targets).ccbox
     reference = targets.pure_output((0, 0))
     form = schmidt(reference)
@@ -1307,7 +1472,7 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
 
 
 def framed_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
-    """``simulate`` with the framed coupling's ``sample_pair`` feeding the dressings."""
+    """``simulate`` with the framed coupling's ``reference_pair`` feeding the dressings."""
     with mock.patch.object(synthesis, "_weighted_unitaries", reference_weighted_unitaries):
         return simulate(strategy, samples=samples, seed=seed)
 
@@ -1386,7 +1551,7 @@ class TestFirstPartyProductMatchesTheBroadcast:
 def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
     """``_weighted_unitaries`` as it was before each party's unitaries were
     formed once per own input: every party once per input tuple (and
-    chunk), a Haar chunk through ``sample_pair`` for each input tuple."""
+    chunk), a Haar chunk through ``reference_pair`` for each input tuple."""
     ccbox, tables = strategy.ccbox, strategy.unitaries
     dims = strategy.shared.structure.dims
     chunk = max(1, synthesis._CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
@@ -1395,7 +1560,7 @@ def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
         for start in range(0, samples, chunk):
             bases = ccbox.draw_base(rng, min(chunk, samples - start))
             for key in np.ndindex(*ccbox.input_sizes):
-                pair = ccbox.sample_pair(key, bases)
+                pair = reference_pair(ccbox, key, bases)
                 stacks = [reference_dressed(strategy, j, key[j], u) for j, u in enumerate(pair)]
                 yield key, stacks, np.full(len(bases), 1 / samples)
         return
