@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 
+def _check_tolerance(tol: object) -> None:
+    """ValueError unless ``tol`` is a tolerance: a NaN one would pass every check."""
+    if reason := invalid_tolerance(tol):
+        raise ValueError(f"tol {reason}")
+
+
 def _positive_sizes(sizes: object, field: str) -> tuple[int, ...]:
     """``sizes`` as a non-empty tuple of ints of at least 1; ValueError
     naming ``field`` otherwise."""
@@ -74,14 +80,17 @@ class CCBox:
     """Conditional probability table p(outputs | inputs) for k parties.
 
     ``table`` has shape ``input_sizes + output_sizes``, entries are
-    non-negative and sum to one over outputs for every input setting.
+    non-negative and sum to one over outputs for every input setting,
+    within the tolerance ``tol`` (not stored).
     """
 
     input_sizes: tuple[int, ...]
     output_sizes: tuple[int, ...]
     table: np.ndarray
+    tol: InitVar[float] = TOLERANCE
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
+        _check_tolerance(tol)
         object.__setattr__(self, "input_sizes", _positive_sizes(self.input_sizes, "input_sizes"))
         object.__setattr__(self, "output_sizes", _positive_sizes(self.output_sizes, "output_sizes"))
         if len(self.input_sizes) != len(self.output_sizes):
@@ -89,7 +98,7 @@ class CCBox:
         object.__setattr__(self, "table", tab := _frozen(self.table, float))
         if tab.shape != (expected := self.input_sizes + self.output_sizes):
             raise ValueError(f"table shape {tab.shape} does not match {expected}")
-        if fault := invalid_distribution(tab.reshape(self.input_sizes + (-1,))):
+        if fault := invalid_distribution(tab.reshape(self.input_sizes + (-1,)), tol):
             key = ",".join(map(str, fault[0]))
             raise ValueError(f"output distribution at input {key} is invalid: {fault[1]}")
 
@@ -204,11 +213,13 @@ def _ndindex(sizes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield from ((head,) + rest for rest in _ndindex(sizes[1:]))
 
 
-def _checked(out: np.ndarray, shape: tuple[int, ...], fault: Callable) -> np.ndarray:
-    """``out``, a stack of outputs, made read-only once ``fault`` passes it."""
+def _checked(
+    out: np.ndarray, shape: tuple[int, ...], fault: Callable, tol: float = TOLERANCE
+) -> np.ndarray:
+    """``out``, a stack of outputs, made read-only once ``fault`` passes it within ``tol``."""
     if out.shape != shape:
         raise ValueError(f"output stack shape {out.shape} does not match {shape}")
-    if bad := fault(out):
+    if bad := fault(out, tol):
         key, reason = bad
         raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {reason}")
     out.setflags(write=False)
@@ -223,7 +234,8 @@ class CQBox:
     shared party structure: ``amplitudes`` ``input_sizes + (D,)`` if every
     output is pure (checked for finiteness, norm and trace only), else density
     ``matrices`` ``input_sizes + (D, D)``, which a pure box builds on first
-    read.  Mappings from input tuples go through ``from_outputs`` or ``from_pure``.
+    read.  Both are checked within the tolerance ``tol`` (not stored).
+    Mappings from input tuples go through ``from_outputs`` or ``from_pure``.
     """
 
     input_sizes: tuple[int, ...]
@@ -233,7 +245,9 @@ class CQBox:
     def __init__(
         self, input_sizes: Sequence[int], structure: PartyStructure,
         matrices: np.ndarray | None = None, amplitudes: np.ndarray | None = None,
+        *, tol: float = TOLERANCE,
     ) -> None:
+        _check_tolerance(tol)
         sizes = _positive_sizes(input_sizes, "input_sizes")
         object.__setattr__(self, "input_sizes", sizes)
         object.__setattr__(self, "structure", structure)
@@ -244,9 +258,13 @@ class CQBox:
             raise ValueError("a C-Q box needs exactly one of matrices and amplitudes")
         # copy what the caller passed, so that the box cannot change under it
         if amplitudes is not None:
-            amplitudes = _checked(np.array(amplitudes, dtype=complex), sizes + (d,), invalid_pure)
+            amplitudes = _checked(
+                np.array(amplitudes, dtype=complex), sizes + (d,), invalid_pure, tol
+            )
         else:
-            matrices = _checked(np.array(matrices, dtype=complex), sizes + (d, d), invalid_density)
+            matrices = _checked(
+                np.array(matrices, dtype=complex), sizes + (d, d), invalid_density, tol
+            )
             object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "amplitudes", amplitudes)
 
@@ -263,9 +281,11 @@ class CQBox:
         input_sizes: Sequence[int],
         structure: PartyStructure,
         outputs: Mapping[tuple[int, ...], StateVector | DensityMatrix | np.ndarray],
+        *, tol: float = TOLERANCE,
     ) -> "CQBox":
         """Box from a mapping of every input tuple to a density matrix or, for
-        a pure output, a state vector (objects or arrays; all vectors keep amplitudes)."""
+        a pure output, a state vector (objects or arrays; all vectors keep
+        amplitudes), checked within ``tol``."""
         sizes = _positive_sizes(input_sizes, "input_sizes")
         for key in outputs:
             if not _in_range(key, sizes):
@@ -288,9 +308,9 @@ class CQBox:
             if (shape := arrays[-1].shape) not in ((d,), (d, d)):
                 raise ValueError(f"output at {key} has shape {shape}, not ({d},) or ({d}, {d})")
         if all(a.ndim == 1 for a in arrays):
-            return cls(sizes, structure, amplitudes=np.reshape(arrays, sizes + (d,)))
+            return cls(sizes, structure, amplitudes=np.reshape(arrays, sizes + (d,)), tol=tol)
         mats = [np.outer(a, a.conj()) if a.ndim == 1 else a for a in arrays]
-        return cls(sizes, structure, np.reshape(mats, sizes + (d, d)))
+        return cls(sizes, structure, np.reshape(mats, sizes + (d, d)), tol=tol)
 
     @classmethod
     def from_pure(
@@ -431,8 +451,7 @@ def _report(
     ``_proper_subgroups`` order, whatever the order of ``views``, own inputs
     in product order, then outside pairs in combinations order.  A ``tol``
     that is no tolerance is refused before any view is built."""
-    if reason := invalid_tolerance(tol):
-        raise ValueError(f"tol {reason}")
+    _check_tolerance(tol)
     worst = 0.0
     found: dict[tuple[int, ...], list[Witness]] = {}
     for subgroup, complement, first, second, dists in _subgroup_sweep(input_sizes, views, distance):

@@ -133,7 +133,7 @@ def _verify_report(box, tol: float) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    box = load_box(args.box)
+    box = load_box(args.box, tol=args.tol)
     actual = "cc" if isinstance(box, CCBox) else "cq"
     if args.kind and args.kind != actual:
         raise ValueError(f"document is kind '{actual}', expected '{args.kind}'")
@@ -217,7 +217,7 @@ def _target_file(args) -> tuple[CQBox, dict]:
     record it as the construction's parameter and input file."""
     if not args.target:
         raise ValueError(f"{args.construction} requires --target")
-    box = load_box(args.target)
+    box = load_box(args.target, tol=args.tol)
     if not isinstance(box, CQBox):
         raise ValueError(f"{args.construction} needs a quantum-output target box")
     return box, {"target": box, "parameters": {"target": args.target}, "files": (args.target,)}

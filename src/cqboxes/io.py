@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cqboxes.boxes import CCBox, CQBox
-from cqboxes.quantum import MAX_TENSOR_DIM, PartyStructure, invalid_parties, real_array
+from cqboxes.boxes import CCBox, CQBox, _check_tolerance
+from cqboxes.quantum import (
+    MAX_TENSOR_DIM, TOLERANCE, PartyStructure, invalid_parties, real_array
+)
 
 __all__ = [
     "BoxDocumentError",
@@ -153,7 +155,10 @@ def _decoded_outputs(raw: dict) -> dict[tuple[int, ...], np.ndarray]:
     return outputs
 
 
-def document_to_box(doc: dict) -> CCBox | CQBox:
+def document_to_box(doc: dict, *, tol: float = TOLERANCE) -> CCBox | CQBox:
+    """The box a document describes, its outputs validated within ``tol``;
+    a ``tol`` that is no tolerance is the caller's fault, not the document's."""
+    _check_tolerance(tol)
     if not isinstance(doc, dict):
         raise BoxDocumentError("box document must be a JSON object")
     version = doc.get("format", 1)
@@ -167,7 +172,7 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         output_sizes = _require(doc, "output_sizes")
         table = _require(doc, "table")
         try:
-            return CCBox(input_sizes, output_sizes, _numbers(table, "table"))
+            return CCBox(input_sizes, output_sizes, _numbers(table, "table"), tol)
         except (TypeError, ValueError) as exc:
             raise BoxDocumentError(f"invalid classical box table: {exc}") from exc
     if kind == "cq":
@@ -194,7 +199,7 @@ def document_to_box(doc: dict) -> CCBox | CQBox:
         with np.errstate(invalid="ignore"):
             outputs = _decoded_outputs(raw)
             try:
-                return CQBox.from_outputs(input_sizes, structure, outputs)
+                return CQBox.from_outputs(input_sizes, structure, outputs, tol=tol)
             except ValueError as exc:
                 raise BoxDocumentError(f"invalid quantum box: {exc}") from exc
     raise BoxDocumentError(f"unknown box kind '{kind}' (expected 'cc' or 'cq')")
@@ -217,5 +222,5 @@ def _read_json(path: str | Path, what: str) -> object:
         raise BoxDocumentError(f"'{path}' is not valid JSON: {exc}") from exc
 
 
-def load_box(path: str | Path) -> CCBox | CQBox:
-    return document_to_box(_read_json(path, "box document"))
+def load_box(path: str | Path, *, tol: float = TOLERANCE) -> CCBox | CQBox:
+    return document_to_box(_read_json(path, "box document"), tol=tol)

@@ -164,6 +164,8 @@ def invalid_vector(amplitudes: np.ndarray, tol: float = TOLERANCE) -> Fault | No
     """(index, reason) of the first non-unit vector of a stack ``(..., D)``, or None."""
     with np.errstate(invalid="ignore"):  # an infinite amplitude is reported below
         norms = np.linalg.norm(amplitudes, axis=-1)
+    if (abs(norms - 1.0) <= tol).all():  # the common case; a NaN norm fails it
+        return None
     return _first_fault(
         # a NaN norm compares false against any tolerance, so test it first
         (~np.isfinite(norms), norms, "state vector norm {} is not finite"),
@@ -260,9 +262,10 @@ def invalid_pure(amplitudes: np.ndarray, tol: float = TOLERANCE) -> Fault | None
     """``invalid_vector``, then ``invalid_density`` of the outer products of a
     stack ``(..., D)``: these are Hermitian and positive semidefinite by
     construction, so only their traces sum |v_i|^2 are checked, at O(D) each."""
-    return invalid_vector(amplitudes, tol) or _first_fault(
-        _unit_trace(np.sum(amplitudes * amplitudes.conj(), axis=-1), tol)
-    )
+    if fault := invalid_vector(amplitudes, tol):
+        return fault
+    trace = (amplitudes * amplitudes.conj()).sum(axis=-1)
+    return None if (abs(trace.real - 1.0) <= tol).all() else _first_fault(_unit_trace(trace, tol))
 
 
 @dataclass(frozen=True)
@@ -467,9 +470,38 @@ def trace_distance(p: StateLike, q: StateLike) -> float:
     return float(0.5 * trace_norm(delta))
 
 
+# the largest diagonal magnitudes that LAPACK's zheevd/dsyevd leave unscaled:
+# sqrt(safe minimum / precision) = sqrt(2^-1022 / 2^-52), and its inverse
+_UNSCALED = (2.0**-485, 2.0**485)
+
+
 def trace_norm(matrices: np.ndarray) -> np.ndarray:
-    """Trace norm of each Hermitian matrix in a stack of shape (..., D, D)."""
-    return np.sum(np.abs(np.linalg.eigvalsh(matrices)), axis=-1)
+    """Trace norm of each Hermitian matrix in a stack of shape (..., D, D).
+
+    A double-precision stack of 2 x 2 matrices whose off-diagonal entries
+    are all exactly zero, and whose every matrix has a largest diagonal
+    magnitude that is 0 or within ``_UNSCALED``, gives |Re a00| + |Re a11|
+    without an eigensolve, bit for bit as ``eigvalsh`` would.  numpy's
+    ``eigvalsh`` runs LAPACK's zheevd (dsyevd for real input) on the lower
+    triangle.  zheevd rescales the matrix only when its largest magnitude
+    is outside that range.  zhetd2 then hands zlarfg a zero alpha, which
+    gives tau = 0 and an off-diagonal e = 0, with d the real diagonal.
+    dsterf splits at a zero e into 1 x 1 blocks, which it returns as they
+    are, sorted.  A sum of two absolute values does not depend on their
+    order.  The range test is a positive one: a NaN or infinite real part on
+    the diagonal fails it, as a NaN off-diagonal entry fails the zero test,
+    and the stack goes to ``eigvalsh``, as every other stack does.  Neither
+    path reads the imaginary parts of the diagonal.
+    """
+    m = np.asarray(matrices)
+    if m.shape[-2:] == (2, 2) and m.dtype in (np.complex128, np.float64):
+        if not (np.any(m[..., 0, 1]) or np.any(m[..., 1, 0])):
+            first, second = np.abs(m[..., 0, 0].real), np.abs(m[..., 1, 1].real)
+            scale = np.maximum(first, second)
+            low, high = _UNSCALED
+            if np.all((scale == 0) | ((scale >= low) & (scale <= high))):
+                return first + second
+    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
 def basis_state(structure: PartyStructure, levels: Sequence[int]) -> StateVector:

@@ -476,6 +476,14 @@ class TestCQBoxDistance:
         (lambda: cq_no_signalling(correlated_bell_box(), tol=math.nan),
          "tol must be a finite number, got nan"),
         (lambda: cq_no_signalling(correlated_bell_box(), tol=-1e-3), "tol must be non-negative, got -0.001"),
+        # a NaN tolerance would let every output through validation
+        (lambda: CQBox((1, 1), AB, amplitudes=np.full((1, 1, 4), 2.0), tol=math.nan),
+         "tol must be a finite number, got nan"),
+        (lambda: CQBox.from_outputs((1, 1), AB, {(0, 0): np.eye(4)}, tol=math.inf),
+         "tol must be a finite number, got inf"),
+        (lambda: CCBox((1,), (1,), [[1.0]], math.nan), "tol must be a finite number, got nan"),
+        (lambda: CCBox((1,), (2,), [[0.5, 0.5 + 1e-8]], 1e-9),
+         "output distribution at input 0 is invalid: probabilities sum to 1.00000001"),
     ],
 )
 def test_refusals_name_the_fault(build, message):

@@ -141,6 +141,44 @@ class TestVerify:
         assert report is None
         assert "kind" in err
 
+    @pytest.mark.parametrize(
+        "fixture, scale, argv, code, error",
+        [
+            # a norm of 1.00000001 is within --tol 1e-6 but beyond the default
+            ("phase_quarter_turn", 1e-8, ["--tol", "1e-6", "verify"], 0, None),
+            ("phase_quarter_turn", 1e-8, ["verify", "--tol", "1e-6"], 0, None),
+            ("phase_quarter_turn", 1e-8, ["verify"], 2, "state vector norm 1.00000001 deviates from 1"),
+            ("phase_quarter_turn", 1e-5, ["--tol", "1e-6", "verify"], 2, "state vector norm 1.00001 deviates from 1"),
+            # a probability table summing to 1 + 5e-9 at input (0, 0)
+            ("pr_box", 1e-8, ["--tol", "1e-6", "verify"], 0, None),
+            ("pr_box", 1e-8, ["verify"], 2, "probabilities sum to 1.000000005, not 1 within"),
+            # a target loads within --tol; the construction's own fixed
+            # tolerance then refuses it
+            ("two_block_family", 1e-8, ["synth", "general-pure", "--target"], 2,
+             "invalid quantum box: output at input 0,0 is invalid: state vector norm 1.00000001"),
+            ("two_block_family", 1e-8, ["--tol", "1e-6", "synth", "general-pure", "--target"], 2,
+             "target family is signalling"),
+        ],
+    )
+    def test_tol_reaches_load_validation(self, capsys, tmp_path, fixture, scale, argv, code, error):
+        """A document is validated within --tol, for verify and for --target
+        loads alike: the output or one probability at input (0, 0) scaled by
+        1 + ``scale`` is accepted within 1e-6 and refused by name beyond it."""
+        doc = json.loads((ROOT / "fixtures" / f"{fixture}.json").read_text())
+        if doc["kind"] == "cc":
+            doc["table"][0][0][0][0] *= 1 + scale
+        else:
+            amplitudes = doc["outputs"]["0,0"]["amplitudes"]
+            amplitudes[:] = [[part * (1 + scale) for part in amp] for amp in amplitudes]
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        got, report, err = run(capsys, *argv, str(path))
+        assert got == code, err
+        if error is None:
+            assert report["tolerance"] == 1e-6
+        else:
+            assert error in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, report, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2

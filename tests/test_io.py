@@ -191,6 +191,30 @@ class TestValidation:
         with pytest.raises(BoxDocumentError, match="0,0"):
             document_to_box(doc)
 
+    @pytest.mark.parametrize("box", [pure_phase_box(), mixed_box(), pr_box()], ids=["pure", "mixed", "cc"])
+    def test_outputs_are_validated_within_the_callers_tol(self, tmp_path, box):
+        """``load_box`` and ``document_to_box`` validate within ``tol``, which
+        defaults to ``TOLERANCE``; a ``tol`` that is no tolerance is refused
+        as the caller's fault, before the document is read."""
+        doc = box_to_document(box)
+        if isinstance(box, CCBox):
+            doc["table"][0][0][0][0] *= 1 + 1e-8
+        else:
+            payload = "amplitudes" if "amplitudes" in doc["outputs"]["0,0"] else "matrix"
+            doc["outputs"]["0,0"][payload] = (
+                np.array(doc["outputs"]["0,0"][payload]) * (1 + 1e-8)
+            ).tolist()
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BoxDocumentError, match="at input 0,0 is invalid"):
+            load_box(path)
+        assert isinstance(load_box(path, tol=1e-6), type(box))
+        assert isinstance(document_to_box(doc, tol=1e-6), type(box))
+        for tol in (math.nan, -1e-6):
+            with pytest.raises(ValueError, match="^tol must be") as raised:
+                document_to_box(doc, tol=tol)
+            assert not isinstance(raised.value, BoxDocumentError)
+
     def test_empty_outputs_name_missing_inputs(self, capsys, tmp_path):
         doc = box_to_document(pure_phase_box())
         doc["outputs"] = {}

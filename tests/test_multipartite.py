@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from cqboxes import multipartite
 from cqboxes.boxes import (
+    CQBox,
     cc_no_signalling,
     cq_box_distance,
     cq_no_signalling,
     family_worst_violation,
     mod_box,
 )
+from cqboxes.cli import main
 from cqboxes.multipartite import (
+    _W_STRUCTURE,
     PhaseAssignment,
     _local_fit,
     _monomials_for,
@@ -29,6 +33,8 @@ from cqboxes.multipartite import (
 )
 from cqboxes.quantum import PartyStructure, fidelity, w_state, wrap_angle
 from cqboxes.synthesis import simulate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def assignment_from(alpha_fn, beta_fn=None, gamma_fn=None) -> PhaseAssignment:
@@ -193,6 +199,34 @@ class TestChunking:
             assert list(got.counterexamples) == [
                 "local_all_non_signalling", "perturbed_all_signalling", "random_equivalence_holds"
             ]
+
+
+def test_w_phase_sweeps_eigensolve_no_2x2_stack(monkeypatch, capsys):
+    """Every single-party reduced-state difference of a W-phase family is
+    exactly diagonal, so ``trace_norm`` takes its shortcut on all of them and
+    only the two-party 4 x 4 stacks reach ``eigvalsh``: in a family sweep
+    and in ``verify`` of a W-phase document.  The sweep's entries still
+    equal each box's own check bit for bit."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrices, *args, **kwargs):
+        shapes.append(np.shape(matrices))
+        return eigvalsh(matrices, *args, **kwargs)
+
+    rng = np.random.default_rng(25)
+    phases = rng.uniform(0.0, 2 * math.pi, size=(12, 3, 2, 2, 2))
+    local = assignment_from(lambda x, y, z: 1.1 * x, lambda x, y, z: -0.4 * y, lambda x, y, z: 0.9 * z)
+    phases[0] = np.stack([local.alpha, local.beta, local.gamma])
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    worst = family_worst_violation(_w_phase_amplitudes(phases), _W_STRUCTURE)
+    assert main(["verify", str(ROOT / "fixtures" / "w_phase_local.json")]) == 0
+    monkeypatch.undo()
+    assert shapes and all(shape[-2:] == (4, 4) for shape in shapes), shapes
+    assert '"passed": true' in capsys.readouterr().out
+    for f, amps in enumerate(_w_phase_amplitudes(phases)):
+        box = CQBox((2, 2, 2), _W_STRUCTURE, amplitudes=amps)
+        assert worst[f] == cq_no_signalling(box).worst_violation, f
 
 
 def test_theorem_sweep_peak_memory():

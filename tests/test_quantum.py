@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqboxes.quantum import (
     DensityMatrix,
@@ -28,6 +30,7 @@ from cqboxes.quantum import (
     haar_unitary,
     invalid_density,
     invalid_distribution,
+    invalid_pure,
     invalid_tolerance,
     invalid_unitary,
     invalid_vector,
@@ -42,6 +45,7 @@ from cqboxes.quantum import (
     su2,
     tensor,
     trace_distance,
+    trace_norm,
     two_level_state,
     w_state,
 )
@@ -98,6 +102,24 @@ class TestStateValidation:
         message = "density matrix trace (1.0000000016000001+0j) deviates from 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StateVector([1 + 0.8e-9, 0, 0, 0], AB)
+
+    def test_pure_stack_names_its_first_fault(self):
+        """The all-pass tests in front of the fault search change neither
+        the index nor the message: a norm fault anywhere in the stack is
+        named before a trace fault, even an earlier one whose norm passes."""
+        stack = np.tile(np.array([0.5, 0.5j, -0.5, 0.5]), (2, 3, 1))
+        assert invalid_pure(stack) is None
+        stack[0, 1] = [1 + 0.8e-9, 0, 0, 0]  # norm within 1e-9, trace beyond it
+        trace_fault = ((0, 1), "density matrix trace (1.0000000016000001+0j) deviates from 1")
+        assert invalid_pure(stack) == trace_fault
+        stack[1, 2] = [1 + 2e-9, 0, 0, 0]
+        norm_fault = "state vector norm 1.000000002 deviates from 1 beyond tolerance"
+        assert invalid_pure(stack) == ((1, 2), norm_fault)
+        assert invalid_pure(stack, tol=1e-8) is None
+        stack[1, 0, 2] = math.nan
+        assert invalid_pure(stack, tol=1e-8) == ((1, 0), "state vector norm nan is not finite")
+        assert invalid_vector(stack[0]) is None
+        assert invalid_pure(stack[0]) == ((1,), trace_fault[1])
 
     def test_density_validation(self):
         with pytest.raises(ValueError):
@@ -456,6 +478,84 @@ class TestFidelityTraceDistance:
     def test_structure_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(bell_state(0), phi_plus(3))
+
+
+def reference_trace_norm(matrices):
+    """``trace_norm`` as it was: one eigensolve per matrix, whatever its shape."""
+    return np.sum(np.abs(np.linalg.eigvalsh(matrices)), axis=-1)
+
+
+# signed zeros, subnormals, the edges of LAPACK's unscaled range and beyond
+EDGE_ENTRIES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022, 2.0**-486, 2.0**-485, 2.0**485,
+    -(2.0**485), 2.0**486, 1e-150, -1e150, 1.0, -1.0,
+)
+
+
+@st.composite
+def trace_norm_stacks(draw):
+    """A stack of square matrices: 2 x 2 diagonal ones, ones with a single
+    non-zero off-diagonal entry, Hermitian 3 x 3 and 4 x 4 ones, and any of
+    these with a NaN or infinite entry."""
+    d = draw(st.sampled_from([2, 2, 2, 3, 4]))
+    batch = draw(st.sampled_from([(), (1,), (6,), (3, 2)]))
+    size = math.prod(batch)
+    entry = st.one_of(
+        st.sampled_from(EDGE_ENTRIES),
+        st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-150, 150)),
+    )
+    diagonal = st.lists(entry, min_size=size * d, max_size=size * d).map(
+        lambda values: np.reshape(values, (size, d))
+    )
+    stack = np.zeros((size, d, d), dtype=complex)
+    stack[:, range(d), range(d)] = draw(diagonal)
+    if draw(st.booleans()):  # an imaginary part on the diagonal, which LAPACK never reads
+        stack[:, range(d), range(d)] += 1j * draw(diagonal)
+    kind = draw(st.sampled_from(["diagonal", "off-diagonal", "hermitian"]))
+    if kind == "off-diagonal":
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        # two drawn zeros would leave the stack diagonal
+        stack[draw(st.integers(0, size - 1)), i, j] = complex(draw(entry), draw(entry)) or 1e-300
+    elif kind == "hermitian":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d)), 1)
+        stack += upper + np.conj(np.swapaxes(upper, -1, -2))
+    if draw(st.booleans()):
+        index = draw(st.tuples(st.integers(0, size - 1), st.integers(0, d - 1), st.integers(0, d - 1)))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        # in the imaginary part alone, or in the whole entry
+        stack[index] = complex(stack[index].real, bad) if draw(st.booleans()) else bad
+    stack = stack.reshape(batch + (d, d))
+    # a real stack goes to dsyevd, which scales as zheevd does
+    return stack.real.copy() if kind == "diagonal" and draw(st.booleans()) else stack
+
+
+def _outcome(norm, matrices):
+    """The bits of ``norm(matrices)``, or the type and text of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(norm(matrices))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return value.shape, value.dtype, value.view(np.int64).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices=trace_norm_stacks())
+def test_trace_norm_matches_eigvalsh_bit_for_bit(matrices):
+    """The diagonal 2 x 2 shortcut gives the eigensolver's bits, and every
+    other stack, NaN and infinite entries included, goes to the eigensolver:
+    the same value or the same exception."""
+    assert _outcome(trace_norm, matrices) == _outcome(reference_trace_norm, matrices)
+
+
+def test_trace_norm_of_an_integer_stack_is_the_eigensolvers():
+    """Only double-precision stacks take the shortcut; an integer one is
+    converted by ``eigvalsh`` and gives its float bits."""
+    matrices = np.array([[[3, 0], [0, -2]], [[0, 0], [0, 0]]])
+    assert _outcome(trace_norm, matrices) == _outcome(reference_trace_norm, matrices)
+    assert trace_norm(matrices).dtype == np.float64
 
 
 class TestGates:
