@@ -32,7 +32,6 @@ from cqboxes.boxes import (
     cc_no_signalling,
     cq_box_distance,
     cq_no_signalling,
-    mix_boxes,
 )
 from cqboxes.io import BoxDocumentError, _numbers, _read_json, load_box, save_box
 from cqboxes.multipartite import (
@@ -313,14 +312,14 @@ def _general_pure(args) -> dict:
 
 def _mixed_disordered(args) -> dict:
     target, built = _target_file(args)
-    schedule, strategies = mixed_disordered_strategy(target)
+    schedule = mixed_disordered_strategy(target)
     return {
         **built,
-        "strategy": (schedule, strategies),
+        "strategy": schedule,
         "tolerance": 1e-8,
         "certificate": {
-            "intervals": len(schedule.intervals),
-            "interval_weights": list(schedule.weights),
+            "intervals": len(schedule.weights),
+            "interval_weights": schedule.weights.tolist(),
         },
     }
 
@@ -352,17 +351,7 @@ _SYNTH_DEFAULTS = {"tolerance": 1e-9, "parameters": {}, "certificate": None, "fi
 
 def _cmd_synth(args) -> tuple[dict, int]:
     built = {**_SYNTH_DEFAULTS, **_CONSTRUCTIONS[args.construction](args)}
-    strategy = built["strategy"]
-    if isinstance(strategy, tuple):  # mixed-disordered: one strategy per interval
-        schedule, strategies = strategy
-        box = mix_boxes(
-            [
-                (weight, simulate(item, samples=args.samples, seed=args.seed + i))
-                for i, (weight, item) in enumerate(zip(schedule.weights, strategies))
-            ]
-        )
-    else:
-        box = simulate(strategy, samples=args.samples, seed=args.seed)
+    box = simulate(built["strategy"], samples=args.samples, seed=args.seed)
     distance = cq_box_distance(box, built["target"])
     body, ns_passed = _verify_report(box, args.tol)
     record = {

@@ -492,6 +492,10 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
     the diagonal fails it, as a NaN off-diagonal entry fails the zero test,
     and the stack goes to ``eigvalsh``, as every other stack does.  Neither
     path reads the imaginary parts of the diagonal.
+
+    A NaN in the real diagonal of any matrix that goes to ``eigvalsh`` is
+    refused with ``ValueError`` naming the first such matrix, as LAPACK
+    gives 0 as the trace norm of a 2 x 2 one.
     """
     m = np.asarray(matrices)
     if m.shape[-2:] == (2, 2) and m.dtype in (np.complex128, np.float64):
@@ -501,6 +505,10 @@ def trace_norm(matrices: np.ndarray) -> np.ndarray:
             low, high = _UNSCALED
             if np.all((scale == 0) | ((scale >= low) & (scale <= high))):
                 return first + second
+    nan = np.isnan(np.diagonal(m, axis1=-2, axis2=-1).real)
+    if nan.any():
+        index = tuple(np.argwhere(nan)[0, :-1].tolist())
+        raise ValueError(f"matrix {index} has a NaN on its real diagonal")
     return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 

@@ -18,13 +18,18 @@ Haar couplings (given as one ``input_sizes + (n, n)`` stack of target
 unitaries, which is the coupling's relabel), families over non-maximally
 entangled states, arbitrary non-signalling pure families via
 Schmidt-block couplings, and mixtures of maximally disordered two-qubit
-states via Bell decomposition plus interval alignment.
+states via Bell decomposition plus interval alignment.  The last is one
+``MixtureSchedule`` of arrays: the ``(I,)`` interval weights, the
+``(I,) + input_sizes`` component index, the ``input_sizes + (4,)`` Bell
+weights and the ``input_sizes + (4, 4)`` component states, with one
+Haar-coupling strategy per interval; ``simulate`` takes the schedule as
+it takes a strategy.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -36,6 +41,7 @@ from cqboxes.boxes import (
     HaarCouplingBox,
     _unitary_stack_shape,
     cq_no_signalling,
+    mix_boxes,
     mod_box,
     pr_box,
 )
@@ -186,13 +192,20 @@ def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[t
         yield key, vecs, weights
 
 
-def simulate(strategy: Strategy, *, samples: int = 1000, seed: int = 0) -> CQBox:
+def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed: int = 0) -> CQBox:
     """The quantum-output box the strategy realises.
 
     Finite classical boxes are summed exactly.  Haar-coupling strategies
     return the empirical mixture over ``samples`` seeded draws, with
-    Bob's sample stream drawn once so that it cannot depend on inputs.
+    Bob's sample stream drawn once so that it cannot depend on inputs.  A
+    mixture schedule simulates interval i's strategy on seed + i and sums
+    the boxes, each times its interval weight, in interval order.
     """
+    if isinstance(strategy, MixtureSchedule):
+        return mix_boxes([
+            (weight, simulate(item, samples=samples, seed=seed + i))
+            for i, (weight, item) in enumerate(zip(strategy.weights, strategy.strategies))
+        ])
     structure = strategy.shared.structure
     d = capped_dim(structure)
     mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
@@ -609,55 +622,55 @@ def bell_canonical_form(
     return UnitaryOperator(u), UnitaryOperator(v), _bell_weights_from_diagonal(diag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureSchedule:
-    """Common refinement of per-input mixture decompositions.
+    """Common refinement of per-input mixture decompositions, as arrays.
 
-    Each interval carries a probability weight and, for every input, the
-    index of the component that interval draws from.  Aggregating the
-    interval weights by assigned index reproduces each input's original
-    component probabilities.
+    ``weights`` holds the ``(I,)`` interval weights, in order along [0, 1],
+    and ``assignment`` the ``(I,) + input_sizes`` index of the component
+    each interval draws at each input.  ``probabilities`` is the
+    ``input_sizes + (K,)`` stack of component probabilities, which the
+    interval weights reproduce when summed by assigned component.  A
+    mixed-disordered schedule also holds the ``input_sizes + (K, D)`` stack
+    of component states and one strategy per interval; ``simulate`` runs
+    interval i's strategy on seed + i and mixes the boxes by weight.
     """
 
-    intervals: tuple[tuple[float, Mapping[tuple[int, ...], int]], ...]
-    families: Mapping[tuple[int, ...], tuple[tuple[float, int], ...]]
-    pure_states: Mapping[tuple[int, ...], tuple[StateVector, ...]] | None = field(
-        default=None, compare=False
-    )
+    weights: np.ndarray
+    assignment: np.ndarray
+    probabilities: np.ndarray
+    pure_states: np.ndarray | None = None
+    strategies: tuple[Strategy, ...] = ()
 
     def __post_init__(self) -> None:
-        for key, family in self.families.items():
-            for index in {idx for _, idx in family}:
-                total = sum(w for w, assign in self.intervals if assign[key] == index)
-                expected = sum(p for p, idx in family if idx == index)
-                if abs(total - expected) > 1e-12:
-                    raise ValueError(
-                        f"interval aggregation for input {key} component {index} "
-                        f"gives {total}, expected {expected}"
-                    )
+        for name, dtype in (("weights", float), ("assignment", int), ("probabilities", float)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        drawn = self.assignment[..., None] == np.arange(self.probabilities.shape[-1])
+        # each input's component weights, summed over the intervals in order
+        weights = self.weights.reshape((-1,) + (1,) * (drawn.ndim - 1))
+        totals = np.where(drawn, weights, 0.0).sum(axis=0)
+        if (gaps := np.abs(totals - self.probabilities) > 1e-12).any():
+            first = tuple(np.argwhere(gaps)[0].tolist())
+            raise ValueError(
+                f"interval aggregation for input {first[:-1]} component {first[-1]} "
+                f"gives {totals[first]}, expected {self.probabilities[first]}"
+            )
 
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.intervals)
 
-
-def mixture_align(
-    families: Mapping[tuple[int, ...], Sequence[tuple[float, int]]],
-) -> MixtureSchedule:
+def mixture_align(probabilities: np.ndarray) -> MixtureSchedule:
     """Align per-input mixtures on a common interval grid.
 
-    Lays each input's components along [0, 1] in the given order and cuts
-    at the union of all cumulative breakpoints; within one interval every
-    input sticks to a single component.
+    Lays each input's components of an ``input_sizes + (K,)`` probability
+    stack along [0, 1] in order and cuts at the union of all cumulative
+    breakpoints; within one interval every input sticks to a single
+    component, the first whose breakpoint reaches the interval's midpoint.
     """
-    cums: dict[tuple[int, ...], np.ndarray] = {}
-    for key, family in families.items():
-        probs = np.array([p for p, _ in family], dtype=float)
-        if fault := invalid_distribution(probs):
-            raise ValueError(f"component probabilities for input {key} are invalid: {fault[1]}")
-        cums[key] = np.cumsum(probs)
+    probs = np.asarray(probabilities, dtype=float)
+    if fault := invalid_distribution(probs):
+        raise ValueError(f"component probabilities for input {fault[0]} are invalid: {fault[1]}")
+    cums = np.cumsum(probs, axis=-1)
 
-    points = np.concatenate([c for c in cums.values()] + [np.array([1.0])])
+    points = np.append(cums, 1.0)
     points = np.sort(points[points > 1e-15])
     merged = [float(points[0])]
     for value in points[1:]:
@@ -665,25 +678,14 @@ def mixture_align(
             merged.append(float(value))
     merged[-1] = 1.0
 
-    intervals = []
-    lo = 0.0
-    for hi in merged:
-        width = hi - lo
-        mid = (lo + hi) / 2
-        assignment = {}
-        for key, family in families.items():
-            seg = int(np.searchsorted(cums[key], mid))
-            seg = min(seg, len(family) - 1)
-            assignment[key] = family[seg][1]
-        intervals.append((width, assignment))
-        lo = hi
-    return MixtureSchedule(
-        intervals=tuple(intervals),
-        families={key: tuple(family) for key, family in families.items()},
-    )
+    edges = np.array([0.0] + merged)
+    mids = (edges[:-1] + edges[1:]) / 2
+    # per interval and input, how many breakpoints lie below the midpoint
+    below = np.sum(cums < mids.reshape((-1,) + (1,) * probs.ndim), axis=-1)
+    return MixtureSchedule(np.diff(edges), np.minimum(below, probs.shape[-1] - 1), probs)
 
 
-def mixed_disordered_strategy(box: CQBox) -> tuple[MixtureSchedule, list[Strategy]]:
+def mixed_disordered_strategy(box: CQBox) -> MixtureSchedule:
     """Realise a family of maximally disordered two-qubit states as an
     interval mixture of maximally entangled pure strategies.
 
@@ -691,25 +693,18 @@ def mixed_disordered_strategy(box: CQBox) -> tuple[MixtureSchedule, list[Strateg
     mixtures are aligned on a common interval grid, and each interval's
     column of (maximally entangled) pure states becomes one Haar-coupling
     strategy.  Sampling an interval with its weight and running its
-    strategy reproduces the box.
+    strategy reproduces the box, which ``simulate`` does with the schedule.
     """
     if box.structure.dims != (2, 2):
         raise ValueError("two-qubit boxes required")
-    forms = {key: bell_canonical_form(box.output(key)) for key in box.inputs}
-    families = {key: tuple((float(w), i) for i, w in enumerate(f[2])) for key, f in forms.items()}
+    forms = [bell_canonical_form(box.output(key)) for key in box.inputs]
     # u B_i v^T for every input and Bell component i, shape input_sizes + (4, 2, 2)
     shape = box.input_sizes + (1, 2, 2)
-    u, v = (np.reshape([f[j].matrix for f in forms.values()], shape) for j in (0, 1))
+    u, v = (np.reshape([f[j].matrix for f in forms], shape) for j in (0, 1))
     components = u @ np.array(_BELL_LOCALS) @ v.swapaxes(-1, -2)
+    vectors = (components @ phi_plus(2).amplitudes.reshape(2, 2)).reshape(box.input_sizes + (4, 4))
 
-    phi = phi_plus(2)
-    vectors = (components @ phi.amplitudes.reshape(2, 2)).reshape(box.input_sizes + (4, 4))
-    pure_states = {key: tuple(StateVector(a, phi.structure) for a in vectors[key]) for key in forms}
-    schedule = replace(mixture_align(families), pure_states=pure_states)
-
+    schedule = mixture_align(np.reshape([f[2] for f in forms], box.input_sizes + (4,)))
     grid = tuple(np.indices(box.input_sizes))
-    strategies = []
-    for _, assignment in schedule.intervals:
-        index = np.reshape([assignment[key] for key in box.inputs], box.input_sizes)
-        strategies.append(max_entangled_strategy(components[grid + (index,)]))
-    return schedule, strategies
+    strategies = tuple(max_entangled_strategy(components[grid + (i,)]) for i in schedule.assignment)
+    return replace(schedule, pure_states=vectors, strategies=strategies)

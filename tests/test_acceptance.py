@@ -382,25 +382,31 @@ def test_criterion_6_disordered_mixtures(capsys):
             assert error <= 1e-8, f"family {family} input {key}: {error:.3e}"
             worst_reconstruction = max(worst_reconstruction, error)
 
-        schedule, strategies = mixed_disordered_strategy(box)
-        for key, components in schedule.families.items():
-            for index in {idx for _, idx in components}:
-                total = sum(w for w, assign in schedule.intervals if assign[key] == index)
-                expected = sum(p for p, idx in components if idx == index)
+        schedule = mixed_disordered_strategy(box)
+        for key in box.inputs:
+            for index, expected in enumerate(schedule.probabilities[key]):
+                total = sum(
+                    w for w, assign in zip(schedule.weights, schedule.assignment)
+                    if assign[key] == index
+                )
                 gap = abs(total - expected)
                 assert gap <= 1e-12
                 worst_aggregation = max(worst_aggregation, gap)
 
-        boxes = [simulate(s, samples=3, seed=11 + i) for i, s in enumerate(strategies)]
-        mixed = mix_boxes([(w, b) for (w, _), b in zip(schedule.intervals, boxes)])
+        boxes = [simulate(s, samples=3, seed=11 + i) for i, s in enumerate(schedule.strategies)]
+        mixed = mix_boxes([(w, b) for w, b in zip(schedule.weights, boxes)])
+        assert np.array_equal(simulate(schedule, samples=3, seed=11).matrices, mixed.matrices)
         distance = cq_box_distance(mixed, box)
         assert distance <= 1e-8, f"family {family}: distance {distance:.3e}"
         worst_distance = max(worst_distance, distance)
 
-        for _, assignment in schedule.intervals:
+        for assignment in schedule.assignment:
             column = CQBox.from_pure(
                 box.input_sizes,
-                {key: schedule.pure_states[key][assignment[key]] for key in box.inputs},
+                {
+                    key: StateVector(schedule.pure_states[key][assignment[key]], box.structure)
+                    for key in box.inputs
+                },
             )
             assert cq_no_signalling(column, tol=1e-9).passed
 

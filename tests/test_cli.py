@@ -641,6 +641,18 @@ def test_golden_stdout(capsys, monkeypatch, name, argv):
     assert capsys.readouterr().out == (ROOT / "tests" / "goldens" / f"{name}.stdout").read_text()
 
 
+def test_golden_out_document(capsys, monkeypatch, tmp_path):
+    """The ``--out`` document of the rotated mixed-disordered run, byte for
+    byte: it pins every interval's seeded draws and the mixture sum."""
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "mixed.json"
+    main(["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json",
+          "--out", str(out)])
+    capsys.readouterr()
+    golden = ROOT / "tests" / "goldens" / "synth_mixed_disordered_rotated.out.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path):
     """A kernel that flags one local family fails the local clause only; the
     report carries that family as an assignment document."""

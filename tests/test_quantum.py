@@ -541,13 +541,39 @@ def _outcome(norm, matrices):
     return value.shape, value.dtype, value.view(np.int64).tolist()
 
 
+def _expected_outcome(matrices):
+    """The reference's outcome, except that a stack with a NaN in some real
+    diagonal is refused, naming the first such matrix."""
+    for key in np.ndindex(matrices.shape[:-2]):
+        if any(math.isnan(entry.real) for entry in np.diag(matrices[key])):
+            return ValueError, f"matrix {key} has a NaN on its real diagonal"
+    return _outcome(reference_trace_norm, matrices)
+
+
 @settings(max_examples=400, deadline=None)
 @given(matrices=trace_norm_stacks())
 def test_trace_norm_matches_eigvalsh_bit_for_bit(matrices):
     """The diagonal 2 x 2 shortcut gives the eigensolver's bits, and every
     other stack, NaN and infinite entries included, goes to the eigensolver:
-    the same value or the same exception."""
-    assert _outcome(trace_norm, matrices) == _outcome(reference_trace_norm, matrices)
+    the same value or the same exception.  Only a NaN on a real diagonal,
+    which LAPACK reads as 0 in a 2 x 2 matrix, is refused before it."""
+    assert _outcome(trace_norm, matrices) == _expected_outcome(matrices)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_trace_norm_refuses_a_nan_real_diagonal(dtype):
+    """eigvalsh gives [0, -0] for diag(NaN, 2), so the trace norm read 0."""
+    stack = np.zeros((3, 2, 2, 2), dtype=dtype)
+    stack[..., 0, 0] = stack[..., 1, 1] = 1.0
+    stack[2, 1, 0, 0] = math.nan
+    stack[1, 0, 1, 0] = 0.5  # off the diagonal: the stack goes to eigvalsh
+    with pytest.raises(ValueError, match=re.escape("matrix (2, 1) has a NaN on its real diagonal")):
+        trace_norm(stack)
+    with pytest.raises(ValueError, match=re.escape("matrix () has a NaN")):
+        trace_norm(np.diag([math.nan, 2.0]).astype(dtype))
+    if dtype is complex:  # LAPACK never reads the imaginary part of the diagonal
+        stack[2, 1, 0, 0] = complex(1.0, math.nan)
+        assert np.array_equal(trace_norm(stack), reference_trace_norm(stack))
 
 
 def test_trace_norm_of_an_integer_stack_is_the_eigensolvers():

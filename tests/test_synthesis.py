@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -724,42 +724,125 @@ class TestBellCanonicalForm:
             bell_canonical_form(rho)
 
 
+def reference_mixture_align(families):
+    """``mixture_align`` as it was before the schedule became arrays: per-input
+    (probability, component) lists, a ``searchsorted`` per input and
+    interval, and the (weight, {input: component}) intervals it returned."""
+    cums = {}
+    for key, family in families.items():
+        probs = np.array([p for p, _ in family], dtype=float)
+        cums[key] = np.cumsum(probs)
+
+    points = np.concatenate([c for c in cums.values()] + [np.array([1.0])])
+    points = np.sort(points[points > 1e-15])
+    merged = [float(points[0])]
+    for value in points[1:]:
+        if value - merged[-1] > 1e-15:
+            merged.append(float(value))
+    merged[-1] = 1.0
+
+    intervals = []
+    lo = 0.0
+    for hi in merged:
+        width = hi - lo
+        mid = (lo + hi) / 2
+        assignment = {}
+        for key, family in families.items():
+            seg = int(np.searchsorted(cums[key], mid))
+            seg = min(seg, len(family) - 1)
+            assignment[key] = family[seg][1]
+        intervals.append((width, assignment))
+        lo = hi
+    return tuple(intervals)
+
+
+def as_families(probabilities: np.ndarray) -> dict:
+    """An ``input_sizes + (K,)`` stack as per-input (probability, component) lists."""
+    return {
+        key: [(float(p), i) for i, p in enumerate(probabilities[key])]
+        for key in np.ndindex(*probabilities.shape[:-1])
+    }
+
+
+def assert_schedule_matches_the_reference(schedule: MixtureSchedule, probabilities) -> None:
+    probabilities = np.asarray(probabilities, dtype=float)
+    intervals = reference_mixture_align(as_families(probabilities))
+    sizes = probabilities.shape[:-1]
+    assert np.array_equal(schedule.weights, [w for w, _ in intervals])
+    assignment = [[a[key] for key in np.ndindex(*sizes)] for _, a in intervals]
+    assert np.array_equal(schedule.assignment, np.reshape(assignment, (len(intervals),) + sizes))
+    assert np.array_equal(schedule.probabilities, probabilities)
+
+
+@st.composite
+def probability_stacks(draw) -> np.ndarray:
+    """``input_sizes + (K,)`` probability stacks over one or two input axes:
+    rows that are generic, hold zeros or repeated entries, or repeat one row
+    with each entry moved a few ulps, which puts breakpoints within 1e-15
+    of each other."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = rng.dirichlet(np.ones(k))
+    kinds = [
+        lambda: rng.dirichlet(np.ones(k)),
+        lambda: rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6),
+        lambda: np.full(k, 1 / k),
+        lambda: np.eye(k)[rng.integers(k)],
+        lambda: shared * (1 + np.finfo(float).eps * rng.integers(-4, 5, size=k)),
+    ]
+    rows = [kinds[draw(st.integers(0, len(kinds) - 1))]() for _ in range(math.prod(sizes))]
+    # a row of zeros after masking becomes one certain component
+    rows = [row / row.sum() if row.sum() > 0 else np.eye(k)[0] for row in rows]
+    return np.reshape(rows, sizes + (k,))
+
+
 class TestMixtureAlign:
     def test_three_against_two_components(self):
-        families = {
-            (0,): [(0.3, 0), (0.2, 1), (0.5, 2)],
-            (1,): [(0.5, 0), (0.5, 1)],
-        }
-        schedule = mixture_align(families)
+        schedule = mixture_align([[0.3, 0.2, 0.5], [0.5, 0.5, 0.0]])
         assert schedule.weights == pytest.approx((0.3, 0.2, 0.5), abs=1e-12)
-        assert [a[(0,)] for _, a in schedule.intervals] == [0, 1, 2]
-        assert [a[(1,)] for _, a in schedule.intervals] == [0, 0, 1]
+        assert schedule.assignment[:, 0].tolist() == [0, 1, 2]
+        assert schedule.assignment[:, 1].tolist() == [0, 0, 1]
 
     def test_interval_count_is_bounded_by_breakpoints(self):
-        families = {
-            (0,): [(0.25, 0), (0.25, 1), (0.25, 2), (0.25, 3)],
-            (1,): [(0.4, 0), (0.6, 1)],
-            (2,): [(0.1, 0), (0.2, 1), (0.7, 2)],
-        }
-        schedule = mixture_align(families)
-        bound = 1 + sum(len(f) - 1 for f in families.values())
-        assert len(schedule.intervals) <= bound
+        families = [[0.25, 0.25, 0.25, 0.25], [0.4, 0.6], [0.1, 0.2, 0.7]]
+        schedule = mixture_align([row + [0.0] * (4 - len(row)) for row in families])
+        bound = 1 + sum(len(f) - 1 for f in families)
+        assert len(schedule.weights) <= bound
 
     def test_zero_weight_components_are_skipped(self):
-        schedule = mixture_align({(0,): [(0.5, 0), (0.0, 1), (0.5, 2)]})
-        assert len(schedule.intervals) == 2
-        assert [a[(0,)] for _, a in schedule.intervals] == [0, 2]
+        schedule = mixture_align([[0.5, 0.0, 0.5]])
+        assert len(schedule.weights) == 2
+        assert schedule.assignment[:, 0].tolist() == [0, 2]
 
     def test_aggregation_validation_rejects_bad_schedules(self):
-        with pytest.raises(ValueError, match="aggregation"):
-            MixtureSchedule(
-                intervals=((0.5, {(0,): 0}), (0.5, {(0,): 0})),
-                families={(0,): ((0.5, 0), (0.5, 1))},
-            )
+        message = "interval aggregation for input (0,) component 0 gives 1.0, expected 0.5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MixtureSchedule(weights=[0.5, 0.5], assignment=[[0], [0]], probabilities=[[0.5, 0.5]])
 
     def test_rejects_weights_not_summing_to_one(self):
         with pytest.raises(ValueError):
-            mixture_align({(0,): [(0.5, 0), (0.4, 1)]})
+            mixture_align([[0.5, 0.4]])
+
+    def test_fields_are_read_only_arrays(self):
+        schedule = mixture_align([[0.3, 0.7], [0.6, 0.4]])
+        assert schedule.weights.shape == (3,) and schedule.assignment.shape == (3, 2)
+        for array in (schedule.weights, schedule.assignment, schedule.probabilities):
+            assert not array.flags.writeable
+
+    def test_breakpoints_chained_within_the_merge_gap(self):
+        """Breakpoints 4e-16 apart in a chain merge until 1e-15 has built up
+        from the last kept one, which a test of neighbouring gaps would not."""
+        steps = [0.5 + 4e-16 * i for i in range(4)]
+        rows = [[s, 1 - s] for s in steps]
+        schedule = mixture_align(rows)
+        assert_schedule_matches_the_reference(schedule, rows)
+        assert len(schedule.weights) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(probabilities=probability_stacks())
+    def test_matches_the_per_input_reference(self, probabilities):
+        assert_schedule_matches_the_reference(mixture_align(probabilities), probabilities)
 
 
 class TestMixedDisordered:
@@ -779,49 +862,54 @@ class TestMixedDisordered:
 
     def test_interval_mixture_recombines_to_the_box(self):
         box = self.family()
-        schedule, strategies = mixed_disordered_strategy(box)
+        schedule = mixed_disordered_strategy(box)
         parts = [
             (w, simulate(strategy, samples=3, seed=10 + i))
-            for i, (w, strategy) in enumerate(zip(schedule.weights, strategies))
+            for i, (w, strategy) in enumerate(zip(schedule.weights, schedule.strategies))
         ]
-        assert cq_box_distance(mix_boxes(parts), box) < 1e-9
+        mixed = mix_boxes(parts)
+        assert cq_box_distance(mixed, box) < 1e-9
+        assert np.array_equal(simulate(schedule, samples=3, seed=10).matrices, mixed.matrices)
 
     def test_interval_count_bound(self):
         box = self.family()
-        schedule, _ = mixed_disordered_strategy(box)
-        nonzero = {
-            key: sum(1 for p, _ in family if p > 1e-15)
-            for key, family in schedule.families.items()
-        }
-        assert len(schedule.intervals) <= 1 + sum(k - 1 for k in nonzero.values())
+        schedule = mixed_disordered_strategy(box)
+        nonzero = np.sum(schedule.probabilities > 1e-15, axis=-1)
+        assert len(schedule.weights) <= 1 + np.sum(nonzero - 1)
 
     def test_pure_states_decompose_each_output(self):
         box = self.family()
-        schedule, _ = mixed_disordered_strategy(box)
+        schedule = mixed_disordered_strategy(box)
+        assert schedule.pure_states.shape == (2, 2, 4, 4)
         for key in box.inputs:
             mat = np.zeros((4, 4), dtype=complex)
-            for (p, idx) in schedule.families[key]:
-                amp = schedule.pure_states[key][idx].amplitudes
+            for p, amp in zip(schedule.probabilities[key], schedule.pure_states[key], strict=True):
                 mat += p * np.outer(amp, amp.conj())
             assert np.max(np.abs(mat - box.output(key).matrix)) < 1e-9
 
     def test_every_interval_strategy_is_maximally_entangled(self):
         box = self.family()
-        schedule, strategies = mixed_disordered_strategy(box)
-        for strategy, (_, assignment) in zip(strategies, schedule.intervals):
+        schedule = mixed_disordered_strategy(box)
+        for strategy, assignment in zip(schedule.strategies, schedule.assignment, strict=True):
             for key, states in sample_states(strategy, samples=2, seed=0).items():
-                want = schedule.pure_states[key][assignment[key]]
+                want = two_qubit_state(schedule.pure_states[key][assignment[key]])
                 for state in states:
                     assert fidelity(state, want) == pytest.approx(1.0, abs=1e-9)
 
     def test_mixture_is_non_signalling(self):
         assert cq_no_signalling(self.family(), tol=1e-11).passed
 
+    def test_a_schedule_without_strategies_simulates_to_a_refusal(self):
+        with pytest.raises(ValueError, match="mixture requires at least one component"):
+            simulate(mixture_align([[0.5, 0.5]]))
+
 
 def reference_mixed_disordered_strategy(box: CQBox):
     """``mixed_disordered_strategy`` as it was before the Bell-form locals
-    became one stack: a dict of locals, and each interval's targets formed
-    again from them, input by input."""
+    became one stack and the schedule became arrays: a dict of locals, the
+    per-input reference alignment, and each interval's targets formed again
+    from the locals, input by input.  Returns the (weight, assignment)
+    intervals, the per-input families and pure states, and the strategies."""
     locals_uv, families = {}, {}
     for key in box.inputs:
         u, v, weights = bell_canonical_form(box.output(key))
@@ -835,15 +923,15 @@ def reference_mixed_disordered_strategy(box: CQBox):
         )
         for key, (u, v) in locals_uv.items()
     }
-    schedule = replace(mixture_align(families), pure_states=pure_states)
+    intervals = reference_mixture_align(families)
     strategies = []
-    for _, assignment in schedule.intervals:
+    for _, assignment in intervals:
         targets = np.reshape([
             locals_uv[key][0] @ synthesis._BELL_LOCALS[assignment[key]] @ locals_uv[key][1].T
             for key in box.inputs
         ], box.input_sizes + (2, 2))
         strategies.append(max_entangled_strategy(targets))
-    return schedule, strategies
+    return intervals, families, pure_states, strategies
 
 
 @st.composite
@@ -868,18 +956,63 @@ def disordered_families(draw) -> CQBox:
     return CQBox(inputs, PartyStructure.pair(2), mats)
 
 
+@st.composite
+def shared_weight_families(draw) -> CQBox:
+    """Families whose inputs share one set of Bell weights under different
+    random frames, stored as matrices: each input's Bell form reads the
+    weights back a few ulps apart, so breakpoints lie within the 1e-15
+    merge gap of each other."""
+    inputs = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = bell_mixture(rng.dirichlet(np.ones(4)) * 0.8 + 0.05).matrix
+    mats = np.zeros(inputs + (4, 4), dtype=complex)
+    for key in np.ndindex(*inputs):
+        frame = np.kron(haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix)
+        rho = frame @ core @ frame.conj().T
+        mats[key] = (rho + rho.conj().T) / 2
+    return CQBox(inputs, PartyStructure.pair(2), mats)
+
+
+def assert_mixed_disordered_matches_the_reference(box: CQBox) -> None:
+    schedule = mixed_disordered_strategy(box)
+    intervals, families, pure_states, strategies = reference_mixed_disordered_strategy(box)
+    probabilities = np.reshape([[p for p, _ in families[key]] for key in box.inputs],
+                               box.input_sizes + (4,))
+    assert_schedule_matches_the_reference(schedule, probabilities)
+    assert len(schedule.strategies) == len(strategies)
+    for strategy, want in zip(schedule.strategies, strategies):
+        assert np.array_equal(strategy.ccbox.relabel, want.ccbox.relabel)
+    for key in box.inputs:
+        want = [state.amplitudes for state in pure_states[key]]
+        assert np.array_equal(schedule.pure_states[key], want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(box=disordered_families())
 def test_mixed_disordered_matches_the_per_input_reference(box):
-    schedule, strategies = mixed_disordered_strategy(box)
-    reference, reference_strategies = reference_mixed_disordered_strategy(box)
-    assert schedule.intervals == reference.intervals
-    assert len(strategies) == len(reference_strategies)
-    for strategy, want in zip(strategies, reference_strategies):
-        assert np.array_equal(strategy.ccbox.relabel, want.ccbox.relabel)
-    for key in box.inputs:
-        for got, want in zip(schedule.pure_states[key], reference.pure_states[key], strict=True):
-            assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert_mixed_disordered_matches_the_reference(box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=shared_weight_families())
+def test_shared_weight_families_match_the_per_input_reference(box):
+    assert_mixed_disordered_matches_the_reference(box)
+
+
+@settings(max_examples=15, deadline=None)
+@given(box=st.one_of(disordered_families(), shared_weight_families()),
+       seed=st.integers(0, 2**16), samples=st.integers(1, 5))
+def test_simulated_mixture_matches_the_per_interval_mix(box, seed, samples):
+    """``simulate`` on the schedule gives the bits of the per-interval path
+    it replaced: interval i simulated on seed + i, and ``mix_boxes`` over
+    the reference's interval weights, as Python floats."""
+    intervals, _, _, strategies = reference_mixed_disordered_strategy(box)
+    mixed = mix_boxes([
+        (weight, simulate(strategy, samples=samples, seed=seed + i))
+        for i, ((weight, _), strategy) in enumerate(zip(intervals, strategies))
+    ])
+    simulated = simulate(mixed_disordered_strategy(box), samples=samples, seed=seed)
+    assert np.array_equal(simulated.matrices, mixed.matrices)
 
 
 IDENTITY_TABLE = np.broadcast_to(np.eye(2), (2, 2, 2, 2))  # per input and output of pr_box
@@ -968,11 +1101,11 @@ UNEQUAL_BOX = CQBox.from_outputs(
          "correlation diagonal is not realisable by a Bell mixture"),
         (lambda: bell_canonical_form(phi_plus(3).density()), "two qubits required"),
         (lambda: mixed_disordered_strategy(QUTRIT_BOX), "two-qubit boxes required"),
-        (lambda: mixture_align({(0,): [(-0.2, 0), (1.2, 1)]}),
+        (lambda: mixture_align([[-0.2, 1.2]]),
          "component probabilities for input (0,) are invalid: probability -0.2 is negative"),
-        (lambda: mixture_align({(0,): [(1.0, 0)], (1,): [(math.nan, 0), (1.0, 1)]}),
+        (lambda: mixture_align([[1.0, 0.0], [math.nan, 1.0]]),
          "component probabilities for input (1,) are invalid: probabilities sum to nan, not a finite"),
-        (lambda: mixture_align({(0,): [(math.inf, 0), (-math.inf, 1)]}),
+        (lambda: mixture_align([[math.inf, -math.inf]]),
          "component probabilities for input (0,) are invalid: probabilities sum to nan"),
     ],
 )
@@ -1087,7 +1220,7 @@ def sampled_strategies() -> list[tuple[str, Strategy]]:
     two_block = load_box(FIXTURES / "two_block_family.json")
     cases.append(("general-pure two_block_family", general_pure_strategy(two_block)))
     cases.append(("general-pure blocks (2, 1, 1)", general_pure_strategy(block_family())))
-    _, strategies = mixed_disordered_strategy(TestMixedDisordered().family())
+    strategies = mixed_disordered_strategy(TestMixedDisordered().family()).strategies
     cases.extend((f"mixed-disordered interval {i}", s) for i, s in enumerate(strategies))
     return cases
 
@@ -1521,7 +1654,8 @@ def assert_simulate_matches_the_broadcast(strategy: Strategy, samples: int, seed
 
 
 def rotated_fixture_strategies() -> list[tuple[str, Strategy]]:
-    _, strategies = mixed_disordered_strategy(load_box(FIXTURES / "mixed_disordered_rotated.json"))
+    box = load_box(FIXTURES / "mixed_disordered_rotated.json")
+    strategies = mixed_disordered_strategy(box).strategies
     return [(f"mixed-disordered rotated interval {i}", s) for i, s in enumerate(strategies)]
 
 
