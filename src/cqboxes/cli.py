@@ -43,7 +43,7 @@ from cqboxes.multipartite import (
     w_phase_theorem_check,
 )
 from cqboxes.quantum import (
-    MAX_TENSOR_DIM, TOLERANCE, bell_state, haar_unitary, invalid_distribution,
+    MAX_TENSOR_DIM, TOLERANCE, bell_state, haar_from_normals, invalid_distribution,
     invalid_tolerance, invalid_unitary,
 )
 from cqboxes.synthesis import (
@@ -276,7 +276,8 @@ def _max_entangled(args) -> dict:
         if n < 2 or n * n > MAX_TENSOR_DIM:
             raise ValueError(f"--n {n} must give a joint dimension n^2 from 4 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
-        targets = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
+        # the four draws of haar_unitary(n, rng), as one stack
+        targets = haar_from_normals(rng.standard_normal((2, 2, 2 * n * n)), n)
         built = {"target": unitary_family_box(targets), "parameters": {"n": n}}
     return {**built, "strategy": max_entangled_strategy(targets)}
 

@@ -23,9 +23,9 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from cqboxes.boxes import CQBox, family_worst_violation
+from cqboxes.boxes import CQBox, _check_tolerance, family_worst_violation
 from cqboxes.quantum import (
-    PartyStructure, StateVector, _frozen, invalid_tolerance, real_array, wrap_angle
+    PartyStructure, StateVector, _frozen, real_array, wrap_angle
 )
 from cqboxes.synthesis import Strategy, modular_phase_strategy
 
@@ -148,8 +148,7 @@ def is_local_equivalent(
     None when the residuals exceed ``tol``; a ``tol`` that is not a finite
     non-negative number is refused with a ValueError naming it.
     """
-    if reason := invalid_tolerance(tol):
-        raise ValueError(f"tol {reason}")
+    _check_tolerance(tol)
     a, b, c, worst = _local_fit(_as_family(assignment))
     if worst[0] > tol:
         return None
@@ -283,8 +282,7 @@ def w_phase_theorem_check(
     whole = isinstance(random_samples, (int, np.integer)) and not isinstance(random_samples, bool)
     if not whole or random_samples < 0:
         raise ValueError(f"random_samples must be a non-negative integer, got {random_samples!r}")
-    if reason := invalid_tolerance(tol):
-        raise ValueError(f"tol {reason}")
+    _check_tolerance(tol)
     rng = np.random.default_rng(seed)
     found: dict[str, PhaseAssignment] = {}
     # a family is decomposable unless its residual exceeds tol, and passes

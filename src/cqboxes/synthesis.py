@@ -41,7 +41,6 @@ from cqboxes.boxes import (
     HaarCouplingBox,
     _unitary_stack_shape,
     cq_no_signalling,
-    mix_boxes,
     mod_box,
     pr_box,
 )
@@ -59,7 +58,7 @@ from cqboxes.quantum import (
     invalid_distribution,
     invalid_unitary,
     invalid_vector,
-    partial_trace,
+    partial_trace_array,
     pauli_x,
     pauli_z_power,
     phi_plus,
@@ -192,26 +191,36 @@ def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[t
         yield key, vecs, weights
 
 
+def _output_sum(strategy: Strategy, samples: int, seed: int) -> np.ndarray:
+    """The ``input_sizes + (D, D)`` stack of the strategy's outputs: per
+    input, its weighted state vectors' outer products, summed from 0."""
+    d = capped_dim(strategy.shared.structure)
+    mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
+    for key, vecs, weights in _weighted_vectors(strategy, samples, seed):
+        mats[key] += (vecs.T * weights) @ vecs.conj()
+    return mats
+
+
 def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed: int = 0) -> CQBox:
     """The quantum-output box the strategy realises.
 
     Finite classical boxes are summed exactly.  Haar-coupling strategies
     return the empirical mixture over ``samples`` seeded draws, with
     Bob's sample stream drawn once so that it cannot depend on inputs.  A
-    mixture schedule simulates interval i's strategy on seed + i and sums
-    the boxes, each times its interval weight, in interval order.
+    mixture schedule sums interval i's strategy on seed + i into a stack
+    of its own, and adds the stacks from 0, each times its interval
+    weight, in interval order; a strategy is the one interval of weight 1.
+    One box is built and validated, from the whole sum.
     """
     if isinstance(strategy, MixtureSchedule):
-        return mix_boxes([
-            (weight, simulate(item, samples=samples, seed=seed + i))
-            for i, (weight, item) in enumerate(zip(strategy.weights, strategy.strategies))
-        ])
-    structure = strategy.shared.structure
-    d = capped_dim(structure)
-    mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
-    for key, vecs, weights in _weighted_vectors(strategy, samples, seed):
-        mats[key] += (vecs.T * weights) @ vecs.conj()
-    return CQBox(strategy.input_sizes, structure, mats)
+        if not strategy.strategies:
+            raise ValueError("mixture requires at least one component")
+        parts = zip(strategy.weights, strategy.strategies, itertools.count(seed))
+        first = strategy.strategies[0]
+    else:
+        parts, first = [(1.0, strategy, seed)], strategy
+    mats = sum(weight * _output_sum(item, samples, item_seed) for weight, item, item_seed in parts)
+    return CQBox(first.input_sizes, first.shared.structure, mats)
 
 
 def sample_states(
@@ -522,69 +531,80 @@ def general_pure_strategy(targets: CQBox) -> Strategy:
 
 
 # Bell state i equals (B_i x 1)|phi+> for these local unitaries
-_BELL_LOCALS = (
-    np.eye(2, dtype=complex),
-    PAULI[0],
-    PAULI[2],
-    PAULI[2] @ PAULI[0],
-)
+_BELL_LOCALS = np.array([np.eye(2, dtype=complex), PAULI[0], PAULI[2], PAULI[2] @ PAULI[0]])
 
 
 def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Lift a proper rotation to SU(2) through its unit quaternion.
+    """Lift a stack ``(..., 3, 3)`` of proper rotations to SU(2) through
+    their unit quaternions.
 
-    The quaternion (x, y, z, w) is formed as scipy 1.17.1's
+    Each quaternion (x, y, z, w) is formed as scipy 1.17.1's
     ``Rotation.from_matrix`` forms it from an orthogonal matrix, bit for
     bit: from the largest of the three diagonal entries and the trace,
     then divided by its norm.
     """
     det = np.linalg.det(rot)
-    if det <= 0:
-        raise ValueError(f"a proper rotation is required, got determinant {det}")
-    r = np.asarray(rot, dtype=float).tolist()
-    trace = r[0][0] + r[1][1] + r[2][2]
-    decision = [r[0][0], r[1][1], r[2][2], trace]
-    i = decision.index(max(decision))
-    if i == 3:
-        quat = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1], 1 + trace]
-    else:
+    if (improper := det <= 0).any():
+        raise ValueError(f"a proper rotation is required, got determinant {det[improper].flat[0]}")
+    r = np.moveaxis(np.asarray(rot, dtype=float), (-2, -1), (0, 1))
+    trace = r[0, 0] + r[1, 1] + r[2, 2]
+    # the quaternion of each branch: the largest diagonal entry i, or the trace
+    quats = np.empty((4, 4) + trace.shape)
+    quats[3] = r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1], 1 + trace
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        quat = [0.0] * 4
-        quat[i] = 1 - trace + 2 * r[i][i]
-        quat[j] = r[j][i] + r[i][j]
-        quat[k] = r[k][i] + r[i][k]
-        quat[3] = r[k][j] - r[j][k]
-    x, y, z, w = quat
-    # added in this order: sum() compensates its rounding on Python 3.12+
-    norm = math.sqrt(x * x + y * y + z * z + w * w)
-    x, y, z, w = x / norm, y / norm, z / norm, w / norm
-    return w * np.eye(2, dtype=complex) - 1j * (
-        x * PAULI[0] + y * PAULI[1] + z * PAULI[2]
-    )
+        quats[i, i] = 1 - trace + 2 * r[i, i]
+        quats[i, j] = r[j, i] + r[i, j]
+        quats[i, k] = r[k, i] + r[i, k]
+        quats[i, 3] = r[k, j] - r[j, k]
+    branch = np.argmax([r[0, 0], r[1, 1], r[2, 2], trace], axis=0)
+    x, y, z, w = np.take_along_axis(quats, branch[None, None], axis=0)[0]
+    # squares added left to right, as scipy adds them
+    norm = np.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = (c[..., None, None] / norm[..., None, None] for c in (x, y, z, w))
+    return w * np.eye(2, dtype=complex) - 1j * (x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
 
 
 # sigma_i x sigma_j for the correlation matrix T_ij = tr(rho sigma_i x sigma_j)
-_PAULI_PAIRS = tuple(np.kron(PAULI[i], PAULI[j]) for i in range(3) for j in range(3))
-
-
-def _correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    return np.array([np.real(np.trace(rho @ pair)) for pair in _PAULI_PAIRS]).reshape(3, 3)
+_PAULI_PAIRS = np.array([np.kron(PAULI[i], PAULI[j]) for i in range(3) for j in range(3)])
 
 
 def _bell_weights_from_diagonal(t: np.ndarray) -> np.ndarray:
-    t1, t2, t3 = t
-    p = np.array(
-        [
-            1 + t1 - t2 + t3,
-            1 + t1 + t2 - t3,
-            1 - t1 + t2 + t3,
-            1 - t1 - t2 - t3,
-        ]
-    ) / 4
+    """Bell weights of a stack ``(..., 3)`` of correlation diagonals."""
+    t1, t2, t3 = np.moveaxis(t, -1, 0)
+    p = np.stack([1 + t1 - t2 + t3, 1 + t1 + t2 - t3, 1 - t1 + t2 + t3, 1 - t1 - t2 - t3], -1) / 4
     if np.min(p) < -1e-9:
         raise ValueError("correlation diagonal is not realisable by a Bell mixture")
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _bell_forms(rho: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bell canonical forms of a validated ``(..., 4, 4)`` stack of
+    two-qubit states over the parties ``labels``: the ``(..., 2, 2)``
+    locals u, v and the ``(..., 4)`` Bell weights of each, bit for bit as
+    for that matrix alone."""
+    marginals = np.stack([partial_trace_array(rho, (2, 2), [j]) for j in (0, 1)], axis=-3)
+    biased = np.max(np.abs(marginals - np.eye(2) / 2), axis=(-2, -1)) > TOLERANCE
+    if biased.any():  # the first input in order, then its first party
+        raise ValueError(f"party {labels[np.argwhere(biased)[0][-1]]} marginal is not maximally mixed")
+
+    t = np.trace(rho[..., None, :, :] @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
+    t = t.reshape(rho.shape[:-2] + (3, 3))
+    diagonal = np.max(np.abs(np.where(np.eye(3, dtype=bool), 0.0, t)), axis=(-2, -1)) <= 1e-11
+
+    o1, s, o2t = np.linalg.svd(t)
+    d1, d2 = np.sign(np.linalg.det(o1)), np.sign(np.linalg.det(o2t))
+    ones = np.ones_like(d1)
+    r1 = o1 * np.stack([ones, ones, d1], -1)[..., None, :]
+    r2 = o2t.swapaxes(-1, -2) * np.stack([ones, ones, d2], -1)[..., None, :]
+    signed = s * np.stack([ones, ones, d1 * d2], -1)
+    # an already-diagonal T keeps the identity locals and its own diagonal
+    eye = np.eye(2, dtype=complex)
+    u = np.where(diagonal[..., None, None], eye, _su2_from_rotation(r1))
+    v = np.where(diagonal[..., None, None], eye, _su2_from_rotation(r2))
+    diag = np.where(diagonal[..., None], np.diagonal(t, axis1=-2, axis2=-1), signed)
+    return u, v, _bell_weights_from_diagonal(diag)
 
 
 def bell_canonical_form(
@@ -596,30 +616,14 @@ def bell_canonical_form(
     The correlation matrix T_ij = tr(rho sigma_i x sigma_j) transforms as
     R(U) T R(V)^T under local unitaries; a sign-corrected singular value
     decomposition diagonalises it with proper rotations, which lift to
-    SU(2).  If T is already diagonal the locals stay at the identity.
+    SU(2).  If T is already diagonal the locals stay at the identity.  The
+    one-matrix case of the stack kernel that ``mixed_disordered_strategy``
+    runs on a whole target box.
     """
     if rho.structure.dims != (2, 2):
         raise ValueError("two qubits required")
-    for party in rho.structure.labels:
-        marginal = partial_trace(rho, [party]).matrix
-        if np.max(np.abs(marginal - np.eye(2) / 2)) > TOLERANCE:
-            raise ValueError(f"party {party} marginal is not maximally mixed")
-
-    t = _correlation_matrix(rho.matrix)
-    off = t - np.diag(np.diagonal(t))
-    eye = UnitaryOperator(np.eye(2, dtype=complex))
-    if np.max(np.abs(off)) <= 1e-11:
-        return eye, eye, _bell_weights_from_diagonal(np.diagonal(t))
-
-    o1, s, o2t = np.linalg.svd(t)
-    d1 = np.sign(np.linalg.det(o1))
-    d2 = np.sign(np.linalg.det(o2t))
-    r1 = o1 @ np.diag([1.0, 1.0, d1])
-    r2 = o2t.T @ np.diag([1.0, 1.0, d2])
-    diag = np.array([s[0], s[1], d1 * d2 * s[2]])
-    u = _su2_from_rotation(r1)
-    v = _su2_from_rotation(r2)
-    return UnitaryOperator(u), UnitaryOperator(v), _bell_weights_from_diagonal(diag)
+    u, v, weights = _bell_forms(rho.matrix, rho.structure.labels)
+    return UnitaryOperator(u), UnitaryOperator(v), weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,7 +637,9 @@ class MixtureSchedule:
     interval weights reproduce when summed by assigned component.  A
     mixed-disordered schedule also holds the ``input_sizes + (K, D)`` stack
     of component states and one strategy per interval; ``simulate`` runs
-    interval i's strategy on seed + i and mixes the boxes by weight.
+    interval i's strategy on seed + i and adds its output stack by weight.
+    Construction refuses interval weights that are no distribution, and
+    interval strategies whose count, input sizes or party dims do not fit.
     """
 
     weights: np.ndarray
@@ -645,6 +651,8 @@ class MixtureSchedule:
     def __post_init__(self) -> None:
         for name, dtype in (("weights", float), ("assignment", int), ("probabilities", float)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if invalid_distribution(self.weights):
+            raise ValueError("mixture weights must form a probability distribution")
         drawn = self.assignment[..., None] == np.arange(self.probabilities.shape[-1])
         # each input's component weights, summed over the intervals in order
         weights = self.weights.reshape((-1,) + (1,) * (drawn.ndim - 1))
@@ -655,6 +663,15 @@ class MixtureSchedule:
                 f"interval aggregation for input {first[:-1]} component {first[-1]} "
                 f"gives {totals[first]}, expected {self.probabilities[first]}"
             )
+        if self.strategies and len(self.strategies) != len(self.weights):
+            raise ValueError(f"{len(self.strategies)} interval strategies for {len(self.weights)} intervals")
+        for i, strategy in enumerate(self.strategies):
+            for name, value, expected in (
+                ("input_sizes", strategy.input_sizes, self.assignment.shape[1:]),
+                ("party dims", strategy.shared.structure.dims, self.strategies[0].shared.structure.dims),
+            ):
+                if value != expected:
+                    raise ValueError(f"interval {i} strategy has {name} {value}, the schedule has {expected}")
 
 
 def mixture_align(probabilities: np.ndarray) -> MixtureSchedule:
@@ -668,6 +685,8 @@ def mixture_align(probabilities: np.ndarray) -> MixtureSchedule:
     probs = np.asarray(probabilities, dtype=float)
     if fault := invalid_distribution(probs):
         raise ValueError(f"component probabilities for input {fault[0]} are invalid: {fault[1]}")
+    # a negative entry within tolerance would put its breakpoint below the last
+    probs = np.clip(probs, 0.0, None)
     cums = np.cumsum(probs, axis=-1)
 
     points = np.append(cums, 1.0)
@@ -697,14 +716,12 @@ def mixed_disordered_strategy(box: CQBox) -> MixtureSchedule:
     """
     if box.structure.dims != (2, 2):
         raise ValueError("two-qubit boxes required")
-    forms = [bell_canonical_form(box.output(key)) for key in box.inputs]
+    u, v, weights = _bell_forms(box.matrices, box.structure.labels)
     # u B_i v^T for every input and Bell component i, shape input_sizes + (4, 2, 2)
-    shape = box.input_sizes + (1, 2, 2)
-    u, v = (np.reshape([f[j].matrix for f in forms], shape) for j in (0, 1))
-    components = u @ np.array(_BELL_LOCALS) @ v.swapaxes(-1, -2)
+    components = u[..., None, :, :] @ _BELL_LOCALS @ v[..., None, :, :].swapaxes(-1, -2)
     vectors = (components @ phi_plus(2).amplitudes.reshape(2, 2)).reshape(box.input_sizes + (4, 4))
 
-    schedule = mixture_align(np.reshape([f[2] for f in forms], box.input_sizes + (4,)))
+    schedule = mixture_align(weights)
     grid = tuple(np.indices(box.input_sizes))
     strategies = tuple(max_entangled_strategy(components[grid + (i,)]) for i in schedule.assignment)
     return replace(schedule, pure_states=vectors, strategies=strategies)

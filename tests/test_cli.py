@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqboxes import bounds, cli, multipartite
+from cqboxes import bounds, boxes, cli, multipartite, quantum, synthesis
 from cqboxes.boxes import CCBox, CQBox, cq_box_distance, pr_box
 from cqboxes.cli import main
 from cqboxes.io import load_box, save_box
@@ -641,16 +641,74 @@ def test_golden_stdout(capsys, monkeypatch, name, argv):
     assert capsys.readouterr().out == (ROOT / "tests" / "goldens" / f"{name}.stdout").read_text()
 
 
+# (name, argv) of each golden --out document: the rotated mixed-disordered
+# run pins every interval's seeded draws and the mixture sum, and the
+# eight-output run the finite coupling's exact sum
+GOLDEN_OUT = [
+    ("synth_mixed_disordered_rotated",
+     ["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json"]),
+    ("synth_eight_output", ["synth", "eight-output"]),
+]
+
+
 def test_golden_out_document(capsys, monkeypatch, tmp_path):
-    """The ``--out`` document of the rotated mixed-disordered run, byte for
-    byte: it pins every interval's seeded draws and the mixture sum."""
+    """Each ``--out`` document of ``GOLDEN_OUT``, byte for byte."""
     monkeypatch.chdir(ROOT)
-    out = tmp_path / "mixed.json"
-    main(["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json",
-          "--out", str(out)])
+    for name, argv in GOLDEN_OUT:
+        out = tmp_path / f"{name}.json"
+        main([*argv, "--out", str(out)])
+        capsys.readouterr()
+        golden = ROOT / "tests" / "goldens" / f"{name}.out.json"
+        assert out.read_bytes() == golden.read_bytes(), name
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Patch ``name`` in every cqboxes module that holds it; each call
+    appends one entry to the returned list."""
+    calls = []
+    inner = getattr(quantum, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    for module in (quantum, boxes, synthesis, cli, multipartite, bounds):
+        if getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, density, unitary",
+    [
+        # the target and the simulated box, each one stack; one relabel
+        # stack per interval strategy (the rotated fixture has 7)
+        (["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json"], 2, 7),
+        # the simulated box; the coupling's relabel stack, the four
+        # targets drawn as one
+        (["synth", "max-entangled", "--n", "8"], 1, 1),
+    ],
+)
+def test_synth_validates_each_stack_once(capsys, monkeypatch, argv, density, unitary):
+    monkeypatch.chdir(ROOT)
+    density_calls = count_calls(monkeypatch, "invalid_density")
+    unitary_calls = count_calls(monkeypatch, "invalid_unitary")
+    assert main(argv) == 0
     capsys.readouterr()
-    golden = ROOT / "tests" / "goldens" / "synth_mixed_disordered_rotated.out.json"
-    assert out.read_bytes() == golden.read_bytes()
+    assert (len(density_calls), len(unitary_calls)) == (density, unitary)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [0, 4, 2**31])
+def test_max_entangled_targets_are_four_haar_draws(n, seed):
+    """``max-entangled --n`` draws its four targets as one stack, with the
+    bits of four ``haar_unitary`` calls on the one seeded stream."""
+    args = cli.build_parser().parse_args(["synth", "max-entangled", "--n", str(n), "--seed", str(seed)])
+    built = cli._max_entangled(args)
+    rng = np.random.default_rng(seed)
+    want = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
+    assert np.array_equal(built["strategy"].ccbox.relabel, want)
+    assert np.array_equal(built["target"].amplitudes, unitary_family_box(want).amplitudes)
 
 
 def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,7 @@
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -42,10 +42,12 @@ from cqboxes.quantum import (
     haar_unitary,
     invalid_unitary,
     invalid_vector,
+    partial_trace,
     pauli_x,
     pauli_z_power,
     phi_plus,
     schmidt,
+    su2,
     w_state,
 )
 from cqboxes.synthesis import (
@@ -724,6 +726,151 @@ class TestBellCanonicalForm:
             bell_canonical_form(rho)
 
 
+def reference_su2_from_rotation(rot: np.ndarray) -> np.ndarray:
+    """The lift as it was before it took stacks: one rotation, Python floats."""
+    det = np.linalg.det(rot)
+    if det <= 0:
+        raise ValueError(f"a proper rotation is required, got determinant {det}")
+    r = np.asarray(rot, dtype=float).tolist()
+    trace = r[0][0] + r[1][1] + r[2][2]
+    decision = [r[0][0], r[1][1], r[2][2], trace]
+    i = decision.index(max(decision))
+    if i == 3:
+        quat = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1], 1 + trace]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        quat = [0.0] * 4
+        quat[i] = 1 - trace + 2 * r[i][i]
+        quat[j] = r[j][i] + r[i][j]
+        quat[k] = r[k][i] + r[i][k]
+        quat[3] = r[k][j] - r[j][k]
+    x, y, z, w = quat
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = x / norm, y / norm, z / norm, w / norm
+    return w * np.eye(2, dtype=complex) - 1j * (x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
+
+
+REFERENCE_PAULI_PAIRS = tuple(np.kron(PAULI[i], PAULI[j]) for i in range(3) for j in range(3))
+
+
+def reference_correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    return np.array([np.real(np.trace(rho @ pair)) for pair in REFERENCE_PAULI_PAIRS]).reshape(3, 3)
+
+
+def reference_bell_weights(t: np.ndarray) -> np.ndarray:
+    t1, t2, t3 = t
+    p = np.array([1 + t1 - t2 + t3, 1 + t1 + t2 - t3, 1 - t1 + t2 + t3, 1 - t1 - t2 - t3]) / 4
+    if np.min(p) < -1e-9:
+        raise ValueError("correlation diagonal is not realisable by a Bell mixture")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
+def reference_bell_canonical_form(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``bell_canonical_form`` as it was before it ran on stacks: one
+    state, a marginal ``DensityMatrix`` per party, nine traces, and the
+    singular value decomposition only off the diagonal shortcut."""
+    for party in rho.structure.labels:
+        marginal = partial_trace(rho, [party]).matrix
+        if np.max(np.abs(marginal - np.eye(2) / 2)) > 1e-9:
+            raise ValueError(f"party {party} marginal is not maximally mixed")
+    t = reference_correlation_matrix(rho.matrix)
+    off = t - np.diag(np.diagonal(t))
+    if np.max(np.abs(off)) <= 1e-11:
+        return np.eye(2, dtype=complex), np.eye(2, dtype=complex), reference_bell_weights(np.diagonal(t))
+    o1, s, o2t = np.linalg.svd(t)
+    d1 = np.sign(np.linalg.det(o1))
+    d2 = np.sign(np.linalg.det(o2t))
+    r1 = o1 @ np.diag([1.0, 1.0, d1])
+    r2 = o2t.T @ np.diag([1.0, 1.0, d2])
+    diag = np.array([s[0], s[1], d1 * d2 * s[2]])
+    u = reference_su2_from_rotation(r1)
+    v = reference_su2_from_rotation(r2)
+    return u, v, reference_bell_weights(diag)
+
+
+def near_half_turn(rng: np.random.Generator, axis: int) -> np.ndarray:
+    """A qubit unitary whose rotation is within 1e-3 of a half turn about
+    coordinate axis ``axis``, so that its lift takes quaternion branch ``axis``."""
+    direction = np.eye(3)[axis] + 1e-3 * rng.normal(size=3)
+    return su2(direction / np.linalg.norm(direction), math.pi - 1e-3 * rng.random()).matrix
+
+
+BELL_FORM_KINDS = ("rotated", "diagonal", "zero-weight", "near-half-turn")
+
+
+def bell_form_output(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """One maximally disordered two-qubit state of a kind: Bell weights in
+    random local frames, with no frame, with zero weights, or in frames
+    near a half turn about a random coordinate axis."""
+    weights = rng.dirichlet(np.ones(4))
+    if kind == "zero-weight":
+        weights = weights * (rng.random(4) < 0.5)
+        weights = weights / weights.sum() if weights.sum() > 0 else np.eye(4)[rng.integers(4)]
+    core = bell_mixture(weights).matrix
+    if kind == "diagonal":
+        return core
+    if kind == "near-half-turn":
+        frame = np.kron(near_half_turn(rng, rng.integers(3)), near_half_turn(rng, rng.integers(3)))
+    else:
+        frame = np.kron(haar_unitary(2, rng).matrix, haar_unitary(2, rng).matrix)
+    rho = frame @ core @ frame.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@st.composite
+def bell_form_stacks(draw) -> np.ndarray:
+    """``input_sizes + (4, 4)`` stacks over one to three input axes whose
+    outputs mix every kind of ``bell_form_output``."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outputs = [bell_form_output(rng, BELL_FORM_KINDS[draw(st.integers(0, 3))])
+               for _ in range(math.prod(sizes))]
+    return np.reshape(outputs, sizes + (4, 4))
+
+
+def assert_bell_forms_match_the_reference(stack: np.ndarray) -> None:
+    u, v, weights = synthesis._bell_forms(stack, ("A", "B"))
+    for key in np.ndindex(*stack.shape[:-2]):
+        want = reference_bell_canonical_form(DensityMatrix(stack[key], PartyStructure.pair(2)))
+        for got, ref in zip((u[key], v[key], weights[key]), want, strict=True):
+            assert np.array_equal(got, ref), key
+
+
+class TestBellFormsMatchTheReference:
+    @settings(max_examples=100, deadline=None)
+    @given(stack=bell_form_stacks())
+    def test_bit_for_bit_per_matrix(self, stack):
+        assert_bell_forms_match_the_reference(stack)
+
+    def test_every_kind_and_quaternion_branch_is_reached(self, monkeypatch):
+        """One fixed stack of every kind takes both the diagonal shortcut and
+        all four quaternion branches of the reference lift."""
+        rng = np.random.default_rng(2027)
+        stack = np.reshape([bell_form_output(rng, kind) for kind in BELL_FORM_KINDS * 16],
+                           (4, 16, 4, 4))
+        branches = []
+        lift = reference_su2_from_rotation
+
+        def spy(rot):
+            branches.append(quaternion_branch(rot))
+            return lift(rot)
+
+        monkeypatch.setitem(globals(), "reference_su2_from_rotation", spy)
+        assert_bell_forms_match_the_reference(stack)
+        assert set(branches) == {0, 1, 2, 3}
+        assert len(branches) < 2 * stack[..., 0, 0].size  # the diagonal outputs take no lift
+
+    def test_first_biased_marginal_is_named(self):
+        """Of a stack, the first output with a biased marginal in input order
+        is refused, naming the first party at fault there."""
+        stack = np.array([bell_state(0).density().matrix] * 3)
+        stack[1] = np.kron(np.eye(2) / 2, np.diag([0.75, 0.25]))
+        stack[2] = np.kron(np.diag([0.75, 0.25]), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="party Bob marginal is not maximally mixed"):
+            synthesis._bell_forms(stack, ("Alice", "Bob"))
+
+
 def reference_mixture_align(families):
     """``mixture_align`` as it was before the schedule became arrays: per-input
     (probability, component) lists, a ``searchsorted`` per input and
@@ -844,6 +991,19 @@ class TestMixtureAlign:
     def test_matches_the_per_input_reference(self, probabilities):
         assert_schedule_matches_the_reference(mixture_align(probabilities), probabilities)
 
+    def test_a_negative_entry_within_tolerance_aligns_as_zero(self):
+        """An entry of -1e-13 puts its breakpoint below the one before it;
+        aligned as given, the stack made 6 intervals, one of width 1e-13
+        drawing the negative entry.  It is read as the 0 it stands for: the
+        schedule is the clipped stack's 4 intervals, and stores that stack."""
+        probabilities = [[0.3, -1e-13, 0.7], [0.5, 0.25, 0.25]]
+        assert np.diff(np.cumsum(probabilities[0])).min() < 0
+        clipped = np.clip(probabilities, 0.0, None)
+        schedule, want = mixture_align(probabilities), mixture_align(clipped)
+        for name in ("weights", "assignment", "probabilities"):
+            assert np.array_equal(getattr(schedule, name), getattr(want, name)), name
+        assert schedule.assignment.tolist() == [[0, 0], [2, 0], [2, 1], [2, 2]]
+
 
 class TestMixedDisordered:
     def family(self) -> CQBox:
@@ -902,6 +1062,32 @@ class TestMixedDisordered:
     def test_a_schedule_without_strategies_simulates_to_a_refusal(self):
         with pytest.raises(ValueError, match="mixture requires at least one component"):
             simulate(mixture_align([[0.5, 0.5]]))
+
+    def test_interval_weights_must_form_a_distribution(self):
+        """Weights 1.5 and -0.5 on the one component aggregate to its
+        probability 1, and are still refused when the schedule is built."""
+        with pytest.raises(ValueError, match="mixture weights must form a probability distribution"):
+            MixtureSchedule(weights=[1.5, -0.5], assignment=[[0], [0]], probabilities=[[1.0]])
+
+    def test_one_strategy_per_interval(self):
+        schedule = mixed_disordered_strategy(self.family())
+        with pytest.raises(ValueError, match="6 interval strategies for 7 intervals"):
+            replace(schedule, strategies=schedule.strategies[:-1])
+
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            (np.broadcast_to(np.eye(2), (2, 3, 2, 2)),
+             "interval 1 strategy has input_sizes (2, 3), the schedule has (2, 2)"),
+            (np.broadcast_to(np.eye(3), (2, 2, 3, 3)),
+             "interval 1 strategy has party dims (3, 3), the schedule has (2, 2)"),
+        ],
+    )
+    def test_interval_strategies_must_fit_the_schedule(self, targets, message):
+        schedule = mixed_disordered_strategy(self.family())
+        strategies = (schedule.strategies[0], max_entangled_strategy(targets), *schedule.strategies[2:])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(schedule, strategies=strategies)
 
 
 def reference_mixed_disordered_strategy(box: CQBox):
