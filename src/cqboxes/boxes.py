@@ -152,12 +152,12 @@ class HaarCouplingBox:
     """Sampler-backed coupling over a continuous unitary output alphabet.
 
     Bob's output is a Haar-random unitary V, block-diagonal over
-    ``block_dims`` (a single block by default).  Alice's output under a
-    given input tuple is ``relabel[inputs] @ conj(V)``, ``relabel`` being a
-    read-only ``input_sizes + (dim, dim)`` stack of unitaries (within 1e-6,
-    a fault named by its input tuple), from whose shape ``dim`` and
-    ``input_sizes`` are read.  Bob's sample stream is drawn once,
-    independent of the inputs.
+    ``block_dims``, positive integers that sum to ``dim`` (a single block by
+    default).  Alice's output under a given input tuple is
+    ``relabel[inputs] @ conj(V)``, ``relabel`` being a read-only
+    ``input_sizes + (dim, dim)`` stack of unitaries (within 1e-6, a fault
+    named by its input tuple), from whose shape ``dim`` and ``input_sizes``
+    are read.  Bob's sample stream is drawn once, independent of the inputs.
     """
 
     relabel: np.ndarray
@@ -169,8 +169,8 @@ class HaarCouplingBox:
         # the tolerance that synth applies to the unitaries it reads off a target
         if fault := invalid_unitary(relabel, 1e-6):
             raise ValueError(f"relabel at input {fault[0]}: {fault[1]}")
-        blocks = self.block_dims or (self.dim,)
-        object.__setattr__(self, "block_dims", tuple(blocks))
+        blocks = _positive_sizes(self.block_dims or (self.dim,), "block_dims")
+        object.__setattr__(self, "block_dims", blocks)
         if sum(blocks) != self.dim:
             raise ValueError(f"block dimensions {blocks} do not sum to {self.dim}")
 
@@ -224,6 +224,22 @@ def _checked(
         raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {reason}")
     out.setflags(write=False)
     return out
+
+
+def _rank_one(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, error) of a ``(..., D, D)`` stack read as rank-one matrices.
+
+    Each vector is the matrix's pivot column, at its largest real diagonal
+    entry p, over the root of that entry, with entry p set to the root: exact
+    for a rank-one matrix up to rounding, with a real, positive pivot.  The
+    error is each matrix's max |v v+ - M|, the entry change of rebuilding it."""
+    diagonal = np.diagonal(matrices, axis1=-2, axis2=-1).real
+    p = np.argmax(diagonal, axis=-1)[..., None]
+    root = np.sqrt(np.take_along_axis(diagonal, p, axis=-1))
+    vectors = np.take_along_axis(matrices, p[..., None], axis=-1)[..., 0] / root
+    np.put_along_axis(vectors, p, root, axis=-1)  # drop the rounding in the pivot's imaginary part
+    rebuilt = vectors[..., :, None] * vectors[..., None, :].conj()
+    return vectors, np.max(np.abs(rebuilt - matrices), axis=(-2, -1))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -336,21 +352,21 @@ class CQBox:
         return DensityMatrix(self.matrices[self._key(inputs)], self.structure)
 
     def pure_output(self, inputs: Sequence[int]) -> StateVector:
-        """The output state as a vector; fails if mixed, its top eigenvalue below 1 - 1e-7."""
+        """The output state as a vector; fails if mixed, its rank-one error above 1e-7."""
         return StateVector(self.pure_vectors(self._key(inputs)), self.structure)
 
     def pure_vectors(self, key: tuple[int, ...] = ()) -> np.ndarray:
         """The pure outputs at and below the input prefix ``key``, one
-        ``(..., D)`` stack: the stored amplitudes, or else the top
-        eigenvectors of the matrices, refusing the first output whose top
-        eigenvalue is below 1 - 1e-7."""
+        ``(..., D)`` stack: the stored amplitudes, or else each matrix's
+        pivot column as ``_rank_one`` reads it, scaled to unit norm,
+        refusing the first output whose rank-one error is not within 1e-7."""
         if self.amplitudes is not None:
             return self.amplitudes[key]
-        vals, vecs = np.linalg.eigh(self.matrices[key])
-        top = vals[..., -1]
-        if fault := _first_fault((top < 1 - 1e-7, top, "mixed (top eigenvalue {})")):
+        vectors, error = _rank_one(self.matrices[key])
+        # a NaN error fails the test too
+        if fault := _first_fault((~(error <= 1e-7), error, "mixed (rank-one error {})")):
             raise ValueError(f"output at {key + fault[0]} is {fault[1]}")
-        return vecs[..., :, -1]
+        return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

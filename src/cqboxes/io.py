@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqboxes.boxes import CCBox, CQBox, _check_tolerance
+from cqboxes.boxes import CCBox, CQBox, _check_tolerance, _rank_one
 from cqboxes.quantum import (
     MAX_TENSOR_DIM, TOLERANCE, PartyStructure, invalid_parties, real_array
 )
@@ -76,22 +76,17 @@ def _pure_amplitudes(box: CQBox, key: tuple[int, ...]) -> np.ndarray | None:
     positive, or None when the output must be written as a matrix.
 
     A box that stores amplitudes gives them.  For a stored matrix the
-    candidate is its pivot column over the root of the pivot, which is exact
-    for a rank-one matrix up to rounding; it is used only when its outer
-    product, the matrix the loader rebuilds, is within ``_REBUILD_TOL`` of
-    the stored one, so a nearly pure output is not rounded to a pure one."""
+    candidate is ``_rank_one``'s pivot column over the root of the pivot,
+    which is exact for a rank-one matrix up to rounding; it is used only
+    when its outer product, the matrix the loader rebuilds, is within
+    ``_REBUILD_TOL`` of the stored one, so a nearly pure output is not
+    rounded to a pure one."""
     if box.amplitudes is not None:
         amp = box.amplitudes[key]
         pivot = amp[int(np.argmax(np.abs(amp)))]
         return amp * (abs(pivot) / pivot)
-    m = box.matrices[key]
-    p = int(np.argmax(m.diagonal().real))
-    root = np.sqrt(m[p, p].real)
-    amp = m[:, p] / root
-    amp[p] = root  # drop the rounding in the pivot's imaginary part
-    if np.max(np.abs(np.outer(amp, amp.conj()) - m)) > _REBUILD_TOL:
-        return None
-    return amp
+    amp, error = _rank_one(box.matrices[key])
+    return None if error > _REBUILD_TOL else amp
 
 
 def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
@@ -108,12 +103,9 @@ def box_to_document(box: CCBox | CQBox, metadata: dict | None = None) -> dict:
     if isinstance(box, CQBox):
         outputs = {}
         for key in box.inputs:
-            name = _key_string(key)
             amp = _pure_amplitudes(box, key)
-            if amp is None:
-                outputs[name] = {"matrix": _encode_complex(box.matrices[key])}
-            else:
-                outputs[name] = {"amplitudes": _encode_complex(amp)}
+            field, values = ("matrix", box.matrices[key]) if amp is None else ("amplitudes", amp)
+            outputs[_key_string(key)] = {field: _encode_complex(values)}
         return {
             "format": 1,
             "kind": "cq",

@@ -177,7 +177,8 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
 
 def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
     """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights):
-    party j's unitary stack applied to axis j of the shared state."""
+    party j's unitary stack applied to axis j of the shared state.  A
+    vector that is not of unit norm is refused, naming its input."""
     dims = strategy.shared.structure.dims
     shared = strategy.shared.amplitudes.reshape(dims[0], -1)
     for key, stacks, weights in _weighted_unitaries(strategy, samples, seed):
@@ -187,7 +188,7 @@ def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[t
             t = m[:, None] @ t.reshape(len(weights), math.prod(dims[:j]), dims[j], -1)
         vecs = t.reshape(len(weights), -1)
         if fault := invalid_vector(vecs):
-            raise ValueError(fault[1])
+            raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {fault[1]}")
         yield key, vecs, weights
 
 
@@ -640,6 +641,7 @@ class MixtureSchedule:
     interval i's strategy on seed + i and adds its output stack by weight.
     Construction refuses interval weights that are no distribution, and
     interval strategies whose count, input sizes or party dims do not fit.
+    The arrays are stored as read-only copies.
     """
 
     weights: np.ndarray
@@ -651,6 +653,8 @@ class MixtureSchedule:
     def __post_init__(self) -> None:
         for name, dtype in (("weights", float), ("assignment", int), ("probabilities", float)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.pure_states is not None:
+            object.__setattr__(self, "pure_states", _frozen(self.pure_states))
         if invalid_distribution(self.weights):
             raise ValueError("mixture weights must form a probability distribution")
         drawn = self.assignment[..., None] == np.arange(self.probabilities.shape[-1])

@@ -38,6 +38,7 @@ from cqboxes.quantum import (
     DensityMatrix,
     PartyStructure,
     StateVector,
+    _first_fault,
     apply_local,
     basis_state,
     bell_state,
@@ -277,6 +278,14 @@ class TestHaarCoupling:
         np.testing.assert_allclose(base[2:, :2], 0, atol=1e-15)
         for block in (base[:2, :2], base[2:, 2:]):
             np.testing.assert_allclose(block @ block.conj().T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", [(3, -1), (1.5, 0.5), (True, True), (2, 0)])
+    def test_block_dims_must_be_positive_integers(self, blocks):
+        """Blocks that sum to dim but are no positive integers are refused
+        when the coupling is built, not inside ``draw_base``."""
+        message = f"block_dims must be a non-empty list of positive integers, got {blocks!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 2, 2, 2)), block_dims=blocks)
 
     def test_relabel_is_a_read_only_copy(self):
         relabel = np.array(np.broadcast_to(np.eye(2), (2, 2, 2, 2)))
@@ -575,28 +584,147 @@ class TestCQBoxType:
         assert abs(np.vdot(v.amplitudes, bell_state(2).amplitudes)) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(box.pure_vectors((0, 1)), v.amplitudes)
         assert box.pure_vectors((1,)).shape == (2, 4)
-        message = "output at (0, 0) is mixed (top eigenvalue 0.25"
+        message = "output at (0, 0) is mixed (rank-one error 0.25)"
         for read in (box.pure_vectors, lambda: box.pure_vectors((0,)), lambda: box.pure_output((0, 0))):
             with pytest.raises(ValueError, match=re.escape(message)):
                 read()
 
-    def test_pure_vectors_match_the_per_input_eigenvectors(self):
-        """One batched eigh gives each output's top eigenvector bit for bit."""
+    def test_pure_vectors_of_stored_amplitudes_are_the_amplitudes(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
         amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
-        box = CQBox((2, 3), AB, CQBox((2, 3), AB, amplitudes=amps).matrices)
-        vectors = box.pure_vectors()
-        for key in box.inputs:
-            assert np.array_equal(vectors[key], np.linalg.eigh(box.matrices[key])[1][:, -1])
         stored = CQBox((2, 3), AB, amplitudes=amps)
         assert np.array_equal(stored.pure_vectors(), amps)
+        assert np.array_equal(stored.pure_vectors((1, 2)), amps[1, 2])
 
     def test_pure_output_extracts_from_rank_one_matrix(self):
         box = CQBox.from_outputs((2, 2), AB, {key: bell_state(2).density() for key in pr_box_inputs()})
         v = box.pure_output((0, 1))
         overlap = abs(np.vdot(v.amplitudes, bell_state(2).amplitudes)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+
+# The two rank-one readers that ``_rank_one`` replaced: io's per-output
+# pivot column and the batched eigh of ``CQBox.pure_vectors``, kept as the
+# references the one reader must reproduce.
+
+
+def reference_io_rank_one(m: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """io's reader of one stored matrix: the pivot column over the root of
+    the pivot, and the largest entry change of rebuilding the matrix."""
+    p = int(np.argmax(m.diagonal().real))
+    root = np.sqrt(m[p, p].real)
+    amp = m[:, p] / root
+    amp[p] = root  # drop the rounding in the pivot's imaginary part
+    return amp, np.max(np.abs(np.outer(amp, amp.conj()) - m))
+
+
+def reference_eigh_vectors(matrices: np.ndarray) -> np.ndarray:
+    """``pure_vectors`` of a matrix stack through one batched eigh: the top
+    eigenvectors, refusing the first top eigenvalue below 1 - 1e-7."""
+    vals, vecs = np.linalg.eigh(matrices)
+    top = vals[..., -1]
+    if fault := _first_fault((top < 1 - 1e-7, top, "mixed (top eigenvalue {})")):
+        raise ValueError(f"output at {fault[0]} is {fault[1]}")
+    return vecs[..., :, -1]
+
+
+@st.composite
+def rank_one_stacks(draw, kinds=("pure", "nearly", "mixed", "tied"), min_dim=1):
+    """A ``(B, D, D)`` stack of density matrices at D = min_dim..64 and each
+    output's mixedness e.  An output is one of ``kinds``: a random pure
+    state (e = 0); one with all |v_i|^2 equal, so every diagonal entry ties
+    ("tied", e = 0); or (1 - e) v v+ + e rho, rho being a random pure state
+    orthogonal to v or the maximally mixed state, with e up to 1e-9
+    ("nearly") or from 1e-5 to 1/2 ("mixed")."""
+    d = draw(st.integers(min_dim, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices, mixedness = [], []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "tied":
+            z = 1j ** rng.integers(0, 4, d)
+        else:
+            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = z / np.linalg.norm(z)
+        m, e = np.outer(v, v.conj()), 0.0
+        if kind in ("nearly", "mixed") and d > 1:
+            e = draw(st.floats(1e-12, 1e-9) if kind == "nearly" else st.floats(1e-5, 0.5))
+            if draw(st.booleans()):
+                w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                w -= np.vdot(v, w) * v
+                w /= np.linalg.norm(w)
+                rho = np.outer(w, w.conj())
+            else:
+                rho = np.eye(d) / d
+            m = (1 - e) * m + e * rho
+        matrices.append(m)
+        mixedness.append(e)
+    return np.array(matrices), mixedness
+
+
+def one_party_box(matrices: np.ndarray) -> CQBox:
+    """A ``(B, D, D)`` stack as the outputs of a one-party box."""
+    structure = PartyStructure((("A", matrices.shape[-1]),))
+    return CQBox(matrices.shape[:1], structure, matrices)
+
+
+class TestOneRankOneReader:
+    """``_rank_one`` is io's per-output reader run on a stack, and
+    ``pure_vectors`` reads matrix outputs through it where one batched eigh
+    read them before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=rank_one_stacks())
+    def test_kernel_is_the_per_output_reader_bit_for_bit(self, stack):
+        matrices, _ = stack
+        vectors, error = boxes._rank_one(matrices)
+        assert vectors.shape == matrices.shape[:-1] and error.shape == matrices.shape[:1]
+        for m, v, e in zip(matrices, vectors, error, strict=True):
+            want, want_error = reference_io_rank_one(m)
+            assert np.array_equal(v, want) and np.array_equal(e, want_error)
+            # io reads one output at a time, as a stack of no leading axes
+            one, one_error = boxes._rank_one(m)
+            assert np.array_equal(one, want) and np.array_equal(one_error, want_error)
+        # more leading axes change no bit
+        stacked, stacked_error = boxes._rank_one(matrices[None, :, None])
+        assert np.array_equal(stacked[0, :, 0], vectors) and np.array_equal(stacked_error[0, :, 0], error)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=rank_one_stacks(kinds=("pure", "nearly", "tied")))
+    def test_pure_vectors_match_the_eigh_reader_up_to_a_phase(self, stack):
+        box = one_party_box(stack[0])
+        vectors = box.pure_vectors()
+        overlaps = np.abs(np.sum(reference_eigh_vectors(box.matrices).conj() * vectors, axis=-1))
+        assert np.all(overlaps >= 1 - 1e-12), overlaps
+        np.testing.assert_allclose(np.linalg.norm(vectors, axis=-1), 1.0, rtol=0, atol=1e-14)
+        # the pivot entry, at the largest diagonal entry, is real and positive
+        p = np.argmax(np.diagonal(box.matrices, axis1=-2, axis2=-1).real, axis=-1)
+        pivots = vectors[np.arange(len(p)), p]
+        assert np.all(pivots.imag == 0) and np.all(pivots.real > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=rank_one_stacks(min_dim=2))
+    def test_both_readers_refuse_every_mixed_output(self, stack):
+        matrices, mixedness = stack
+        mixed = [i for i, e in enumerate(mixedness) if e >= 1e-5]
+        for i in mixed:
+            box = one_party_box(matrices[i : i + 1])
+            with pytest.raises(ValueError, match=re.escape("output at (0,) is mixed (rank-one error ")):
+                box.pure_vectors()
+            with pytest.raises(ValueError, match=re.escape("output at (0,) is mixed (top eigenvalue ")):
+                reference_eigh_vectors(box.matrices)
+        if mixed:  # a whole stack names its first mixed output
+            box = one_party_box(matrices)
+            with pytest.raises(ValueError, match=re.escape(f"output at ({mixed[0]},) is mixed")):
+                box.pure_vectors()
+            with pytest.raises(ValueError, match=re.escape(f"output at ({mixed[0]},) is mixed")):
+                reference_eigh_vectors(box.matrices)
+
+    def test_a_nan_error_counts_as_mixed(self, monkeypatch):
+        box = one_party_box(np.eye(2)[None] / 2)
+        monkeypatch.setattr(boxes, "_rank_one", lambda m: (m[..., 0], np.full(m.shape[:-2], np.nan)))
+        with pytest.raises(ValueError, match=re.escape("output at (0,) is mixed (rank-one error nan)")):
+            box.pure_vectors()
 
 
 class TestMixBoxes:

@@ -974,7 +974,9 @@ class TestMixtureAlign:
     def test_fields_are_read_only_arrays(self):
         schedule = mixture_align([[0.3, 0.7], [0.6, 0.4]])
         assert schedule.weights.shape == (3,) and schedule.assignment.shape == (3, 2)
-        for array in (schedule.weights, schedule.assignment, schedule.probabilities):
+        assert schedule.pure_states is None
+        built = mixed_disordered_strategy(load_box(FIXTURES / "mixed_disordered_rotated.json"))
+        for array in (schedule.weights, schedule.assignment, schedule.probabilities, built.pure_states):
             assert not array.flags.writeable
 
     def test_breakpoints_chained_within_the_merge_gap(self):
@@ -1627,6 +1629,18 @@ class TestStackedFiniteMatchesReference:
         strategy = Strategy(pr_box(), bell_state(0), (2 * IDENTITY_TABLE, IDENTITY_TABLE))
         with pytest.raises(ValueError, match="norm .* deviates from 1"):
             simulate(strategy)
+
+    def test_norm_refusal_names_its_input(self):
+        """Party A's unitary at x = 1, o = 1 scales one amplitude by 1.001;
+        input (1, 0) is the first whose support reaches it."""
+        table = np.array(IDENTITY_TABLE)
+        table[1, 1] = [[0, 1.001], [1, 0]]
+        message = (
+            "output at input 1,0 is invalid: "
+            "state vector norm 1.0005001249375232 deviates from 1 beyond tolerance"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(Strategy(pr_box(), bell_state(0), (table, IDENTITY_TABLE)))
 
 
 @st.composite
