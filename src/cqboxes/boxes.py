@@ -169,7 +169,9 @@ class HaarCouplingBox:
         # the tolerance that synth applies to the unitaries it reads off a target
         if fault := invalid_unitary(relabel, 1e-6):
             raise ValueError(f"relabel at input {fault[0]}: {fault[1]}")
-        blocks = _positive_sizes(self.block_dims or (self.dim,), "block_dims")
+        # the empty default, found without a truth test, which an array would fail
+        default = isinstance(self.block_dims, (tuple, list)) and not self.block_dims
+        blocks = _positive_sizes((self.dim,) if default else self.block_dims, "block_dims")
         object.__setattr__(self, "block_dims", blocks)
         if sum(blocks) != self.dim:
             raise ValueError(f"block dimensions {blocks} do not sum to {self.dim}")

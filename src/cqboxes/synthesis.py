@@ -9,7 +9,11 @@ unitary U, which the party applies as ``unitaries[j][x_j] @ U``, dressed
 by its own input, or as U alone where the strategy has no dressing.
 Simulating a strategy averages the resulting states over the box's
 output distribution, which yields a quantum-output box that is
-non-signalling whenever the classical box is.
+non-signalling whenever the classical box is.  A finite box's states
+are its support's unitaries applied party by party; a Haar coupling's
+are formed per chunk of draws V, from one core (B V) Psi^T V^+ per own
+input of Bob (B his dressing, Psi the shared state as a matrix), times
+Alice's dressed relabel in one product per input tuple.
 
 The constructors in this module build strategies for several families of
 target boxes: phase rotations of a two-level entangled state driven by
@@ -100,8 +104,11 @@ class Strategy:
     ``unitaries[j][x, o]`` at own input x and output symbol o.  Over a Haar
     coupling the output is a sampled ``(d_j, d_j)`` unitary U; party j
     applies ``unitaries[j][x] @ U`` for its ``(m_j, d_j, d_j)`` dressing,
-    and a None dressing applies nothing.  Both kinds feed one weighted
-    stack of state vectors per input, which ``simulate`` sums.
+    and a None dressing applies nothing; such a coupling drives two
+    parties.  Both kinds give one weighted stack of state vectors per
+    input, which ``simulate`` sums: a finite box's from its support, a
+    Haar coupling's from one core of Bob's per chunk of draws and own
+    input (see ``_coupled_vectors``).
     """
 
     ccbox: CCBox | HaarCouplingBox
@@ -117,6 +124,8 @@ class Strategy:
         if len(self.shared.structure.parties) != parties:
             raise ValueError("shared state party count does not match the classical box")
         haar = isinstance(self.ccbox, HaarCouplingBox)
+        if haar and parties != 2:
+            raise ValueError(f"a Haar coupling drives two parties, got {parties}")
         # own input, and output symbol of a finite box, per party
         leads = zip(self.input_sizes) if haar else zip(self.input_sizes, self.ccbox.output_sizes)
         for (label, d), lead, table in zip(self.shared.structure.parties, leads, self.unitaries):
@@ -138,36 +147,13 @@ class Strategy:
 _CHUNK_ENTRIES = 2**14
 
 
-def _dressed(strategy: Strategy, j: int, x: int, out: np.ndarray) -> np.ndarray:
-    """Party j's unitaries at own input x for a stack of Haar coupling outputs."""
-    dressing = strategy.unitaries[j]
-    return out if dressing is None else dressing[x] @ out
-
-
-def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
+def _weighted_unitaries(strategy: Strategy) -> Iterator[tuple]:
     """Per input, chunks of (each party's ``(S, d_j, d_j)`` unitary stack,
-    ``(S,)`` weights): a finite box's support at that input with its table
-    weights, or ``samples`` seeded Haar draws of weight 1/samples, drawn
-    in chunks from one stream that every input shares.  Each chunk of
-    draws is conjugated once, and party 1, whose output is the draw, is
-    dressed once per chunk and own input."""
-    ccbox, tables = strategy.ccbox, strategy.unitaries
-    dims = strategy.shared.structure.dims
+    ``(S,)`` weights) over a finite box's support at that input, with its
+    table weights."""
+    tables, table, dims = strategy.unitaries, strategy.ccbox.table, strategy.shared.structure.dims
     chunk = max(1, _CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
-    if isinstance(ccbox, HaarCouplingBox):
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = np.random.default_rng(seed)
-        for start in range(0, samples, chunk):
-            bases = ccbox.draw_base(rng, min(chunk, samples - start))
-            conj, weights = bases.conj(), np.full(len(bases), 1 / samples)
-            bob = [_dressed(strategy, 1, y, bases) for y in range(ccbox.input_sizes[1])]
-            for key in np.ndindex(*ccbox.input_sizes):
-                alice = _dressed(strategy, 0, key[0], ccbox.relabel[key] @ conj)
-                yield key, [alice, bob[key[1]]], weights
-        return
-    table = ccbox.table
-    for key in np.ndindex(*ccbox.input_sizes):
+    for key in np.ndindex(*strategy.input_sizes):
         support = np.nonzero(table[key] > 0)
         for start in range(0, len(support[0]), chunk):
             rows = tuple(outs[start : start + chunk] for outs in support)
@@ -175,18 +161,66 @@ def _weighted_unitaries(strategy: Strategy, samples: int, seed: int) -> Iterator
             yield key, stacks, table[key][rows]
 
 
-def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
-    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights):
-    party j's unitary stack applied to axis j of the shared state.  A
-    vector that is not of unit norm is refused, naming its input."""
+def _bob_cores(bases: np.ndarray, shared_t: np.ndarray, dressing: np.ndarray | None) -> np.ndarray:
+    """The cores D V Psi^T V^+ of a ``(S, d, d)`` chunk of draws V, for the
+    transpose ``shared_t`` of the shared state as a d x d matrix Psi: one
+    ``(S, d, d)`` stack per own input of Bob, each dressed by his
+    ``dressing[y]`` = D, or a single undressed stack where he has none."""
+    # V Psi^T as one tall product, then one stacked product with V^+
+    core = (bases.reshape(-1, bases.shape[-1]) @ shared_t).reshape(bases.shape)
+    core = core @ bases.conj().swapaxes(-1, -2)
+    return core[None] if dressing is None else dressing[:, None] @ core
+
+
+def _coupled_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
+    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) of
+    ``samples`` seeded Haar draws V of weight 1/samples, drawn in chunks
+    from one stream that every input shares.
+
+    At input (x, y), draw V leaves the d x d shared state Psi as
+    A conj(V) Psi V^T B^T, for Alice's A = dressing[x] @ relabel[x, y] and
+    Bob's B = dressing[y].  Its transpose is C_y A^T, with Bob's core
+    C_y = B V Psi^T V^+ formed once per chunk and own input, so every
+    input tuple costs one tall product with the draws on its row side."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    ccbox, (dress_a, dress_b) = strategy.ccbox, strategy.unitaries
+    d = ccbox.dim
+    alice = ccbox.relabel if dress_a is None else dress_a[:, None] @ ccbox.relabel
+    alice_t, shared_t = alice.swapaxes(-1, -2), strategy.shared.amplitudes.reshape(d, d).T
+    rng, chunk = np.random.default_rng(seed), max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, samples, chunk):
+        bases = ccbox.draw_base(rng, min(chunk, samples - start))
+        cores, weights = _bob_cores(bases, shared_t, dress_b), np.full(len(bases), 1 / samples)
+        for key in np.ndindex(*ccbox.input_sizes):
+            # an undressed Bob has a single core, for every own input
+            vecs_t = cores[key[1] % len(cores)].reshape(-1, d) @ alice_t[key]
+            yield key, vecs_t.reshape(bases.shape).swapaxes(-1, -2).reshape(len(bases), -1), weights
+
+
+def _finite_vectors(strategy: Strategy) -> Iterator[tuple]:
+    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) over
+    a finite box's support: party j's unitary stack applied to axis j of
+    the shared state."""
     dims = strategy.shared.structure.dims
     shared = strategy.shared.amplitudes.reshape(dims[0], -1)
-    for key, stacks, weights in _weighted_unitaries(strategy, samples, seed):
+    for key, stacks, weights in _weighted_unitaries(strategy):
         # party 0 acts on the one shared state: a single (S d_0, d_0) product
         t = stacks[0].reshape(-1, dims[0]) @ shared
         for j, m in enumerate(stacks[1:], 1):
             t = m[:, None] @ t.reshape(len(weights), math.prod(dims[:j]), dims[j], -1)
-        vecs = t.reshape(len(weights), -1)
+        yield key, t.reshape(len(weights), -1), weights
+
+
+def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
+    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) of
+    a Haar coupling's draws or a finite box's support.  A vector that is
+    not of unit norm is refused, naming its input."""
+    if isinstance(strategy.ccbox, HaarCouplingBox):
+        chunks = _coupled_vectors(strategy, samples, seed)
+    else:
+        chunks = _finite_vectors(strategy)
+    for key, vecs, weights in chunks:
         if fault := invalid_vector(vecs):
             raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {fault[1]}")
         yield key, vecs, weights
@@ -207,7 +241,9 @@ def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed:
 
     Finite classical boxes are summed exactly.  Haar-coupling strategies
     return the empirical mixture over ``samples`` seeded draws, with
-    Bob's sample stream drawn once so that it cannot depend on inputs.  A
+    Bob's sample stream drawn once so that it cannot depend on inputs;
+    per chunk of draws, Bob's core is formed once per own input and each
+    input tuple's states are one product with it.  A
     mixture schedule sums interval i's strategy on seed + i into a stack
     of its own, and adds the stacks from 0, each times its interval
     weight, in interval order; a strategy is the one interval of weight 1.
@@ -227,7 +263,8 @@ def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed:
 def sample_states(
     strategy: Strategy, *, samples: int = 1000, seed: int = 0
 ) -> dict[tuple[int, ...], list[StateVector]]:
-    """Per-input list of the pure states produced by each coupling draw."""
+    """Per-input list of the pure states produced by each coupling draw,
+    formed as ``simulate`` forms them, from Bob's core per chunk of draws."""
     if not isinstance(strategy.ccbox, HaarCouplingBox):
         raise TypeError("sample_states applies only to Haar-coupling strategies")
     structure = strategy.shared.structure

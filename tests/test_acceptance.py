@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cqboxes import cli, synthesis
+from cqboxes import cli
 from cqboxes.boxes import (
     CCBox,
     CQBox,
@@ -59,6 +59,7 @@ from cqboxes.synthesis import (
     simulate,
     unitary_family_box,
 )
+from test_synthesis import reference_weighted_unitaries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -74,8 +75,9 @@ def _coupling_non_signalling(strategy, draws: int = 5, seed: int = 0) -> float:
 
     The alphabet is continuous, so a table comparison is impossible; the
     check verifies the two properties that make the coupling's marginals
-    input-independent.  Bob's unitaries, as ``simulate`` forms them, must
-    be the same array at each of his own inputs whatever Alice's input.
+    input-independent.  Bob's unitaries, as the per-draw reference forms
+    them (``simulate``'s states match it within 1e-13), must be the same
+    array at each of his own inputs whatever Alice's input.
     Alice's side multiplies the conjugated draw by a per-input relabel,
     which leaves the (block) Haar marginal unchanged exactly when the
     relabel is unitary and supported on the blocks.
@@ -96,7 +98,7 @@ def _coupling_non_signalling(strategy, draws: int = 5, seed: int = 0) -> float:
         if outside.size:
             worst = max(worst, float(outside.max()))
     bob: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for key, stacks, _ in synthesis._weighted_unitaries(strategy, draws, seed):
+    for key, stacks, _ in reference_weighted_unitaries(strategy, draws, seed):
         bob.setdefault(key, []).append(stacks[1])
     for (_, y), chunks in bob.items():
         reference = np.concatenate(bob[(0, y)])

@@ -54,7 +54,8 @@ from cqboxes.quantum import (
     trace_distance,
     w_state,
 )
-from cqboxes.synthesis import Strategy, _weighted_unitaries, phase_family_box, unitary_family_box
+from cqboxes.synthesis import Strategy, phase_family_box, unitary_family_box
+from test_synthesis import reference_weighted_unitaries
 
 AB = PartyStructure.qubits("AB")
 
@@ -238,12 +239,13 @@ class TestFromCoupling:
 class TestHaarCoupling:
     def test_pair_relation(self):
         """The undressed strategy hands Alice relabel[inputs] @ conj(V) and Bob
-        the draw V itself, as ``simulate`` forms them."""
+        the draw V itself, as the per-draw reference forms them, which
+        ``simulate``'s states match (``test_sample_states_match_the_reference_unitaries``)."""
         target = haar_unitary(3, 5).matrix
         relabel = np.array([[np.eye(3), np.eye(3)], [np.eye(3), target]])
         coupling = HaarCouplingBox(relabel)
         base = coupling.draw_base(np.random.default_rng(0))
-        pairs = {key: stacks for key, stacks, _ in _weighted_unitaries(
+        pairs = {key: stacks for key, stacks, _ in reference_weighted_unitaries(
             Strategy(coupling, phi_plus(3), (None, None)), samples=1, seed=0
         )}
         u_a, u_b = pairs[(1, 1)]
@@ -279,13 +281,20 @@ class TestHaarCoupling:
         for block in (base[:2, :2], base[2:, 2:]):
             np.testing.assert_allclose(block @ block.conj().T, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("blocks", [(3, -1), (1.5, 0.5), (True, True), (2, 0)])
+    @pytest.mark.parametrize(
+        "blocks", [(3, -1), (1.5, 0.5), (True, True), (2, 0), np.array([0])], ids=repr
+    )
     def test_block_dims_must_be_positive_integers(self, blocks):
         """Blocks that sum to dim but are no positive integers are refused
         when the coupling is built, not inside ``draw_base``."""
         message = f"block_dims must be a non-empty list of positive integers, got {blocks!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 2, 2, 2)), block_dims=blocks)
+
+    def test_block_dims_may_be_an_array(self):
+        """An array is read as its entries, with no truth test of the array."""
+        relabel = np.broadcast_to(np.eye(2), (2, 2, 2, 2))
+        assert HaarCouplingBox(relabel, block_dims=np.array([1, 1])).block_dims == (1, 1)
 
     def test_relabel_is_a_read_only_copy(self):
         relabel = np.array(np.broadcast_to(np.eye(2), (2, 2, 2, 2)))

@@ -1482,6 +1482,14 @@ class TestBatchedSamplerMatchesReference:
             with pytest.raises(ValueError, match="norm .* deviates from 1"):
                 run(strategy, samples=3)
 
+    @pytest.mark.parametrize("parties", [1, 3])
+    def test_haar_coupling_drives_two_parties(self, parties):
+        coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2,) * parties + (2, 2)))
+        amplitudes = np.eye(2**parties, 1).reshape(-1)
+        shared = StateVector(amplitudes, PartyStructure(tuple(zip("ABC", (2,) * parties))))
+        with pytest.raises(ValueError, match=f"a Haar coupling drives two parties, got {parties}"):
+            Strategy(coupling, shared, (None,) * parties)
+
     def test_sample_count_must_be_positive(self):
         _, strategy = SAMPLED[0]
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
@@ -1785,7 +1793,7 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
     dressings, rebuilt from the reference output's Schmidt form; only the
     coupling parts are taken from the strategy under test.  Only the
     per-draw loop of ``reference_weighted_unitaries`` applies the frames, so
-    ``framed_simulate`` runs it through that loop."""
+    ``reference_simulate`` runs it through that loop."""
     coupling = general_pure_strategy(targets).ccbox
     reference = targets.pure_output((0, 0))
     form = schmidt(reference)
@@ -1804,12 +1812,6 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
     return Strategy(ccbox=framed, shared=reference, unitaries=(dress_a, dress_b))
 
 
-def framed_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
-    """``simulate`` with the framed coupling's ``reference_pair`` feeding the dressings."""
-    with mock.patch.object(synthesis, "_weighted_unitaries", reference_weighted_unitaries):
-        return simulate(strategy, samples=samples, seed=seed)
-
-
 # the Schmidt core reorders the framed products, which moves the last bits
 FRAMED_BOUND = 1e-12
 
@@ -1818,7 +1820,7 @@ FRAMED_BOUND = 1e-12
 @given(box=schmidt_dressed_families(), seed=st.integers(0, 1000))
 def test_general_pure_stays_near_the_framed_coupling(box, seed):
     simulated = simulate(general_pure_strategy(box), samples=5, seed=seed)
-    framed = framed_simulate(reference_framed_strategy(box), samples=5, seed=seed)
+    framed = reference_simulate(reference_framed_strategy(box), samples=5, seed=seed)
     assert np.max(np.abs(simulated.matrices - framed.matrices)) <= FRAMED_BOUND
 
 
@@ -1828,15 +1830,17 @@ def test_general_pure_stays_near_the_framed_coupling(box, seed):
 def test_general_pure_fixtures_stay_near_the_framed_coupling(name):
     box = load_box(FIXTURES / f"{name}.json")
     simulated = simulate(general_pure_strategy(box), samples=40, seed=3)
-    framed = framed_simulate(reference_framed_strategy(box), samples=40, seed=3)
+    framed = reference_simulate(reference_framed_strategy(box), samples=40, seed=3)
     assert np.max(np.abs(simulated.matrices - framed.matrices)) <= FRAMED_BOUND
 
 
 def reference_weighted_vectors(strategy: Strategy, samples: int, seed: int):
     """``_weighted_vectors`` as it was before party 0's stack became one
-    matrix product: a broadcast product per sample for every party."""
+    matrix product and a Haar coupling's states came from Bob's cores: a
+    broadcast product per sample for every party, on the unitaries of
+    ``reference_weighted_unitaries``."""
     dims = strategy.shared.structure.dims
-    for key, stacks, weights in synthesis._weighted_unitaries(strategy, samples, seed):
+    for key, stacks, weights in reference_weighted_unitaries(strategy, samples, seed):
         t = strategy.shared.amplitudes.reshape(1, -1)
         for j, m in enumerate(stacks):
             t = m[:, None] @ t.reshape(len(t), math.prod(dims[:j]), dims[j], -1)
@@ -1846,11 +1850,24 @@ def reference_weighted_vectors(strategy: Strategy, samples: int, seed: int):
         yield key, vecs, weights
 
 
+def reference_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
+    """``simulate`` with every state vector from ``reference_weighted_vectors``."""
+    with mock.patch.object(synthesis, "_weighted_vectors", reference_weighted_vectors):
+        return simulate(strategy, samples=samples, seed=seed)
+
+
+# Bob's cores reorder a Haar coupling's products, which moves the last bits;
+# a finite box's states keep theirs
+HAAR_BOUND = 1e-13
+
+
 def assert_simulate_matches_the_broadcast(strategy: Strategy, samples: int, seed: int) -> None:
     box = simulate(strategy, samples=samples, seed=seed)
-    with mock.patch.object(synthesis, "_weighted_vectors", reference_weighted_vectors):
-        reference = simulate(strategy, samples=samples, seed=seed)
-    assert np.array_equal(box.matrices, reference.matrices)
+    reference = reference_simulate(strategy, samples=samples, seed=seed)
+    if isinstance(strategy.ccbox, HaarCouplingBox):
+        assert np.max(np.abs(box.matrices - reference.matrices)) <= HAAR_BOUND
+    else:
+        assert np.array_equal(box.matrices, reference.matrices)
 
 
 def rotated_fixture_strategies() -> list[tuple[str, Strategy]]:
@@ -1884,8 +1901,9 @@ class TestFirstPartyProductMatchesTheBroadcast:
 
 def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
     """``_weighted_unitaries`` as it was before each party's unitaries were
-    formed once per own input: every party once per input tuple (and
-    chunk), a Haar chunk through ``reference_pair`` for each input tuple."""
+    formed once per own input, and before its Haar branch gave way to Bob's
+    cores: every party once per input tuple (and chunk), a Haar chunk
+    through ``reference_pair`` for each input tuple."""
     ccbox, tables = strategy.ccbox, strategy.unitaries
     dims = strategy.shared.structure.dims
     chunk = max(1, synthesis._CHUNK_ENTRIES // max(math.prod(dims), *(d * d for d in dims)))
@@ -1907,9 +1925,34 @@ def reference_weighted_unitaries(strategy: Strategy, samples: int, seed: int):
             yield key, [m[r] for m, r in zip(per_symbol, rows)], table[key][rows]
 
 
+@pytest.mark.parametrize("name, strategy", SAMPLED, ids=[name for name, _ in SAMPLED])
+def test_sample_states_match_the_reference_unitaries(name, strategy):
+    """Each draw's state, formed from Bob's core, is within ``HAAR_BOUND``
+    of the reference's per-draw unitaries applied by broadcast."""
+    reference: dict = {}
+    for key, vecs, _ in reference_weighted_vectors(strategy, 23, 6):
+        reference.setdefault(key, []).extend(vecs)
+    states = sample_states(strategy, samples=23, seed=6)
+    assert states.keys() == reference.keys()
+    for key, vecs in reference.items():
+        amps = np.array([state.amplitudes for state in states[key]])
+        assert amps.shape == np.shape(vecs)
+        assert np.max(np.abs(amps - vecs)) <= HAAR_BOUND
+
+
 def assert_simulate_matches_the_per_tuple_maps(strategy: Strategy, samples: int, seed: int):
+    """A finite box's unitaries from the per-tuple reference keep every bit;
+    a Haar coupling forms no unitaries, so its states are held to the
+    reference's within ``HAAR_BOUND``."""
+    if isinstance(strategy.ccbox, HaarCouplingBox):
+        assert_simulate_matches_the_broadcast(strategy, samples, seed)
+        return
     box = simulate(strategy, samples=samples, seed=seed)
-    with mock.patch.object(synthesis, "_weighted_unitaries", reference_weighted_unitaries):
+
+    def per_tuple(strategy: Strategy):
+        return reference_weighted_unitaries(strategy, samples, seed)
+
+    with mock.patch.object(synthesis, "_weighted_unitaries", per_tuple):
         reference = simulate(strategy, samples=samples, seed=seed)
     assert np.array_equal(box.matrices, reference.matrices)
 
@@ -1938,19 +1981,23 @@ class TestMapsOncePerOwnInputMatchTheReference:
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 9 * 5)  # chunks of 5 draws
         assert_simulate_matches_the_per_tuple_maps(strategy, samples, 4)
 
-    def test_haar_party_one_is_dressed_once_per_chunk_and_input(self, monkeypatch):
-        calls = []
-        dressed = synthesis._dressed
+    @pytest.mark.parametrize("dressed", [False, True])
+    def test_bob_cores_once_per_chunk_and_dressed_input(self, monkeypatch, dressed):
+        cores = []
+        formed = synthesis._bob_cores
 
-        def counted(strategy, j, x, out):
-            calls.append((j, x))
-            return dressed(strategy, j, x, out)
+        def counted(bases, shared_t, dressing):
+            out = formed(bases, shared_t, dressing)
+            cores.append(len(out))
+            return out
 
         coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
-        monkeypatch.setattr(synthesis, "_dressed", counted)
+        dressing = np.array([haar_unitary(2, 8 + y).matrix for y in range(3)])
+        strategy = Strategy(coupling, phi_plus(2), (None, dressing if dressed else None))
+        monkeypatch.setattr(synthesis, "_bob_cores", counted)
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
-        simulate(Strategy(coupling, phi_plus(2), (None, None)), samples=12)
-        # 3 chunks: party 0 once per input tuple, party 1 once per own input
-        assert sorted(calls) == sorted(
-            [(0, x) for x in range(2) for _ in range(3)] * 3 + [(1, y) for y in range(3)] * 3
-        )
+        box = simulate(strategy, samples=12)
+        # 3 chunks: one core each, or one per own input of Bob where he is dressed
+        assert cores == [3 if dressed else 1] * 3
+        reference = reference_simulate(strategy, samples=12, seed=0)
+        assert np.max(np.abs(box.matrices - reference.matrices)) <= HAAR_BOUND
