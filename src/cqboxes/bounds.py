@@ -156,7 +156,7 @@ def _check_target(n: int, k: int, alpha: float, beta: float) -> None:
 
 def _closed_form(n: int, k: int, alpha: float, beta: float, m: int) -> BoundResult:
     """``best_fidelity`` for a target ``_check_target`` has passed."""
-    theta = 2 * math.pi * m / n
+    theta = 2 * math.pi * (m % n) / n  # m reduced exactly, before the float angle
     best_cos, best_length = -1.0, 1
     for length in range(1, k + 1):
         value = math.cos(_cycle_gap(theta, length) / (4 * length))
@@ -343,7 +343,7 @@ def verify_bound(
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     _check_target(n, k, alpha, beta)  # reject a bad target before any ascent
-    theta = 2 * math.pi * m / n
+    theta = 2 * math.pi * (m % n) / n
     # restarts are independent rows, so chunking them moves no bit; one
     # restart holds 4 k (k + 1) / 2 start entries
     chunk = max(1, _ENTRIES // (2 * k * (k + 1)))

@@ -213,13 +213,13 @@ def _unitaries_from_box(box: CQBox) -> np.ndarray:
 
 def _target_file(args) -> tuple[CQBox, dict]:
     """Load --target as a quantum-output box, with the report fields that
-    record it as the construction's parameter and input file."""
+    record it as the construction's target and input file."""
     if not args.target:
         raise ValueError(f"{args.construction} requires --target")
     box = load_box(args.target, tol=args.tol)
     if not isinstance(box, CQBox):
         raise ValueError(f"{args.construction} needs a quantum-output target box")
-    return box, {"target": box, "parameters": {"target": args.target}, "files": (args.target,)}
+    return box, {"target": box, "files": (args.target,)}
 
 
 def _bit_flip(args) -> dict:
@@ -234,17 +234,16 @@ def _sign_flip(args) -> dict:
     return {
         "strategy": sign_flip_strategy(args.alpha, args.beta),
         "target": phase_family_box(lambda x, y: math.pi * x * y, args.alpha, args.beta),
-        "parameters": {"alpha": args.alpha, "beta": args.beta},
     }
 
 
 def _phase(args) -> dict:
     return {
         "strategy": rational_phase_strategy(args.m, args.n, args.alpha, args.beta),
+        # m is reduced exactly, as the strategy reduces it, before the float angle
         "target": phase_family_box(
-            lambda x, y: 2 * math.pi * args.m * x * y / args.n, args.alpha, args.beta
+            lambda x, y: 2 * math.pi * (args.m % args.n) * x * y / args.n, args.alpha, args.beta
         ),
-        "parameters": {"m": args.m, "n": args.n, "alpha": args.alpha, "beta": args.beta},
     }
 
 
@@ -253,12 +252,11 @@ def _irrational_phase(args) -> dict:
     return {
         "strategy": strategy,
         "target": phase_family_box(
-            lambda x, y: 2 * math.pi * args.theta * x * y, args.alpha, args.beta
+            lambda x, y: 2 * math.pi * (args.theta % 1.0) * x * y, args.alpha, args.beta
         ),
         # bound limits the infidelity; for pure states the trace distance
         # is sqrt(1 - fidelity)
         "tolerance": min(1.0, math.sqrt(bound)),
-        "parameters": {"theta": args.theta, "n": args.n, "alpha": args.alpha, "beta": args.beta},
         "certificate": {
             "error_bound": bound,
             "numerator": round(args.n * args.theta),
@@ -268,12 +266,13 @@ def _irrational_phase(args) -> dict:
 
 
 def _max_entangled(args) -> dict:
+    # the report names whichever of --target and --n made the targets
     if args.target:
         target, built = _target_file(args)
+        built["parameters"] = {"target": args.target}
         targets = _unitaries_from_box(target)
     else:
-        n = args.n
-        if n < 2 or n * n > MAX_TENSOR_DIM:
+        if (n := args.n) < 2 or n * n > MAX_TENSOR_DIM:
             raise ValueError(f"--n {n} must give a joint dimension n^2 from 4 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
         # the four draws of haar_unitary(n, rng), as one stack
@@ -328,30 +327,48 @@ def _mixed_disordered(args) -> dict:
 def _ghz_phase(args) -> dict:
     return {
         "strategy": ghz_phase_strategy(args.m, args.n),
-        "target": ghz_phase_box(2 * math.pi * args.m / args.n),
-        "parameters": {"m": args.m, "n": args.n},
+        "target": ghz_phase_box(2 * math.pi * (args.m % args.n) / args.n),
     }
 
 
-# construction name -> builder; a builder returns the strategy and the
-# analytic target, plus the report fields that differ from _SYNTH_DEFAULTS
-_CONSTRUCTIONS = {
-    "bit-flip": _bit_flip,
-    "sign-flip": _sign_flip,
-    "phase": _phase,
-    "irrational-phase": _irrational_phase,
-    "max-entangled": _max_entangled,
-    "eight-output": _eight_output,
-    "nonmax-pure": _nonmax_pure,
-    "general-pure": _general_pure,
-    "mixed-disordered": _mixed_disordered,
-    "ghz-phase": _ghz_phase,
+# synth flag -> its add_argument keywords
+_SYNTH_FLAGS = {
+    "alpha": {"type": _finite_float, "default": 1 / math.sqrt(2)},
+    "beta": {"type": _finite_float, "default": 1 / math.sqrt(2)},
+    "m": {"type": int, "default": 1, "help": "phase numerator"},
+    "n": {"type": int, "default": 2, "help": "phase denominator / local dimension"},
+    "theta": {"type": _finite_float, "default": 0.5, "help": "phase in turns of 2 pi"},
+    "weights": {"default": "0.8,0.2", "help": "comma-separated level weights"},
+    "phases": {"default": "{}", "help": 'JSON object of exact phases, e.g. {"1,1,0": "1/4"}'},
+    "target": {"help": "target box document (max-entangled, general-pure, mixed-disordered)"},
+    "samples": {"type": int, "action": _int_in(1), "default": 1000,
+                "help": "samples for coupling strategies"},
 }
-_SYNTH_DEFAULTS = {"tolerance": 1e-9, "parameters": {}, "certificate": None, "files": ()}
+
+# construction name -> (builder, the synth flags it reads), which is all that
+# its sub-parser takes.  A builder returns the strategy and the analytic
+# target, plus the report fields that differ from _SYNTH_DEFAULTS; the
+# report's parameters are the flags read, less --samples, which the report
+# records on its own, unless the builder returns its own.
+_CONSTRUCTIONS = {
+    "bit-flip": (_bit_flip, ()),
+    "sign-flip": (_sign_flip, ("alpha", "beta")),
+    "phase": (_phase, ("m", "n", "alpha", "beta")),
+    "irrational-phase": (_irrational_phase, ("theta", "n", "alpha", "beta")),
+    "max-entangled": (_max_entangled, ("n", "target", "samples")),
+    "eight-output": (_eight_output, ()),
+    "nonmax-pure": (_nonmax_pure, ("weights", "phases")),
+    "general-pure": (_general_pure, ("target", "samples")),
+    "mixed-disordered": (_mixed_disordered, ("target", "samples")),
+    "ghz-phase": (_ghz_phase, ("m", "n")),
+}
+_SYNTH_DEFAULTS = {"tolerance": 1e-9, "certificate": None, "files": ()}
 
 
 def _cmd_synth(args) -> tuple[dict, int]:
-    built = {**_SYNTH_DEFAULTS, **_CONSTRUCTIONS[args.construction](args)}
+    builder, flags = _CONSTRUCTIONS[args.construction]
+    parameters = {flag: getattr(args, flag) for flag in flags if flag != "samples"}
+    built = {**_SYNTH_DEFAULTS, "parameters": parameters, **builder(args)}
     box = simulate(built["strategy"], samples=args.samples, seed=args.seed)
     distance = cq_box_distance(box, built["target"])
     body, ns_passed = _verify_report(box, args.tol)
@@ -544,25 +561,17 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser(
         "synth", parents=[common], help="synthesise a family and compare it to its analytic target"
     )
-    synth.add_argument("construction", choices=list(_CONSTRUCTIONS))
-    synth.add_argument("--alpha", type=_finite_float, default=1 / math.sqrt(2))
-    synth.add_argument("--beta", type=_finite_float, default=1 / math.sqrt(2))
-    synth.add_argument("--m", type=int, default=1, help="phase numerator")
-    synth.add_argument("--n", type=int, default=2, help="phase denominator / local dimension")
-    synth.add_argument("--theta", type=_finite_float, default=0.5, help="phase in turns of 2 pi")
-    synth.add_argument("--weights", default="0.8,0.2", help="comma-separated level weights")
-    synth.add_argument(
-        "--phases", default="{}", help='JSON object of exact phases, e.g. {"1,1,0": "1/4"}'
-    )
-    synth.add_argument(
-        "--target", help="target box document (max-entangled, general-pure, mixed-disordered)"
-    )
-    synth.add_argument(
-        "--samples", type=int, action=_int_in(1), default=1000,
-        help="samples for coupling strategies",
-    )
-    synth.add_argument("--out", help="write the synthesised box document here")
-    synth.add_argument("--target-out", help="write the analytic target box document here")
+    constructions = synth.add_subparsers(dest="construction", required=True)
+    for name, (_, flags) in _CONSTRUCTIONS.items():
+        # no abbreviations: --target would otherwise be read as --target-out
+        # by a construction that takes no target
+        entry = constructions.add_parser(name, parents=[common], allow_abbrev=False)
+        # a finite strategy ignores samples; its report records the default
+        entry.set_defaults(samples=_SYNTH_FLAGS["samples"]["default"])
+        for flag in flags:
+            entry.add_argument(f"--{flag}", **_SYNTH_FLAGS[flag])
+        entry.add_argument("--out", help="write the synthesised box document here")
+        entry.add_argument("--target-out", help="write the analytic target box document here")
 
     bound = sub.add_parser(
         "bound", parents=[common], help="best-fidelity frontier for restricted output alphabets"
@@ -583,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rows are confirmed from k = 1 up until it runs out",
     )
     bound.add_argument(
-        "--restarts", type=int, action=_int_in(1), default=16, help="ascent restarts per row"
+        "--restarts", type=int, action=_int_in(1), default=16,
+        help="ascent restarts per row; fewer than 16 can leave a true bound unconfirmed (exit 1)",
     )
 
     wphase = sub.add_parser("wphase", parents=[common], help="probe the three-party phase locality theorem")

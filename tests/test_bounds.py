@@ -232,8 +232,9 @@ def reference_ascend_cycle(
 
 def reference_optima(n: int, kmax: int, m: int, restarts: int, seed: int) -> list[float]:
     """The old ``verify_bound`` optimum for every k <= kmax.  Row k draws
-    lengths 1..k from a fresh generator, so all rows share one prefix."""
-    theta = 2 * math.pi * m / n
+    lengths 1..k from a fresh generator, so all rows share one prefix.
+    Its angle reduces m modulo n first, as ``verify_bound`` does."""
+    theta = 2 * math.pi * (m % n) / n
     rng = np.random.default_rng(seed)
     best_cos, optima = -1.0, []
     for length in range(1, kmax + 1):

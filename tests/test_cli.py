@@ -342,6 +342,94 @@ class TestSynth:
         assert "--target" in err
 
 
+@pytest.mark.parametrize(
+    "argv, twin",
+    [
+        (["synth", "phase", "--m", "1000000000001", "--n", "3"],
+         ["synth", "phase", "--m", "2", "--n", "3"]),
+        (["synth", "ghz-phase", "--m", "1000000000000", "--n", "3"],
+         ["synth", "ghz-phase", "--m", "1", "--n", "3"]),
+        (["synth", "irrational-phase", "--theta", "1e300"],
+         ["synth", "irrational-phase", "--theta", "0"]),
+        (["bound", "--n", "3", "--m", "1000000000001"], ["bound", "--n", "3", "--m", "2"]),
+    ],
+)
+def test_large_phases_match_their_reduced_twins(capsys, argv, twin):
+    """A phase numerator or turn count far beyond its period is reduced
+    exactly before the float angle is formed, so the command reports what
+    its reduced twin reports."""
+    code, report, _ = run(capsys, *argv)
+    twin_code, twin_report, _ = run(capsys, *twin)
+    assert code == twin_code == 0
+    for field in ("target_distance", "worst_violation", "frontier"):
+        assert report.get(field) == twin_report.get(field), field
+
+
+class ReadRecorder:
+    """Wraps parsed arguments and records the name of every one read."""
+
+    def __init__(self, args) -> None:
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+# one synth argv per path through each builder; max-entangled reads --n or --target
+BUILDER_ARGVS = [
+    ["bit-flip"], ["sign-flip"], ["phase"], ["irrational-phase"], ["max-entangled"],
+    ["max-entangled", "--target", "fixtures/max_entangled_family.json"], ["eight-output"],
+    ["nonmax-pure"], ["general-pure", "--target", "fixtures/two_block_family.json"],
+    ["mixed-disordered", "--target", "fixtures/mixed_disordered_family.json"], ["ghz-phase"],
+]
+
+
+def test_each_construction_declares_exactly_the_flags_it_reads(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert {argv[0] for argv in BUILDER_ARGVS} == set(cli._CONSTRUCTIONS)
+    read = {name: set() for name in cli._CONSTRUCTIONS}
+    for argv in BUILDER_ARGVS:
+        args = ReadRecorder(cli.build_parser().parse_args(["synth", *argv]))
+        strategy = cli._CONSTRUCTIONS[argv[0]][0](args)["strategy"]
+        read[argv[0]] |= args.read & set(cli._SYNTH_FLAGS)
+        # --samples is read by simulate, and only for Haar-coupling draws
+        if isinstance(strategy, synthesis.MixtureSchedule) or isinstance(
+            strategy.ccbox, boxes.HaarCouplingBox
+        ):
+            read[argv[0]].add("samples")
+    assert read == {name: set(flags) for name, (_, flags) in cli._CONSTRUCTIONS.items()}
+
+
+# a value that each synth flag's own type accepts
+SYNTH_FLAG_VALUES = {
+    "alpha": "0.6", "beta": "0.8", "m": "1", "n": "3", "theta": "0.25", "weights": "0.7,0.3",
+    "phases": "{}", "target": "fixtures/two_block_family.json", "samples": "7",
+}
+UNDECLARED_SYNTH_FLAGS = [
+    (name, flag)
+    for name, (_, flags) in cli._CONSTRUCTIONS.items()
+    for flag in cli._SYNTH_FLAGS
+    if flag not in flags
+]
+
+
+@pytest.mark.parametrize("name, flag", UNDECLARED_SYNTH_FLAGS)
+def test_undeclared_synth_flag_exits_2_naming_it(capsys, name, flag):
+    assert len(UNDECLARED_SYNTH_FLAGS) == 69
+    value = SYNTH_FLAG_VALUES[flag]
+    code, report, err = run(capsys, "synth", name, f"--{flag}", value)
+    assert (code, report) == (2, None)
+    assert f"unrecognized arguments: --{flag} {value}" in err
+
+
+@pytest.mark.parametrize("name", list(cli._CONSTRUCTIONS))
+def test_synth_help_lists_exactly_the_declared_flags(capsys, name):
+    assert main(["synth", name, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert listed == {"help", "tol", "seed", "out", "target-out", *cli._CONSTRUCTIONS[name][1]}
+
+
 class TestBound:
     def test_frontier_values(self, capsys):
         code, report, _ = run(capsys, "bound", "--n", "3")
@@ -378,6 +466,16 @@ class TestBound:
         assert code == 2
         assert report is None
         assert "--n 5: " in err and "refused" in err
+
+    def test_default_restarts_confirm_a_row_that_few_restarts_leave(self, capsys):
+        """With --restarts 4 every ascent of row k = 3 stalls in a wrong
+        winding of its cycle; the default 16 confirm every row."""
+        code, report, _ = run(
+            capsys, "bound", "--n", "3", "--m", "2", "--kmax", "3", "--seed", "195",
+            "--alpha", "0.5403023058681398", "--beta", "0.8414709848078965",
+        )
+        assert code == 0
+        assert [row["confirmed"] for row in report["frontier"]] == [True] * 3
 
     def test_rejects_bad_denominator(self, capsys):
         code, report, err = run(capsys, "bound", "--n", "1", "--kmax", "1")
@@ -548,8 +646,9 @@ def _files(tmp_path) -> dict[str, str]:
         (["synth", "max-entangled", "--n", "0"], "--n 0"),
         (["synth", "max-entangled", "--n", "1"], "--n 1"),
         (["synth", "max-entangled", "--samples", "0"], "samples must be at least 1"),
-        (["synth", "bit-flip", "--samples", "0"], "--samples must be at least 1"),
-        (["synth", "bit-flip", "--samples", "-5"], "--samples must be at least 1, got -5"),
+        (["synth", "max-entangled", "--samples", "0"], "--samples must be at least 1"),
+        (["synth", "max-entangled", "--samples", "-5"], "--samples must be at least 1, got -5"),
+        (["synth", "bit-flip", "--samples", "7"], "unrecognized arguments: --samples 7"),
         (["bound", "--n", "2", "--kmax=0"], "--kmax must be at least 1, got 0"),
         (["bound", "--n", "0"], "--n must be at least 2, got 0"),
         (["bound", "--n", "3", "--seed", "-1"], "--seed must be non-negative, got -1"),
@@ -610,7 +709,7 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
         (["bound", "--n", "2"], "--budget", 0),
         (["wphase"], "--random-samples", 0),
         (["wphase"], "--random-samples", 2**18),
-        (["synth", "bit-flip"], "--samples", 1),
+        (["synth", "max-entangled"], "--samples", 1),
         (["verify", "box.json"], "--seed", 0),
     ],
 )
@@ -911,7 +1010,9 @@ def test_one_parser_serves_every_call_without_leaking_state(capsys):
     assert "verify" in capsys.readouterr().out
     code, report, _ = run(capsys, "verify", box)
     assert (code, report["tolerance"]) == (0, TOLERANCE)
-    for argv, samples in ((["synth", "bit-flip", "--samples", "7"], 7), (["synth", "bit-flip"], 1000)):
+    for argv, samples in (
+        (["synth", "max-entangled", "--samples", "7"], 7), (["synth", "max-entangled"], 1000),
+    ):
         code, report, _ = run(capsys, *argv)
         assert (code, report["samples"]) == (0, samples), argv
     assert cli._parser.cache_info().misses == 1
