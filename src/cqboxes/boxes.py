@@ -6,6 +6,12 @@ classical output per party according to a conditional probability table;
 a C-Q box returns a joint quantum state.  Both kinds are non-signalling
 when every proper subgroup of parties sees statistics (or a reduced
 state) that do not depend on the inputs of the complementary parties.
+The checks decide this from the k leave-one-out groups alone, the k - 1
+parties other than each party j, whose view must not depend on x_j: every
+smaller group's view is a marginal (or partial trace) of one of theirs
+(Barrett et al., PRA 71, 022101 (2005)).  Marginals and partial traces
+contract distances, so a box within ``tol`` on the leave-one-out groups is
+within (k - 1) ``tol`` on every proper subgroup.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -421,76 +427,69 @@ def _outside_pairs(outside: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(index, int) for index in np.triu_indices(outside, 1))
 
 
-def _proper_subgroups(k: int) -> list[tuple[int, ...]]:
-    return [group for r in range(1, k) for group in itertools.combinations(range(k), r)]
-
-
 def _subgroup_sweep(
     input_sizes: tuple[int, ...],
-    views: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    view: Callable[[int], np.ndarray],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
-    """No-signalling distances of a family of boxes, shared by both box kinds.
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]]:
+    """No-signalling distances of a family of boxes, shared by both box kinds,
+    over the leave-one-out groups: for each party j, the other k - 1 parties,
+    whose view must not depend on x_j.
 
-    ``views`` yields ``(subgroup, stack)`` pairs, one per proper subgroup:
-    the subgroup's view (output marginal or reduced state) for every family
-    member and input setting, shape ``(F,) + input_sizes + view``.
+    ``view(j)`` is that group's view (output marginal or reduced state) for
+    every family member and input setting, shape ``(F,) + input_sizes + view``.
     ``distance`` maps two equal-shaped stacks of views to their distances.
-    Yields, per pair in the order given, ``(subgroup, complement, first,
-    second, dists)``: ``dists`` has shape ``(F, own settings, outside
-    pairs)``, own settings in product order, and pair j compares outside
-    settings ``first[j]`` and ``second[j]`` in ``itertools.combinations``
-    order.  No stack is held past its distances, so a generator of views
-    can free what they share before it builds the next one.
+    Yields, per j from k - 1 down to 0 (the groups in combinations order;
+    a single party has none), ``(group, first, second, dists)``:
+    ``dists`` has shape ``(F, own settings, pairs of x_j)``, own settings in
+    product order, and pair p compares x_j = ``first[p]`` with ``second[p]``
+    in ``itertools.combinations`` order.  No view is held past its
+    distances, so only one is alive at a time.
     """
     k = len(input_sizes)
-    for subgroup, stack in views:
-        complement = tuple(i for i in range(k) if i not in subgroup)
-        order = tuple(1 + i for i in subgroup + complement)
-        stack = stack.transpose((0,) + order + tuple(range(k + 1, stack.ndim)))
-        # rows: own input settings; columns: outside input settings
-        own = math.prod(input_sizes[i] for i in subgroup)
-        outside = math.prod(input_sizes[i] for i in complement)
-        stack = stack.reshape((len(stack), own, outside) + stack.shape[k + 1 :])
-        first, second = _outside_pairs(outside)
+    for j in reversed(range(k)) if k > 1 else ():
+        group = tuple(i for i in range(k) if i != j)
+        stack = view(j)
+        # rows: the group's input settings; columns: party j's inputs
+        stack = stack.transpose((0, *(1 + i for i in group), 1 + j, *range(k + 1, stack.ndim)))
+        own = math.prod(input_sizes) // input_sizes[j]
+        stack = stack.reshape((len(stack), own, input_sizes[j]) + stack.shape[k + 1 :])
+        first, second = _outside_pairs(input_sizes[j])
         dists = distance(stack[:, :, first], stack[:, :, second])
         del stack
-        yield subgroup, complement, first, second, dists
+        yield group, first, second, dists
 
 
 def _report(
     input_sizes: tuple[int, ...],
     labels: Sequence[str],
-    views: Iterable[tuple[tuple[int, ...], np.ndarray]],
+    view: Callable[[int], np.ndarray],
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tol: float,
 ) -> NoSignallingReport:
-    """One box's sweep (a family of one) with its witnesses: per subgroup in
-    ``_proper_subgroups`` order, whatever the order of ``views``, own inputs
-    in product order, then outside pairs in combinations order.  A ``tol``
-    that is no tolerance is refused before any view is built."""
+    """One box's leave-one-out sweep (a family of one) with its witnesses:
+    per group in combinations order (party k - 1 left out first), own inputs
+    in product order, then pairs of the left-out party's inputs in
+    combinations order.  A ``tol`` that is no tolerance is refused before
+    any view is built."""
     _check_tolerance(tol)
     worst = 0.0
-    found: dict[tuple[int, ...], list[Witness]] = {}
-    for subgroup, complement, first, second, dists in _subgroup_sweep(input_sizes, views, distance):
+    witnesses = []
+    for group, first, second, dists in _subgroup_sweep(input_sizes, view, distance):
         dists = dists[0]
         worst = max(worst, float(dists.max(initial=0.0)))
-        own = list(np.ndindex(*(input_sizes[i] for i in subgroup)))
-        outside = list(np.ndindex(*(input_sizes[i] for i in complement)))
+        own = list(np.ndindex(*(input_sizes[i] for i in group)))
         for row, pair in zip(*np.nonzero(dists > tol)):
-            found.setdefault(subgroup, []).append(
+            witnesses.append(
                 Witness(
-                    subgroup=tuple(labels[i] for i in subgroup),
+                    subgroup=tuple(labels[i] for i in group),
                     subgroup_inputs=own[row],
-                    outside_inputs=(outside[first[pair]], outside[second[pair]]),
+                    outside_inputs=((int(first[pair]),), (int(second[pair]),)),
                     violation=float(dists[row, pair]),
                 )
             )
     return NoSignallingReport(
-        passed=worst <= tol,
-        worst_violation=worst,
-        witnesses=tuple(w for g in _proper_subgroups(len(input_sizes)) for w in found.get(g, ())),
-        tolerance=tol,
+        passed=worst <= tol, worst_violation=worst, witnesses=tuple(witnesses), tolerance=tol
     )
 
 
@@ -499,36 +498,40 @@ def _trace_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def cc_no_signalling(box: CCBox, tol: float = TOLERANCE) -> NoSignallingReport:
-    """Check that every proper subgroup's output marginal, given its own
-    inputs, is independent of the complementary parties' inputs."""
+    """Check that every leave-one-out group's output marginal, given its own
+    inputs, is independent of the left-out party's input; a box within
+    ``tol`` there is within (k - 1) ``tol`` on every proper subgroup."""
     k = box.parties
     sizes = tuple(box.input_sizes)
 
-    def marginals():
-        for group in _proper_subgroups(k):
-            # sum out the outside parties' outputs, flatten the subgroup's
-            marg = box.table.sum(axis=tuple(k + i for i in range(k) if i not in group))
-            yield group, marg.reshape((1,) + sizes + (-1,))
+    def marginal(j):  # sum out party j's output, flatten the others'
+        return box.table.sum(axis=k + j).reshape((1,) + sizes + (-1,))
 
     def total_variation(p, q):
         return 0.5 * np.sum(np.abs(p - q), axis=-1)
 
     labels = tuple(chr(ord("A") + i) for i in range(k))
-    return _report(sizes, labels, marginals(), total_variation, tol)
+    return _report(sizes, labels, marginal, total_variation, tol)
 
 
 def cq_no_signalling(box: CQBox, tol: float = TOLERANCE) -> NoSignallingReport:
-    """Check that every proper subgroup's reduced state, given its own
-    inputs, is independent (in trace distance) of the outside inputs.  A pure
-    box is swept from its vectors, so its D x D ``matrices`` are never built."""
+    """Check that every leave-one-out group's reduced state, given its own
+    inputs, is independent (in trace distance) of the left-out party's
+    input; a box within ``tol`` there is within (k - 1) ``tol`` on every
+    proper subgroup.  A pure box is swept from its vectors, so its D x D
+    ``matrices`` are never built."""
+    reduced = functools.partial(_reduced, box)
+    return _report(box.input_sizes, box.structure.labels, reduced, _trace_distances, tol)
+
+
+def _reduced(box: CQBox, j: int) -> np.ndarray:
+    """The box's outputs with party j traced out, shape ``(1,) + input_sizes
+    + (D/d_j, D/d_j)``: summed from a pure box's vectors, so that no D x D
+    stack is built, else traced from its matrices."""
     dims = box.structure.dims
-    parties = range(len(dims))
-    if box.amplitudes is None:
-        stack = box.matrices[None]
-        sources = (partial_trace_array(stack, dims, [i for i in parties if i != j]) for j in parties)
-    else:
-        sources = (_reduced_without(box.amplitudes[None], dims, j) for j in parties)
-    return _report(box.input_sizes, box.structure.labels, _views(dims, sources), _trace_distances, tol)
+    if box.amplitudes is not None:
+        return _reduced_without(box.amplitudes[None], dims, j)
+    return partial_trace_array(box.matrices[None], dims, [i for i in range(len(dims)) if i != j])
 
 
 def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndarray:
@@ -550,25 +553,6 @@ def _reduced_without(amps: np.ndarray, dims: tuple[int, ...], j: int) -> np.ndar
     return states
 
 
-def _views(
-    dims: tuple[int, ...], sources: Iterator[np.ndarray]
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """``(subgroup, reduced states)`` of every proper subgroup of a stack over
-    party dims ``dims``.  ``sources`` yields for j = 0, 1, ... the states
-    without party j, ``(..., D/d_j, D/d_j)``; the subgroups whose last outside
-    party is j are traced from it, bit for bit as from the D x D stack, in
-    ``_proper_subgroups`` order, and it is dropped before the next is read."""
-    groups = _proper_subgroups(k := len(dims))
-    for j in range(k):  # not enumerate, whose reused tuple would hold the last source
-        source = next(sources)
-        rest = dims[:j] + dims[j + 1 :]
-        for group in groups:
-            if j not in group and set(range(j + 1, k)).issubset(group):
-                keep = [i - (i > j) for i in group]
-                yield group, source if len(keep) == k - 1 else partial_trace_array(source, rest, keep)
-        del source
-
-
 def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) -> np.ndarray:
     """Worst no-signalling violation of each pure-output C-Q box in a family.
 
@@ -576,8 +560,8 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
     ``(F,) + input_sizes + (D,)`` with one input axis per party of
     ``structure``.  The vectors are validated as ``CQBox`` validates one
     box, with the same messages, and no D x D matrix is built: the sweep
-    runs once per proper subgroup for the whole family, on ``_views`` of
-    the sums of ``_reduced_without``, as for one pure box.  Entry f equals
+    runs once per leave-one-out group for the whole family, on the sums of
+    ``_reduced_without``, as for one pure box.  Entry f equals
     ``cq_no_signalling(box_f).worst_violation`` bit for bit.
     """
     amps = np.asarray(amplitudes)
@@ -592,9 +576,8 @@ def family_worst_violation(amplitudes: np.ndarray, structure: PartyStructure) ->
         np.array(amps, dtype=complex), amps.shape[:1] + sizes + (capped_dim(structure),), invalid_pure
     )
     worst = np.zeros(len(amps))
-    # the family max is an exact fmax, so the subgroups may come in any order
-    views = _views(structure.dims, (_reduced_without(amps, structure.dims, j) for j in range(k)))
-    for *_, dists in _subgroup_sweep(sizes, views, _trace_distances):
+    reduced = functools.partial(_reduced_without, amps, structure.dims)
+    for *_, dists in _subgroup_sweep(sizes, reduced, _trace_distances):
         # fmax skips a NaN distance as the single-box max(worst, ...) does
         worst = np.fmax(worst, dists.max(axis=(1, 2), initial=0.0))
     return worst

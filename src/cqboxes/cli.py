@@ -67,6 +67,7 @@ MAX_WITNESSES = 10
 BOUND_ALPHABET_CAP = 4
 BOUND_KMAX_CAP = 64  # every row with k >= n already has value 1
 THEOREM_FAMILY_CAP = 2**18  # families per side of a theorem sweep: --grid of at most 8 values
+THEOREM_RANDOM_SAMPLES = 40  # --random-samples when theorem mode is not given one
 
 
 def _finite_float(text: str) -> float:
@@ -259,7 +260,8 @@ def _irrational_phase(args) -> dict:
         "tolerance": min(1.0, math.sqrt(bound)),
         "certificate": {
             "error_bound": bound,
-            "numerator": round(args.n * args.theta),
+            # the residue the strategy's phase uses: a huge theta prints no huge integer
+            "numerator": round(args.n * args.theta) % args.n,
             "denominator": args.n,
         },
     }
@@ -268,11 +270,14 @@ def _irrational_phase(args) -> dict:
 def _max_entangled(args) -> dict:
     # the report names whichever of --target and --n made the targets
     if args.target:
+        if args.n is not None:
+            raise ValueError("--n does not apply with --target, whose outputs fix the dimension")
         target, built = _target_file(args)
         built["parameters"] = {"target": args.target}
         targets = _unitaries_from_box(target)
     else:
-        if (n := args.n) < 2 or n * n > MAX_TENSOR_DIM:
+        n = _SYNTH_FLAGS["n"]["default"] if args.n is None else args.n
+        if n < 2 or n * n > MAX_TENSOR_DIM:
             raise ValueError(f"--n {n} must give a joint dimension n^2 from 4 to {MAX_TENSOR_DIM}")
         rng = np.random.default_rng(args.seed)
         # the four draws of haar_unitary(n, rng), as one stack
@@ -470,6 +475,9 @@ def _cmd_wphase(args) -> tuple[dict, int]:
     if args.mode == "single":
         if not args.assignment:
             raise ValueError("single mode requires an assignment file")
+        for flag, value in (("--grid", args.grid), ("--random-samples", args.random_samples)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to theorem mode only")
         assignment = _load_assignment(args.assignment)
         body, passed = _verify_report(w_phase_box(assignment), args.tol)
         decomposition = is_local_equivalent(assignment, args.tol)
@@ -493,7 +501,8 @@ def _cmd_wphase(args) -> tuple[dict, int]:
             f"--grid of {len(grid)} values makes {len(grid)}^6 local families, "
             f"above the cap of {THEOREM_FAMILY_CAP}"
         )
-    kwargs = {"random_samples": args.random_samples, "seed": args.seed, "tol": args.tol}
+    samples = THEOREM_RANDOM_SAMPLES if args.random_samples is None else args.random_samples
+    kwargs = {"random_samples": samples, "seed": args.seed, "tol": args.tol}
     record = {"grid": grid, **kwargs}
     if grid is not None:
         kwargs["grid_values"] = grid
@@ -572,6 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
             entry.add_argument(f"--{flag}", **_SYNTH_FLAGS[flag])
         entry.add_argument("--out", help="write the synthesised box document here")
         entry.add_argument("--target-out", help="write the analytic target box document here")
+    # max-entangled reads --n only without --target, so it must see whether --n was given
+    constructions.choices["max-entangled"].set_defaults(n=None)
 
     bound = sub.add_parser(
         "bound", parents=[common], help="best-fidelity frontier for restricted output alphabets"
@@ -606,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", type=_finite_floats, help="comma-separated per-party phase grid values"
     )
     wphase.add_argument(
-        "--random-samples", type=int, action=_int_in(0, THEOREM_FAMILY_CAP), default=40
+        "--random-samples", type=int, action=_int_in(0, THEOREM_FAMILY_CAP),
+        help=f"random families per side of the theorem (default {THEOREM_RANDOM_SAMPLES})",
     )
 
     return parser

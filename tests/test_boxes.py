@@ -768,9 +768,11 @@ class TestMixBoxes:
                 mix_boxes([(0.5, box) for box in boxes])
 
 
-# Reference no-signalling checks: one Python loop per subgroup, own input
-# setting and outside input pair.  The array sweep behind cc_no_signalling
-# and cq_no_signalling must reproduce them exactly.
+# Reference no-signalling checks: one Python loop per proper subgroup, own
+# input setting and outside input pair, over all 2^k - 2 subgroups.  The
+# array sweep behind cc_no_signalling and cq_no_signalling checks only the k
+# leave-one-out groups: it must reproduce the reference restricted to them
+# exactly, and bound the reference over every subgroup by a factor k - 1.
 
 
 def _reference_subgroups(k: int) -> list[tuple[int, ...]]:
@@ -780,14 +782,21 @@ def _reference_subgroups(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def reference_cc_no_signalling(box: CCBox, tol: float) -> NoSignallingReport:
+def _leave_one_out(k: int) -> list[tuple[int, ...]]:
+    """The groups of k - 1 parties, in ``_reference_subgroups`` order."""
+    return [group for group in _reference_subgroups(k) if len(group) == k - 1]
+
+
+def reference_cc_sweep(box: CCBox, tol: float) -> dict:
+    """Per proper subgroup, in ``_reference_subgroups`` order: its worst
+    violation and its witnesses above ``tol``."""
     k = box.parties
     labels = tuple(chr(ord("A") + i) for i in range(k))
-    worst = 0.0
-    witnesses: list[Witness] = []
+    sweep = {}
     for subgroup in _reference_subgroups(k):
         complement = tuple(i for i in range(k) if i not in subgroup)
         marg = box.table.sum(axis=tuple(k + i for i in complement))
+        worst, witnesses = 0.0, []
         for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
             dists = []
             for outside in itertools.product(
@@ -806,17 +815,19 @@ def reference_cc_no_signalling(box: CCBox, tol: float) -> NoSignallingReport:
                     witnesses.append(
                         Witness(tuple(labels[i] for i in subgroup), own, (o1, o2), d)
                     )
-    return NoSignallingReport(worst <= tol, worst, tuple(witnesses), tol)
+        sweep[subgroup] = (worst, witnesses)
+    return sweep
 
 
-def reference_cq_no_signalling(box: CQBox, tol: float) -> NoSignallingReport:
+def reference_cq_sweep(box: CQBox, tol: float) -> dict:
+    """``reference_cc_sweep`` for a C-Q box, in trace distance."""
     k = len(box.input_sizes)
     labels = box.structure.labels
-    worst = 0.0
-    witnesses: list[Witness] = []
+    sweep = {}
     for subgroup in _reference_subgroups(k):
         keep = [labels[i] for i in subgroup]
         complement = tuple(i for i in range(k) if i not in subgroup)
+        worst, witnesses = 0.0, []
         for own in itertools.product(*(range(box.input_sizes[i]) for i in subgroup)):
             reduced = []
             for outside in itertools.product(
@@ -833,7 +844,19 @@ def reference_cq_no_signalling(box: CQBox, tol: float) -> NoSignallingReport:
                 worst = max(worst, d)
                 if d > tol:
                     witnesses.append(Witness(tuple(keep), own, (o1, o2), d))
-    return NoSignallingReport(worst <= tol, worst, tuple(witnesses), tol)
+        sweep[subgroup] = (worst, witnesses)
+    return sweep
+
+
+def reference_report(sweep: dict, tol: float, groups: list) -> NoSignallingReport:
+    """The reference report over ``groups``, witnesses in their order."""
+    worst = max((sweep[g][0] for g in groups), default=0.0)
+    witnesses = tuple(w for g in groups for w in sweep[g][1])
+    return NoSignallingReport(worst <= tol, worst, witnesses, tol)
+
+
+def reference_sweep(box, tol: float) -> dict:
+    return (reference_cc_sweep if isinstance(box, CCBox) else reference_cq_sweep)(box, tol)
 
 
 def assert_same_report(report: NoSignallingReport, reference: NoSignallingReport) -> None:
@@ -843,11 +866,32 @@ def assert_same_report(report: NoSignallingReport, reference: NoSignallingReport
     assert report.tolerance == reference.tolerance
 
 
+# Rounding room of loo <= all <= (k - 1) loo: the bound holds for exact
+# views, and a local box's distances are rounding, of a few ulps of 1 each.
+# Over 20,000 random 3- and 4-party boxes (local, kicked by a weight of
+# 1e-6 to 0.1 of a random box, or random) all - (k - 1) loo was at most
+# 1.1e-16; all exceeded loo on 3,149 of them, by a factor of up to 1.85.
+RELATION_SLACK = 64 * np.finfo(float).eps
+
+
+def assert_leave_one_out_bound(loo: float, every: float, k: int) -> None:
+    """loo <= all <= (k - 1) loo: each proper subgroup's view is a marginal
+    (or partial trace) of a leave-one-out group's, which contracts distance,
+    and changing its at most k - 1 outside inputs one at a time moves it by
+    at most loo each time."""
+    assert loo <= every <= (k - 1) * loo + RELATION_SLACK, (loo, every)
+
+
 def check_against_reference(box, tol: float) -> None:
-    if isinstance(box, CCBox):
-        assert_same_report(cc_no_signalling(box, tol=tol), reference_cc_no_signalling(box, tol))
-    else:
-        assert_same_report(cq_no_signalling(box, tol=tol), reference_cq_no_signalling(box, tol))
+    """The sweep's report is the reference's over the leave-one-out groups,
+    bit for bit, and bounds the reference's worst over every subgroup."""
+    check = cc_no_signalling if isinstance(box, CCBox) else cq_no_signalling
+    report = check(box, tol=tol)
+    sweep = reference_sweep(box, tol)
+    k = len(box.input_sizes)
+    assert_same_report(report, reference_report(sweep, tol, _leave_one_out(k)))
+    every = max(worst for worst, _ in sweep.values())
+    assert_leave_one_out_bound(report.worst_violation, every, k)
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -855,6 +899,9 @@ BOX_FIXTURES = sorted(
     path.name for path in FIXTURES.glob("*.json") if '"kind"' in path.read_text()
 )
 TOLERANCES = (0.0, 1e-12, TOLERANCE, 1e-3, 0.2, 1.0)
+# the weight of a random box mixed into a local one: none, a small kick
+# (where a smaller subgroup may see more than every leave-one-out group), all
+KICKS = (0.0, 1e-3, 1.0)
 
 
 def _random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -864,51 +911,71 @@ def _random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def random_unit_vectors(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def local_vectors(rng: np.random.Generator, inputs: tuple, dims: tuple, families: int) -> np.ndarray:
+    """``(families,) + inputs + (D,)`` products of per-party unit vectors,
+    each chosen by its party's own input."""
+    amps = np.ones((families,) + inputs + (1,), dtype=complex)
+    for j, (n, d) in enumerate(zip(inputs, dims)):
+        shape = [families] + [1] * len(inputs) + [d]
+        shape[1 + j] = n
+        amps = (amps[..., :, None] * random_unit_vectors(rng, tuple(shape))[..., None, :]).reshape(
+            amps.shape[:-1] + (-1,)
+        )
+    return amps
+
+
 @st.composite
-def sizes_and_rng(draw):
+def sizes_and_rng(draw, parties=st.integers(2, 4), kicks=st.sampled_from(KICKS)):
     """Input sizes 1-3 (1-2 for four parties) and local output sizes (or
-    dimensions) 1-2 for 2-4 parties, a seeded generator, and whether to
-    build a local box."""
-    k = draw(st.integers(2, 4))
+    dimensions) 1-2 for 2-4 parties, a seeded generator, and the weight of
+    a random box mixed into a local one."""
+    k = draw(parties)
     inputs = tuple(draw(st.integers(1, 2 if k == 4 else 3)) for _ in range(k))
     outputs = tuple(draw(st.integers(1, 2)) for _ in range(k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return inputs, outputs, rng, draw(st.booleans())
+    return inputs, outputs, rng, draw(kicks)
 
 
 @st.composite
-def cc_tables(draw) -> CCBox:
-    inputs, outputs, rng, local = draw(sizes_and_rng())
+def cc_tables(draw, parties=st.integers(2, 4), kicks=st.sampled_from(KICKS)) -> CCBox:
+    inputs, outputs, rng, kick = draw(sizes_and_rng(parties, kicks))
     k = len(inputs)
-    if local:  # product of per-party conditionals: non-signalling up to rounding
-        table = np.ones(inputs + outputs)
-        for j in range(k):
-            cond = rng.random((inputs[j], outputs[j]))
-            shape = [1] * (2 * k)
-            shape[j], shape[k + j] = inputs[j], outputs[j]
-            table = table * (cond / cond.sum(axis=1, keepdims=True)).reshape(shape)
-    else:
-        table = rng.random(inputs + outputs)
-        sums = table.reshape(inputs + (-1,)).sum(axis=-1)
-        table = table / sums.reshape(inputs + (1,) * k)
-    return CCBox(inputs, outputs, table)
+    # product of per-party conditionals: non-signalling up to rounding
+    local = np.ones(inputs + outputs)
+    for j in range(k):
+        cond = rng.random((inputs[j], outputs[j]))
+        shape = [1] * (2 * k)
+        shape[j], shape[k + j] = inputs[j], outputs[j]
+        local = local * (cond / cond.sum(axis=1, keepdims=True)).reshape(shape)
+    noise = rng.random(inputs + outputs)
+    noise = noise / noise.reshape(inputs + (-1,)).sum(axis=-1).reshape(inputs + (1,) * k)
+    return CCBox(inputs, outputs, (1 - kick) * local + kick * noise)
 
 
 @st.composite
-def cq_boxes(draw) -> CQBox:
-    inputs, dims, rng, local = draw(sizes_and_rng())
+def cq_boxes(draw, parties=st.integers(2, 4), kicks=st.sampled_from(KICKS)) -> CQBox:
+    """Pure boxes stored as amplitudes and mixed ones stored as matrices."""
+    inputs, dims, rng, kick = draw(sizes_and_rng(parties, kicks))
     structure = PartyStructure(tuple(zip("ABCD", dims)))
-    if local:  # product of per-party states chosen by each party's own input
-        states = [[_random_density(rng, d) for _ in range(n)] for n, d in zip(inputs, dims)]
+    d = structure.total_dim
+    if draw(st.booleans()):
+        amps = (1 - kick) * local_vectors(rng, inputs, dims, 1)[0]
+        amps += kick * random_unit_vectors(rng, inputs + (d,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        return CQBox(inputs, structure, amplitudes=amps)
+    # product of per-party states chosen by each party's own input
+    states = [[_random_density(rng, n) for _ in range(x)] for x, n in zip(inputs, dims)]
     outputs = {}
     for key in itertools.product(*(range(n) for n in inputs)):
-        if local:
-            mat = np.array([[1.0]], dtype=complex)
-            for j, x in enumerate(key):
-                mat = np.kron(mat, states[j][x])
-        else:
-            mat = _random_density(rng, structure.total_dim)
-        outputs[key] = DensityMatrix(mat, structure)
+        mat = np.array([[1.0]], dtype=complex)
+        for j, x in enumerate(key):
+            mat = np.kron(mat, states[j][x])
+        outputs[key] = (1 - kick) * mat + kick * _random_density(rng, d)
     return CQBox.from_outputs(inputs, structure, outputs)
 
 
@@ -930,31 +997,40 @@ class TestSweepMatchesReference:
         check_against_reference(box, tol)
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        box=st.one_of(
+            cc_tables(st.integers(3, 4), st.floats(1e-6, 0.1)),
+            cq_boxes(st.integers(3, 4), st.floats(1e-6, 0.1)),
+        )
+    )
+    def test_leave_one_out_bounds_every_subgroup(self, box):
+        """loo <= all <= (k - 1) loo on 3- and 4-party boxes near a local
+        one, where a smaller subgroup can see more than any leave-one-out
+        group; C-C tables and pure and mixed C-Q boxes."""
+        check = cc_no_signalling if isinstance(box, CCBox) else cq_no_signalling
+        every = max(worst for worst, _ in reference_sweep(box, TOLERANCE).values())
+        assert_leave_one_out_bound(check(box).worst_violation, every, len(box.input_sizes))
+
+    @settings(max_examples=60, deadline=None)
     @given(setup=sizes_and_rng(), families=st.integers(1, 4))
     def test_random_pure_families(self, setup, families):
-        """Each family member's worst violation equals the reference loop's."""
-        inputs, dims, rng, local = setup
+        """Each family member's worst violation is its box's, bit for bit:
+        the reference's over the leave-one-out groups, within the bound of
+        the reference's over every subgroup."""
+        inputs, dims, rng, kick = setup
         structure = PartyStructure(tuple(zip("ABCD", dims)))
-
-        def unit(shape):
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-        if local:  # product of per-party vectors chosen by each party's own input
-            amps = np.ones((families,) + inputs + (1,), dtype=complex)
-            for j, (n, d) in enumerate(zip(inputs, dims)):
-                shape = [families] + [1] * len(inputs) + [d]
-                shape[1 + j] = n
-                amps = (amps[..., :, None] * unit(tuple(shape))[..., None, :]).reshape(
-                    amps.shape[:-1] + (-1,)
-                )
-        else:
-            amps = unit((families,) + inputs + (structure.total_dim,))
+        amps = (1 - kick) * local_vectors(rng, inputs, dims, families)
+        amps += kick * random_unit_vectors(rng, (families,) + inputs + (structure.total_dim,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
         worst = family_worst_violation(amps, structure)
         assert worst.shape == (families,)
+        k = len(inputs)
         for f in range(families):
             box = CQBox(inputs, structure, amplitudes=amps[f])
-            assert worst[f] == reference_cq_no_signalling(box, TOLERANCE).worst_violation
+            assert worst[f] == cq_no_signalling(box).worst_violation
+            sweep = reference_cq_sweep(box, TOLERANCE)
+            assert worst[f] == reference_report(sweep, TOLERANCE, _leave_one_out(k)).worst_violation
+            assert_leave_one_out_bound(worst[f], max(w for w, _ in sweep.values()), k)
 
     def test_family_stack_is_validated_as_boxes_are(self):
         abc = PartyStructure.qubits("ABC")
@@ -971,47 +1047,40 @@ class TestSweepMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple),
-        batch=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+        families=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     # 1x1 states of one traced party of dim 4: sums in pairwise order
-    @example(dims=(1, 4, 1), batch=(2,), seed=1)
-    @example(dims=(1, 1, 1, 4), batch=(1, 3), seed=2)
-    def test_reduced_states_equal_traced_outer_products(self, dims, batch, seed):
-        """``_views`` of the (k-1)-party states that ``_reduced_without``
-        sums from pure stacks gives every proper keep set once, grouped by
-        the last party outside it, with states equal to
-        ``partial_trace_array`` of their outer products.  Each (k-1)-party
-        stack is built once, before its group, and freed before the next
-        one is built.  Dim-1 parties reach the ``d == 1`` branch."""
-        amps = random_unit_vectors(np.random.default_rng(seed), batch + (math.prod(dims),))
-        outer = amps[..., :, None] * amps[..., None, :].conj()
+    @example(dims=(1, 4, 1), families=2, seed=1)
+    @example(dims=(1, 1, 1, 4), families=3, seed=2)
+    def test_reduced_states_equal_traced_outer_products(self, dims, families, seed):
+        """``_reduced_without`` of a pure stack, for every left-out party j,
+        equals ``partial_trace_array`` of its outer products bit for bit,
+        and the sweep builds each j's states once, from j = k - 1 down (the
+        groups in combinations order), and frees them before it builds the
+        next.  Dim-1 parties reach the ``d == 1`` branch."""
+        rng = np.random.default_rng(seed)
         k = len(dims)
+        inputs = tuple(int(n) for n in rng.integers(1, 3, size=k))
+        amps = random_unit_vectors(rng, (families,) + inputs + (math.prod(dims),))
+        outer = amps[..., :, None] * amps[..., None, :].conj()
+        for j in range(k):
+            keep = [i for i in range(k) if i != j]
+            states = boxes._reduced_without(amps, dims, j)
+            assert np.array_equal(states, partial_trace_array(outer, dims, keep)), j
 
-        def source(keep):  # the last party outside keep, traced out first
-            return max(set(range(k)) - set(keep))
-
-        # a stable sort: combinations order within each source's group
-        order = sorted(_reference_subgroups(k), key=source)
         built, alive = [], []
 
-        def sources():
-            for j in range(k):
-                assert all(ref() is None for ref in alive), j
-                built.append(j)
-                states = boxes._reduced_without(amps, dims, j)
-                alive.append(weakref.ref(states))
-                yield states
-                del states
+        def view(j):
+            assert all(ref() is None for ref in alive), j
+            built.append(j)
+            states = boxes._reduced_without(amps, dims, j)
+            alive.append(weakref.ref(states))
+            return states
 
-        visited = []
-        for keep, state in boxes._views(dims, sources()):
-            visited.append(keep)
-            assert built[-1] == source(keep), keep
-            assert np.array_equal(state, partial_trace_array(outer, dims, keep)), keep
-            del state
-        assert visited == order
-        assert built == list(range(k))
+        groups = [group for group, *_ in boxes._subgroup_sweep(inputs, view, boxes._trace_distances)]
+        assert groups == _leave_one_out(k)
+        assert built == list(range(k - 1, -1, -1))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1023,44 +1092,37 @@ class TestSweepMatchesReference:
     @example(dims=(1, 1, 8), batch=(2, 2), seed=4)
     @example(dims=(2, 1), batch=(3,), seed=5)
     def test_views_equal_full_stack_traces(self, dims, batch, seed):
-        """``_views`` from matrix sources (a mixed stack and the outer
-        products of a pure one) and from vector sources gives each proper
-        subgroup once, each view equal to ``partial_trace_array`` of the
-        full D x D stack, the per-subgroup path it replaces."""
+        """The views the sweep reads, from a pure box's vectors and from a
+        mixed box's matrices, equal ``partial_trace_array`` of the full
+        D x D stack, the per-subgroup path they replace.  Every smaller
+        subgroup's view is a partial trace of a leave-one-out view, the one
+        without the subgroup's last outside party, bit for bit: the fact
+        that lets the sweep skip it."""
         rng = np.random.default_rng(seed)
         k = len(dims)
+        structure = PartyStructure(tuple(zip("ABCD", dims)))
         amps = random_unit_vectors(rng, (2,) + batch + (math.prod(dims),))
         pure, other = amps[..., :, None] * amps[..., None, :].conj()
         mixed = 0.25 * pure + 0.75 * other
-        vector_sources = (boxes._reduced_without(amps[0], dims, j) for j in range(k))
-        for stack, sources in [
-            (pure, vector_sources),
-            (pure, matrix_sources(pure, dims)),
-            (mixed, matrix_sources(mixed, dims)),
-        ]:
-            views = dict(reference_views(stack, dims))
-            seen = []
-            for group, state in boxes._views(dims, sources):
-                seen.append(group)
-                assert np.array_equal(state, views[group]), group
-            assert sorted(seen) == sorted(views)
-
-
-def random_unit_vectors(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-
-def reference_views(stack: np.ndarray, dims: tuple[int, ...]) -> list:
-    """The per-subgroup path ``_views`` replaced: each proper subgroup traced
-    from the full ``(..., D, D)`` stack, in ``_proper_subgroups`` order."""
-    return [(group, partial_trace_array(stack, dims, group)) for group in _reference_subgroups(len(dims))]
-
-
-def matrix_sources(stack: np.ndarray, dims: tuple[int, ...]):
-    """The (k-1)-party sources of a mixed box: party j traced from the stack."""
-    k = len(dims)
-    return (partial_trace_array(stack, dims, [i for i in range(k) if i != j]) for j in range(k))
+        inputs = batch + (1,) * (k - len(batch))  # one input axis per party
+        stacks = {"pure": pure.reshape(inputs + pure.shape[-2:]),
+                  "mixed": mixed.reshape(inputs + mixed.shape[-2:])}
+        cases = [
+            (CQBox(inputs, structure, amplitudes=amps[0].reshape(inputs + amps.shape[-1:])), "pure"),
+            (CQBox(inputs, structure, stacks["pure"]), "pure"),
+            (CQBox(inputs, structure, stacks["mixed"]), "mixed"),
+        ]
+        for box, name in cases:
+            full = stacks[name][None]
+            for j in range(k):
+                keep = [i for i in range(k) if i != j]
+                view = boxes._reduced(box, j)
+                assert np.array_equal(view, partial_trace_array(full, dims, keep)), (name, j)
+                rest = dims[:j] + dims[j + 1 :]
+                for group in _reference_subgroups(k):
+                    if j not in group and set(range(j + 1, k)) <= set(group):
+                        traced = partial_trace_array(view, rest, [i - (i > j) for i in group])
+                        assert np.array_equal(traced, partial_trace_array(full, dims, group)), group
 
 
 def test_pure_document_sweep_peak_memory(tmp_path):

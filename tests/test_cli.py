@@ -698,6 +698,35 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["wphase", "--mode", "single", "fixtures/w_assignment_table.json", "--grid", "0,1"], "--grid"),
+        (["wphase", "--mode", "single", "fixtures/w_assignment_table.json", "--grid", ""], "--grid"),
+        (["wphase", "--mode", "single", "fixtures/w_assignment_table.json", "--random-samples", "40"],
+         "--random-samples"),
+        (["synth", "max-entangled", "--target", "fixtures/max_entangled_family.json", "--n", "7"], "--n"),
+    ],
+)
+def test_flags_that_would_do_nothing_exit_2(capsys, monkeypatch, argv, flag):
+    """A flag the chosen mode would not read is refused, with one stderr
+    line naming it, even when it holds its default value."""
+    monkeypatch.chdir(ROOT)
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} "), err
+
+
+def test_irrational_phase_numerator_is_the_reduced_residue(capsys):
+    """The certificate's numerator is round(n theta) mod n, the residue the
+    strategy's phase uses, however many turns theta holds."""
+    for theta, n, numerator in [("1e300", "2", 0), ("0.3", "64", 19), ("-0.3", "64", 45),
+                                ("7.25", "4", 1)]:
+        code, report, _ = run(capsys, "synth", "irrational-phase", "--theta", theta, "--n", n)
+        assert code == 0
+        assert report["certificate"]["numerator"] == numerator, theta
+
+
 @pytest.mark.parametrize("spelling", ["{flag} {value}", "{flag}={value}"])
 @pytest.mark.parametrize(
     "command, flag, value",
