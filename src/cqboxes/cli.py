@@ -59,7 +59,7 @@ from cqboxes.synthesis import (
     phase_family_box,
     rational_phase_strategy,
     sign_flip_strategy,
-    simulate,
+    simulate_checked,
     unitary_family_box,
 )
 
@@ -347,7 +347,7 @@ _SYNTH_FLAGS = {
     "phases": {"default": "{}", "help": 'JSON object of exact phases, e.g. {"1,1,0": "1/4"}'},
     "target": {"help": "target box document (max-entangled, general-pure, mixed-disordered)"},
     "samples": {"type": int, "action": _int_in(1), "default": 1000,
-                "help": "samples for coupling strategies"},
+                "help": "Haar draws that check a coupling strategy's exact output"},
 }
 
 # construction name -> (builder, the synth flags it reads), which is all that
@@ -374,7 +374,7 @@ def _cmd_synth(args) -> tuple[dict, int]:
     builder, flags = _CONSTRUCTIONS[args.construction]
     parameters = {flag: getattr(args, flag) for flag in flags if flag != "samples"}
     built = {**_SYNTH_DEFAULTS, "parameters": parameters, **builder(args)}
-    box = simulate(built["strategy"], samples=args.samples, seed=args.seed)
+    box, draws = simulate_checked(built["strategy"], samples=args.samples, seed=args.seed)
     distance = cq_box_distance(box, built["target"])
     body, ns_passed = _verify_report(box, args.tol)
     record = {
@@ -400,7 +400,14 @@ def _cmd_synth(args) -> tuple[dict, int]:
     if args.target_out:
         save_box(built["target"], args.target_out, metadata)
         report["target_output"] = args.target_out
-    passed = ns_passed and distance <= built["tolerance"]
+    # each draw's state lies within its spread of the exact one, so the
+    # sampled mixture lies within the largest spread of it
+    passed = ns_passed and distance + draws.spread <= built["tolerance"]
+    if not passed and draws.draw is not None:
+        spread = draws.spread if math.isfinite(draws.spread) else None
+        report["draw_check"] = {"draw": draws.draw, "spread": spread}
+        if draws.interval is not None:
+            report["draw_check"]["interval"] = draws.interval
     return report, 0 if passed else 1
 
 

@@ -10,10 +10,16 @@ by its own input, or as U alone where the strategy has no dressing.
 Simulating a strategy averages the resulting states over the box's
 output distribution, which yields a quantum-output box that is
 non-signalling whenever the classical box is.  A finite box's states
-are its support's unitaries applied party by party; a Haar coupling's
-are formed per chunk of draws V, from one core (B V) Psi^T V^+ per own
-input of Bob (B his dressing, Psi the shared state as a matrix), times
-Alice's dressed relabel in one product per input tuple.
+are its support's unitaries applied party by party.  A Haar coupling's
+are exact: its shared state Psi, as a d x d matrix, is c_b times the
+identity on each coupling block b, so every draw V leaves it as
+conj(V) Psi V^T = Psi, the core lemma (T U x U*)|phi+> = (T x 1)|phi+>
+per block, and the output at each input is the pure state A Psi B^T of
+Alice's dressed relabel A and Bob's dressing B.  The seeded draws check
+that invariance: each draw's spread ||conj(V) Psi V^T - Psi||_F bounds its
+state's trace distance from the exact one at every input, and ``synth``
+passes only if the target distance plus the largest spread is within its
+tolerance.
 
 The constructors in this module build strategies for several families of
 target boxes: phase rotations of a two-level entangled state driven by
@@ -73,7 +79,9 @@ from cqboxes.quantum import (
 __all__ = [
     "Strategy",
     "MixtureSchedule",
+    "DrawCheck",
     "simulate",
+    "simulate_checked",
     "sample_states",
     "phase_family_box",
     "nonmax_family_box",
@@ -105,10 +113,11 @@ class Strategy:
     coupling the output is a sampled ``(d_j, d_j)`` unitary U; party j
     applies ``unitaries[j][x] @ U`` for its ``(m_j, d_j, d_j)`` dressing,
     and a None dressing applies nothing; such a coupling drives two
-    parties.  Both kinds give one weighted stack of state vectors per
-    input, which ``simulate`` sums: a finite box's from its support, a
-    Haar coupling's from one core of Bob's per chunk of draws and own
-    input (see ``_coupled_vectors``).
+    parties, and its shared state, as a d x d matrix Psi, must be c_b
+    times the identity on each coupling block b within ``TOLERANCE`` (a
+    fault names the first block).  That precondition is the core lemma's:
+    every draw V leaves Psi as conj(V) Psi V^T = Psi, so ``simulate`` gives
+    the coupling its exact pure output and runs the draws as a check only.
     """
 
     ccbox: CCBox | HaarCouplingBox
@@ -133,12 +142,34 @@ class Strategy:
                 raise ValueError(f"party {label}'s dimension {d} is not the coupling's {dim}")
             if (table is not None or not haar) and (got := np.shape(table)) != lead + (d, d):
                 raise ValueError(f"party {label}'s unitary table must be {lead + (d, d)}, got {got}")
+        if haar and (block := _first_unscaled_block(self.shared, self.ccbox.block_dims)):
+            raise ValueError(
+                f"shared state is not a multiple of the identity on coupling block {block[0]} "
+                f"(deviation {block[1]:.3e})"
+            )
         frozen = tuple(a if a is None else _frozen(a) for a in self.unitaries)
         object.__setattr__(self, "unitaries", frozen)
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
         return tuple(self.ccbox.input_sizes)
+
+
+def _first_unscaled_block(shared: StateVector, block_dims: tuple[int, ...]) -> tuple[int, float] | None:
+    """(block, deviation) of the first coupling block b on whose rows the
+    shared state, as a d x d matrix Psi, is not c_b times the identity
+    within ``TOLERANCE``, c_b the mean of the block's diagonal; or None.
+    The deviation is the block rows' largest entry of |Psi - c_b 1|."""
+    d = sum(block_dims)
+    psi = shared.amplitudes.reshape(d, d)
+    starts = np.cumsum((0,) + block_dims[:-1])
+    scale = np.add.reduceat(psi.diagonal(), starts) / block_dims
+    rows = np.abs(psi - np.diag(np.repeat(scale, block_dims))).max(axis=1)
+    deviation = np.maximum.reduceat(rows, starts)
+    if (deviation <= TOLERANCE).all():
+        return None
+    block = int(np.argmax(deviation > TOLERANCE))
+    return block, float(deviation[block])
 
 
 # complex entries per chunk array of vectors or unitary stacks (256 KB):
@@ -161,47 +192,11 @@ def _weighted_unitaries(strategy: Strategy) -> Iterator[tuple]:
             yield key, stacks, table[key][rows]
 
 
-def _bob_cores(bases: np.ndarray, shared_t: np.ndarray, dressing: np.ndarray | None) -> np.ndarray:
-    """The cores D V Psi^T V^+ of a ``(S, d, d)`` chunk of draws V, for the
-    transpose ``shared_t`` of the shared state as a d x d matrix Psi: one
-    ``(S, d, d)`` stack per own input of Bob, each dressed by his
-    ``dressing[y]`` = D, or a single undressed stack where he has none."""
-    # V Psi^T as one tall product, then one stacked product with V^+
-    core = (bases.reshape(-1, bases.shape[-1]) @ shared_t).reshape(bases.shape)
-    core = core @ bases.conj().swapaxes(-1, -2)
-    return core[None] if dressing is None else dressing[:, None] @ core
-
-
-def _coupled_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
-    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) of
-    ``samples`` seeded Haar draws V of weight 1/samples, drawn in chunks
-    from one stream that every input shares.
-
-    At input (x, y), draw V leaves the d x d shared state Psi as
-    A conj(V) Psi V^T B^T, for Alice's A = dressing[x] @ relabel[x, y] and
-    Bob's B = dressing[y].  Its transpose is C_y A^T, with Bob's core
-    C_y = B V Psi^T V^+ formed once per chunk and own input, so every
-    input tuple costs one tall product with the draws on its row side."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    ccbox, (dress_a, dress_b) = strategy.ccbox, strategy.unitaries
-    d = ccbox.dim
-    alice = ccbox.relabel if dress_a is None else dress_a[:, None] @ ccbox.relabel
-    alice_t, shared_t = alice.swapaxes(-1, -2), strategy.shared.amplitudes.reshape(d, d).T
-    rng, chunk = np.random.default_rng(seed), max(1, _CHUNK_ENTRIES // (d * d))
-    for start in range(0, samples, chunk):
-        bases = ccbox.draw_base(rng, min(chunk, samples - start))
-        cores, weights = _bob_cores(bases, shared_t, dress_b), np.full(len(bases), 1 / samples)
-        for key in np.ndindex(*ccbox.input_sizes):
-            # an undressed Bob has a single core, for every own input
-            vecs_t = cores[key[1] % len(cores)].reshape(-1, d) @ alice_t[key]
-            yield key, vecs_t.reshape(bases.shape).swapaxes(-1, -2).reshape(len(bases), -1), weights
-
-
-def _finite_vectors(strategy: Strategy) -> Iterator[tuple]:
+def _weighted_vectors(strategy: Strategy) -> Iterator[tuple]:
     """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) over
     a finite box's support: party j's unitary stack applied to axis j of
-    the shared state."""
+    the shared state.  A vector that is not of unit norm is refused,
+    naming its input."""
     dims = strategy.shared.structure.dims
     shared = strategy.shared.amplitudes.reshape(dims[0], -1)
     for key, stacks, weights in _weighted_unitaries(strategy):
@@ -209,68 +204,162 @@ def _finite_vectors(strategy: Strategy) -> Iterator[tuple]:
         t = stacks[0].reshape(-1, dims[0]) @ shared
         for j, m in enumerate(stacks[1:], 1):
             t = m[:, None] @ t.reshape(len(weights), math.prod(dims[:j]), dims[j], -1)
-        yield key, t.reshape(len(weights), -1), weights
-
-
-def _weighted_vectors(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple]:
-    """Per input, chunks of (``(S, D)`` state vectors, ``(S,)`` weights) of
-    a Haar coupling's draws or a finite box's support.  A vector that is
-    not of unit norm is refused, naming its input."""
-    if isinstance(strategy.ccbox, HaarCouplingBox):
-        chunks = _coupled_vectors(strategy, samples, seed)
-    else:
-        chunks = _finite_vectors(strategy)
-    for key, vecs, weights in chunks:
+        vecs = t.reshape(len(weights), -1)
         if fault := invalid_vector(vecs):
             raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {fault[1]}")
         yield key, vecs, weights
 
 
-def _output_sum(strategy: Strategy, samples: int, seed: int) -> np.ndarray:
-    """The ``input_sizes + (D, D)`` stack of the strategy's outputs: per
+def _output_sum(strategy: Strategy) -> np.ndarray:
+    """The ``input_sizes + (D, D)`` stack of a finite strategy's outputs: per
     input, its weighted state vectors' outer products, summed from 0."""
     d = capped_dim(strategy.shared.structure)
     mats = np.zeros(strategy.input_sizes + (d, d), dtype=complex)
-    for key, vecs, weights in _weighted_vectors(strategy, samples, seed):
+    for key, vecs, weights in _weighted_vectors(strategy):
         mats[key] += (vecs.T * weights) @ vecs.conj()
     return mats
 
 
-def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed: int = 0) -> CQBox:
-    """The quantum-output box the strategy realises.
+def _coupling_sides(strategy: Strategy) -> tuple[np.ndarray, np.ndarray | None]:
+    """(A, B^T) of a Haar coupling: Alice's ``input_sizes + (d, d)``
+    dressed relabels A = dressing[x] @ relabel[x, y], and the transposes of
+    Bob's ``(m_B, d, d)`` dressings B = dressing[y], None where he has none."""
+    ccbox, (dress_a, dress_b) = strategy.ccbox, strategy.unitaries
+    alice = ccbox.relabel if dress_a is None else dress_a[:, None] @ ccbox.relabel
+    return alice, None if dress_b is None else dress_b.swapaxes(-1, -2)
 
-    Finite classical boxes are summed exactly.  Haar-coupling strategies
-    return the empirical mixture over ``samples`` seeded draws, with
-    Bob's sample stream drawn once so that it cannot depend on inputs;
-    per chunk of draws, Bob's core is formed once per own input and each
-    input tuple's states are one product with it.  A
-    mixture schedule sums interval i's strategy on seed + i into a stack
-    of its own, and adds the stacks from 0, each times its interval
-    weight, in interval order; a strategy is the one interval of weight 1.
-    One box is built and validated, from the whole sum.
+
+def _coupled_output(strategy: Strategy) -> CQBox:
+    """A Haar coupling's exact output, A Psi B^T at every input as one
+    batched product (Psi the shared state as a d x d matrix), stored as
+    amplitudes: the state every draw gives, by the core lemma."""
+    alice, bob_t = _coupling_sides(strategy)
+    d = strategy.ccbox.dim
+    out = alice @ strategy.shared.amplitudes.reshape(d, d)
+    if bob_t is not None:
+        out = out @ bob_t  # Bob's own input y is the last input axis
+    return CQBox(
+        strategy.input_sizes, strategy.shared.structure,
+        amplitudes=out.reshape(strategy.input_sizes + (d * d,)),
+    )
+
+
+def _shared_frames(strategy: Strategy, samples: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Per chunk of ``samples`` seeded Haar draws V, drawn in chunks from one
+    stream, (index of its first draw, ``(S, d, d)`` stack conj(V) Psi V^T):
+    the shared state Psi, as a d x d matrix, after the draw."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    ccbox = strategy.ccbox
+    d = ccbox.dim
+    psi = strategy.shared.amplitudes.reshape(d, d)
+    rng, chunk = np.random.default_rng(seed), max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, samples, chunk):
+        bases = ccbox.draw_base(rng, min(chunk, samples - start))
+        # conj(V) Psi as one tall product, then one stacked product with V^T
+        frames = (bases.conj().reshape(-1, d) @ psi).reshape(bases.shape)
+        yield start, frames @ bases.swapaxes(-1, -2)
+
+
+def _draw_spread(strategy: Strategy, samples: int, seed: int) -> tuple[float, int]:
+    """(spread, draw) of the draw whose ||conj(V) Psi V^T - Psi||_F is
+    largest, the first such; a non-finite spread counts as infinite."""
+    d = strategy.ccbox.dim
+    psi = strategy.shared.amplitudes.reshape(d, d)
+    worst, where = -1.0, 0
+    for start, frames in _shared_frames(strategy, samples, seed):
+        spreads = np.linalg.norm(frames - psi, axis=(-2, -1))
+        spreads = np.where(np.isnan(spreads), np.inf, spreads)
+        i = int(np.argmax(spreads))
+        if spreads[i] > worst:
+            worst, where = float(spreads[i]), start + i
+    return worst, where
+
+
+@dataclass(frozen=True)
+class DrawCheck:
+    """The Haar draw of a run that moves the shared state most: its spread
+    ||conj(V) Psi V^T - Psi||_F, its index in its interval's stream and the
+    schedule interval that drew it (None for a single strategy).  A run
+    without Haar draws has spread 0 and no draw."""
+
+    spread: float = 0.0
+    draw: int | None = None
+    interval: int | None = None
+
+
+def simulate_checked(
+    strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed: int = 0
+) -> tuple[CQBox, DrawCheck]:
+    """The quantum-output box the strategy realises, and the check of its
+    Haar draws.
+
+    Finite classical boxes are summed exactly.  A Haar coupling's output is
+    exact too: its shared state Psi is c_b times the identity on each
+    coupling block b (``Strategy`` refuses any other), so every
+    block-diagonal draw V leaves it as conj(V) Psi V^T = Psi, the core
+    lemma (T U x U*)|phi+> = (T x 1)|phi+> per block.  Every draw therefore
+    gives the state A Psi B^T, formed once per input and stored as
+    amplitudes.  The ``samples`` seeded draws, in chunks from one stream,
+    check that invariance: A and B are unitary, so a draw's spread bounds
+    the trace distance of its state from the exact one at every input, and
+    the largest spread bounds that of the empirical mixture over the draws.
+    A mixture schedule adds interval i's exact outer products, times its
+    interval weight, from 0 in interval order, and checks interval i's
+    draws on seed + i; a strategy is the one interval of weight 1.
     """
-    if isinstance(strategy, MixtureSchedule):
-        if not strategy.strategies:
-            raise ValueError("mixture requires at least one component")
-        parts = zip(strategy.weights, strategy.strategies, itertools.count(seed))
-        first = strategy.strategies[0]
-    else:
-        parts, first = [(1.0, strategy, seed)], strategy
-    mats = sum(weight * _output_sum(item, samples, item_seed) for weight, item, item_seed in parts)
-    return CQBox(first.input_sizes, first.shared.structure, mats)
+    schedule = isinstance(strategy, MixtureSchedule)
+    if schedule and not strategy.strategies:
+        raise ValueError("mixture requires at least one component")
+    parts = list(zip(strategy.weights, strategy.strategies)) if schedule else [(1.0, strategy)]
+    check = DrawCheck()
+    for interval, (_, item) in enumerate(parts):
+        if isinstance(item.ccbox, HaarCouplingBox):
+            spread, draw = _draw_spread(item, samples, seed + interval)
+            if check.draw is None or spread > check.spread:
+                check = DrawCheck(spread, draw, interval if schedule else None)
+    if not schedule and isinstance(strategy.ccbox, HaarCouplingBox):
+        return _coupled_output(strategy), check
+
+    def outputs(item: Strategy) -> np.ndarray:
+        haar = isinstance(item.ccbox, HaarCouplingBox)
+        return _coupled_output(item).matrices if haar else _output_sum(item)
+
+    mats = sum(weight * outputs(item) for weight, item in parts)
+    first = parts[0][1]
+    return CQBox(first.input_sizes, first.shared.structure, mats), check
+
+
+def simulate(strategy: Strategy | MixtureSchedule, *, samples: int = 1000, seed: int = 0) -> CQBox:
+    """The box of ``simulate_checked``, refusing a run whose Haar draw check
+    finds a spread above ``TOLERANCE``, naming the draw."""
+    box, check = simulate_checked(strategy, samples=samples, seed=seed)
+    if not check.spread <= TOLERANCE:
+        interval = "" if check.interval is None else f" of interval {check.interval}"
+        raise ValueError(f"Haar draw {check.draw}{interval} moves the shared state by {check.spread}")
+    return box
 
 
 def sample_states(
     strategy: Strategy, *, samples: int = 1000, seed: int = 0
 ) -> dict[tuple[int, ...], list[StateVector]]:
-    """Per-input list of the pure states produced by each coupling draw,
-    formed as ``simulate`` forms them, from Bob's core per chunk of draws."""
+    """Per-input list of the pure states produced by each coupling draw V,
+    A conj(V) Psi V^T B^T from the draws that ``simulate_checked`` checks.
+    A vector that is not of unit norm is refused, naming its input."""
     if not isinstance(strategy.ccbox, HaarCouplingBox):
         raise TypeError("sample_states applies only to Haar-coupling strategies")
     structure = strategy.shared.structure
+    alice, bob_t = _coupling_sides(strategy)
     result: dict[tuple[int, ...], list[StateVector]] = {}
-    for key, vecs, _ in _weighted_vectors(strategy, samples, seed):
-        result.setdefault(key, []).extend(StateVector(vec, structure) for vec in vecs)
+    for _, frames in _shared_frames(strategy, samples, seed):
+        for key in np.ndindex(*strategy.input_sizes):
+            vecs = alice[key] @ frames
+            if bob_t is not None:
+                vecs = vecs @ bob_t[key[1]]
+            vecs = vecs.reshape(len(frames), -1)
+            if fault := invalid_vector(vecs):
+                raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {fault[1]}")
+            result.setdefault(key, []).extend(StateVector(vec, structure) for vec in vecs)
     return result
 
 
@@ -388,8 +477,11 @@ def max_entangled_strategy(targets: np.ndarray) -> Strategy:
     ``input_sizes + (n, n)`` stack of unitaries T^{x,y} = ``targets[x, y]``.
 
     The stack is the coupling's relabel: Bob applies a Haar-random V,
-    Alice applies T^{x,y} conj(V); since (conj(V) x V) leaves |phi+_n>
-    invariant, every single draw already produces the target state exactly.
+    Alice applies T^{x,y} conj(V).  The shared |phi+_n> is 1/sqrt(n) times
+    the identity as a matrix, one coupling block, so (conj(V) x V) leaves it
+    invariant and every single draw already produces the target state
+    exactly: ``simulate`` outputs (T^{x,y} x 1)|phi+_n> itself, and its
+    draws only check that invariance.
     """
     coupling = HaarCouplingBox(targets)
     return Strategy(coupling, phi_plus(coupling.dim), (None, None))
@@ -674,8 +766,9 @@ class MixtureSchedule:
     ``input_sizes + (K,)`` stack of component probabilities, which the
     interval weights reproduce when summed by assigned component.  A
     mixed-disordered schedule also holds the ``input_sizes + (K, D)`` stack
-    of component states and one strategy per interval; ``simulate`` runs
-    interval i's strategy on seed + i and adds its output stack by weight.
+    of component states and one strategy per interval; ``simulate`` adds
+    interval i's exact output stack by weight and checks its draws on
+    seed + i.
     Construction refuses interval weights that are no distribution, and
     interval strategies whose count, input sizes or party dims do not fit.
     The arrays are stored as read-only copies.

@@ -23,7 +23,6 @@ from cqboxes.boxes import (
     cq_box_distance,
     cq_no_signalling,
     induced_ccbox,
-    mix_boxes,
     pr_box,
 )
 from cqboxes.bounds import best_fidelity, verify_bound
@@ -59,7 +58,7 @@ from cqboxes.synthesis import (
     simulate,
     unitary_family_box,
 )
-from test_synthesis import reference_weighted_unitaries
+from test_synthesis import reference_mix_boxes, reference_weighted_unitaries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -396,7 +395,7 @@ def test_criterion_6_disordered_mixtures(capsys):
                 worst_aggregation = max(worst_aggregation, gap)
 
         boxes = [simulate(s, samples=3, seed=11 + i) for i, s in enumerate(schedule.strategies)]
-        mixed = mix_boxes([(w, b) for w, b in zip(schedule.weights, boxes)])
+        mixed = reference_mix_boxes([(w, b) for w, b in zip(schedule.weights, boxes)])
         assert np.array_equal(simulate(schedule, samples=3, seed=11).matrices, mixed.matrices)
         distance = cq_box_distance(mixed, box)
         assert distance <= 1e-8, f"family {family}: distance {distance:.3e}"

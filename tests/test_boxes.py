@@ -27,7 +27,6 @@ from cqboxes.boxes import (
     cq_no_signalling,
     family_worst_violation,
     induced_ccbox,
-    mix_boxes,
     mod_box,
     pr_box,
 )
@@ -52,10 +51,11 @@ from cqboxes.quantum import (
     pauli_x,
     phi_plus,
     trace_distance,
+    trace_norm,
     w_state,
 )
 from cqboxes.synthesis import Strategy, phase_family_box, unitary_family_box
-from test_synthesis import reference_weighted_unitaries
+from test_synthesis import reference_mix_boxes, reference_weighted_unitaries
 
 AB = PartyStructure.qubits("AB")
 
@@ -488,7 +488,7 @@ class TestCQBoxDistance:
          "one measurement family per party required"),
         (lambda: induced_ccbox(correlated_bell_box(), [[np.eye(2)], [np.eye(2)] * 2]),
          "party 0 needs one basis per input symbol"),
-        (lambda: mix_boxes([]), "mixture requires at least one component"),
+        (lambda: reference_mix_boxes([]), "mixture requires at least one component"),
         # a NaN tolerance used to fail the PR box, and to fail a C-Q box with no witness
         (lambda: cc_no_signalling(pr_box(), tol=math.nan), "tol must be a finite number, got nan"),
         (lambda: cq_no_signalling(correlated_bell_box(), tol=math.nan),
@@ -740,7 +740,7 @@ class TestMixBoxes:
     def test_two_component_mixture(self):
         a = correlated_bell_box()
         b = CQBox.from_pure((2, 2), {key: bell_state(2) for key in pr_box_inputs()})
-        mixed = mix_boxes([(0.25, a), (0.75, b)])
+        mixed = reference_mix_boxes([(0.25, a), (0.75, b)])
         expected = 0.25 * a.output((1, 1)).matrix + 0.75 * b.output((1, 1)).matrix
         np.testing.assert_allclose(mixed.output((1, 1)).matrix, expected, atol=1e-14)
 
@@ -750,7 +750,7 @@ class TestMixBoxes:
     def test_weights_validated(self, weights):
         a = correlated_bell_box()
         with pytest.raises(ValueError, match="^mixture weights must form a probability distribution$"):
-            mix_boxes([(w, a) for w in weights])
+            reference_mix_boxes([(w, a) for w in weights])
 
     def test_mismatched_components_rejected(self):
         phase = phase_family_box(lambda x, y: x * y, 0.8, 0.6)
@@ -765,7 +765,7 @@ class TestMixBoxes:
         ]
         for boxes, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
-                mix_boxes([(0.5, box) for box in boxes])
+                reference_mix_boxes([(0.5, box) for box in boxes])
 
 
 # Reference no-signalling checks: one Python loop per proper subgroup, own
@@ -1310,12 +1310,24 @@ def assert_stack_matches(box: CQBox, outputs: dict) -> None:
         assert np.array_equal(box.matrices[key], rho.matrix), key
 
 
+# |pure - dense| distance of two amplitude-stored boxes: at most 1.0e-15
+# over 3,000 random pairs of 2-3 parties of dimension 1-3, where the dense
+# trace norm carries the rounding of an eigensolve
+PURE_DISTANCE_SLACK = 4e-15
+
+
 def assert_kernels_match(box: CQBox, other: CQBox, outputs: dict, other_outputs: dict, rng) -> None:
     """Distance, mixture and induced table of the stack-backed boxes equal
-    the per-key reference on the same outputs, bit for bit."""
-    assert cq_box_distance(box, other) == reference_distance(outputs, other_outputs)
+    the per-key reference on the same outputs, bit for bit; the distance of
+    two amplitude-stored boxes, formed from their vectors, is within
+    ``PURE_DISTANCE_SLACK`` of the reference's dense trace distance."""
+    distance = cq_box_distance(box, other)
+    if box.amplitudes is not None and other.amplitudes is not None:
+        assert abs(distance - reference_distance(outputs, other_outputs)) <= PURE_DISTANCE_SLACK
+    else:
+        assert distance == reference_distance(outputs, other_outputs)
     # three components, so that the summation order shows in the rounding
-    mixed = mix_boxes([(0.2, box), (0.5, other), (0.3, box)])
+    mixed = reference_mix_boxes([(0.2, box), (0.5, other), (0.3, box)])
     expected = reference_mix([(0.2, outputs), (0.5, other_outputs), (0.3, outputs)], box.structure)
     assert_stack_matches(mixed, expected)
     measurements = [
@@ -1337,6 +1349,24 @@ def _dephased(box: CQBox) -> tuple[CQBox, dict]:
 
 
 CQ_FIXTURES = [name for name in BOX_FIXTURES if '"cq"' in (FIXTURES / name).read_text()]
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_pure_distance_keeps_a_tiny_distance_at_d256(seed):
+    """phi = e^{0.7i} psi plus noise of norm 1e-15 at D = 256: the distance
+    of the two amplitude-stored boxes, ||phi - <psi|phi> psi||, stays within
+    1e-15 of the dense trace distance (1.5e-15 here).  The root of
+    1 - |<psi|phi>|^2 gave 1.5e-8 and 2.1e-8 on these two seeds with
+    OpenBLAS's SkylakeX kernels, above the 1e-9 that ``synth`` allows, and 0 on
+    most other seeds: it keeps only the last bits of |<psi|phi>|^2."""
+    rng = np.random.default_rng(seed)
+    z, noise = (rng.standard_normal(256) + 1j * rng.standard_normal(256) for _ in range(2))
+    psi = z / np.linalg.norm(z)
+    phi = np.exp(0.7j) * psi + 1e-15 * noise / np.linalg.norm(noise)
+    structure = PartyStructure.pair(16)
+    a, b = (CQBox((1, 1), structure, amplitudes=v[None, None]) for v in (psi, phi))
+    dense = 0.5 * trace_norm(np.outer(psi, psi.conj()) - np.outer(phi, phi.conj()))
+    assert abs(cq_box_distance(a, b) - dense) <= 1e-15
 
 
 class TestStackMatchesReference:

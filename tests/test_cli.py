@@ -812,9 +812,9 @@ def count_calls(monkeypatch, name: str) -> list:
         # the target and the simulated box, each one stack; one relabel
         # stack per interval strategy (the rotated fixture has 7)
         (["synth", "mixed-disordered", "--target", "fixtures/mixed_disordered_rotated.json"], 2, 7),
-        # the simulated box; the coupling's relabel stack, the four
-        # targets drawn as one
-        (["synth", "max-entangled", "--n", "8"], 1, 1),
+        # no density stack: the simulated box is stored as amplitudes; the
+        # coupling's relabel stack, the four targets drawn as one
+        (["synth", "max-entangled", "--n", "8"], 0, 1),
     ],
 )
 def test_synth_validates_each_stack_once(capsys, monkeypatch, argv, density, unitary):
@@ -837,6 +837,35 @@ def test_max_entangled_targets_are_four_haar_draws(n, seed):
     want = np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n))
     assert np.array_equal(built["strategy"].ccbox.relabel, want)
     assert np.array_equal(built["target"].amplitudes, unitary_family_box(want).amplitudes)
+
+
+def test_failing_draw_check_names_its_draw(capsys, monkeypatch):
+    """A sampler whose draw 3 is scaled by 1 + 1e-6 moves the shared state
+    by 2e-6, above the 1e-9 distance tolerance: the run exits 1 and its
+    report names draw 3.  The exact output, and so the target distance and
+    the no-signalling check, do not move; a passing report prints no spread."""
+    monkeypatch.chdir(ROOT)
+    code, passing, _ = run(capsys, "synth", "max-entangled")
+    assert code == 0 and "draw_check" not in passing
+    draw = boxes.HaarCouplingBox.draw_base
+    seen = []
+
+    def scale_draw_3(self, rng, size=()):
+        bases = draw(self, rng, size)
+        start = sum(seen)
+        seen.append(len(bases))
+        if start <= 3 < start + len(bases):
+            bases[3 - start] *= 1 + 1e-6
+        return bases
+
+    monkeypatch.setattr(boxes.HaarCouplingBox, "draw_base", scale_draw_3)
+    code, report, _ = run(capsys, "synth", "max-entangled")
+    assert code == 1
+    assert report["draw_check"]["draw"] == 3
+    assert report["draw_check"]["spread"] == pytest.approx(2e-6, rel=1e-5)
+    assert "interval" not in report["draw_check"]
+    assert report["passed"] is True
+    assert report["target_distance"] == passing["target_distance"] <= report["distance_tolerance"]
 
 
 def test_failing_theorem_names_its_counterexample(capsys, monkeypatch, tmp_path):

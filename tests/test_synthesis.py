@@ -25,7 +25,6 @@ from cqboxes.boxes import (
     cq_box_distance,
     cq_no_signalling,
     induced_ccbox,
-    mix_boxes,
     mod_box,
     pr_box,
 )
@@ -40,6 +39,7 @@ from cqboxes.quantum import (
     bell_state,
     fidelity,
     haar_unitary,
+    invalid_distribution,
     invalid_unitary,
     invalid_vector,
     partial_trace,
@@ -48,6 +48,7 @@ from cqboxes.quantum import (
     phi_plus,
     schmidt,
     su2,
+    two_level_state,
     w_state,
 )
 from cqboxes.synthesis import (
@@ -70,6 +71,7 @@ from cqboxes.synthesis import (
     sample_states,
     sign_flip_strategy,
     simulate,
+    simulate_checked,
     unitary_family_box,
 )
 
@@ -78,6 +80,27 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def reference_mix_boxes(weighted: Sequence[tuple[float, CQBox]]) -> CQBox:
+    """Convex mixture of C-Q boxes with matching input sizes and party dims,
+    summed from 0 in order: the per-box mixture ``simulate`` replaced with
+    one sum over a schedule's intervals."""
+    if not weighted:
+        raise ValueError("mixture requires at least one component")
+    if invalid_distribution([w for w, _ in weighted]):
+        raise ValueError("mixture weights must form a probability distribution")
+    first = weighted[0][1]
+    for i, (_, box) in enumerate(weighted):
+        for name, value, expected in (
+            ("input_sizes", box.input_sizes, first.input_sizes),
+            ("party dims", box.structure.dims, first.structure.dims),
+        ):
+            if value != expected:
+                raise ValueError(
+                    f"mixture component {i} has {name} {value}, component 0 has {expected}"
+                )
+    return CQBox(first.input_sizes, first.structure, sum(w * box.matrices for w, box in weighted))
 
 
 def two_qubit_state(vec) -> StateVector:
@@ -1029,7 +1052,7 @@ class TestMixedDisordered:
             (w, simulate(strategy, samples=3, seed=10 + i))
             for i, (w, strategy) in enumerate(zip(schedule.weights, schedule.strategies))
         ]
-        mixed = mix_boxes(parts)
+        mixed = reference_mix_boxes(parts)
         assert cq_box_distance(mixed, box) < 1e-9
         assert np.array_equal(simulate(schedule, samples=3, seed=10).matrices, mixed.matrices)
 
@@ -1192,10 +1215,10 @@ def test_shared_weight_families_match_the_per_input_reference(box):
        seed=st.integers(0, 2**16), samples=st.integers(1, 5))
 def test_simulated_mixture_matches_the_per_interval_mix(box, seed, samples):
     """``simulate`` on the schedule gives the bits of the per-interval path
-    it replaced: interval i simulated on seed + i, and ``mix_boxes`` over
-    the reference's interval weights, as Python floats."""
+    it replaced: interval i simulated on seed + i, and ``reference_mix_boxes``
+    over the reference's interval weights, as Python floats."""
     intervals, _, _, strategies = reference_mixed_disordered_strategy(box)
-    mixed = mix_boxes([
+    mixed = reference_mix_boxes([
         (weight, simulate(strategy, samples=samples, seed=seed + i))
         for i, ((weight, _), strategy) in enumerate(zip(intervals, strategies))
     ])
@@ -1788,7 +1811,23 @@ class FramedHaarCouplingBox(HaarCouplingBox):
     frame_b: np.ndarray | None = None
 
 
-def reference_framed_strategy(targets: CQBox) -> Strategy:
+@dataclass(frozen=True)
+class FramedStrategy:
+    """A strategy over a ``FramedHaarCouplingBox``, whose shared state (the
+    reference output) is no multiple of the identity on a coupling block,
+    so ``Strategy`` refuses it: only ``reference_sampled_simulate`` runs it,
+    on the per-draw unitaries of ``reference_weighted_vectors``."""
+
+    ccbox: FramedHaarCouplingBox
+    shared: StateVector
+    unitaries: tuple
+
+    @property
+    def input_sizes(self) -> tuple[int, ...]:
+        return tuple(self.ccbox.input_sizes)
+
+
+def reference_framed_strategy(targets: CQBox) -> FramedStrategy:
     """``general_pure_strategy`` with a framed coupling and unframed
     dressings, rebuilt from the reference output's Schmidt form; only the
     coupling parts are taken from the strategy under test.  Only the
@@ -1809,7 +1848,7 @@ def reference_framed_strategy(targets: CQBox) -> Strategy:
     dress_a = [frame_a @ (in_frames((x, 0)) @ inv_d) @ frame_a.conj().T for x in range(nx)]
     dress_b = [frame_b @ (inv_d @ in_frames((0, y))).T @ frame_b.conj().T for y in range(ny)]
     framed = FramedHaarCouplingBox(coupling.relabel, coupling.block_dims, frame_a, frame_b)
-    return Strategy(ccbox=framed, shared=reference, unitaries=(dress_a, dress_b))
+    return FramedStrategy(ccbox=framed, shared=reference, unitaries=(dress_a, dress_b))
 
 
 # the Schmidt core reorders the framed products, which moves the last bits
@@ -1850,14 +1889,92 @@ def reference_weighted_vectors(strategy: Strategy, samples: int, seed: int):
         yield key, vecs, weights
 
 
+def reference_bob_cores(bases: np.ndarray, shared_t: np.ndarray, dressing: np.ndarray | None) -> np.ndarray:
+    """The cores D V Psi^T V^+ of a ``(S, d, d)`` chunk of draws V, for the
+    transpose ``shared_t`` of the shared state as a d x d matrix Psi: one
+    ``(S, d, d)`` stack per own input of Bob, each dressed by his
+    ``dressing[y]`` = D, or a single undressed stack where he has none."""
+    # V Psi^T as one tall product, then one stacked product with V^+
+    core = (bases.reshape(-1, bases.shape[-1]) @ shared_t).reshape(bases.shape)
+    core = core @ bases.conj().swapaxes(-1, -2)
+    return core[None] if dressing is None else dressing[:, None] @ core
+
+
+def reference_coupled_vectors(strategy: Strategy, samples: int, seed: int):
+    """The sampled Haar states ``simulate`` summed before it gave a coupling
+    its exact output: per input, chunks of (``(S, D)`` state vectors,
+    ``(S,)`` weights) of ``samples`` seeded draws V of weight 1/samples,
+    drawn in chunks from one stream that every input shares.
+
+    At input (x, y), draw V leaves the d x d shared state Psi as
+    A conj(V) Psi V^T B^T, for Alice's A = dressing[x] @ relabel[x, y] and
+    Bob's B = dressing[y].  Its transpose is C_y A^T, with Bob's core
+    C_y = B V Psi^T V^+ formed once per chunk and own input, so every
+    input tuple costs one tall product with the draws on its row side.  A
+    vector that is not of unit norm is refused, naming its input."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    ccbox, (dress_a, dress_b) = strategy.ccbox, strategy.unitaries
+    d = ccbox.dim
+    alice = ccbox.relabel if dress_a is None else dress_a[:, None] @ ccbox.relabel
+    alice_t, shared_t = alice.swapaxes(-1, -2), strategy.shared.amplitudes.reshape(d, d).T
+    rng, chunk = np.random.default_rng(seed), max(1, synthesis._CHUNK_ENTRIES // (d * d))
+    for start in range(0, samples, chunk):
+        bases = ccbox.draw_base(rng, min(chunk, samples - start))
+        cores, weights = reference_bob_cores(bases, shared_t, dress_b), np.full(len(bases), 1 / samples)
+        for key in np.ndindex(*ccbox.input_sizes):
+            # an undressed Bob has a single core, for every own input
+            vecs_t = cores[key[1] % len(cores)].reshape(-1, d) @ alice_t[key]
+            vecs = vecs_t.reshape(bases.shape).swapaxes(-1, -2).reshape(len(bases), -1)
+            if fault := invalid_vector(vecs):
+                raise ValueError(f"output at input {','.join(map(str, key))} is invalid: {fault[1]}")
+            yield key, vecs, weights
+
+
+def reference_sampled_simulate(
+    strategy: Strategy | MixtureSchedule, *, samples: int, seed: int, vectors=reference_coupled_vectors
+) -> CQBox:
+    """The Haar accumulation ``simulate`` ran before it gave a coupling its
+    exact output: per input, the weighted outer products of the sampled
+    state vectors of ``vectors(strategy, samples, seed)``, summed from 0; a
+    schedule sums interval i on seed + i into a stack of its own and adds
+    the stacks from 0, each times its interval weight, in interval order.
+    ``vectors`` = ``reference_weighted_vectors`` also runs test-only
+    couplings, such as a ``FramedStrategy``."""
+    if isinstance(strategy, MixtureSchedule):
+        parts, first = zip(strategy.weights, strategy.strategies, itertools.count(seed)), strategy.strategies[0]
+    else:
+        parts, first = [(1.0, strategy, seed)], strategy
+    d = first.shared.structure.total_dim
+
+    def sampled(item, item_seed: int) -> np.ndarray:
+        mats = np.zeros(item.input_sizes + (d, d), dtype=complex)
+        for key, vecs, weights in vectors(item, samples, item_seed):
+            mats[key] += (vecs.T * weights) @ vecs.conj()
+        return mats
+
+    mats = sum(weight * sampled(item, item_seed) for weight, item, item_seed in parts)
+    return CQBox(first.input_sizes, first.shared.structure, mats)
+
+
 def reference_simulate(strategy: Strategy, *, samples: int, seed: int) -> CQBox:
-    """``simulate`` with every state vector from ``reference_weighted_vectors``."""
-    with mock.patch.object(synthesis, "_weighted_vectors", reference_weighted_vectors):
+    """The sampled mixture of ``reference_weighted_vectors``' state vectors:
+    a Haar coupling's through ``reference_sampled_simulate``, a finite
+    box's through ``simulate`` with those vectors patched in."""
+    if isinstance(strategy.ccbox, HaarCouplingBox):
+        return reference_sampled_simulate(
+            strategy, samples=samples, seed=seed, vectors=reference_weighted_vectors
+        )
+
+    def patched(item: Strategy):
+        return reference_weighted_vectors(item, samples, seed)
+
+    with mock.patch.object(synthesis, "_weighted_vectors", patched):
         return simulate(strategy, samples=samples, seed=seed)
 
 
-# Bob's cores reorder a Haar coupling's products, which moves the last bits;
-# a finite box's states keep theirs
+# a Haar coupling's exact output differs from a sampled mixture in the last
+# bits; a finite box's states keep theirs
 HAAR_BOUND = 1e-13
 
 
@@ -1982,22 +2099,108 @@ class TestMapsOncePerOwnInputMatchTheReference:
         assert_simulate_matches_the_per_tuple_maps(strategy, samples, 4)
 
     @pytest.mark.parametrize("dressed", [False, True])
-    def test_bob_cores_once_per_chunk_and_dressed_input(self, monkeypatch, dressed):
-        cores = []
-        formed = synthesis._bob_cores
+    def test_draws_checked_once_per_chunk_whatever_the_dressing(self, monkeypatch, dressed):
+        """The draws are checked in the shared frame, once per chunk, whether
+        or not Bob is dressed; the output is the sampled reference's, of
+        Bob's cores per chunk and own input, within ``HAAR_BOUND``."""
+        frames = []
+        formed = synthesis._shared_frames
 
-        def counted(bases, shared_t, dressing):
-            out = formed(bases, shared_t, dressing)
-            cores.append(len(out))
-            return out
+        def counted(strategy, samples, seed):
+            for start, chunk in formed(strategy, samples, seed):
+                frames.append(len(chunk))
+                yield start, chunk
 
         coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 3, 2, 2)))
         dressing = np.array([haar_unitary(2, 8 + y).matrix for y in range(3)])
         strategy = Strategy(coupling, phi_plus(2), (None, dressing if dressed else None))
-        monkeypatch.setattr(synthesis, "_bob_cores", counted)
+        monkeypatch.setattr(synthesis, "_shared_frames", counted)
         monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
         box = simulate(strategy, samples=12)
-        # 3 chunks: one core each, or one per own input of Bob where he is dressed
-        assert cores == [3 if dressed else 1] * 3
-        reference = reference_simulate(strategy, samples=12, seed=0)
+        # 3 chunks of 5, 5 and 2 draws, one shared-frame stack each
+        assert frames == [5, 5, 2]
+        reference = reference_sampled_simulate(strategy, samples=12, seed=0)
         assert np.max(np.abs(box.matrices - reference.matrices)) <= HAAR_BOUND
+
+
+@st.composite
+def max_entangled_strategies(draw) -> Strategy:
+    """A max-entangled coupling over four Haar targets of dimension 2-8."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return max_entangled_strategy(np.reshape([haar_unitary(n, rng).matrix for _ in range(4)], (2, 2, n, n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    strategy=st.one_of(
+        max_entangled_strategies(),
+        schmidt_dressed_families().map(general_pure_strategy),
+        disordered_families().map(mixed_disordered_strategy),
+    ),
+    seed=st.integers(0, 1000),
+    samples=st.integers(1, 30),
+)
+def test_exact_output_is_within_the_spread_of_the_sampled_mixture(strategy, seed, samples):
+    """The sampled mixture the exact output replaced lies within the
+    largest draw spread of it, in trace distance, as the pass rule of
+    ``synth`` assumes; the spread itself is rounding."""
+    exact, check = simulate_checked(strategy, samples=samples, seed=seed)
+    sampled = reference_sampled_simulate(strategy, samples=samples, seed=seed)
+    assert cq_box_distance(exact, sampled) <= check.spread + 1e-12
+    assert 0 <= check.draw < samples
+    assert (check.interval is not None) == isinstance(strategy, MixtureSchedule)
+    assert check.spread <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "blocks, amplitudes, message",
+    [
+        ((2,), two_level_state(0.8, 0.6).amplitudes, "coupling block 0 (deviation 1.000e-01)"),
+        ((1, 2), np.diag([0.8, 0.48, 0.36]).ravel(), "coupling block 1 (deviation 6.000e-02)"),
+        # an entry across the two blocks, on block 0's row
+        ((1, 1), [0.6, 0.64, 0, 0.48], "coupling block 0 (deviation 6.400e-01)"),
+    ],
+)
+def test_haar_coupling_needs_a_block_scalar_shared_state(blocks, amplitudes, message):
+    """The core lemma holds only for a shared state that is c_b times the
+    identity on each coupling block; the first block off it is named."""
+    d = sum(blocks)
+    coupling = HaarCouplingBox(np.broadcast_to(np.eye(d), (2, 2, d, d)), blocks)
+    shared = StateVector(amplitudes, PartyStructure.pair(d))
+    with pytest.raises(ValueError, match=re.escape(f"not a multiple of the identity on {message}")):
+        Strategy(coupling, shared, (None, None))
+
+
+def test_a_schmidt_core_is_block_scalar_on_one_level_blocks():
+    coupling = HaarCouplingBox(np.broadcast_to(np.eye(2), (2, 2, 2, 2)), (1, 1))
+    Strategy(coupling, two_level_state(0.8, 0.6), (None, None))
+
+
+def test_the_draw_check_names_the_draw_that_moves_the_state(monkeypatch):
+    """Draw 7, in the second chunk of 5, is scaled by 1 + 1e-6: the check
+    names it with its spread, (2e-6 + 1e-12) |Psi|_F, and ``simulate``
+    refuses it; the exact output does not move."""
+    _, strategy = SAMPLED[0]  # max-entangled n = 2
+    exact = simulate(strategy, samples=12, seed=3)
+    draw = HaarCouplingBox.draw_base
+    seen = []
+
+    def scale_draw_7(self, rng, size=()):
+        bases = draw(self, rng, size)
+        start = sum(seen)
+        seen.append(len(bases))
+        if start <= 7 < start + len(bases):
+            bases[7 - start] *= 1 + 1e-6
+        return bases
+
+    monkeypatch.setattr(HaarCouplingBox, "draw_base", scale_draw_7)
+    monkeypatch.setattr(synthesis, "_CHUNK_ENTRIES", 4 * 5)  # chunks of 5 draws
+    box, check = simulate_checked(strategy, samples=12, seed=3)
+    assert seen == [5, 5, 2]
+    assert (check.draw, check.interval) == (7, None)
+    assert check.spread == pytest.approx(2e-6, rel=1e-5)
+    assert np.array_equal(box.amplitudes, exact.amplitudes)
+    seen.clear()
+    with pytest.raises(ValueError, match=r"^Haar draw 7 moves the shared state by 2\.0"):
+        simulate(strategy, samples=12, seed=3)
